@@ -1,6 +1,6 @@
-"""E1 — Engine: sequential vs sharded-parallel exploration wall-clock.
+"""E1 — Engine: sequential vs sharded-pipeline exploration wall-clock.
 
-Measures the multiprocess exploration engine against the sequential BFS
+Measures the multiprocess pipeline against the sequential BFS
 reference on the Peterson and ticket-lock state spaces, asserting
 bit-identical results (state and edge counts, terminal outcomes) and
 recording the wall-clock speedup.  The speedup bar (≥2× with 4 workers)
@@ -48,7 +48,7 @@ def test_parallel_parity_and_speedup(benchmark, record_row, name, build):
     par = benchmark.pedantic(
         engine.explore, args=(program,), iterations=1, rounds=1
     )
-    # Result keys are representation-specific (the parallel backend uses
+    # Result keys are representation-specific (the pipeline uses
     # stable digests), so parity is checked on the representation-
     # independent observables.
     parity = (
@@ -58,9 +58,9 @@ def test_parallel_parity_and_speedup(benchmark, record_row, name, build):
         and len(par.stuck) == len(seq.stuck)
     )
     speedup = seq.elapsed / par.elapsed if par.elapsed > 0 else float("inf")
-    # Speedup on these *small* spaces is informational only: per-round
-    # pool/pickle overhead dominates at ~1k states, and shared CI
-    # runners add noise.  The >=2x bar is enforced by the large-space
+    # Speedup on these *small* spaces is informational only: worker
+    # start-up and batch codec overhead dominate at ~1k states, and
+    # shared CI runners add noise.  The >=2x bar is enforced by the large-space
     # benchmark below, where parallel compute actually amortises.
     record_row(
         f"E1 engine {name}",

@@ -1,25 +1,14 @@
-"""P3 — Flat wire codec blob size + hot-kernel sequential throughput.
+"""P3 — Sequential hot-kernel throughput.
 
-Measures the two deliverables of the successor-path performance pass:
+Measures the specialised sequential inner loop (transitions/step/canon)
+by states/sec against the committed pre-specialisation reference, on
+the exploration every verdict runs through.
 
-* the pickle-free flat batch codec (:mod:`repro.memory.flatcodec`)
-  against the v1 pickle codec it replaces as the cross-shard default,
-  by encoded bytes of identical batches — a within-run, deterministic,
-  host-independent comparison;
-* the specialised sequential inner loop (transitions/step/canon), by
-  states/sec against the committed pre-specialisation reference.
+Two legs:
 
-Three legs:
-
-* **blob** (always on, deterministic): flat vs pickle encoded bytes of
-  the Peterson ``(digest, Config)`` batch, with decode parity asserted
-  on every run.  Byte counts are host-independent, so the ≥1.8x bar is
-  enforced unconditionally — and the committed baseline's recorded
-  ratio is re-checked, so a regressed regeneration cannot slip
-  through CI.
 * **kernel smoke** (always on): sequential states/sec on the Peterson
   space, recorded next to the committed value in
-  ``benchmarks/BENCH_flatcodec.json``; with ``REPRO_PERF_SMOKE=1`` on
+  ``benchmarks/BENCH_kernel.json``; with ``REPRO_PERF_SMOKE=1`` on
   an armed host (see below), a >2x regression against the committed
   states/sec fails the run.
 * **kernel large** (``REPRO_BENCH_LARGE=1``): the ≥50k-state wide-4x3
@@ -27,14 +16,13 @@ Three legs:
   committed ``baseline_states_per_sec`` (the pre-specialisation inner
   loop, measured once on the recording host and *preserved* across
   regenerations: it is the reference the speedup claim is relative
-  to).
+  to).  The committed record itself must keep showing the headline,
+  checked on every run.
 
 **Where the speed gates arm.**  Absolute states/sec does not transfer
-across machines, so — following the ``BENCH_shm_ring`` convention —
-each committed section records the ``cpus`` of the recording host and
-the wall-clock gates enforce only when both the measuring host and the
-committed record have ≥4 CPUs.  The blob-size gate is deterministic
-and gates everywhere regardless.  Regenerate with
+across machines, so each committed section records the ``cpus`` of the
+recording host and the wall-clock gates enforce only when both the
+measuring host and the committed record have ≥4 CPUs.  Regenerate with
 ``pytest --bench-update`` (or ``REPRO_BENCH_WRITE_BASELINE=1``), plus
 ``REPRO_BENCH_LARGE=1`` for the large leg.
 """
@@ -48,20 +36,14 @@ import pytest
 
 from benchmarks.spaces import wide_program
 from repro.engine.core import explore_sequential
-from repro.engine.fingerprint import stable_digest
 from repro.lang.program import Program
 from repro.litmus.peterson import peterson_program
-from repro.memory.flatcodec import decode_batch, get_codec
-from repro.semantics.canon import canonical_key
-from repro.semantics.explore import explore
 
-BASELINE_PATH = Path(__file__).parent / "BENCH_flatcodec.json"
+BASELINE_PATH = Path(__file__).parent / "BENCH_kernel.json"
 
 CPUS = os.cpu_count() or 1
 ENFORCE = CPUS >= 4
 
-#: Blob-size bar: pickle batch bytes over flat batch bytes.
-BLOB_BAR = 1.8
 #: Headline kernel bar: states/sec over the committed
 #: pre-specialisation baseline (large leg).
 KERNEL_BAR = 1.3
@@ -93,14 +75,6 @@ def _update_baseline(section: str, payload: dict) -> None:
     BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _cross_shard_batch(program: Program):
-    result = explore(program)
-    return [
-        (stable_digest(repr(i).encode()), cfg)
-        for i, cfg in enumerate(result.configs.values())
-    ]
-
-
 def _measure_sequential(program: Program):
     t0 = time.perf_counter()
     result = explore_sequential(program, 2_000_000)
@@ -110,66 +84,15 @@ def _measure_sequential(program: Program):
     return states, elapsed, states / elapsed if elapsed > 0 else 0.0
 
 
-def test_flat_vs_pickle_blob_bytes(record_row):
-    """Flat batches ≥1.8x smaller than pickle batches of the same
-    configs — deterministic byte counts, enforced on every host, with
-    value parity (bit-identical canonical keys) asserted in-run."""
-    program = peterson_program()
-    batch = _cross_shard_batch(program)
-    flat_blob = get_codec("flat").encode_bytes(batch)
-    pickle_blob = get_codec("pickle").encode_bytes(batch)
-    ratio = len(pickle_blob) / len(flat_blob)
-
-    # Parity is part of the measurement: both blobs decode to the same
-    # values with bit-identical canonical keys.
-    flat_back = decode_batch(flat_blob)
-    pickle_back = decode_batch(pickle_blob)
-    assert len(flat_back) == len(pickle_back) == len(batch)
-    for fe, pe, be in zip(flat_back, pickle_back, batch):
-        assert fe[0] == pe[0] == be[0]
-        assert fe[1] == pe[1] == be[1]
-        assert (
-            canonical_key(program, fe[1])
-            == canonical_key(program, pe[1])
-            == canonical_key(program, be[1])
-        )
-
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        _update_baseline(
-            "blob",
-            {
-                "program": "peterson",
-                "entries": len(batch),
-                "cpus": CPUS,
-                "flat_bytes": len(flat_blob),
-                "pickle_bytes": len(pickle_blob),
-                "ratio": round(ratio, 2),
-            },
-        )
-
-    record_row(
-        "P3 flat codec bytes",
-        f"flat batches ≥{BLOB_BAR}x smaller than pickle batches",
-        f"{len(batch)} entries, {len(flat_blob)} vs {len(pickle_blob)} B "
-        f"({ratio:.2f}x)",
-        ratio >= BLOB_BAR,
-    )
-    assert ratio >= BLOB_BAR
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        return  # partially (re)generated baseline: claims checked next run
-    # The committed record stays honest.
-    baseline = _read_baseline()
-    assert baseline["blob"]["ratio"] >= BLOB_BAR, (
-        "committed BENCH_flatcodec.json no longer shows the "
-        f"≥{BLOB_BAR}x flat-vs-pickle blob ratio; regenerate with "
-        "pytest --bench-update and investigate"
-    )
-    large = baseline["kernel_large"]
+def test_committed_kernel_headline():
+    """The committed record stays honest: a regenerated large-space
+    record below the ≥1.3x headline fails here, on every host."""
+    large = _read_baseline()["kernel_large"]
     assert (
         large["states_per_sec"]
         >= KERNEL_BAR * large["baseline_states_per_sec"]
     ), (
-        "committed BENCH_flatcodec.json no longer shows the "
+        "committed BENCH_kernel.json no longer shows the "
         f"≥{KERNEL_BAR}x sequential kernel speedup; regenerate with "
         "REPRO_BENCH_LARGE=1 pytest --bench-update and investigate"
     )
@@ -212,7 +135,7 @@ def test_sequential_kernel_smoke(record_row):
         ok,
     )
     assert states == baseline["states"], (
-        "smoke program changed: regenerate BENCH_flatcodec.json with "
+        "smoke program changed: regenerate BENCH_kernel.json with "
         "pytest --bench-update"
     )
     if enforce:
@@ -261,7 +184,7 @@ def test_sequential_kernel_large_space(record_row):
     )
     assert big_enough
     assert states == baseline["states"], (
-        "large program changed: regenerate BENCH_flatcodec.json with "
+        "large program changed: regenerate BENCH_kernel.json with "
         "REPRO_BENCH_LARGE=1 pytest --bench-update"
     )
     if enforce:

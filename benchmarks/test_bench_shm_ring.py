@@ -1,287 +1,52 @@
-"""P2 — Zero-copy shm ring transport vs the queue transport.
+"""P2 — Zero-copy discipline of the pipeline's shm rings.
 
-Measures the pipeline backend's two transports (shared-memory SPSC
-rings in :mod:`repro.engine.shm` vs the pickled-blob master-routed
-queues) against each other, with bit-identical-result parity asserted
-on every run, plus the transport-level copy discipline.
-
-Three legs:
-
-* **copies** (always on, deterministic): intermediate batch copies per
-  published batch, from the ``pipeline.batch_copies`` counter.  The shm
-  transport must report **zero** (batches are pickled directly into
-  ring memory and decoded directly out of it); the queue transport
-  deterministically pays two (encode to a blob, queue pickles the blob
-  again).  Copy counts are host-independent, so this gate is enforced
-  unconditionally on every host.
-* **smoke** (always on): shm vs queue states/sec on the Peterson
-  space, recorded next to the committed baseline in
-  ``benchmarks/BENCH_shm_ring.json``.
-* **large** (``REPRO_BENCH_LARGE=1``): the ≥50k-state space the
-  ≥1.5x headline claim is stated over, at 4 workers.
-
-**Where the speed gates arm.**  The shm transport's win is a
-*parallelism* win, not a per-byte one: both transports pay the same
-(dominant) object pickling per batch, and what shm removes is the
-master router — a serial bottleneck every cross-shard byte must cross
-— plus the byte-level blob copies around it.  On a single-CPU host
-everything is compute-bound, the router costs CPU the workers weren't
-using anyway, and an honest measurement shows ~1.0x; only with real
-cores does removing the serial hop pay.  Each committed baseline
-section therefore records the ``cpus`` of the host that measured it,
-and the states/sec gates (smoke: ≥1.3x with ``REPRO_PERF_SMOKE=1``;
-large: ≥1.5x) enforce **only when both the measuring host and the
-committed baseline's recording host have ≥4 CPUs** — a
-single-CPU-recorded baseline cannot arm a parallel-speedup gate.
-Regenerate on a ≥4-CPU host with ``REPRO_BENCH_WRITE_BASELINE=1``
-(plus ``REPRO_BENCH_LARGE=1`` for the large leg) to arm them.  The
-zero-copy discipline is deterministic and gates everywhere regardless.
+Counts intermediate batch copies per published batch on the Peterson
+space, from the ``pipeline.batch_copies`` counter.  Batches are pickled
+directly into ring memory and decoded directly out of it, so every
+batch that fits a ring must report **zero** copies (only an oversized
+batch, chunked across frames, pays one).  Copy counts are
+host-independent, so the gate is enforced on every host, with
+state-count parity against the sequential loop asserted in the same
+run.
 """
-
-import json
-import os
-import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.spaces import wide_program
-from repro.engine.parallel import explore_parallel
+from repro.engine import ExplorationEngine
 from repro.engine.shm import shm_available
-from repro.lang.program import Program
 from repro.litmus.peterson import peterson_program
 from repro.obs.metrics import Metrics
-
-BASELINE_PATH = Path(__file__).parent / "BENCH_shm_ring.json"
-
-CPUS = os.cpu_count() or 1
-WORKERS = 4 if CPUS >= 4 else 2
-ENFORCE = CPUS >= 4
-
-#: Headline bar: shm states/sec over queue at 4 workers (large leg).
-SPEEDUP_BAR = 1.5
-#: Smoke-leg bar on armed perf-smoke hosts.
-SMOKE_BAR = 1.3
-#: Perf-smoke gate: fail when the measured smoke ratio regresses by
-#: more than this factor against the committed baseline ratio.
-REGRESSION_FACTOR = 2.0
-
-
-def _armed(section: dict) -> bool:
-    """A speed gate arms only when the committed record was measured
-    with real parallelism (see the module docstring)."""
-    return section.get("cpus", 1) >= 4
+from repro.semantics.explore import explore
 
 pytestmark = pytest.mark.skipif(
     not shm_available(),
-    reason="SharedMemory unavailable: shm transport falls back to queue, "
-    "nothing to compare",
+    reason="SharedMemory unavailable: the engine explores sequentially",
 )
 
 
-def _run(program: Program, workers: int, transport: str):
-    m = Metrics()
-    t0 = time.perf_counter()
-    result = explore_parallel(
-        program,
-        workers=workers,
-        max_states=2_000_000,
-        keep_configs=False,
-        backend="pipeline",
-        transport=transport,
-        metrics=m,
-    )
-    elapsed = time.perf_counter() - t0
-    assert not result.truncated
-    return result, elapsed, m.counters
-
-
-def _measure(program: Program, workers: int):
-    """Run the pipeline backend under both transports; assert parity
-    and the copy discipline, return ``(states, queue_s, shm_s)``."""
-    queue_r, queue_s, queue_c = _run(program, workers, "queue")
-    shm_r, shm_s, shm_c = _run(program, workers, "shm")
-    assert shm_r.state_count == queue_r.state_count, (
-        f"transport parity broken: shm {shm_r.state_count} vs "
-        f"queue {queue_r.state_count}"
-    )
-    assert shm_r.edge_count == queue_r.edge_count
-    assert len(shm_r.terminals) == len(queue_r.terminals)
-    assert len(shm_r.stuck) == len(queue_r.stuck)
-    # The copy discipline is part of parity: every measured run must
-    # show the queue's two copies per batch and shm's zero.
-    assert queue_c["pipeline.batch_copies"] == (
-        2 * queue_c["pipeline.batches"]
-    )
-    assert shm_c.get("pipeline.batch_copies", 0) == 0
-    return shm_r.state_count, queue_s, shm_s
-
-
-def _read_baseline() -> dict:
-    return json.loads(BASELINE_PATH.read_text())
-
-
-def _update_baseline(section: str, payload: dict) -> None:
-    data = _read_baseline() if BASELINE_PATH.exists() else {}
-    data[section] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_transport_copy_discipline(record_row):
-    """shm publishes with zero intermediate batch copies; the queue
-    path deterministically pays two per batch — enforced on every
-    host."""
+    """The rings publish with zero intermediate batch copies."""
     program = peterson_program()
-    _, _, queue_c = _run(program, WORKERS, "queue")
-    _, _, shm_c = _run(program, WORKERS, "shm")
-
-    queue_batches = queue_c["pipeline.batches"]
-    queue_copies = queue_c["pipeline.batch_copies"]
-    shm_batches = shm_c["pipeline.batches"]
-    shm_copies = shm_c.get("pipeline.batch_copies", 0)
-
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        _update_baseline(
-            "copies",
-            {
-                "program": "peterson",
-                "workers": WORKERS,
-                "cpus": CPUS,
-                "queue_batches": queue_batches,
-                "queue_copies_per_batch": 2,
-                "shm_batches": shm_batches,
-                "shm_copies": shm_copies,
-                "shm_ring_frames": shm_c["shm.ring.frames"],
-                "shm_ring_bytes": shm_c["shm.ring.bytes"],
-            },
-        )
-
-    ok = (
-        shm_batches > 0
-        and shm_copies == 0
-        and queue_copies == 2 * queue_batches
+    m = Metrics()
+    result = ExplorationEngine(workers=2, metrics=m).explore(
+        program, keep_configs=False
     )
+    assert not result.truncated
+    assert result.state_count == explore(program).state_count
+    counters = m.counters
+    batches = counters["pipeline.batches"]
+    copies = counters.get("pipeline.batch_copies", 0)
     record_row(
         "P2 transport copies",
-        "shm: 0 intermediate batch copies; queue: exactly 2 per batch",
-        f"shm {shm_copies} copies / {shm_batches} batches "
-        f"({shm_c['shm.ring.frames']} frames, {shm_c['shm.ring.bytes']} B); "
-        f"queue {queue_copies} / {queue_batches}",
-        ok,
+        "shm: 0 intermediate batch copies",
+        f"{copies} copies / {batches} batches "
+        f"({counters['shm.ring.frames']} frames, "
+        f"{counters['shm.ring.bytes']} B)",
+        batches > 0 and copies == 0,
     )
-    assert shm_batches > 0 and queue_batches > 0
-    assert shm_copies == 0, (
+    assert batches > 0
+    assert copies == 0, (
         "shm transport made intermediate batch copies: the rings are "
         "too small for whole batches (chunk fallback) or the zero-copy "
         "encode path regressed"
     )
-    assert queue_copies == 2 * queue_batches
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        return  # partially (re)generated baseline: claims checked next run
-    # The committed record stays honest: a regenerated baseline with
-    # copies, or with a ≥4-CPU-recorded large ratio below the headline
-    # bar, fails here.  (A single-CPU-recorded large ratio is
-    # compute-bound parity by construction — see the module docstring —
-    # so it carries no speedup claim to re-check.)
-    baseline = _read_baseline()
-    assert baseline["copies"]["shm_copies"] == 0
-    large = baseline["large"]
-    if _armed(large):
-        assert large["states_per_sec_ratio"] >= SPEEDUP_BAR, (
-            "committed BENCH_shm_ring.json no longer shows the "
-            f"≥{SPEEDUP_BAR}x large-space shm speedup; regenerate with "
-            "REPRO_BENCH_LARGE=1 REPRO_BENCH_WRITE_BASELINE=1 and "
-            "investigate"
-        )
-
-
-def test_shm_vs_queue_smoke(record_row):
-    states, queue_s, shm_s = _measure(peterson_program(), WORKERS)
-    ratio = queue_s / shm_s if shm_s > 0 else float("inf")
-
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        _update_baseline(
-            "smoke",
-            {
-                "program": "peterson",
-                "states": states,
-                "workers": WORKERS,
-                "cpus": CPUS,
-                "queue_s": round(queue_s, 4),
-                "shm_s": round(shm_s, 4),
-                "states_per_sec_ratio": round(ratio, 2),
-            },
-        )
-
-    baseline = _read_baseline()["smoke"]
-    enforce = (
-        ENFORCE
-        and os.environ.get("REPRO_PERF_SMOKE", "") == "1"
-        and _armed(baseline)
-    )
-    floor = max(
-        SMOKE_BAR, baseline["states_per_sec_ratio"] / REGRESSION_FACTOR
-    )
-    ok = ratio >= floor or not enforce
-    record_row(
-        "P2 shm ring smoke",
-        f"shm ≥ {floor:.2f}x queue (max of {SMOKE_BAR}x bar, ½ of "
-        f"committed {baseline['states_per_sec_ratio']}x)"
-        + (
-            ""
-            if enforce
-            else " [informational: needs ≥4 CPUs measured *and* recorded]"
-        ),
-        f"{states} states, {ratio:.2f}x ({shm_s:.2f}s vs "
-        f"{queue_s:.2f}s, {WORKERS}w/{CPUS}cpu)",
-        ok,
-    )
-    assert states == baseline["states"], (
-        "smoke program changed: regenerate BENCH_shm_ring.json with "
-        "REPRO_BENCH_WRITE_BASELINE=1"
-    )
-    if enforce:
-        assert ratio >= floor, (
-            f"shm transport perf regression: {ratio:.2f}x < {floor:.2f}x "
-            f"(committed baseline {baseline['states_per_sec_ratio']}x, "
-            f"allowed regression {REGRESSION_FACTOR}x, bar {SMOKE_BAR}x)"
-        )
-
-
-@pytest.mark.skipif(
-    os.environ.get("REPRO_BENCH_LARGE", "") != "1",
-    reason="≥50k-state space (minutes per transport); set REPRO_BENCH_LARGE=1",
-)
-def test_shm_vs_queue_large_space(record_row):
-    """The ≥1.5x states/sec headline at 4 workers on ≥50k states."""
-    states, queue_s, shm_s = _measure(wide_program(4, reads=3), 4)
-    ratio = queue_s / shm_s if shm_s > 0 else float("inf")
-
-    if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
-        _update_baseline(
-            "large",
-            {
-                "program": "wide-4x3",
-                "states": states,
-                "workers": 4,
-                "cpus": CPUS,
-                "queue_s": round(queue_s, 2),
-                "shm_s": round(shm_s, 2),
-                "states_per_sec_ratio": round(ratio, 2),
-            },
-        )
-
-    big_enough = states >= 50_000
-    ok = big_enough and (ratio >= SPEEDUP_BAR or not ENFORCE)
-    record_row(
-        "P2 shm ring large",
-        f"≥50k states, shm ≥{SPEEDUP_BAR}x queue states/sec "
-        "at 4 workers"
-        + ("" if ENFORCE else " [informational: single-CPU host]"),
-        f"{states} states, {ratio:.2f}x ({shm_s:.1f}s vs "
-        f"{queue_s:.1f}s, {CPUS}cpus)",
-        ok,
-    )
-    assert big_enough
-    if ENFORCE:
-        assert ratio >= SPEEDUP_BAR

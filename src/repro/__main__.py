@@ -22,22 +22,12 @@ Commands:
 
 Options:
 
-* ``--workers N``   — worker processes: the engine's sharded explorer
-  for ``litmus``, job-level concurrency for ``batch`` (default 1);
-* ``--backend B``   — sharded backend for ``--workers N>1``:
-  ``pipeline`` (default: persistent shard-owned workers, streaming
-  frontier) | ``rounds`` (level-synchronous BFS — the
-  deterministic-shortest-path backend ``witness`` always searches
-  with);
-* ``--transport T`` — pipeline cross-shard data plane: ``shm``
-  (shared-memory rings, zero-copy — the default where ``SharedMemory``
-  works) | ``queue`` (master-routed blobs, the portable fallback);
-  also via ``REPRO_TRANSPORT``.  Pure performance — results are
-  identical;
-* ``--codec C``     — pipeline batch wire format: ``flat``
-  (pickle-free struct-packed v2, the default) | ``pickle`` (the v1
-  reference codec); also via ``REPRO_CODEC``.  Pure performance —
-  results are identical;
+* ``--workers N``   — worker processes: the engine's sharded pipeline
+  for ``litmus``/``refine``, job-level concurrency for ``batch``
+  (default 1).  With ``N > 1`` the engine still explores sequentially
+  where the pipeline cannot run (``--reduction dpor``, hosts without
+  working ``SharedMemory``); ``witness`` always searches sequentially
+  (shortest witnesses).  Results are identical either way;
 * ``--profile PATH`` — dump cProfile stats of the exploration hot path
   to PATH (sets ``REPRO_PROFILE``; with ``--workers N>1`` each
   pipeline worker dumps ``PATH.w<wid>`` and the master merges them
@@ -48,8 +38,8 @@ Options:
   registry :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
   (default: ε-closure + covering-read prune, same verdicts from far
   fewer stored states) | ``dpor`` (sleep-set + persistent-set partial
-  order reduction layered on ``closure``; sequential or
-  ``--backend rounds``) | ``off`` (the unreduced semantics) for
+  order reduction layered on ``closure``; always explored
+  sequentially) | ``off`` (the unreduced semantics) for
   ``litmus``/``batch``;
 * ``--analysis P``  — static-analysis policy the engine applies before
   exploring: ``off`` (default) | ``warn`` (log findings, count them in
@@ -110,9 +100,6 @@ def _make_engine(options: Optional[dict] = None):
         workers=options.get("workers", 1),
         cache=cache,
         reduction=options.get("reduction", "closure"),
-        backend=options.get("backend", "pipeline"),
-        transport=options.get("transport"),
-        codec=options.get("codec"),
         metrics=Metrics(),
         trace=_make_trace(options),
         progress=None if quiet else Progress(),
@@ -257,15 +244,12 @@ def run_refine(options: Optional[dict] = None) -> bool:
     engine = None
     if options.get("workers", 1) > 1 or options.get("strategy", "bfs") != "bfs":
         # Refinement needs full transition graphs, so there is nothing
-        # to cache — route through an engine only to pick the backend.
+        # to cache — route through an engine only to set the workers.
         from repro.engine import ExplorationEngine
 
         engine = ExplorationEngine(
             strategy=options.get("strategy", "bfs"),
             workers=options.get("workers", 1),
-            backend=options.get("backend", "pipeline"),
-            transport=options.get("transport"),
-            codec=options.get("codec"),
         )
     ok = True
     for fill, lib_vars in (
@@ -478,18 +462,14 @@ def run_batch_cmd(options: Optional[dict] = None) -> bool:
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
     "litmus": {
-        "workers", "strategy", "no_cache", "reduction", "backend",
-        "transport", "codec", "profile", "trace", "quiet", "verbose",
-        "analysis",
+        "workers", "strategy", "no_cache", "reduction", "profile", "trace",
+        "quiet", "verbose", "analysis",
     },
     "figures": set(),
-    "refine": {
-        "workers", "strategy", "backend", "transport", "codec", "quiet",
-        "verbose",
-    },
+    "refine": {"workers", "strategy", "quiet", "verbose"},
     "batch": {
-        "workers", "jobs", "json", "no_cache", "reduction", "backend",
-        "transport", "codec", "profile", "trace", "quiet", "verbose",
+        "workers", "jobs", "json", "no_cache", "reduction", "profile",
+        "trace", "quiet", "verbose",
     },
     "witness": {
         "workers", "strategy", "reduction", "trace", "quiet", "verbose",
@@ -497,8 +477,8 @@ _COMMAND_FLAGS = {
     },
     "lint": {"quiet", "verbose"},
     "all": {
-        "workers", "strategy", "no_cache", "reduction", "backend",
-        "transport", "codec", "trace", "quiet", "verbose", "analysis",
+        "workers", "strategy", "no_cache", "reduction", "trace", "quiet",
+        "verbose", "analysis",
     },
 }
 
@@ -510,9 +490,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
         "strategy": "bfs",
         "no_cache": False,
         "reduction": "closure",
-        "backend": "pipeline",
-        "transport": None,  # auto: REPRO_TRANSPORT, then availability
-        "codec": None,  # auto: REPRO_CODEC, then the flat default
         "profile": None,
         "trace": None,
         "quiet": False,
@@ -534,8 +511,7 @@ def _parse_options(args, command: str) -> Optional[dict]:
             given.add("verbose")
         elif flag in (
             "--workers", "--strategy", "--jobs", "--json", "--reduction",
-            "--backend", "--transport", "--codec", "--profile", "--trace",
-            "--analysis",
+            "--profile", "--trace", "--analysis",
         ):
             if i + 1 >= len(args):
                 return None
@@ -561,36 +537,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
                     )
                     return None
                 options["reduction"] = value
-            elif flag == "--backend":
-                from repro.engine import BACKENDS
-
-                if value not in BACKENDS:
-                    print(
-                        f"error: unknown backend {value!r}; expected "
-                        + " or ".join(BACKENDS)
-                    )
-                    return None
-                options["backend"] = value
-            elif flag == "--transport":
-                from repro.engine import TRANSPORTS
-
-                if value not in TRANSPORTS:
-                    print(
-                        f"error: unknown transport {value!r}; expected "
-                        + " or ".join(TRANSPORTS)
-                    )
-                    return None
-                options["transport"] = value
-            elif flag == "--codec":
-                from repro.engine import CODECS
-
-                if value not in CODECS:
-                    print(
-                        f"error: unknown codec {value!r}; expected "
-                        + " or ".join(CODECS)
-                    )
-                    return None
-                options["codec"] = value
             elif flag == "--profile":
                 options["profile"] = value
             elif flag == "--analysis":
@@ -658,11 +604,6 @@ def main(argv) -> int:
         # pipeline workers (separate processes) as well as the
         # sequential engine.
         env_sets["REPRO_PROFILE"] = options["profile"]
-    if command == "batch" and options.get("codec"):
-        # The batch runner builds its per-job engines from the
-        # environment (see repro.engine.batch), so the flag rides the
-        # same channel REPRO_CODEC does.
-        env_sets["REPRO_CODEC"] = options["codec"]
     saved = {k: os.environ.get(k) for k in env_sets}
     os.environ.update(env_sets)
     ok = True

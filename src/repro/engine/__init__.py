@@ -2,15 +2,14 @@
 
 Exploration as a first-class subsystem, decoupled from the semantics:
 
-* :class:`~repro.engine.core.ExplorationEngine` — one API over pluggable
-  frontier strategies (BFS / DFS / random swarm,
-  :mod:`repro.engine.strategy`) and two sharded multiprocess backends
-  that partition the state space by canonical-key digest:
-  ``"pipeline"`` (:mod:`repro.engine.pipeline`, default for
-  ``workers > 1`` — persistent shard-owned workers, streaming frontier,
-  compact-codec cross-shard batches) and ``"rounds"``
-  (:mod:`repro.engine.parallel` — level-synchronous BFS, shortest
-  recorded parent edges);
+* :class:`~repro.engine.core.ExplorationEngine` — one API over two
+  paths, chosen per exploration from what the engine can observe: the
+  in-process sequential loop with pluggable frontier strategies (BFS /
+  DFS / random swarm, :mod:`repro.engine.strategy`), and for
+  ``workers > 1`` the sharded pipeline (:mod:`repro.engine.pipeline` —
+  persistent shard-owned workers partitioning the state space by
+  canonical-key digest, streaming frontier, compact-codec cross-shard
+  batches over shared-memory rings, :mod:`repro.engine.shm`);
 * :class:`~repro.engine.cache.ResultCache` — a persistent result cache
   keyed by stable program fingerprint
   (:mod:`repro.engine.fingerprint`), so repeated litmus/refinement runs
@@ -38,9 +37,7 @@ from repro.engine.batch import (
 )
 from repro.engine.cache import ResultCache, cache_enabled_by_env
 from repro.engine.core import (
-    BACKENDS,
     DEFAULT_MAX_STATES,
-    TRANSPORTS,
     ExplorationEngine,
     explore_sequential,
 )
@@ -49,7 +46,6 @@ from repro.engine.fingerprint import (
     cache_key,
     program_fingerprint,
 )
-from repro.engine.parallel import explore_parallel
 from repro.engine.pipeline import explore_pipeline
 from repro.engine.result import ExploreResult, ExploreSummary, summarise
 from repro.engine.strategy import (
@@ -61,10 +57,8 @@ from repro.engine.strategy import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BFSFrontier",
     "BatchReport",
-    "CODECS",
     "DEFAULT_MAX_STATES",
     "DFSFrontier",
     "ExplorationEngine",
@@ -77,10 +71,8 @@ __all__ = [
     "ResultCache",
     "SEMANTICS_VERSION",
     "SwarmFrontier",
-    "TRANSPORTS",
     "cache_key",
     "default_engine",
-    "explore_parallel",
     "explore_pipeline",
     "explore_sequential",
     "make_frontier",
@@ -99,10 +91,6 @@ def __getattr__(name: str):
         from repro.semantics.reduce import REDUCTIONS
 
         return REDUCTIONS
-    if name == "CODECS":
-        from repro.memory.flatcodec import CODECS
-
-        return CODECS
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -110,12 +98,9 @@ def default_engine() -> ExplorationEngine:
     """A CLI-defaults engine, configured from the environment.
 
     Reads ``REPRO_WORKERS`` (default 1), ``REPRO_STRATEGY`` (default
-    ``bfs``), ``REPRO_REDUCTION`` (default ``off``), ``REPRO_BACKEND``
-    (default ``pipeline`` — the sharded backend for ``workers > 1``),
-    ``REPRO_TRANSPORT`` (``shm``/``queue`` — the pipeline backend's
-    cross-shard data plane; unset auto-resolves to ``shm`` where
-    ``SharedMemory`` works), ``REPRO_CACHE`` (set to ``0`` to disable
-    the persistent cache) and ``REPRO_CACHE_DIR`` afresh on every call,
+    ``bfs``), ``REPRO_REDUCTION`` (default ``off``), ``REPRO_CACHE``
+    (set to ``0`` to disable the persistent cache) and
+    ``REPRO_CACHE_DIR`` afresh on every call,
     so environment changes (and monkeypatched tests) always take
     effect.  Engines are cheap to construct; the heavyweight state —
     the on-disk cache — is shared through the filesystem, not the
@@ -124,14 +109,10 @@ def default_engine() -> ExplorationEngine:
     workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
     strategy = os.environ.get("REPRO_STRATEGY", "bfs") or "bfs"
     reduction = os.environ.get("REPRO_REDUCTION", "off") or "off"
-    backend = os.environ.get("REPRO_BACKEND", "pipeline") or "pipeline"
-    transport = os.environ.get("REPRO_TRANSPORT") or None
     cache = ResultCache() if cache_enabled_by_env() else None
     return ExplorationEngine(
         strategy=strategy,
         workers=workers,
         cache=cache,
         reduction=reduction,
-        backend=backend,
-        transport=transport,
     )

@@ -41,8 +41,8 @@ def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
     )
 
     # Honour the environment-configured engine (REPRO_WORKERS /
-    # REPRO_STRATEGY / REPRO_BACKEND / REPRO_TRANSPORT / cache
-    # settings) with the batch-level reduction policy layered on top.
+    # REPRO_STRATEGY / cache settings) with the batch-level reduction
+    # policy layered on top.
     base = default_engine()
     metrics = Metrics()
     engine = ExplorationEngine(
@@ -50,8 +50,6 @@ def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
         workers=base.workers,
         cache=base.cache if use_cache else None,
         reduction=reduction,
-        backend=base.backend,
-        transport=base.transport,
         metrics=metrics,
     )
     # "Full" states per test come from the committed reduction-benchmark
@@ -173,8 +171,10 @@ def _job_refine(impl: str) -> Dict:
 #: per-job ``metrics`` snapshots and the aggregated report ``metrics``
 #: (the un-versioned original layout is retroactively 1); 3 added the
 #: per-job ``diagnostics`` block (static-analysis summaries — populated
-#: by the litmus battery, ``null`` for jobs that don't run the passes).
-REPORT_SCHEMA = 3
+#: by the litmus battery, ``null`` for jobs that don't run the passes);
+#: 4 dropped the ``meta`` block's ``engine_backend``/``engine_transport``
+#: (the engine now picks its path per exploration).
+REPORT_SCHEMA = 4
 
 
 def batch_meta(
@@ -211,10 +211,6 @@ def batch_meta(
         },
         # Engine settings the jobs inherit from the environment.
         "engine_workers": int(os.environ.get("REPRO_WORKERS", "1") or "1"),
-        "engine_backend": os.environ.get("REPRO_BACKEND", "pipeline")
-        or "pipeline",
-        # "auto" = resolved per run (shm where SharedMemory works).
-        "engine_transport": os.environ.get("REPRO_TRANSPORT") or "auto",
     }
 
 
@@ -390,7 +386,7 @@ def run_batch(
     if workers > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.engine.parallel import _pool_context
+        from repro.engine.pipeline import _pool_context
 
         with ProcessPoolExecutor(
             max_workers=min(workers, len(names)),

@@ -15,8 +15,9 @@ sequential loop generalises the original BFS in
 optional persistent result cache:
 
 * ``engine.explore(program)`` — full :class:`ExploreResult`, computed
-  in-process (``workers == 1``) or by the sharded multiprocess explorer
-  (:mod:`repro.engine.parallel`);
+  in-process or by the sharded multiprocess pipeline
+  (:mod:`repro.engine.pipeline`); the engine picks one of the two
+  paths from what it can observe (see :class:`ExplorationEngine`);
 * ``engine.run(program)`` — cache-aware :class:`ExploreSummary`: on a
   warm cache a repeated verification performs zero re-explorations.
 """
@@ -58,66 +59,7 @@ def __getattr__(name: str):
         from repro.semantics.reduce import REDUCTIONS
 
         return REDUCTIONS
-    # ``CODECS`` likewise lives with the wire formats themselves
-    # (repro.memory.flatcodec) — one registry, surfaced here for the
-    # engine-facing consumers (CLI choices, option validation).
-    if name == "CODECS":
-        from repro.memory.flatcodec import CODECS
-
-        return CODECS
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-#: Recognised sharded-backend names (defined here — the import-time
-#: root of the engine package — and used by the parallel module's
-#: dispatch): "pipeline" — persistent shard-owned workers with a
-#: streaming frontier (the default for workers > 1); "rounds" —
-#: level-synchronous BFS, whose recorded parent edges are shortest
-#: (pinned by find_witness).
-BACKENDS = ("pipeline", "rounds")
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown parallel backend {backend!r}; "
-            f"expected one of {', '.join(BACKENDS)}"
-        )
-    return backend
-
-
-#: Recognised pipeline-backend transports: "shm" — per-worker-pair
-#: shared-memory SPSC rings, batches encoded straight into the owner's
-#: mapped ring memory (zero intermediate copies; the default where
-#: SharedMemory works); "queue" — master-routed multiprocessing.Queue
-#: blobs (the portable fallback).  Result-identical by construction;
-#: see repro.engine.pipeline.resolve_transport for the resolution
-#: order (argument → REPRO_TRANSPORT → availability).
-TRANSPORTS = ("shm", "queue")
-
-
-def _check_transport(transport: str) -> str:
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown pipeline transport {transport!r}; "
-            f"expected one of {', '.join(TRANSPORTS)}"
-        )
-    return transport
-
-
-def _check_codec(codec: str) -> str:
-    """Validate a batch-codec spec against the codec registry
-    (:data:`repro.memory.flatcodec.CODECS` — "flat", the struct-packed
-    v2 wire format, or "pickle", the v1 ``__reduce__`` format kept as
-    measured fallback and parity reference)."""
-    from repro.memory.flatcodec import CODECS
-
-    if codec not in CODECS:
-        raise ValueError(
-            f"unknown batch codec {codec!r}; "
-            f"expected one of {', '.join(CODECS)}"
-        )
-    return codec
 
 
 def _check_analysis(policy: str) -> str:
@@ -138,7 +80,7 @@ def _check_reduction(reduction: str) -> str:
 
 
 def successor_function(reduction: str):
-    """The successor generator used by every engine backend — the
+    """The successor generator used by both engine paths — the
     registered strategy's macro-step relation
     (:data:`repro.semantics.reduce.ReductionStrategy.successors`)."""
     from repro.semantics.reduce import get_strategy
@@ -149,7 +91,7 @@ def successor_function(reduction: str):
 def key_function(
     program: "Program", canonicalise: bool
 ) -> Callable[["Config"], Tuple]:
-    """The state-identification function used by every engine backend."""
+    """The state-identification function used by both engine paths."""
     if canonicalise:
         from repro.semantics.canon import canonical_key
 
@@ -174,7 +116,7 @@ def explore_sequential(
     profiling hook: when ``REPRO_PROFILE=FILE`` is set (or ``--profile``
     on the CLI, which sets it), the exploration runs under
     :mod:`cProfile` and the stats are dumped to ``FILE`` — the
-    sequential counterpart of the pipeline backend's per-worker
+    sequential counterpart of the pipeline's per-worker
     ``FILE.w<wid>`` dumps.  One process-wide profiler accumulates
     across explorations, so after a battery (e.g. ``litmus``) ``FILE``
     covers every exploration of the run, not just the last."""
@@ -412,7 +354,26 @@ def _raw_state(state) -> Tuple:
 
 
 class ExplorationEngine:
-    """A configured exploration backend: strategy × workers × cache.
+    """A configured exploration engine: strategy × workers × cache.
+
+    Every exploration takes one of two paths, chosen per call from
+    facts the engine can observe (:meth:`_route`), never from a user
+    setting:
+
+    * **sequential** — the in-process loop (:func:`explore_sequential`),
+      whenever ``workers == 1``, and at ``workers > 1`` when the
+      reduction policy is not ``pipeline_safe`` (``"dpor"``), for
+      :meth:`find_witness`, where ``SharedMemory`` does not work, or on
+      a spawn-only host with an unpicklable ``on_config``;
+    * **pipeline** — otherwise: persistent shard-owned worker processes
+      exchanging codec batches over shared-memory rings
+      (:mod:`repro.engine.pipeline`).
+
+    Non-truncated results agree across the two paths in every
+    representation-independent observable (state and edge counts,
+    terminal/stuck configurations, terminal outcomes); pipeline
+    results are keyed by stable digests, sequential ones by canonical
+    keys.
 
     Parameters
     ----------
@@ -420,11 +381,11 @@ class ExplorationEngine:
         Frontier policy for sequential exploration — ``"bfs"`` (default),
         ``"dfs"``, ``"swarm[:seed]"`` or anything
         :func:`repro.engine.strategy.make_frontier` accepts.  The
-        multiprocess backend is inherently level-synchronous BFS, so
-        ``workers > 1`` requires the default strategy.
+        pipeline enumerates shard-complete visited sets (BFS-equivalent),
+        so ``workers > 1`` requires the default strategy.
     workers:
         Number of worker processes; ``1`` (default) explores in-process
-        — the deterministic fallback.
+        — the deterministic reference.
     cache:
         Optional :class:`repro.engine.cache.ResultCache`; when set,
         :meth:`run` serves repeated explorations from disk.
@@ -436,53 +397,29 @@ class ExplorationEngine:
         the historical semantics), ``"closure"`` (ε-closure +
         covering-read prune, :mod:`repro.semantics.reduce`) or
         ``"dpor"`` (sleep-set + persistent-set partial-order reduction
-        on top of the closure, :mod:`repro.semantics.dpor`; sequential
-        and ``"rounds"`` only, and requires canonical keys) — applied
-        by every backend and overridable per call.  The policy's
-        fingerprint token is part of the persistent-cache key:
-        explorations under different policies are cached separately
-        because they store different configuration sets.
-    backend:
-        Sharded backend for ``workers > 1`` — ``"pipeline"`` (default:
-        persistent shard-owned workers, streaming frontier,
-        :mod:`repro.engine.pipeline`) or ``"rounds"``
-        (level-synchronous BFS, :mod:`repro.engine.parallel`),
-        overridable per call.  Non-truncated results are bit-identical
-        across backends (and sequential), so the choice is pure
-        performance — except that only ``"rounds"`` guarantees
-        shortest recorded parent edges, which is why
-        :meth:`find_witness` pins it.  Ignored when ``workers == 1``.
-    transport:
-        Cross-shard data plane for the pipeline backend —
-        ``"shm"`` (shared-memory rings) or ``"queue"`` (master-routed
-        blobs), or ``None`` (default) to auto-resolve
-        (``REPRO_TRANSPORT``, then ``"shm"`` where ``SharedMemory``
-        works).  Result-identical either way; overridable per call.
-        Ignored by ``"rounds"`` and when ``workers == 1``.
-    codec:
-        Batch wire format for the pipeline backend's cross-shard
-        traffic — ``"flat"`` (the pickle-free struct-packed v2 format,
-        :mod:`repro.memory.flatcodec`) or ``"pickle"`` (the v1
-        ``__reduce__`` format), or ``None`` (default) to resolve via
-        ``REPRO_CODEC`` then the ``"flat"`` default.  Value-identical
-        decoded batches either way; overridable per call.  Ignored by
-        ``"rounds"`` and when ``workers == 1``.
+        on top of the closure, :mod:`repro.semantics.dpor`; always
+        sequential, and requires canonical keys) — overridable per
+        call.  The policy's fingerprint token is part of the
+        persistent-cache key: explorations under different policies are
+        cached separately because they store different configuration
+        sets.
     metrics:
         Optional :class:`repro.obs.metrics.Metrics` sink.  When set (or
         when ``trace`` is), every exploration collects the engine
         counter schema into a fresh per-run registry — merged across
-        worker fragments by the sharded backends — whose snapshot lands
-        on ``ExploreResult.metrics``; the per-run registry is then
-        folded into this engine-level sink, which accumulates across
+        worker fragments by the pipeline — whose snapshot lands on
+        ``ExploreResult.metrics``; the per-run registry is then folded
+        into this engine-level sink, which accumulates across
         explorations (plus the ``cache.hits``/``cache.misses`` outcomes
         of :meth:`run`).  ``None`` (default) keeps telemetry off the
         hot paths entirely.
     trace:
         Optional :class:`repro.obs.trace.TraceWriter`.  When set, the
-        engine emits ``explore.start``/``explore.finish`` span events,
-        a ``metrics.sample`` per exploration and ``explore.cached`` for
-        cache-served :meth:`run` calls (backends add their own
-        ``explore.round``/``explore.drain`` events).
+        engine emits ``explore.start``/``explore.finish`` span events
+        (``explore.start`` names the path that actually ran), a
+        ``metrics.sample`` per exploration and ``explore.cached`` for
+        cache-served :meth:`run` calls (the pipeline adds
+        ``explore.drain`` events).
     progress:
         Optional :class:`repro.obs.progress.Progress` heartbeat,
         updated while explorations run and erased when they finish.
@@ -505,21 +442,18 @@ class ExplorationEngine:
         cache=None,
         max_states: int = DEFAULT_MAX_STATES,
         reduction: str = "off",
-        backend: str = "pipeline",
         metrics: Optional[Metrics] = None,
         trace=None,
         progress=None,
-        transport: Optional[str] = None,
-        codec: Optional[str] = None,
         analysis: str = "off",
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers > 1 and strategy != "bfs":
             raise ValueError(
-                "the sharded parallel explorers enumerate shard-complete "
-                f"visited sets (BFS-equivalent); strategy {strategy!r} "
-                "requires workers=1"
+                "the sharded pipeline enumerates shard-complete visited "
+                f"sets (BFS-equivalent); strategy {strategy!r} requires "
+                "workers=1"
             )
         make_frontier(strategy)  # fail fast on a bad spec
         self.strategy = strategy
@@ -528,11 +462,6 @@ class ExplorationEngine:
         self.max_states = max_states
         self.reduction = _check_reduction(reduction)
         self.analysis = _check_analysis(analysis)
-        self.backend = _check_backend(backend)
-        self.transport = (
-            None if transport is None else _check_transport(transport)
-        )
-        self.codec = None if codec is None else _check_codec(codec)
         self.metrics = metrics
         self.trace = trace
         self.progress = progress
@@ -540,14 +469,31 @@ class ExplorationEngine:
         self.explorations = 0
 
     def __repr__(self) -> str:
-        backend = f", backend={self.backend!r}" if self.workers > 1 else ""
         return (
             f"ExplorationEngine(strategy={self.strategy!r}, "
             f"workers={self.workers}, cache={'on' if self.cache else 'off'}, "
-            f"reduction={self.reduction!r}{backend})"
+            f"reduction={self.reduction!r})"
         )
 
     # -- full exploration ---------------------------------------------------
+    def _route(self, reduction: str, on_config) -> str:
+        """``"pipeline"`` when the sharded pipeline can run this
+        exploration, else ``"sequential"`` (see the class docstring)."""
+        if self.workers == 1:
+            return "sequential"
+        from repro.semantics.reduce import get_strategy
+
+        # Streaming shards never re-visit a state, so policies that need
+        # the sleep-shrink re-expansion protocol (dpor) stay in-process.
+        if not get_strategy(reduction).pipeline_safe:
+            return "sequential"
+        from repro.engine.pipeline import pipeline_usable
+        from repro.engine.shm import shm_available
+
+        if not shm_available() or not pipeline_usable(on_config):
+            return "sequential"
+        return "pipeline"
+
     def explore(
         self,
         program: Program,
@@ -559,9 +505,6 @@ class ExplorationEngine:
         reduction: Optional[str] = None,
         keep_configs: bool = True,
         track_parents: bool = False,
-        backend: Optional[str] = None,
-        transport: Optional[str] = None,
-        codec: Optional[str] = None,
         analysis: Optional[str] = None,
     ) -> ExploreResult:
         """Run one exploration, honouring this engine's configuration.
@@ -571,34 +514,41 @@ class ExplorationEngine:
         Owicki–Gries) pass ``reduction="off"`` explicitly.
         ``analysis`` likewise overrides the engine's static-analysis
         policy for this call.
-        ``keep_configs=False`` lets the sharded backends drop per-state
-        payloads once expanded (summary-only consumers); the sequential
-        backend keys its visited set by configuration and ignores it.
+        ``keep_configs=False`` lets the pipeline drop per-state payloads
+        once expanded (summary-only consumers); the sequential loop keys
+        its visited set by configuration and ignores it.
         ``track_parents`` records each state's first-discovery edge in
-        ``result.parents`` (see :meth:`find_witness`).  ``backend``
-        overrides the engine's sharded backend for this call (used by
-        :meth:`find_witness`, which needs the rounds backend's
-        shortest-parent guarantee); note that the pipeline backend
-        evaluates ``on_config`` worker-side — pure predicates only.
-        ``transport`` overrides the engine's pipeline transport for
-        this call (``"shm"``/``"queue"``; None auto-resolves), and
-        ``codec`` the batch wire format (``"flat"``/``"pickle"``; None
-        resolves via ``REPRO_CODEC`` then defaults to ``"flat"``).
+        ``result.parents`` (see :meth:`find_witness`).  The pipeline
+        evaluates ``on_config`` worker-side, so pass a pure predicate:
+        mutations it makes are not seen by the caller.
         """
+        return self._explore(
+            program, max_states, collect_edges, canonicalise,
+            check_invariants, on_config, reduction, keep_configs,
+            track_parents, analysis, sequential=False,
+        )
+
+    def _explore(
+        self,
+        program: Program,
+        max_states: Optional[int],
+        collect_edges: bool,
+        canonicalise: bool,
+        check_invariants: bool,
+        on_config: Optional[Callable[[Config], Optional[bool]]],
+        reduction: Optional[str],
+        keep_configs: bool,
+        track_parents: bool,
+        analysis: Optional[str],
+        sequential: bool,
+    ) -> ExploreResult:
+        """:meth:`explore`, with ``sequential=True`` pinning the
+        in-process path (:meth:`find_witness`)."""
         self.explorations += 1
         cap = self.max_states if max_states is None else max_states
         mode = (
             self.reduction if reduction is None else _check_reduction(reduction)
         )
-        # Validated even when workers == 1 ignores it: a bad spec is a
-        # usage error, not a silent no-op.
-        chosen_backend = (
-            self.backend if backend is None else _check_backend(backend)
-        )
-        chosen_transport = (
-            self.transport if transport is None else _check_transport(transport)
-        )
-        chosen_codec = self.codec if codec is None else _check_codec(codec)
         # A fresh per-run registry whenever any sink wants data; the
         # engine-level sink accumulates across explorations while
         # result.metrics stays per-run.
@@ -618,18 +568,19 @@ class ExplorationEngine:
                 if self.metrics is not None and run_metrics is not None:
                     self.metrics.merge(run_metrics)
                 raise
+        path = "sequential" if sequential else self._route(mode, on_config)
         if self.trace is not None:
             self.trace.emit(
                 "explore.start",
-                backend="sequential" if self.workers == 1 else chosen_backend,
+                backend=path,
                 workers=self.workers,
                 reduction=mode,
                 max_states=cap,
             )
-        if self.workers > 1:
-            from repro.engine.parallel import explore_parallel
+        if path == "pipeline":
+            from repro.engine.pipeline import explore_pipeline
 
-            result = explore_parallel(
+            result = explore_pipeline(
                 program,
                 workers=self.workers,
                 max_states=cap,
@@ -640,9 +591,6 @@ class ExplorationEngine:
                 reduction=mode,
                 keep_configs=keep_configs,
                 track_parents=track_parents,
-                backend=chosen_backend,
-                transport=chosen_transport,
-                codec=chosen_codec,
                 metrics=run_metrics,
                 progress=self.progress,
                 trace=self.trace,
@@ -726,17 +674,6 @@ class ExplorationEngine:
         return report
 
     # -- counterexample witnesses -------------------------------------------
-    def _witness_key_of(self, program: Program) -> Callable[["Config"], object]:
-        """The state-identity function this engine's backend uses —
-        canonical keys in-process, stable digests of them sharded."""
-        from repro.semantics.canon import canonical_key
-
-        if self.workers > 1:
-            from repro.engine.fingerprint import stable_digest
-
-            return lambda cfg: stable_digest(canonical_key(program, cfg))
-        return lambda cfg: canonical_key(program, cfg)
-
     def find_witness(
         self,
         program: Program,
@@ -746,23 +683,20 @@ class ExplorationEngine:
         terminal_only: bool = False,
     ):
         """A concrete execution to a configuration satisfying
-        ``predicate``, found by *this* engine's backend, or ``None``
-        when an exhaustive search proves none exists.
+        ``predicate``, or ``None`` when an exhaustive search proves none
+        exists.
 
-        One engine exploration runs with predecessor tracking — per
-        state a parent key plus the ``(tid, component, action)`` edge
-        label, no stored configurations — and stops at the first hit;
-        the witness is then reconstructed from the recorded graph
+        One exploration runs with predecessor tracking — per state a
+        parent key plus the ``(tid, component, action)`` edge label, no
+        stored configurations — and stops at the first hit; the witness
+        is then reconstructed from the recorded graph
         (:func:`repro.semantics.witness.reconstruct_witness`) instead
-        of re-exploring.  Under the default BFS strategy the witness is
-        shortest; DFS/swarm engines return a valid but not necessarily
-        minimal execution.  Sharded searches always run on the
-        ``"rounds"`` backend regardless of the engine's configured
-        backend: its level-synchronous rounds are BFS levels, so the
-        recorded parent edges are shortest, and its master-side
-        ``on_config`` lets the probe accumulate the hit configuration
-        (the pipeline backend evaluates callbacks worker-side, where
-        mutations don't propagate).
+        of re-exploring.  The search always runs on the sequential path,
+        whatever ``workers`` is: its probe records the hit configuration
+        (a stateful callback, which pipeline workers could not hand
+        back), and under the default BFS strategy its recorded parents
+        make the witness shortest.  DFS/swarm engines return a valid but
+        not necessarily minimal execution.
 
         ``reduction="closure"`` searches the ε-closed macro-step system
         — typically several times fewer states — and the predicate is
@@ -778,6 +712,7 @@ class ExplorationEngine:
         :class:`VerificationError` when the search was truncated by
         ``max_states`` without a hit — inconclusive, not unreachable.
         """
+        from repro.semantics.canon import canonical_key
         from repro.semantics.witness import reconstruct_witness
 
         mode = (
@@ -791,17 +726,24 @@ class ExplorationEngine:
                 return True
             return False
 
-        result = self.explore(
+        result = self._explore(
             program,
-            max_states=max_states,
+            max_states,
+            collect_edges=False,
+            canonicalise=True,
+            check_invariants=False,
             on_config=probe,
             reduction=mode,
             keep_configs=False,
             track_parents=True,
-            backend="rounds",
+            analysis=None,
+            sequential=True,
         )
         if hits:
-            key_of = self._witness_key_of(program)
+
+            def key_of(cfg: "Config"):
+                return canonical_key(program, cfg)
+
             return reconstruct_witness(
                 program,
                 result.parents,

@@ -1,10 +1,12 @@
 """Pipelined sharded exploration: persistent shard-owned workers.
 
-The ``rounds`` backend (:mod:`repro.engine.parallel`) is
-level-synchronous: every BFS round is a ``pool.map`` barrier gated on
-the slowest shard, and every discovered configuration round-trips
-through the master's serial merge loop.  This module removes both
-bottlenecks by inverting the ownership:
+The engine's one multiprocess path (see
+:class:`repro.engine.core.ExplorationEngine` for when it runs instead
+of the sequential loop).  States are assigned to workers by a 16-byte
+*stable digest* of their canonical key
+(:func:`repro.engine.fingerprint.stable_digest`,
+``PYTHONHASHSEED``-independent, so dedup is consistent across processes
+under both fork and spawn):
 
 * **Workers own their shard.**  Each of the ``workers`` persistent
   processes holds the visited set, frontier, configuration fragment,
@@ -18,51 +20,38 @@ bottlenecks by inverting the ownership:
   codec wire format (:mod:`repro.memory.codec`) per batch.  Batch-level
   encoding matters: successor configurations share most of their
   substructure (ops sets, actions, view maps, continuations), so one
-  pickle memo serialises the shared part once — measured ~6x fewer
-  bytes and ~6x less codec time per state than the rounds backend's
-  per-state blobs.  The discovering worker also keeps a
-  forwarded-digest filter, so each remote state is shipped at most once
-  per discovering shard — the rounds backend re-ships every duplicate
-  discovery, a multiple of the state count on branchy spaces.
-* **Batches move over a pluggable transport** (``transport=`` /
-  ``REPRO_TRANSPORT``).  The default, ``"shm"``, is the zero-copy data
-  plane of :mod:`repro.engine.shm`: one shared-memory SPSC ring per
-  directed worker pair, the discovering worker encoding each batch
-  *directly into the owner's mapped ring memory* and the owner decoding
-  it from that same memory — no intermediate ``bytes`` object and no
-  master hop.  ``"queue"`` is the original ``multiprocessing.Queue``
-  path (batches routed through the master as opaque blobs), kept
-  byte-identical in behaviour and selected automatically where
-  ``SharedMemory`` is unavailable (e.g. no /dev/shm).  Both transports
-  produce byte-identical exploration results; see
-  :func:`resolve_transport`.
-* **The master is a control plane, nothing else.**  Under ``"shm"`` it
-  only seeds the first configuration, collects errors and detects
-  quiescence: each worker's idle report carries its cumulative per-ring
-  ``(sent, consumed)`` counter vectors, and the exploration is complete
-  when every worker's *latest* report is idle and every directed ring's
-  sent count equals its consumed count (plus every seeded control
-  message is consumed).  FIFO rings make this sound — a worker flushes
-  before it reports, so any in-flight batch shows up as a counter
-  mismatch in the freshest report pair, and a worker that consumed
-  anything after its last report will report again.  The one subtlety:
-  a blocked flush drains inbound rings (the ``on_wait`` anti-deadlock
-  hook), which can refill the frontier *during* ``flush_all`` — the
-  worker must re-check the frontier after flushing and withhold its
-  idle report if so, else the master would see matched counters while
-  unexpanded states hide in a local frontier.  Under ``"queue"``
-  the master additionally routes every batch (the original protocol:
-  complete when all workers idle and consumed-equals-sent on the one
-  master-routed stream).  Either way the master never unpickles a
-  configuration — not even for ``on_config``, which the rounds backend
-  evaluates master-side on every discovered state.
+  pickle memo serialises the shared part once.  The discovering worker
+  also keeps a forwarded-digest filter, so each remote state is shipped
+  at most once per discovering shard.
+* **Batches move over shared-memory rings** (:mod:`repro.engine.shm`):
+  one SPSC ring per directed worker pair, the discovering worker
+  encoding each batch *directly into the owner's mapped ring memory*
+  and the owner decoding it from that same memory — no intermediate
+  ``bytes`` object and no master hop.
+* **The master is a control plane, nothing else.**  It only seeds the
+  first configuration (over the owner's control queue), collects
+  errors and detects quiescence: each worker's idle report carries its
+  cumulative per-ring ``(sent, consumed)`` counter vectors, and the
+  exploration is complete when every worker's *latest* report is idle
+  and every directed ring's sent count equals its consumed count (plus
+  every seeded control message is consumed).  FIFO rings make this
+  sound — a worker flushes before it reports, so any in-flight batch
+  shows up as a counter mismatch in the freshest report pair, and a
+  worker that consumed anything after its last report will report
+  again.  The one subtlety: a blocked flush drains inbound rings (the
+  ``on_wait`` anti-deadlock hook), which can refill the frontier
+  *during* ``flush_all`` — the worker must re-check the frontier after
+  flushing and withhold its idle report if so, else the master would
+  see matched counters while unexpanded states hide in a local
+  frontier.  The master never unpickles a configuration.
 * **Early stop is a worker-side broadcast.**  ``on_config`` runs in the
   owning worker at expansion (exactly the sequential loop's cadence); a
   truthy return sends one ``hit`` message and the master broadcasts
   ``finish``.  The callback must therefore be a *pure predicate* —
   worker-side mutations don't propagate — which is the
-  ``reachable``/``assert_invariant``/``find_witness`` shape.  Stateful
-  callbacks belong on ``backend="rounds"``.
+  ``reachable``/``assert_invariant`` shape.  Stateful callbacks
+  (:meth:`~repro.engine.core.ExplorationEngine.find_witness`) run on
+  the sequential path.
 * **``max_states`` becomes per-shard budgets** summing exactly to the
   cap.  A worker that exhausts its budget reports ``trunc`` and the
   master broadcasts ``finish`` promptly.  Digest sharding is balanced,
@@ -73,20 +62,27 @@ bottlenecks by inverting the ownership:
 At ``finish`` every worker ships its result fragment (configurations as
 objects — their shared substructure survives the one fragment pickle —
 plus terminal/stuck digests, parents, edges and counts) and the master
-merges fragments into one :class:`~repro.engine.result.ExploreResult`.
-On non-truncated, non-stopped runs the merged result is bit-identical
-to sequential BFS in every representation-independent observable:
-ownership partitions the state space, each state is expanded exactly
-once by its owner, and visited-set exploration is order-insensitive.
+merges fragments into one :class:`~repro.engine.result.ExploreResult`,
+keyed by digests.  On non-truncated, non-stopped runs the merged result
+is bit-identical to sequential BFS in every representation-independent
+observable: ownership partitions the state space, each state is
+expanded exactly once by its owner, and visited-set exploration is
+order-insensitive.
 
 Parent edges record *a* first-discovery path, valid for witness replay
 but not necessarily shortest (expansion order is shard-local, not
-level-global) — :meth:`repro.engine.core.ExplorationEngine.find_witness`
-pins the rounds backend for shortest-path witnesses.
+level-global).
+
+Each call builds its own worker set (workers are initialised with the
+program, so they are per-exploration by construction).  Under fork that
+costs milliseconds; under spawn, many small explorations through one
+multi-worker engine pay a per-call re-import — prefer ``workers=1`` for
+small state spaces.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import time
@@ -103,8 +99,8 @@ if TYPE_CHECKING:
     from repro.lang.program import Program
     from repro.semantics.config import Config
 
-#: Cross-shard batches are flushed to the master once this many targets
-#: have accumulated for one destination (or whenever the local frontier
+#: Cross-shard batches are published once this many targets have
+#: accumulated for one destination (or whenever the local frontier
 #: drains — small spaces never wait).
 FLUSH_TARGETS = 64
 
@@ -122,31 +118,37 @@ _MASTER_POLL = 2.0
 #: off or the output is not a terminal.
 _STAT_EVERY = 1024
 
-#: Timeout (seconds) on a shm-transport worker's idle wait — the
+#: Timeout (seconds) on a worker's idle wait — the
 #: worker re-drains its rings and control queue at least this often, so
 #: a missed event wakeup costs at most one timeout.
 _IDLE_WAIT = 0.05
 
 
+def _pool_context():
+    """Prefer fork (cheap, no re-import) where available."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
+def _shard_of(digest: bytes, workers: int) -> int:
+    """Deterministic shard assignment from the key digest."""
+    return int.from_bytes(digest[:8], "big") % workers
+
+
 def pipeline_usable(on_config) -> bool:
-    """Whether the pipeline backend can run this exploration here.
+    """Whether the pipeline can take this ``on_config`` here.
 
     Workers receive their arguments by fork inheritance where fork is
     available (closures welcome); under a spawn-only start method every
     argument crosses a pickle boundary, so an unpicklable ``on_config``
-    (the common closure case) must fall back to the rounds backend,
-    which evaluates the callback master-side.
-
-    This probe runs *before* transport resolution, so the shm and queue
-    paths accept exactly the same callbacks and reject them at exactly
-    the same point — transport choice can never change error timing.
-    The probe pickles at ``HIGHEST_PROTOCOL``, matching how ``spawn``
-    actually ships process arguments.
+    (the common closure case) sends the exploration down the sequential
+    path instead.  The probe pickles at ``HIGHEST_PROTOCOL``, matching
+    how ``spawn`` actually ships process arguments.
     """
     if on_config is None:
         return True
-    from repro.engine.parallel import _pool_context
-
     if _pool_context().get_start_method() == "fork":
         return True
     try:
@@ -154,61 +156,6 @@ def pipeline_usable(on_config) -> bool:
         return True
     except Exception:
         return False
-
-
-def resolve_transport(transport: Optional[str]) -> Tuple[str, str]:
-    """Resolve the cross-shard transport for this run.
-
-    Resolution order: explicit argument → ``REPRO_TRANSPORT`` → the
-    default (``"shm"`` where :func:`repro.engine.shm.shm_available`,
-    else ``"queue"``).  A *requested* ``"shm"`` on a host without
-    working ``SharedMemory`` falls back to ``"queue"`` rather than
-    failing — both transports are result-identical, so availability is
-    a performance concern, not a correctness one.
-
-    Returns ``(transport, reason)`` where ``reason`` is one of
-    ``"requested"``, ``"env"``, ``"default"`` or ``"unavailable"``
-    (shm wanted, queue substituted) — emitted on the run's trace as an
-    ``explore.transport`` event.
-    """
-    from repro.engine.core import _check_transport
-    from repro.engine.shm import shm_available
-
-    reason = "requested"
-    if transport is None:
-        transport = os.environ.get("REPRO_TRANSPORT") or None
-        reason = "env" if transport is not None else "default"
-    if transport is not None:
-        _check_transport(transport)
-    if transport == "queue":
-        return "queue", reason
-    if shm_available():
-        return "shm", reason
-    return "queue", "unavailable"
-
-
-def resolve_codec(codec: Optional[str]) -> Tuple[str, str]:
-    """Resolve the cross-shard batch wire format for this run.
-
-    Resolution order: explicit argument → ``REPRO_CODEC`` → the default
-    ``"flat"`` (the pickle-free v2 format,
-    :mod:`repro.memory.flatcodec`; ``"pickle"`` is the v1 format kept
-    as measured fallback and parity reference).  Returns
-    ``(codec, reason)`` with ``reason`` one of ``"requested"``,
-    ``"env"`` or ``"default"`` — emitted on the run's trace as an
-    ``explore.codec`` event.  Unlike the transport there is no
-    availability fallback: both codecs are pure Python and always
-    usable.
-    """
-    from repro.engine.core import _check_codec
-
-    reason = "requested"
-    if codec is None:
-        codec = os.environ.get("REPRO_CODEC") or None
-        reason = "env" if codec is not None else "default"
-    if codec is None:
-        return "flat", reason
-    return _check_codec(codec), reason
 
 
 def _budgets(max_states: int, workers: int) -> List[int]:
@@ -231,55 +178,45 @@ def _worker_main(
     keep_configs: bool,
     on_config: Optional[Callable[["Config"], Optional[bool]]],
     budget: int,
+    exchange,
     collect_metrics: bool = False,
     report_stats: bool = False,
-    exchange=None,
-    codec_name: str = "flat",
 ) -> None:
     """One shard-owning worker: the whole exploration loop for shard
     ``wid``, from first admission to result fragment.
 
-    Protocol (all worker→master messages share one FIFO queue, so the
-    master sees a worker's batches before its subsequent idle report):
+    Protocol (all worker→master messages share one FIFO queue):
 
-    * in: ``("work", blob)`` — admit cross-shard targets; ``blob`` is
-      one batch-pickled list of ``(digest, config)`` (or ``(digest,
-      config, parent_edge)``) tuples; ``("finish",)`` — ship the result
-      fragment and exit.
-    * out: ``("batch", dst, blob)`` — cross-shard successors to route
-      (opaque bytes to the master; queue transport only — under shm
-      batches go straight into the owner's ring);
-      ``("idle", wid, consumed)`` — local frontier drained, buffers
-      flushed, ``consumed`` inbox batches processed so far.  Under shm
-      the payload is instead ``(sent, received, consumed)``: the
-      cumulative per-destination publish counts, per-source ring
-      consumption counts and control-queue consumption — the master's
-      quiescence evidence — and it is re-sent only when those counters
-      changed since the last report;
-      ``("stat", wid, states)`` — periodic progress sample, only under
-      ``report_stats``;
-      ``("hit", wid)`` / ``("trunc", wid)`` — request a stop broadcast;
-      ``("done", wid, fragment)`` / ``("error", wid, traceback)``.
+    * in, control queue: ``("work", batch)`` — admit the seed batch
+      (a list of ``(digest, config)`` or ``(digest, config,
+      parent_edge)`` tuples); ``("finish",)`` — ship the result
+      fragment and exit.  Cross-shard batches arrive over the inbound
+      rings of ``exchange`` (the run's
+      :class:`repro.engine.shm.ShmExchange`), never the queue.
+    * out: ``("idle", wid, (sent, received, consumed))`` — local
+      frontier drained and buffers flushed, with the cumulative
+      per-destination publish counts, per-source ring consumption
+      counts and control-queue consumption — the master's quiescence
+      evidence; re-sent only when those counters changed since the last
+      report; ``("stat", wid, states)`` — periodic progress sample,
+      only under ``report_stats``; ``("hit", wid)`` / ``("trunc",
+      wid)`` — request a stop broadcast; ``("done", wid, fragment)`` /
+      ``("error", wid, pickled exception, traceback)``.
 
-    ``exchange`` is the run's :class:`repro.engine.shm.ShmExchange`
-    (None selects the queue transport).  A shm worker waits on its
-    single inbound data event instead of a blocking queue get, and —
-    crucially — keeps draining its rings even when halted or out of
-    budget, so a producer blocked on a full ring is never deadlocked by
-    a consumer that no longer wants the data (consumption just counts
-    and discards once the budget or a hit closed admission).
+    The worker waits on its single inbound data event instead of a
+    blocking queue get, and — crucially — keeps draining its rings even
+    when halted or out of budget, so a producer blocked on a full ring
+    is never deadlocked by a consumer that no longer wants the data
+    (consumption just counts and discards once the budget or a hit
+    closed admission).
 
     ``collect_metrics`` activates a private :class:`Metrics` for the
     worker's lifetime (capturing the reduction layer's counters plus
-    shard/batch/codec-byte counts); its snapshot ships inside the
-    ``done`` fragment under ``"metrics"`` for the master to merge.
-
-    ``codec_name`` selects the batch wire format this worker *encodes*
-    (``"flat"``/``"pickle"``); decoding always goes through the
-    magic-dispatching :func:`repro.memory.flatcodec.decode_batch`, so
-    mixed-codec traffic is well-defined.  When ``REPRO_PROFILE=FILE``
-    is set the worker runs under :mod:`cProfile` and dumps its stats to
-    ``FILE.w<wid>`` on exit (merged master-side into ``FILE``).
+    shard/batch/ring counts); its snapshot ships inside the ``done``
+    fragment under ``"metrics"`` for the master to merge.  When
+    ``REPRO_PROFILE=FILE`` is set the worker runs under
+    :mod:`cProfile` and dumps its stats to ``FILE.w<wid>`` on exit
+    (merged master-side into ``FILE``).
     """
     profile_to = os.environ.get("REPRO_PROFILE")
     prof = None
@@ -292,10 +229,7 @@ def _worker_main(
         import gc
 
         from repro.engine.core import key_function, successor_function
-        from repro.engine.parallel import _shard_of
-        from repro.memory.flatcodec import decode_batch, get_codec
-
-        codec = get_codec(codec_name)
+        from repro.engine.shm import ProducerStopped
 
         # A shard-owning worker accumulates an ever-growing heap of
         # *immutable, acyclic* semantic structures (configs, ops, view
@@ -335,18 +269,14 @@ def _worker_main(
         forwarded: set = set()  # remote digests already shipped once
         bufs: Dict[int, List] = {d: [] for d in range(workers) if d != wid}
 
-        shm_mode = exchange is not None
-        if shm_mode:
-            from repro.engine.shm import ProducerStopped
-
-            exchange.attach()
-            out_rings = exchange.out_rings(wid)
-            in_rings = exchange.in_rings(wid)
-            data_event = exchange.data_events[wid]
-            stopping = exchange.stop_event.is_set
-            sent = [0] * workers  # cumulative batches published per dst
-            received = [0] * workers  # cumulative batches drained per src
-            last_report = None
+        exchange.attach()
+        out_rings = exchange.out_rings(wid)
+        in_rings = exchange.in_rings(wid)
+        data_event = exchange.data_events[wid]
+        stopping = exchange.stop_event.is_set
+        sent = [0] * workers  # cumulative batches published per dst
+        received = [0] * workers  # cumulative batches drained per src
+        last_report = None
 
         def admit(digest: bytes, payload, parent_edge) -> None:
             nonlocal truncated
@@ -377,63 +307,45 @@ def _worker_main(
             nonlocal consumed, finishing
             if msg[0] == "work":
                 consumed += 1
-                admit_batch(decode_batch(msg[1]))
+                admit_batch(msg[1])
             else:  # "finish"
                 finishing = True
 
-        if shm_mode:
+        def drain_rings() -> int:
+            got = 0
+            for src, ring in in_rings:
+                n = ring.drain(admit_batch)
+                if n:
+                    received[src] += n
+                    got += n
+            return got
 
-            def drain_rings() -> int:
-                got = 0
-                for src, ring in in_rings:
-                    n = ring.drain(admit_batch)
-                    if n:
-                        received[src] += n
-                        got += n
-                return got
-
-            def flush(dst: int, buf: List) -> None:
-                ring = out_rings[dst]
-                try:
-                    # on_wait=drain_rings: while blocked on a full peer
-                    # ring, keep consuming our own inbound rings so two
-                    # mutually-publishing workers can't deadlock.
-                    wire, frames, copies, waits = ring.publish(
-                        buf, stop=stopping, on_wait=drain_rings
-                    )
-                except ProducerStopped:
-                    # The run is shutting down and the owner stopped
-                    # draining: drop the batch (counts are lower bounds
-                    # on stopped/truncated runs by contract).
-                    bufs[dst] = []
-                    return
-                sent[dst] += 1
-                if m is not None:
-                    m.inc("pipeline.batches")
-                    m.inc("shm.ring.frames", frames)
-                    m.inc("shm.ring.bytes", wire)
-                    if waits:
-                        m.inc("shm.ring.full_waits", waits)
-                    if copies:
-                        m.inc("pipeline.batch_copies", copies)
-                    m.gauge_max(
-                        f"shm.ring.{wid}.{dst}.occupancy", ring.used()
-                    )
+        def flush(dst: int, buf: List) -> None:
+            ring = out_rings[dst]
+            try:
+                # on_wait=drain_rings: while blocked on a full peer
+                # ring, keep consuming our own inbound rings so two
+                # mutually-publishing workers can't deadlock.
+                wire, frames, copies, waits = ring.publish(
+                    buf, stop=stopping, on_wait=drain_rings
+                )
+            except ProducerStopped:
+                # The run is shutting down and the owner stopped
+                # draining: drop the batch (counts are lower bounds
+                # on stopped/truncated runs by contract).
                 bufs[dst] = []
-
-        else:
-
-            def flush(dst: int, buf: List) -> None:
-                blob = codec.encode_bytes(buf)
-                if m is not None:
-                    m.inc("pipeline.batches")
-                    m.inc("pipeline.blob_bytes", len(blob))
-                    # Deterministically two intermediate copies per
-                    # batch on this transport: the blob built here plus
-                    # the master routing hop.
-                    m.inc("pipeline.batch_copies", 2)
-                out.put(("batch", dst, blob))
-                bufs[dst] = []
+                return
+            sent[dst] += 1
+            if m is not None:
+                m.inc("pipeline.batches")
+                m.inc("shm.ring.frames", frames)
+                m.inc("shm.ring.bytes", wire)
+                if waits:
+                    m.inc("shm.ring.full_waits", waits)
+                if copies:
+                    m.inc("pipeline.batch_copies", copies)
+                m.gauge_max(f"shm.ring.{wid}.{dst}.occupancy", ring.used())
+            bufs[dst] = []
 
         def flush_all() -> None:
             for dst, buf in bufs.items():
@@ -447,42 +359,38 @@ def _worker_main(
                 except Empty:
                     break
                 handle(msg)
-            if shm_mode and not finishing:
+            if not finishing:
                 drain_rings()
             if finishing:
                 break
             if not frontier or halted or truncated:
                 # Nothing (more) to expand: flush, report, block.
                 flush_all()
-                if shm_mode:
-                    if frontier and not (halted or truncated):
-                        # flush_all's on_wait drain refilled the
-                        # frontier: this worker is not idle.  Reporting
-                        # now would hand the master a fully-matched
-                        # counter matrix (the drains are counted) while
-                        # unexpanded states hide in the local frontier —
-                        # a false quiescence that drops states.
-                        continue
-                    report = (tuple(sent), tuple(received), consumed)
-                    if report != last_report:
-                        out.put(("idle", wid, report))
-                        last_report = report
-                    # Clear-then-recheck-then-wait: a producer (or the
-                    # master posting a control message) sets the event
-                    # after publishing, so anything that arrived after
-                    # the clear either shows up in the drain below or
-                    # re-sets the event and cuts the wait short.  The
-                    # timeout bounds the one remaining (benign) race.
-                    data_event.clear()
-                    got = drain_rings()
-                    try:
-                        handle(inbox.get_nowait())
-                    except Empty:
-                        if not got:
-                            data_event.wait(_IDLE_WAIT)
-                else:
-                    out.put(("idle", wid, consumed))
-                    handle(inbox.get())
+                if frontier and not (halted or truncated):
+                    # flush_all's on_wait drain refilled the frontier:
+                    # this worker is not idle.  Reporting now would hand
+                    # the master a fully-matched counter matrix (the
+                    # drains are counted) while unexpanded states hide
+                    # in the local frontier — a false quiescence that
+                    # drops states.
+                    continue
+                report = (tuple(sent), tuple(received), consumed)
+                if report != last_report:
+                    out.put(("idle", wid, report))
+                    last_report = report
+                # Clear-then-recheck-then-wait: a producer (or the
+                # master posting a control message) sets the event
+                # after publishing, so anything that arrived after the
+                # clear either shows up in the drain below or re-sets
+                # the event and cuts the wait short.  The timeout
+                # bounds the one remaining (benign) race.
+                data_event.clear()
+                got = drain_rings()
+                try:
+                    handle(inbox.get_nowait())
+                except Empty:
+                    if not got:
+                        data_event.wait(_IDLE_WAIT)
                 continue
             if m is not None:
                 # Sampled once per burst: the high-water mark of this
@@ -581,8 +489,8 @@ def _worker_main(
     except Exception as exc:
         # Ship the exception itself where possible so the master can
         # re-raise the original type (check_invariants assertions,
-        # predicate errors — matching the rounds/sequential backends);
-        # the formatted traceback rides along for unpicklable ones.
+        # predicate errors — matching the sequential loop); the
+        # formatted traceback rides along for unpicklable ones.
         try:
             blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -611,53 +519,48 @@ def explore_pipeline(
     metrics: Optional[Metrics] = None,
     progress=None,
     trace=None,
-    transport: Optional[str] = None,
-    codec: Optional[str] = None,
 ) -> ExploreResult:
-    """Explore ``program`` with ``workers`` persistent shard-owning
-    processes (see the module docstring).  Reached via
-    :func:`repro.engine.parallel.explore_parallel` with
-    ``backend="pipeline"``; ``workers >= 2`` by construction.
+    """Explore ``program`` with ``workers >= 2`` persistent
+    shard-owning processes (see the module docstring).  Reached via
+    :meth:`repro.engine.core.ExplorationEngine.explore`, which runs the
+    sequential loop instead wherever this path cannot.
 
-    ``transport`` picks the cross-shard data plane — ``"shm"``
-    (shared-memory rings, the default where available) or ``"queue"``
-    (master-routed blobs); ``None`` resolves via
-    :func:`resolve_transport` (env ``REPRO_TRANSPORT``, then
-    availability).  ``codec`` picks the batch wire format — ``"flat"``
-    (pickle-free struct-packed v2, the default) or ``"pickle"`` (the v1
-    reference); ``None`` resolves via :func:`resolve_codec` (env
-    ``REPRO_CODEC``, then the flat default).  Neither choice ever
-    affects results, only throughput and blob size.
+    ``keep_configs=False`` is the summary path: per-state payloads are
+    dropped once expanded (the visited set needs only digests), and
+    only terminal/stuck configurations — what a verdict actually
+    consumes — are kept.  The result's ``configs`` map then holds just
+    those, with ``state_total`` carrying the true visited count.
+
+    ``track_parents`` records each state's first-discovery edge as
+    ``parents[digest] = (parent digest, tid, component, action)`` —
+    16-byte digests plus an edge label, never configurations.
 
     ``metrics``/``progress``/``trace`` are the observability sinks
     (:mod:`repro.obs`), all defaulting to None (off).  Worker metric
     fragments ride home inside the ``done`` messages and merge
     master-side; progress is fed by the workers' opt-in ``stat``
-    samples; ``trace`` gains one ``explore.transport`` and one
-    ``explore.codec`` event for the resolved choices and one
-    ``explore.drain`` event per worker idle report.
+    samples; ``trace`` gains one ``explore.drain`` event per worker
+    idle report.
     """
     from repro.engine.core import key_function
-    from repro.engine.parallel import _pool_context, _shard_of
+    from repro.engine.shm import ShmExchange
     from repro.semantics.config import initial_config
+    from repro.semantics.reduce import get_strategy
 
     if collect_edges:
         # Edge consumers address states by digest: the full map is the
         # point of the exploration, so the summary path is off the table.
         keep_configs = True
 
-    from repro.semantics.reduce import get_strategy
-
     strat = get_strategy(reduction)
     if not strat.pipeline_safe:
         # Streaming shards never re-visit a state, so policies that need
         # the sleep-shrink re-expansion protocol (dpor) have no sound
-        # home here; explore_parallel normally rejects these before
-        # dispatch, but guard direct callers too.
+        # home here; the engine routes them to the sequential loop.
         raise ValueError(
             f"reduction {reduction!r} is not supported on the pipeline "
-            "backend (cross-shard sleep-set exchange is not implemented); "
-            "use backend='rounds' or workers=1"
+            "(cross-shard sleep-set exchange is not implemented); "
+            "explore it sequentially"
         )
     if strat.requires_canonical and not canonicalise:
         raise ValueError(
@@ -665,28 +568,16 @@ def explore_pipeline(
             "keys; canonicalise=False is not supported"
         )
 
-    chosen_transport, why = resolve_transport(transport)
-    chosen_codec, codec_why = resolve_codec(codec)
-    if trace is not None:
-        trace.emit(
-            "explore.transport", transport=chosen_transport, reason=why
-        )
-        trace.emit("explore.codec", codec=chosen_codec, reason=codec_why)
-
     start = time.perf_counter()
     keyf = key_function(program, canonicalise)
     with _collecting(metrics):
         # Master-side, so the initial configuration's ε-closure fusions
-        # are counted exactly once, as in the sequential backend.
+        # are counted exactly once, as in the sequential loop.
         init = strat.normalise_initial(program, initial_config(program))
     init_key = stable_digest(keyf(init))
 
     ctx = _pool_context()
-    exchange = None
-    if chosen_transport == "shm":
-        from repro.engine.shm import ShmExchange
-
-        exchange = ShmExchange(workers, ctx, codec=chosen_codec)
+    exchange = ShmExchange(workers, ctx)
     inboxes = [ctx.Queue() for _ in range(workers)]
     out = ctx.Queue()
     budgets = _budgets(max_states, workers)
@@ -696,10 +587,9 @@ def explore_pipeline(
             args=(
                 w, workers, inboxes[w], out, program, canonicalise,
                 check_invariants, collect_edges, reduction, track_parents,
-                keep_configs, on_config, budgets[w],
+                keep_configs, on_config, budgets[w], exchange,
                 metrics is not None,
                 progress is not None and progress.enabled,
-                exchange, chosen_codec,
             ),
             daemon=True,
         )
@@ -708,21 +598,14 @@ def explore_pipeline(
     for p in procs:
         p.start()
 
-    shm_mode = exchange is not None
     sent = [0] * workers  # control-queue "work" messages per worker
-    consumed = [-1] * workers  # as of each worker's latest idle report
     idle = [False] * workers
-    reports: List[Optional[Tuple]] = [None] * workers  # shm counter vectors
+    reports: List[Optional[Tuple]] = [None] * workers  # latest counters
     owner = _shard_of(init_key, workers)
     first = (init_key, init, None) if track_parents else (init_key, init)
-    from repro.memory.flatcodec import get_codec
-
-    inboxes[owner].put(
-        ("work", get_codec(chosen_codec).encode_bytes([first]))
-    )
+    inboxes[owner].put(("work", [first]))
     sent[owner] += 1
-    if shm_mode:
-        exchange.wake(owner)
+    exchange.wake(owner)
 
     stopped = False
     truncated = False
@@ -733,16 +616,15 @@ def explore_pipeline(
     def broadcast_finish() -> None:
         for q in inboxes:
             q.put(("finish",))
-        if shm_mode:
-            # Unblock everyone: idle workers waiting on their data
-            # event, and producers blocked on a full ring whose
-            # consumer already stopped draining (their batch is
-            # dropped — sound, because a finish broadcast before
-            # quiescence already marks the counts as lower bounds).
-            exchange.stop_event.set()
-            exchange.wake_all()
+        # Unblock everyone: idle workers waiting on their data event,
+        # and producers blocked on a full ring whose consumer already
+        # stopped draining (their batch is dropped — sound, because a
+        # finish broadcast before quiescence already marks the counts
+        # as lower bounds).
+        exchange.stop_event.set()
+        exchange.wake_all()
 
-    def shm_quiescent() -> bool:
+    def quiescent() -> bool:
         """All workers idle, every seeded control message consumed and
         every directed ring's publish count matched by the consumer's
         drain count — across the *latest* report of each worker.  FIFO
@@ -781,29 +663,15 @@ def explore_pipeline(
                     )
                 continue
             kind = msg[0]
-            if kind == "batch":
-                if not finishing:
-                    dst = msg[1]
-                    inboxes[dst].put(("work", msg[2]))
-                    sent[dst] += 1
-                    idle[dst] = False
-            elif kind == "idle":
+            if kind == "idle":
                 wid = msg[1]
                 idle[wid] = True
-                if shm_mode:
-                    reports[wid] = msg[2]
-                    if trace is not None:
-                        trace.emit(
-                            "explore.drain", worker=wid, consumed=msg[2][2]
-                        )
-                    if not finishing and shm_quiescent():
-                        finishing = True
-                        broadcast_finish()
-                    continue
-                consumed[wid] = msg[2]
+                reports[wid] = msg[2]
                 if trace is not None:
-                    trace.emit("explore.drain", worker=wid, consumed=msg[2])
-                if not finishing and all(idle) and consumed == sent:
+                    trace.emit(
+                        "explore.drain", worker=wid, consumed=msg[2][2]
+                    )
+                if not finishing and quiescent():
                     finishing = True
                     broadcast_finish()
             elif kind == "stat":
@@ -843,26 +711,24 @@ def explore_pipeline(
                     f"pipeline worker {_wid} failed:\n{tb}"
                 )
     except BaseException:
-        if shm_mode:
-            exchange.stop_event.set()
-            exchange.wake_all()
+        exchange.stop_event.set()
+        exchange.wake_all()
         for p in procs:
             p.terminate()
         raise
     finally:
         for p in procs:
             p.join()
-        if shm_mode:
-            # The master owns the slab's lifecycle: unmap and unlink
-            # now that every worker has exited (their mappings die with
-            # their processes) — no segment survives the run, even an
-            # unclean one.
-            exchange.cleanup()
+        # The master owns the slab's lifecycle: unmap and unlink now
+        # that every worker has exited (their mappings die with their
+        # processes) — no segment survives the run, even an unclean
+        # one.
+        exchange.cleanup()
 
     profile_to = os.environ.get("REPRO_PROFILE")
     if profile_to:
         # Merge the per-worker dumps (FILE.w<wid>) into one FILE so the
-        # profile reads like the sequential backend's, regardless of
+        # profile reads like the sequential loop's, regardless of
         # worker count.  Best-effort: a worker killed before its finally
         # block simply contributes nothing.
         import pstats

@@ -45,7 +45,7 @@ class ExploreResult:
     #: fewer entries than the exploration visited: summary-only
     #: explorations (``keep_configs=False``, where ``configs`` holds
     #: only the terminal/stuck configurations a verdict needs) and
-    #: every pipeline-backend result (stopped/truncated pipeline runs
+    #: every pipeline result (stopped/truncated pipeline runs
     #: admit states they never materialise).
     state_total: Optional[int] = None
     #: Predecessor graph recorded when the exploration was asked to

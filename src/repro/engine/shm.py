@@ -1,17 +1,13 @@
 """Shared-memory SPSC ring buffers: the pipeline's zero-copy data plane.
 
-The pipeline backend's cross-shard traffic used to flow worker → master
-→ worker over ``multiprocessing.Queue``: every batch was pickled by the
-discovering worker, re-pickled by the queue feeder, copied through two
-OS pipes, and routed by the master — two full batch copies and a
-process hop that scale with the state space.  This module replaces that
-path with one **single-producer / single-consumer byte ring per ordered
-worker pair** laid out in a single ``multiprocessing.shared_memory``
-slab, so a batch is encoded exactly once, *directly into the consumer's
-mapped memory* (:func:`repro.memory.codec.encode_batch_into`), and
-decoded exactly once from that same memory — no intermediate ``bytes``
-object exists on the default path, and the master never touches a
-batch again.
+The pipeline's cross-shard traffic (:mod:`repro.engine.pipeline`)
+moves over one **single-producer / single-consumer byte ring per
+ordered worker pair**, laid out in a single
+``multiprocessing.shared_memory`` slab.  A batch is encoded exactly
+once, *directly into the consumer's mapped memory*
+(:func:`repro.memory.codec.encode_batch_into`), and decoded exactly
+once from that same memory — no intermediate ``bytes`` object exists
+on the default path, and the master never touches a batch.
 
 Ring layout (one region of the slab per directed pair ``s → d``)::
 
@@ -68,10 +64,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.memory.codec import BufferFull, decode_batch_from, encode_batch_into
 
-
-def _pickle_dumps(batch) -> bytes:
-    """Default chunked-path encoder (the historical v1 wire bytes)."""
-    return pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
 
 #: Ring header: head u32 @0, tail u32 @4, waiting u32 @8, reserved @12.
 HEADER_SIZE = 16
@@ -152,22 +144,15 @@ class Ring:
     consumer methods (:meth:`drain`).  ``space_event`` is this ring's
     producer wakeup; ``data_event`` is the *consumer's* shared inbound
     wakeup (one per worker, spanning all its rings).
-
-    ``codec`` is an optional :class:`repro.memory.flatcodec.BatchCodec`
-    supplying the encode functions (buffer-direct for the zero-copy
-    frame, bytes-producing for the chunked-oversize fallback); None
-    keeps the historical v1 pickle wire format.  Decoding always goes
-    through the magic-dispatching :func:`decode_batch_from`, so a ring
-    accepts frames of either format regardless of its producer codec.
     """
 
     __slots__ = (
         "capacity", "_idx", "_data", "space_event", "data_event", "_mask",
-        "_chunks", "_encode_into", "_encode_bytes",
+        "_chunks",
     )
 
     def __init__(self, region: memoryview, capacity: int,
-                 space_event, data_event, codec=None) -> None:
+                 space_event, data_event) -> None:
         if capacity & (capacity - 1):
             raise ValueError(f"ring capacity must be a power of two: {capacity}")
         self.capacity = capacity
@@ -177,12 +162,6 @@ class Ring:
         self.space_event = space_event
         self.data_event = data_event
         self._chunks = bytearray()  # consumer-side oversize reassembly
-        if codec is None:
-            self._encode_into = encode_batch_into
-            self._encode_bytes = _pickle_dumps
-        else:
-            self._encode_into = codec.encode_into
-            self._encode_bytes = codec.encode_bytes
 
     def release(self) -> None:
         """Release the underlying memory views so the backing
@@ -233,7 +212,7 @@ class Ring:
         if here < 0 and there < 0:
             raise BufferFull(max(here, there))
         if here >= there:
-            n = self._encode_into(
+            n = encode_batch_into(
                 batch, self._data[pos + FRAME_HEADER:pos + FRAME_HEADER + here]
             )
             self._commit(pos, FLAG_BATCH, n, tail + FRAME_HEADER + n)
@@ -241,7 +220,7 @@ class Ring:
         # Wrap first: the marker byte sits in the skipped region, which
         # is free by ``free >= contig`` (implied by there >= 0).
         self._data[pos] = FLAG_WRAP
-        n = self._encode_into(
+        n = encode_batch_into(
             batch, self._data[FRAME_HEADER:FRAME_HEADER + there]
         )
         self._commit(0, FLAG_BATCH, n, tail + contig + FRAME_HEADER + n)
@@ -335,7 +314,7 @@ class Ring:
                          ) -> Tuple[int, int, int, int]:
         # The one copy on this path: the oversized batch is encoded to
         # an intermediate bytes object, then streamed as CHUNK*, LAST.
-        blob = self._encode_bytes(batch)
+        blob = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
         piece = max(64, self.capacity // 4)
         view = memoryview(blob)
         offsets = range(0, len(blob), piece)
@@ -417,17 +396,12 @@ class ShmExchange:
     """
 
     def __init__(self, workers: int, ctx,
-                 capacity: Optional[int] = None,
-                 codec: Optional[str] = None) -> None:
+                 capacity: Optional[int] = None) -> None:
         from multiprocessing.shared_memory import SharedMemory
 
         cap = _pow2(capacity) if capacity else ring_capacity_from_env()
         self.workers = workers
         self.capacity = cap
-        #: Producer wire format for every ring of the run (a codec
-        #: *name*, so it survives the ``__getstate__`` trip to spawned
-        #: workers); None keeps the v1 pickle format.
-        self.codec = codec
         self._stride = HEADER_SIZE + cap
         n_rings = workers * (workers - 1)
         self._slab = SharedMemory(create=True, size=n_rings * self._stride)
@@ -475,18 +449,12 @@ class ShmExchange:
         if src == dst:
             raise ValueError("no self-ring: same-shard successors stay local")
         self.attach()
-        codec = None
-        if self.codec is not None:
-            from repro.memory.flatcodec import get_codec
-
-            codec = get_codec(self.codec)
         i = self._ring_index(src, dst)
         region = self._slab.buf[i * self._stride:(i + 1) * self._stride]
         ring = Ring(
             region, self.capacity,
             space_event=self.space_events[i],
             data_event=self.data_events[dst],
-            codec=codec,
         )
         self._rings.append(ring)
         return ring

@@ -132,7 +132,7 @@ def run_litmus(
     if use_cache and engine.cache is not None:
         summary = engine.run(test.build(), max_states=max_states)
     else:
-        # Summary-only consumer: let the sharded backend drop per-state
+        # Summary-only consumer: let the sharded pipeline drop per-state
         # payloads once expanded rather than materialising the full map.
         summary = summarise(
             engine.explore(

@@ -84,15 +84,6 @@ class Action:
 
         return reduce_action(self)
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
-
     def __repr__(self) -> str:  # compact, used in counterexample dumps
         if self.kind == METH:
             arg = "" if self.val is None else repr(self.val)
@@ -143,13 +134,6 @@ class Op:
         from repro.memory.codec import reduce_op
 
         return reduce_op(self)
-
-    def __getstate__(self):
-        return (self.act, self.ts)
-
-    def __setstate__(self, state) -> None:
-        self.act, self.ts = state
-        self._hash = None
 
     def __repr__(self) -> str:
         return f"⟨{self.act!r}@{self.ts}⟩"

@@ -1,9 +1,10 @@
 """Compact on-wire codec for configurations crossing process boundaries.
 
-The sharded exploration backends ship configurations between processes
-as pickled blobs, and on a large state space those blobs *are* the
-inter-process traffic: every byte is encoded once by the discovering
-worker and decoded once by the owning worker.  Python's default
+The sharded pipeline (:mod:`repro.engine.pipeline`) ships
+configurations between processes as pickled batches, and on a large
+state space those batches *are* the inter-process traffic: every byte
+is encoded once by the discovering worker and decoded once by the
+owning worker.  Python's default
 dataclass pickling is wasteful for this workload — each
 :class:`~repro.memory.actions.Action` travels as an 8-entry ``__dict__``
 (key strings and default-valued fields included), each timestamp as a
@@ -29,34 +30,33 @@ this module:
 
 The format changes how objects are written, not what they mean: a
 round-trip is value-identical (bit-identical canonical keys — property-
-tested), and blobs written by the pre-codec format still load, because
-the classes retain their ``__getstate__``/``__setstate__`` methods.
-:func:`legacy_dumps` keeps that pre-codec wire format callable — it is
-the reference the codec's size ratio is benchmarked against
-(``benchmarks/test_bench_parallel_pipeline.py``).
+tested).
 
-For the shared-memory transport (:mod:`repro.engine.shm`) the module
-additionally exposes a *buffer-direct* form of the same wire format:
+For the shared-memory rings (:mod:`repro.engine.shm`) the module
+exposes a *buffer-direct* form of the wire format:
 :func:`encode_batch_into` streams the pickle straight into a caller-
 provided ``memoryview`` (ring-buffer memory) so a cross-shard batch is
-serialised without ever materialising an intermediate ``bytes`` blob,
-and :func:`decode_batch_from` deserialises from a buffer without
-copying it out first.  Both raise/return through :class:`BufferFull`
-when the batch does not fit — the caller falls back to chunked frames.
+serialised without ever materialising an intermediate ``bytes`` blob —
+raising :class:`BufferFull` when the batch does not fit, so the caller
+can fall back to chunked frames — and :func:`decode_batch_from`
+deserialises from a buffer without copying it out first, raising the
+typed :class:`CodecError` on a corrupt frame.  When a metrics collector
+is active both record their time as ``codec.encode_ns`` /
+``codec.decode_ns``.
 """
 
 from __future__ import annotations
 
-import io
 import pickle
+import time
 from fractions import Fraction
 from itertools import islice
 from typing import Tuple
 
 from repro.memory.actions import Action, Op
 from repro.memory.state import ComponentState
+from repro.obs import metrics as _metrics
 from repro.semantics.config import Config
-from repro.util.fmap import FMap
 
 #: Per-process intern tables (decode side).  Bounded by half-eviction
 #: (see :func:`_evict_half`) — the distinct-value populations (action
@@ -119,9 +119,9 @@ def reduce_op(op: Op) -> Tuple:
 def reduce_component_state(state: ComponentState) -> Tuple:
     """``ComponentState`` → its four defining fields, positionally.
 
-    Derived data (indices, view-map caches) is never encoded — exactly
-    the fields ``__getstate__`` kept.  Subclasses (the naive reference
-    state) carry their class so they decode as themselves.
+    Derived data (indices, view-map caches) is never encoded.
+    Subclasses (the naive reference state) carry their class so they
+    decode as themselves.
     """
     cls = type(state)
     if cls is ComponentState:
@@ -176,21 +176,7 @@ def _config(cmds, locals_, gamma, beta) -> Config:
     return Config(cmds=cmds, locals=locals_, gamma=gamma, beta=beta)
 
 
-# -- blob helpers -----------------------------------------------------------
-
-
-def config_blob(cfg: Config) -> bytes:
-    """Encode one configuration with the compact codec (the exact bytes
-    the sharded backends put on the wire)."""
-    return pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)
-
-
-def load_blob(blob: bytes) -> Config:
-    """Decode a configuration blob (either wire format)."""
-    return pickle.loads(blob)
-
-
-# -- buffer-direct batch form (shared-memory transport) ---------------------
+# -- buffer-direct batch form (shared-memory rings) -------------------------
 
 
 class BufferFull(Exception):
@@ -234,52 +220,31 @@ def encode_batch_into(batch, buf: memoryview) -> int:
     the caller observes — the write position is discarded) when the
     encoding exceeds ``len(buf)``.
     """
+    t0 = time.perf_counter_ns()
     writer = _ViewWriter(buf)
-    pickle.Pickler(writer, pickle.HIGHEST_PROTOCOL).dump(batch)
+    try:
+        pickle.Pickler(writer, pickle.HIGHEST_PROTOCOL).dump(batch)
+    finally:
+        m = _metrics._ACTIVE
+        if m is not None:
+            m.inc("codec.encode_ns", time.perf_counter_ns() - t0)
     return writer.pos
+
+
+class CodecError(ValueError):
+    """A batch frame that does not decode (truncated or corrupted)."""
 
 
 def decode_batch_from(buf) -> list:
     """Decode a batch from a buffer (``memoryview``/``bytes``) without
-    requiring the caller to copy it out first.
-
-    Delegates to the wire-format dispatcher in
-    :mod:`repro.memory.flatcodec` (lazy import — flatcodec imports this
-    module), so the receive side is codec-agnostic: flat v2 frames,
-    v1/fallback pickle blobs and garbage all go through the same typed
-    error handling (:class:`~repro.memory.flatcodec.CodecError`).
-    """
-    from repro.memory.flatcodec import decode_batch
-
-    return decode_batch(buf)
-
-
-# -- pre-codec reference format ---------------------------------------------
-
-
-def _legacy_new(cls):
-    return cls.__new__(cls)
-
-
-class _LegacyPickler(pickle.Pickler):
-    """The pre-codec wire format: class + ``__getstate__`` state.
-
-    ``reducer_override`` takes priority over the classes' ``__reduce__``
-    methods, so this pickler reproduces how the semantic value classes
-    serialised before the codec existed — dict-shaped state with
-    attribute-name keys, all eight ``Action`` fields, ``Fraction``
-    timestamps.  Kept as the measured reference for the codec's
-    size/time benchmark, not used by any backend.
-    """
-
-    def reducer_override(self, obj):
-        if isinstance(obj, (Action, ComponentState, Config, Op, FMap)):
-            return (_legacy_new, (type(obj),), obj.__getstate__())
-        return NotImplemented
-
-
-def legacy_dumps(obj) -> bytes:
-    """Pickle ``obj`` in the pre-codec reference format."""
-    buf = io.BytesIO()
-    _LegacyPickler(buf, pickle.HIGHEST_PROTOCOL).dump(obj)
-    return buf.getvalue()
+    requiring the caller to copy it out first; every decode failure
+    surfaces as :class:`CodecError`."""
+    t0 = time.perf_counter_ns()
+    try:
+        batch = pickle.loads(buf)
+    except Exception as exc:
+        raise CodecError(f"corrupt batch frame: {exc}") from exc
+    m = _metrics._ACTIVE
+    if m is not None:
+        m.inc("codec.decode_ns", time.perf_counter_ns() - t0)
+    return batch

@@ -70,21 +70,6 @@ class ComponentState:
 
         return reduce_component_state(self)
 
-    def __getstate__(self):
-        """The defining fields only (pre-codec wire format — retained so
-        old pickles load and :func:`repro.memory.codec.legacy_dumps`
-        can reproduce the format for benchmarking)."""
-        return {
-            "ops": self.ops,
-            "tview": self.tview,
-            "mview": self.mview,
-            "cvd": self.cvd,
-        }
-
-    def __setstate__(self, state) -> None:
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
-
     # -- derived indices -----------------------------------------------------
     @property
     def index(self) -> Mapping[str, VarIndex]:

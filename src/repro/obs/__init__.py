@@ -17,7 +17,7 @@ are guarded by ``is None`` tests on sinks the caller didn't install.
   CLI was asked to be ``--quiet``.
 * :mod:`repro.obs.trace` — an append-only JSONL event stream
   (:class:`TraceWriter`, ``--trace FILE`` / ``REPRO_TRACE``) with a
-  documented stable schema: exploration spans, per-round/per-drain
+  documented stable schema: exploration spans, per-drain
   samples and batch job lifecycle — the substrate a future
   ``repro serve`` mode streams to clients.
 

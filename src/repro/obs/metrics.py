@@ -15,7 +15,7 @@ points come in two shapes:
   an ``is None`` test at each such site, which the overhead benchmark
   (``benchmarks/test_bench_obs.py``) gates as unmeasurable.
 
-Worker processes never share a registry: each sharded worker collects
+Worker processes never share a registry: each pipeline worker collects
 into its own ``Metrics`` and ships ``snapshot()`` home inside its
 result fragment; the master :meth:`Metrics.merge`\\ s fragments into the
 one global registry whose snapshot lands on ``ExploreResult.metrics``.
@@ -50,22 +50,11 @@ Counter schema — stable names; the same keys appear in trace
                                      live
 ``shard.<w>.states``                 states owned/expanded by shard ``w``
 ``pipeline.batches``                 cross-shard batches shipped (pipeline)
-``pipeline.blob_bytes``              bytes of cross-shard codec blobs
-                                     (pipeline, queue transport)
-``codec.encode_ns``                  nanoseconds spent encoding batch
-                                     blobs (either codec, both
-                                     transports)
-``codec.decode_ns``                  nanoseconds spent decoding batch
-                                     blobs
-``codec.table_entries``              intern-table entries written by the
-                                     flat codec (actions + timestamps +
-                                     names + command ASTs, per batch —
-                                     the shared-structure dedup the v2
-                                     wire format exists for)
+``codec.encode_ns``                  nanoseconds spent encoding batches
+                                     into ring memory
+``codec.decode_ns``                  nanoseconds spent decoding batches
 ``pipeline.batch_copies``            intermediate batch materialisations:
-                                     deterministically 2 per batch on the
-                                     queue transport (worker blob + master
-                                     hop), 0 on shm's zero-copy path, 1
+                                     0 on the rings' zero-copy path, 1
                                      per chunked oversize batch
 ``shm.ring.bytes``                   bytes published into shm rings
                                      (frame headers included)
@@ -74,8 +63,6 @@ Counter schema — stable names; the same keys appear in trace
 ``shm.ring.full_waits``              producer waits on a full ring —
                                      sustained growth means undersized
                                      rings (``REPRO_SHM_RING_CAP``)
-``rounds.blob_bytes``                bytes of per-state result blobs
-                                     (rounds)
 ===================================  ======================================
 
 Timers (seconds, additive): ``explore.elapsed`` — exploration

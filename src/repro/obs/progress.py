@@ -14,9 +14,8 @@ untouched.  It is designed for the engine's hot loops:
   before even reading the clock, and redraws are additionally capped at
   one per ``interval`` seconds.
 
-The parallel backends feed it shard balance: the rounds master updates
-per BFS round, the pipeline master from the workers' periodic ``stat``
-messages (emitted only when a reporter is attached, so the message
+The pipeline feeds it shard balance: the master updates from the
+workers' periodic ``stat`` messages (emitted only when a reporter is attached, so the message
 traffic is also zero when off).
 """
 

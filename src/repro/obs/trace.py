@@ -23,8 +23,8 @@ Event payloads (additional fields may be appended in later versions —
 consumers must ignore unknown fields; the fields below are guaranteed):
 
 ``explore.start``
-    an engine exploration began — ``backend`` (``"sequential"`` |
-    ``"rounds"`` | ``"pipeline"``), ``workers``, ``reduction``,
+    an engine exploration began — ``backend`` (the path that runs it:
+    ``"sequential"`` | ``"pipeline"``), ``workers``, ``reduction``,
     ``max_states``;
 ``explore.finish``
     its span end — ``states``, ``edges``, ``elapsed`` (seconds),
@@ -32,21 +32,9 @@ consumers must ignore unknown fields; the fields below are guaranteed):
 ``explore.cached``
     an ``engine.run()`` served from the persistent result cache
     (no exploration span) — ``key`` (the cache fingerprint);
-``explore.round``
-    rounds backend, start of one level-synchronous BFS round —
-    ``round`` (1-based), ``frontier`` (configurations about to
-    expand), ``states`` (admitted so far);
-``explore.transport``
-    pipeline backend, the resolved cross-shard data plane —
-    ``transport`` (``"shm"`` | ``"queue"``), ``reason``
-    (``"requested"`` | ``"env"`` | ``"default"`` | ``"unavailable"``);
-``explore.codec``
-    pipeline backend, the resolved batch wire format —
-    ``codec`` (``"flat"`` | ``"pickle"``), ``reason``
-    (``"requested"`` | ``"env"`` | ``"default"``);
 ``explore.drain``
-    pipeline backend, a worker drained its local frontier and went
-    idle — ``worker`` (shard id), ``consumed`` (inbox batches
+    pipeline, a worker drained its local frontier and went idle —
+    ``worker`` (shard id), ``consumed`` (control-queue batches
     processed so far);
 ``metrics.sample``
     a metrics snapshot — ``metrics`` (the
@@ -99,9 +87,6 @@ EVENTS: Dict[str, Dict[str, type]] = {
         "truncated": bool, "stopped": bool, "states_per_sec": float,
     },
     "explore.cached": {"key": str},
-    "explore.round": {"round": int, "frontier": int, "states": int},
-    "explore.transport": {"transport": str, "reason": str},
-    "explore.codec": {"codec": str, "reason": str},
     "explore.drain": {"worker": int, "consumed": int},
     "metrics.sample": {"metrics": dict},
     "analysis.report": {"policy": str, "errors": int, "warnings": int},

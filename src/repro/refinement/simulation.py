@@ -102,7 +102,7 @@ def find_forward_simulation(
     (same thread ids, same client variables, same statement labels), as
     in Definition 7.  ``engine`` optionally routes the two explorations
     through a configured :class:`repro.engine.ExplorationEngine` (e.g.
-    the sharded multiprocess backend for large implementations).
+    the sharded multiprocess pipeline for large implementations).
     """
     conc = _prepare(concrete, max_states, engine)
     abst = _prepare(abstract, max_states, engine)

@@ -40,20 +40,6 @@ class Config:
 
         return reduce_config(self)
 
-    def __getstate__(self):
-        """The defining fields only (pre-codec wire format — retained so
-        old pickles load and the codec benchmark has its reference)."""
-        return {
-            "cmds": self.cmds,
-            "locals": self.locals,
-            "gamma": self.gamma,
-            "beta": self.beta,
-        }
-
-    def __setstate__(self, state) -> None:
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
-
     # -- inspection ----------------------------------------------------------
     def cmd(self, tid: str) -> Com:
         return self.cmds[tid]

@@ -59,8 +59,8 @@ Sleep sets
 ----------
 Persistent sets cut the branching factor; sleep sets remove the
 residual "commuting square" duplicates *between* the chosen siblings.
-A sleep set rides every frontier entry (threaded through the engine
-backends via the strategy's ``sleep_expand`` hook): thread ``u`` sleeps
+A sleep set rides every frontier entry (threaded through the sequential
+loop via the strategy's ``sleep_expand`` hook): thread ``u`` sleeps
 at a child when the search has already expanded, from the same parent,
 a sibling subtree in which every enabled transition of ``u`` is
 independent of the edge taken — any trace starting with ``u`` from the

@@ -74,7 +74,7 @@ initial-configuration normalisation, cache-fingerprint token,
 composability flags and metric names — registered under its name.
 Every consumer (``validate_reduction``, the engine's
 ``successor_function``/``_check_reduction``, the persistent-cache key,
-both parallel backends, batch, the CLI ``--reduction`` choices) reads
+the pipeline workers, batch, the CLI ``--reduction`` choices) reads
 the registry; nothing else enumerates policies.
 
 * ``"off"`` — the historical plain ``=⇒`` relation (the engine default).
@@ -132,9 +132,10 @@ class ReductionStrategy:
     * ``supports_witness_reexpansion`` — recorded parent edges can be
       re-derived into a concrete, unreduced-replayable schedule;
     * ``worker_safe`` — the successor/sleep functions are stateless and
-      may run inside sharded ``rounds`` workers;
-    * ``pipeline_safe`` — usable on the pipeline backend (sleep-set
-      policies are not until cross-shard sleep exchange exists);
+      may run inside worker processes;
+    * ``pipeline_safe`` — usable on the sharded pipeline (sleep-set
+      policies are not until cross-shard sleep exchange exists; the
+      engine explores them sequentially at any worker count);
     * ``requires_canonical`` — sound only under canonical state keys
       (the engine rejects ``canonicalise=False``).
 

@@ -209,8 +209,8 @@ def reconstruct_witness(
     ``parents`` maps each explored state key to ``(parent_key, tid,
     component, action)`` — the edge that first discovered it — and the
     initial key to ``None``; ``key_of`` must be the exploration's own
-    state-identity function (canonical key for the sequential backend,
-    stable digest of it for the sharded one).  Under a breadth-first
+    state-identity function (canonical key for the sequential loop,
+    stable digest of it for the sharded pipeline).  Under a breadth-first
     exploration the first-discovery edge is a shortest edge, so the
     reconstructed path is shortest in (macro-)steps.
 

@@ -125,7 +125,7 @@ def verify_lock_implementation(
     engine:
         Optional :class:`repro.engine.ExplorationEngine` through which
         every state-space exploration of the battery is routed (pick a
-        strategy or the sharded multiprocess backend for large
+        strategy or the sharded multiprocess pipeline for large
         implementations); None keeps the sequential in-process default.
     """
     if object_factory is None:

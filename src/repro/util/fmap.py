@@ -107,17 +107,6 @@ class FMap(Mapping[K, V]):
         never crosses processes."""
         return (FMap, (self._d,))
 
-    def __getstate__(self):
-        """Pre-codec wire format (kept for old pickles and the codec
-        benchmark's reference pickler)."""
-        return self._d
-
-    def __setstate__(self, d) -> None:
-        self._d = d
-        self._hash = None
-        self._sorted = None
-        self._ordered = None
-
     # -- identity ----------------------------------------------------------
     def __hash__(self) -> int:
         if self._hash is None:

@@ -66,41 +66,24 @@ class TestReductionFlag:
         assert "not supported" in capsys.readouterr().out
 
 
-class TestTransportFlag:
-    def test_unknown_transport_rejected(self, capsys):
-        assert main(["repro", "litmus", "--transport", "bogus"]) == 2
-        assert "unknown transport" in capsys.readouterr().out
-
-    def test_witness_rejects_transport(self, capsys):
-        assert (
-            main(["repro", "witness", "MP-relaxed", "--transport", "queue"])
-            == 2
-        )
-        assert "not supported" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("transport", ["shm", "queue"])
-    def test_litmus_runs_under_either_transport(
-        self, capsys, monkeypatch, transport
+class TestShardedCli:
+    @pytest.mark.parametrize("reduction", ["closure", "dpor"])
+    def test_litmus_runs_with_two_workers(
+        self, capsys, monkeypatch, reduction
     ):
+        # dpor is explored sequentially at any worker count; the
+        # pipeline runs the rest.
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert (
             main(
                 [
                     "repro", "litmus", "--workers", "2",
-                    "--transport", transport, "--quiet",
+                    "--reduction", reduction, "--quiet",
                 ]
             )
             == 0
         )
         assert "ALL CHECKS PASS" in capsys.readouterr().out
-
-    def test_env_transport_reaches_default_engine(self, monkeypatch):
-        from repro.engine import default_engine
-
-        monkeypatch.setenv("REPRO_TRANSPORT", "queue")
-        assert default_engine().transport == "queue"
-        monkeypatch.delenv("REPRO_TRANSPORT")
-        assert default_engine().transport is None
 
     def test_batch_reduction_json(self, capsys, monkeypatch, tmp_path):
         import json
@@ -281,7 +264,7 @@ class TestTraceFlag:
         # Satellite: the meta block makes archived reports
         # self-describing.
         meta = data["meta"]
-        assert meta["schema"] == 3
+        assert meta["schema"] == 4
         assert meta["python"] and meta["platform"]
         assert meta["cpu_count"] >= 1
         assert meta["workers"] == 1

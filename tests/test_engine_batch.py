@@ -69,7 +69,7 @@ class TestRunBatch:
         )
         assert report.ok
         meta = json.loads(out.read_text())["meta"]
-        assert meta["schema"] == 3
+        assert meta["schema"] == 4
         assert meta["reduction"] == "dpor"
         assert meta["jobs"] == {
             "litmus": {"reduction": "dpor"},

@@ -1,34 +1,34 @@
-"""Parity suite for the pipelined sharded backend.
+"""Parity suite for the engine's two paths at ``workers > 1``.
 
-The pipeline backend (:mod:`repro.engine.pipeline`) must be
+The sharded pipeline (:mod:`repro.engine.pipeline`) must be
 bit-identical to sequential BFS in every representation-independent
 observable on non-truncated runs — state and edge counts, terminal
-valuations, stuck-existence — across the full litmus catalog and the
-five abstract-object/lock client programs, at 2 and 4 workers,
-under both reduction policies, on both the full-map and the summary
-(``keep_configs=False``) paths, over *both* cross-shard transports —
-``"shm"`` (shared-memory rings, the zero-copy default) and ``"queue"``
-(master-routed blobs) — and over *both* batch wire codecs — ``"flat"``
-(the pickle-free struct-packed v2 format) and ``"pickle"`` (the v1
-reference): neither transport nor codec choice must ever change
-results.
-Where ``SharedMemory`` is unavailable the shm leg degrades to the
-documented auto-fallback (still queue semantics), so the suite stays
-green everywhere.  ``reachable``/``assert_invariant``-
-shaped verdicts (worker-side pure predicates with a stop broadcast)
-must agree with the sequential wrappers, witnesses reconstructed from
-pipeline-tracked parents must replay, and truncation must respect the
-global cap through the per-shard budgets.
+valuations, stuck-existence, litmus verdicts — across the full litmus
+catalog and the five abstract-object/lock client programs, at 2 and 4
+workers, under every reduction policy, on both the full-map and the
+summary (``keep_configs=False``) paths.  Policies the pipeline cannot
+run (``dpor``) take the sequential path at any worker count and are
+held to the same bar.  ``reachable``/``assert_invariant``-shaped
+verdicts (worker-side pure predicates with a stop broadcast) must
+agree with the sequential wrappers, witnesses reconstructed from
+pipeline-tracked parents must replay, truncation must respect the
+global cap through the per-shard budgets, and every sequential route
+must report itself as such on the trace.
 """
+
+import io
+import json
 
 import pytest
 
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
 from repro.engine.fingerprint import stable_digest
-from repro.litmus.catalog import LITMUS_TESTS
+from repro.litmus.catalog import LITMUS_TESTS, run_litmus
+from repro.obs.trace import TraceWriter, validate_event
 from repro.semantics.canon import canonical_key
-from repro.semantics.explore import reachable
+from repro.semantics.explore import explore, reachable
+from repro.semantics.reduce import REDUCTIONS, get_strategy
 from repro.semantics.witness import reconstruct_witness, replay_witness
 from tests.conftest import (
     abstract_lock_client,
@@ -39,20 +39,10 @@ from tests.conftest import (
 )
 
 WORKER_COUNTS = (2, 4)
-#: Both pipeline transports; "shm" resolves to the queue fallback on
-#: hosts without working SharedMemory (the parity obligations are
-#: identical either way).
-TRANSPORTS = ("shm", "queue")
-#: Both batch wire codecs (repro.memory.flatcodec.CODECS).
-CODECS = ("flat", "pickle")
-# The pipeline backend runs every pipeline-safe registered policy; the
-# registry is the single source of truth for which those are (dpor is
-# rejected — see TestPipelineBehaviour.test_rejects_non_pipeline_safe).
-from repro.semantics.reduce import REDUCTIONS as _ALL_REDUCTIONS
-from repro.semantics.reduce import get_strategy
-
-REDUCTIONS = tuple(
-    r for r in _ALL_REDUCTIONS if get_strategy(r).pipeline_safe
+#: The policies the pipeline itself runs (the registry decides; dpor
+#: takes the sequential path at any worker count).
+PIPELINE_REDUCTIONS = tuple(
+    r for r in REDUCTIONS if get_strategy(r).pipeline_safe
 )
 
 OBJECT_CLIENTS = (
@@ -93,17 +83,13 @@ def _assert_parity(ref, par):
     assert bool(par.stuck) == bool(ref.stuck)
 
 
-@pytest.mark.parametrize("codec", CODECS)
-@pytest.mark.parametrize("transport", TRANSPORTS)
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 class TestCatalogParity:
-    def test_full_litmus_catalog(self, workers, reduction, transport, codec):
-        engine = ExplorationEngine(
-            workers=workers, reduction=reduction, transport=transport,
-            codec=codec,
-        )
-        assert engine.backend == "pipeline"
+    def test_full_litmus_catalog(self, workers, reduction):
+        engine = ExplorationEngine(workers=workers, reduction=reduction)
         for test in LITMUS_TESTS:
             ref = _reference(test.name, test.build, reduction)
             for keep_configs in (True, False):
@@ -115,20 +101,25 @@ class TestCatalogParity:
                     *test.regs
                 ), test.name
 
+    def test_litmus_verdicts_match(self, workers, reduction):
+        seq_engine = ExplorationEngine(reduction=reduction)
+        engine = ExplorationEngine(workers=workers, reduction=reduction)
+        for test in LITMUS_TESTS:
+            seq = run_litmus(test, engine=seq_engine)
+            par = run_litmus(test, engine=engine)
+            assert par["verdict_ok"] and seq["verdict_ok"], test.name
+            assert par["outcomes"] == seq["outcomes"], test.name
+            assert par["states"] == seq["states"], test.name
 
-@pytest.mark.parametrize("codec", CODECS)
-@pytest.mark.parametrize("transport", TRANSPORTS)
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("reduction", PIPELINE_REDUCTIONS)
 @pytest.mark.parametrize(
     "name,build", OBJECT_CLIENTS, ids=[n for n, _ in OBJECT_CLIENTS]
 )
 class TestObjectClientParity:
-    def test_client(self, workers, reduction, name, build, transport, codec):
-        engine = ExplorationEngine(
-            workers=workers, reduction=reduction, transport=transport,
-            codec=codec,
-        )
+    def test_client(self, workers, reduction, name, build):
+        engine = ExplorationEngine(workers=workers, reduction=reduction)
         ref = _reference(name, build, reduction)
         for keep_configs in (True, False):
             par = engine.explore(build(), keep_configs=keep_configs)
@@ -138,14 +129,11 @@ class TestObjectClientParity:
 class TestVerdictParity:
     """``reachable``/``assert_invariant``-shaped verdicts — a pure
     predicate passed as ``on_config``, evaluated worker-side — agree
-    with the sequential wrappers under both reduction policies."""
+    with the sequential wrappers under every pipeline policy."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_weak_outcome_reachability(self, reduction, transport):
-        engine = ExplorationEngine(
-            workers=2, reduction=reduction, transport=transport
-        )
+    @pytest.mark.parametrize("reduction", PIPELINE_REDUCTIONS)
+    def test_weak_outcome_reachability(self, reduction):
+        engine = ExplorationEngine(workers=2, reduction=reduction)
         by_name = {t.name: t for t in LITMUS_TESTS}
         for name in ("MP-relaxed", "MP-RA", "MP-await-RA", "SB-relaxed"):
             test = by_name[name]
@@ -161,12 +149,9 @@ class TestVerdictParity:
             if not seq_hit:  # exhaustive no-hit run must stay complete
                 assert not par.truncated
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_invariant_verdicts(self, reduction, transport):
-        engine = ExplorationEngine(
-            workers=2, reduction=reduction, transport=transport
-        )
+    @pytest.mark.parametrize("reduction", PIPELINE_REDUCTIONS)
+    def test_invariant_verdicts(self, reduction):
+        engine = ExplorationEngine(workers=2, reduction=reduction)
         by_name = {t.name: t for t in LITMUS_TESTS}
         program = by_name["MP-ring-2-RA"].build()
 
@@ -188,34 +173,90 @@ class TestVerdictParity:
 
 
 class TestPipelineBehaviour:
-    def test_rejects_non_pipeline_safe(self):
-        """Policies flagged ``pipeline_safe=False`` (dpor) are rejected
-        with a clear error, not silently degraded."""
+    def test_explore_pipeline_rejects_non_pipeline_safe(self):
+        """Called directly, the pipeline refuses policies flagged
+        ``pipeline_safe=False`` (dpor) instead of degrading them; the
+        engine routes those to the sequential loop (see
+        :class:`TestSequentialRoutes`)."""
         from repro.engine.pipeline import explore_pipeline
 
         assert not get_strategy("dpor").pipeline_safe
-        program = LITMUS_TESTS[0].build()
-        with pytest.raises(ValueError, match="pipeline backend"):
-            ExplorationEngine(workers=2, reduction="dpor").explore(program)
-        with pytest.raises(ValueError, match="pipeline backend"):
-            explore_pipeline(program, 2, 100_000, reduction="dpor")
-        # workers=1 falls back to the sequential engine before backend
-        # dispatch, so the default (pipeline) backend still works there.
-        result = ExplorationEngine(workers=1, reduction="dpor").explore(
-            program
-        )
-        assert result.state_count > 0
+        with pytest.raises(ValueError, match="not supported on the pipeline"):
+            explore_pipeline(
+                LITMUS_TESTS[0].build(), 2, 100_000, reduction="dpor"
+            )
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_truncation_respects_global_cap(self, transport):
-        engine = ExplorationEngine(workers=2, transport=transport)
+    def test_truncation_respects_global_cap(self):
+        engine = ExplorationEngine(workers=2)
         result = engine.explore(LITMUS_TESTS[0].build(), max_states=3)
         assert result.truncated
         assert result.state_count <= 3
 
-    def test_find_witness_is_shortest_via_rounds(self):
-        """find_witness on a pipeline engine pins the rounds backend:
-        the witness length matches the sequential (BFS) one."""
+    def test_early_stop(self):
+        program = {t.name: t for t in LITMUS_TESTS}["MP-ring-2-RA"].build()
+        full = explore(program)
+        initial_ops = len(full.initial.gamma.ops)
+
+        def moved(cfg):  # false on the initial configuration only
+            return len(cfg.gamma.ops) > initial_ops
+
+        result = ExplorationEngine(workers=2).explore(program, on_config=moved)
+        assert result.stopped
+        assert result.state_count < full.state_count
+
+    def test_collect_edges_parity(self):
+        test = LITMUS_TESTS[0]
+        seq = explore(test.build(), collect_edges=True)
+        par = ExplorationEngine(workers=2).explore(
+            test.build(), collect_edges=True
+        )
+        # Same graph shape modulo key representation: every node has an
+        # edge list, targets resolve, and the labelled out-edge
+        # multisets coincide node-for-node.
+        assert set(par.edges) == set(par.configs)
+        for out in par.edges.values():
+            for _tid, _comp, _act, tkey in out:
+                assert tkey in par.configs
+
+        def shape(result):
+            return sorted(
+                sorted(
+                    (tid, comp, repr(act)) for tid, comp, act, _ in out
+                )
+                for out in result.edges.values()
+            )
+
+        assert shape(par) == shape(seq)
+
+    def test_invariant_checking_in_workers(self):
+        # Diagnostic mode must survive the worker boundary.
+        test = LITMUS_TESTS[0]
+        ref = _reference(test.name, test.build, "off")
+        result = ExplorationEngine(workers=2).explore(
+            test.build(), check_invariants=True
+        )
+        _assert_parity(ref, result)
+
+    def test_workers_one_is_the_sequential_loop(self):
+        test = LITMUS_TESTS[0]
+        seq = explore(test.build())
+        one = ExplorationEngine(workers=1).explore(test.build())
+        # Identical including insertion order: same code path.
+        assert list(one.configs) == list(seq.configs)
+        assert one.edge_count == seq.edge_count
+
+    @pytest.mark.parametrize("option", ["backend", "transport", "codec"])
+    def test_removed_options_are_type_errors(self, option):
+        with pytest.raises(TypeError):
+            ExplorationEngine(workers=2, **{option: None})
+        with pytest.raises(TypeError):
+            ExplorationEngine(workers=2).explore(
+                LITMUS_TESTS[0].build(), **{option: None}
+            )
+
+    def test_find_witness_is_shortest(self):
+        """find_witness on a multi-worker engine searches sequentially:
+        the witness length matches the workers=1 (BFS) one."""
         by_name = {t.name: t for t in LITMUS_TESTS}
         test = by_name["MP-relaxed"]
 
@@ -230,18 +271,15 @@ class TestPipelineBehaviour:
         )
         assert par_wit is not None and len(par_wit) == len(seq_wit)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_witness_replay_from_pipeline_parents(self, reduction, transport):
-        """Parents recorded by the pipeline backend reconstruct into
-        witnesses that replay through the raw semantics — valid
-        discovery paths, even though not necessarily shortest."""
+    @pytest.mark.parametrize("reduction", PIPELINE_REDUCTIONS)
+    def test_witness_replay_from_pipeline_parents(self, reduction):
+        """Parents recorded by the pipeline reconstruct into witnesses
+        that replay through the raw semantics — valid discovery paths,
+        even though not necessarily shortest."""
         by_name = {t.name: t for t in LITMUS_TESTS}
         test = by_name["MP-relaxed"]
         program = test.build()
-        engine = ExplorationEngine(
-            workers=2, reduction=reduction, transport=transport
-        )
+        engine = ExplorationEngine(workers=2, reduction=reduction)
         result = engine.explore(program, track_parents=True)
 
         def key_of(cfg):
@@ -259,12 +297,11 @@ class TestPipelineBehaviour:
         final = replay_witness(program, witness)
         assert test.outcome_of(final) in test.weak
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_worker_failure_surfaces(self, transport):
+    def test_worker_failure_surfaces(self):
         """An exception inside a worker must fail the exploration (not
         hang it) and re-raise with its original type master-side, as
-        the rounds and sequential backends do — on both transports."""
-        engine = ExplorationEngine(workers=2, transport=transport)
+        the sequential loop does."""
+        engine = ExplorationEngine(workers=2)
 
         def boom(cfg):
             raise KeyError("probe exploded")
@@ -272,9 +309,8 @@ class TestPipelineBehaviour:
         with pytest.raises(KeyError, match="probe exploded"):
             engine.explore(LITMUS_TESTS[0].build(), on_config=boom)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_summary_path_keeps_sinks_only(self, transport):
-        engine = ExplorationEngine(workers=2, transport=transport)
+    def test_summary_path_keeps_sinks_only(self):
+        engine = ExplorationEngine(workers=2)
         test = LITMUS_TESTS[0]
         full = engine.explore(test.build())
         summary = engine.explore(test.build(), keep_configs=False)
@@ -285,3 +321,88 @@ class TestPipelineBehaviour:
         assert summary.terminal_locals(*test.regs) == full.terminal_locals(
             *test.regs
         )
+
+
+def _traced_run(workers, reduction, run):
+    """``run(engine)`` on a traced engine; returns its value and the
+    validated trace events."""
+    buf = io.StringIO()
+    engine = ExplorationEngine(
+        workers=workers, reduction=reduction, trace=TraceWriter(buf)
+    )
+    value = run(engine)
+    events = [json.loads(line) for line in buf.getvalue().splitlines()]
+    for event in events:
+        validate_event(event)
+    return value, events
+
+
+def _span(events):
+    start = next(e for e in events if e["ev"] == "explore.start")
+    finish = next(e for e in events if e["ev"] == "explore.finish")
+    return start, finish
+
+
+class TestSequentialRoutes:
+    """At ``workers > 1`` the engine explores sequentially wherever the
+    pipeline cannot run, with the same results as ``workers=1`` — and
+    the trace's ``explore.start`` names the path that actually ran."""
+
+    @pytest.mark.parametrize("route", ["dpor", "find_witness", "no-shm"])
+    def test_route_matches_workers_one(self, route, monkeypatch):
+        import repro.engine.shm as shm
+
+        if route == "no-shm":
+            monkeypatch.setattr(shm, "_AVAILABLE", False)
+        test = {t.name: t for t in LITMUS_TESTS}["MP-relaxed"]
+        reduction = "dpor" if route == "dpor" else "off"
+
+        def weak(cfg):
+            return test.outcome_of(cfg) in test.weak
+
+        def run(engine):
+            if route == "find_witness":
+                witness = engine.find_witness(
+                    test.build(), weak, terminal_only=True
+                )
+                return len(witness), {test.outcome_of(witness.final)}
+            result = engine.explore(test.build())
+            return None, result.terminal_locals(*test.regs)
+
+        one, one_events = _traced_run(1, reduction, run)
+        two, two_events = _traced_run(2, reduction, run)
+        assert two == one
+        start, finish = _span(two_events)
+        assert start["backend"] == "sequential"
+        assert start["workers"] == 2
+        _, one_finish = _span(one_events)
+        assert finish["states"] == one_finish["states"]
+        assert finish["edges"] == one_finish["edges"]
+
+    def test_spawn_host_with_unpicklable_callback(self, monkeypatch):
+        import multiprocessing
+
+        import repro.engine.pipeline as pipeline
+
+        monkeypatch.setattr(
+            pipeline, "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        test = LITMUS_TESTS[0]
+        ref = _reference(test.name, test.build, "off")
+
+        def run(engine):
+            return engine.explore(test.build(), on_config=lambda cfg: False)
+
+        result, events = _traced_run(2, "off", run)
+        _assert_parity(ref, result)
+        assert _span(events)[0]["backend"] == "sequential"
+
+    def test_pipeline_route_is_reported(self):
+        test = LITMUS_TESTS[0]
+        ref = _reference(test.name, test.build, "off")
+        result, events = _traced_run(
+            2, "off", lambda engine: engine.explore(test.build())
+        )
+        _assert_parity(ref, result)
+        assert _span(events)[0]["backend"] == "pipeline"

@@ -96,14 +96,11 @@ class TestCacheKeying:
 
 class TestParallelSummaryPath:
     def test_keep_configs_false_drops_map_keeps_verdict(self):
-        from repro.engine.parallel import explore_parallel
-
         test = _BY_NAME["MP-2-producers"]
         program = test.build()
-        full = explore_parallel(program, workers=2, max_states=500_000)
-        slim = explore_parallel(
-            program, workers=2, max_states=500_000, keep_configs=False
-        )
+        engine = ExplorationEngine(workers=2)
+        full = engine.explore(program)
+        slim = engine.explore(program, keep_configs=False)
         assert slim.state_count == full.state_count
         assert slim.edge_count == full.edge_count
         assert slim.terminal_locals(*test.regs) == set(test.allowed)
@@ -111,15 +108,8 @@ class TestParallelSummaryPath:
         assert len(full.configs) == full.state_count
 
     def test_collect_edges_forces_full_map(self):
-        from repro.engine.parallel import explore_parallel
-
-        program = _program()
-        result = explore_parallel(
-            program,
-            workers=2,
-            max_states=500_000,
-            collect_edges=True,
-            keep_configs=False,
+        result = ExplorationEngine(workers=2).explore(
+            _program(), collect_edges=True, keep_configs=False
         )
         assert len(result.configs) == result.state_count
         assert set(result.edges) == set(result.configs)

@@ -3,9 +3,8 @@
 
 The ring layer is exercised directly — frame round-trips, wraparound,
 oversize-batch chunking, backpressure wait/wake, producer death — plus
-the exchange lifecycle guarantees the pipeline backend builds on: no
-leaked ``SharedMemory`` segments after clean *or* unclean runs, and the
-documented transport resolution order.
+the exchange lifecycle guarantees the pipeline builds on: no leaked
+``SharedMemory`` segments after clean *or* unclean runs.
 """
 
 import glob
@@ -25,7 +24,12 @@ from repro.engine.shm import (
     ShmExchange,
     shm_available,
 )
-from repro.memory.codec import BufferFull, encode_batch_into
+from repro.memory.codec import (
+    BufferFull,
+    CodecError,
+    decode_batch_from,
+    encode_batch_into,
+)
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="SharedMemory unavailable on this host"
@@ -39,16 +43,13 @@ def _ctx():
     )
 
 
-def _local_ring(capacity=1024, codec=None):
+def _local_ring(capacity=1024):
     """A ring over plain process-local memory (the ring logic never
-    cares where the buffer lives), with thread events.  ``codec`` is an
-    optional :class:`repro.memory.flatcodec.BatchCodec` (None keeps the
-    v1 pickle wire format)."""
+    cares where the buffer lives), with thread events."""
     buf = memoryview(bytearray(HEADER_SIZE + capacity))
     return Ring(
         buf, capacity,
         space_event=threading.Event(), data_event=threading.Event(),
-        codec=codec,
     )
 
 
@@ -164,28 +165,10 @@ class TestRing:
             Ring(buf, 100, threading.Event(), threading.Event())
 
 
-class TestRingCodec:
-    """Rings over each pluggable batch codec: the framing layer never
-    inspects blob contents, so every codec's wire format must ride
-    through publish/drain — including the flat codec's whole-batch
-    pickle fallback for non-``(digest, Config)`` payloads."""
-
-    @pytest.mark.parametrize("codec_name", ("flat", "pickle"))
-    def test_round_trip_with_each_codec(self, codec_name):
-        from repro.memory.flatcodec import get_codec
-
-        ring = _local_ring(codec=get_codec(codec_name))
-        batch = [(b"d1", ("cfg", 1)), (b"d2", ("cfg", 2))]
-        ring.publish(batch)
-        got = []
-        assert ring.drain(got.append) == 1
-        assert got == [batch]
-
-    @pytest.mark.parametrize("codec_name", ("flat", "pickle"))
-    def test_real_configs_round_trip(self, codec_name):
+class TestRingConfigs:
+    def test_real_configs_round_trip(self):
         from repro.engine.fingerprint import stable_digest
         from repro.litmus.catalog import LITMUS_TESTS
-        from repro.memory.flatcodec import get_codec
         from repro.semantics.explore import explore
 
         result = explore(LITMUS_TESTS[0].build())
@@ -193,54 +176,16 @@ class TestRingCodec:
             (stable_digest(repr(i).encode()), cfg)
             for i, cfg in enumerate(list(result.configs.values())[:8])
         ]
-        ring = _local_ring(capacity=1 << 16, codec=get_codec(codec_name))
+        ring = _local_ring(capacity=1 << 16)
         ring.publish(batch)
         got = []
         assert ring.drain(got.append) == 1
         assert got == [batch]
 
-    @pytest.mark.parametrize("codec_name", ("flat", "pickle"))
-    def test_chunked_oversize_survives_codec(self, codec_name):
-        from repro.memory.flatcodec import get_codec
-
-        ring = _local_ring(capacity=512, codec=get_codec(codec_name))
-        batch = [("big", "q" * 4000)]
-        consumed = []
-        done = threading.Event()
-
-        def consume():
-            while not consumed:
-                ring.drain(consumed.append)
-                time.sleep(0.001)
-            done.set()
-
-        t = threading.Thread(target=consume)
-        t.start()
-        ring.publish(batch)
-        assert done.wait(5.0)
-        t.join()
-        assert consumed == [batch]
-
-    def test_exchange_threads_codec_name_to_rings(self):
-        ctx = _ctx()
-        exchange = ShmExchange(2, ctx, capacity=4096, codec="flat")
-        try:
-            assert exchange.codec == "flat"
-            ring = exchange.ring(0, 1)
-            batch = [(b"d", ("payload",))]
-            ring.publish(batch)
-            got = []
-            assert exchange.ring(0, 1).drain(got.append) == 1
-            assert got == [batch]
-        finally:
-            exchange.cleanup()
-
 
 class TestEncodeInto:
     def test_matches_codec_wire_format(self):
         import pickle
-
-        from repro.memory.codec import decode_batch_from
 
         batch = [(b"digest", {"k": [1, 2, 3]})]
         buf = memoryview(bytearray(4096))
@@ -253,6 +198,15 @@ class TestEncodeInto:
         batch = [("x" * 100, "y" * 100)]
         with pytest.raises(BufferFull):
             encode_batch_into(batch, memoryview(bytearray(16)))
+
+    def test_corrupt_frames_raise_codec_error(self):
+        batch = [(b"digest", ("cfg", 1))]
+        buf = memoryview(bytearray(4096))
+        n = encode_batch_into(batch, buf)
+        frame = bytes(buf[:n])
+        for bad in (b"", frame[: n // 2], b"\x00" + frame[1:]):
+            with pytest.raises(CodecError):
+                decode_batch_from(bad)
 
 
 def _producer_then_crash(exchange, batches):
@@ -331,7 +285,7 @@ class TestPipelineShutdown:
         from repro.litmus.catalog import LITMUS_TESTS
 
         before = _shm_segments()
-        engine = ExplorationEngine(workers=2, transport="shm")
+        engine = ExplorationEngine(workers=2)
         result = engine.explore(LITMUS_TESTS[0].build())
         assert result.state_count > 0
         assert _shm_segments() == before
@@ -343,7 +297,7 @@ class TestPipelineShutdown:
         from repro.litmus.catalog import LITMUS_TESTS
 
         before = _shm_segments()
-        engine = ExplorationEngine(workers=2, transport="shm")
+        engine = ExplorationEngine(workers=2)
 
         def boom(cfg):
             raise RuntimeError("worker detonated")
@@ -362,122 +316,8 @@ class TestPipelineShutdown:
         monkeypatch.setenv("REPRO_SHM_RING_CAP", "256")
         test = next(t for t in LITMUS_TESTS if t.name == "MP-ring-3-RA")
         ref = explore_sequential(test.build())
-        par = ExplorationEngine(workers=2, transport="shm").explore(
+        par = ExplorationEngine(workers=2).explore(
             test.build()
         )
         assert par.state_count == ref.state_count
         assert par.edge_count == ref.edge_count
-
-
-class TestResolveTransport:
-    def test_explicit_wins(self, monkeypatch):
-        from repro.engine.pipeline import resolve_transport
-
-        monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-        assert resolve_transport("queue") == ("queue", "requested")
-
-    def test_env_consulted_when_unspecified(self, monkeypatch):
-        from repro.engine.pipeline import resolve_transport
-
-        monkeypatch.setenv("REPRO_TRANSPORT", "queue")
-        assert resolve_transport(None) == ("queue", "env")
-
-    def test_default_prefers_shm_where_available(self, monkeypatch):
-        from repro.engine.pipeline import resolve_transport
-
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert resolve_transport(None) == ("shm", "default")
-
-    def test_falls_back_when_unavailable(self, monkeypatch):
-        import repro.engine.shm as shm_mod
-        from repro.engine.pipeline import resolve_transport
-
-        monkeypatch.setattr(shm_mod, "_AVAILABLE", False)
-        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-        assert resolve_transport("shm") == ("queue", "unavailable")
-        assert resolve_transport(None) == ("queue", "unavailable")
-
-    def test_bad_name_rejected(self):
-        from repro.engine.pipeline import resolve_transport
-
-        with pytest.raises(ValueError, match="unknown pipeline transport"):
-            resolve_transport("bogus")
-
-    def test_trace_records_selection(self, tmp_path):
-        import json
-
-        from repro.engine import ExplorationEngine
-        from repro.litmus.catalog import LITMUS_TESTS
-        from repro.obs.trace import TraceWriter, validate_event
-
-        path = tmp_path / "trace.jsonl"
-        trace = TraceWriter(str(path))
-        engine = ExplorationEngine(workers=2, transport="shm", trace=trace)
-        engine.explore(LITMUS_TESTS[0].build())
-        trace.close()
-        events = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        for ev in events:
-            validate_event(ev)
-        selected = [e for e in events if e["ev"] == "explore.transport"]
-        assert selected and selected[0]["transport"] == "shm"
-        assert selected[0]["reason"] == "requested"
-
-
-class TestResolveCodec:
-    """The documented codec resolution order (mirrors transport
-    resolution): explicit request, then ``REPRO_CODEC``, then the flat
-    default — recorded in the trace stream."""
-
-    def test_explicit_wins(self, monkeypatch):
-        from repro.engine.pipeline import resolve_codec
-
-        monkeypatch.setenv("REPRO_CODEC", "flat")
-        assert resolve_codec("pickle") == ("pickle", "requested")
-
-    def test_env_consulted_when_unspecified(self, monkeypatch):
-        from repro.engine.pipeline import resolve_codec
-
-        monkeypatch.setenv("REPRO_CODEC", "pickle")
-        assert resolve_codec(None) == ("pickle", "env")
-
-    def test_default_is_flat(self, monkeypatch):
-        from repro.engine.pipeline import resolve_codec
-
-        monkeypatch.delenv("REPRO_CODEC", raising=False)
-        assert resolve_codec(None) == ("flat", "default")
-
-    def test_bad_name_rejected(self):
-        from repro.engine.pipeline import resolve_codec
-
-        with pytest.raises(ValueError, match="codec"):
-            resolve_codec("bogus")
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        from repro.engine.pipeline import resolve_codec
-
-        monkeypatch.setenv("REPRO_CODEC", "bogus")
-        with pytest.raises(ValueError, match="codec"):
-            resolve_codec(None)
-
-    def test_trace_records_selection(self, tmp_path):
-        import json
-
-        from repro.engine import ExplorationEngine
-        from repro.litmus.catalog import LITMUS_TESTS
-        from repro.obs.trace import TraceWriter, validate_event
-
-        path = tmp_path / "trace.jsonl"
-        trace = TraceWriter(str(path))
-        engine = ExplorationEngine(workers=2, codec="pickle", trace=trace)
-        engine.explore(LITMUS_TESTS[0].build())
-        trace.close()
-        events = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        for ev in events:
-            validate_event(ev)
-        selected = [e for e in events if e["ev"] == "explore.codec"]
-        assert selected and selected[0]["codec"] == "pickle"
-        assert selected[0]["reason"] == "requested"

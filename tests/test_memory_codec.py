@@ -1,13 +1,10 @@
-"""The compact config codec: round-trip exactness, interning, size.
+"""The compact config codec: round-trip exactness and interning.
 
 The codec (:mod:`repro.memory.codec`) changes how configurations are
 written, never what they mean: a pickle round-trip must be
 value-identical — bit-identical canonical keys, equal raw fields — on
 hypothesis-random configurations and across the litmus catalog; the
-decode side must intern repeated actions and timestamps; and the
-compact format must actually be smaller than the pre-codec reference
-format it replaced (the ≥1.3x wire-ratio claim lives in
-``benchmarks/test_bench_parallel_pipeline.py``).
+decode side must intern repeated actions and timestamps.
 """
 
 import pickle
@@ -48,13 +45,6 @@ class TestRoundTrip:
             back = _roundtrip(cfg)
             assert back == cfg
             assert canonical_key(p, back) == canonical_key(p, cfg)
-
-    def test_legacy_format_still_loads(self):
-        """Blobs in the pre-codec wire format decode to equal values."""
-        program = LITMUS_TESTS[0].build()
-        result = explore(program)
-        for cfg in list(result.configs.values())[:20]:
-            assert pickle.loads(codec.legacy_dumps(cfg)) == cfg
 
     def test_naive_state_decodes_as_itself(self):
         """Subclasses of ComponentState survive the codec as their own
@@ -169,19 +159,3 @@ class TestEncodeInto:
         with pytest.raises(codec.BufferFull):
             codec.encode_batch_into(batch, memoryview(backing)[:64])
         assert bytes(backing[64:]) == canary
-
-
-class TestCompactness:
-    def test_codec_beats_legacy_format(self):
-        """The compact format is strictly smaller than the pre-codec
-        reference on every explored litmus configuration set."""
-        for test in LITMUS_TESTS[:4]:
-            result = explore(test.build())
-            new = sum(
-                len(pickle.dumps(c, pickle.HIGHEST_PROTOCOL))
-                for c in result.configs.values()
-            )
-            old = sum(
-                len(codec.legacy_dumps(c)) for c in result.configs.values()
-            )
-            assert new < old, test.name

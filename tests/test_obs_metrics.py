@@ -1,19 +1,20 @@
-"""The metrics registry and its cross-backend parity contract.
+"""The metrics registry and its cross-path parity contract.
 
 The unit half exercises :class:`repro.obs.metrics.Metrics` (collection,
 merging, the active-collector protocol).  The parity half is the
-load-bearing guarantee of the telemetry layer: the sharded backends'
+load-bearing guarantee of the telemetry layer: the pipeline's
 per-worker counter fragments must merge to exactly the sequential
-backend's totals — states, edges, and the reduction layer's
-fusion/prune counts — across {rounds, pipeline} × {off, closure} on the
-litmus catalog, because every backend expands every reachable state
-exactly once and the semantics layers are deterministic per state.
+loop's totals — states, edges, and the reduction layer's fusion/prune
+counts — under {off, closure} on the litmus catalog, because both paths
+expand every reachable state exactly once and the semantics layers are
+deterministic per state.
 """
 
 import pytest
 
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
+from repro.engine.shm import shm_available
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.obs.metrics import Metrics, active, activate, collecting
 
@@ -167,18 +168,14 @@ def _sequential_counters(program, reduction):
 class TestShardedParity:
     """Worker counter fragments must sum to the sequential totals."""
 
-    @pytest.mark.parametrize("backend", ["rounds", "pipeline"])
     @pytest.mark.parametrize("reduction", ["off", "closure"])
-    def test_catalog_counter_parity(self, backend, reduction):
+    def test_catalog_counter_parity(self, reduction):
         mismatches = []
         for test in LITMUS_TESTS:
             seq = _sequential_counters(test.build(), reduction)
             m = Metrics()
             engine = ExplorationEngine(
-                workers=WORKERS,
-                backend=backend,
-                reduction=reduction,
-                metrics=m,
+                workers=WORKERS, reduction=reduction, metrics=m
             )
             result = engine.explore(test.build())
             # Counter parity is only defined on full runs (the
@@ -209,53 +206,24 @@ class TestShardedParity:
                     )
         assert not mismatches, mismatches
 
-    def test_pipeline_reports_codec_traffic(self):
+    @pytest.mark.skipif(
+        not shm_available(), reason="SharedMemory unavailable: no pipeline"
+    )
+    def test_pipeline_reports_ring_traffic(self):
         # Cross-shard successors must pass through the transport
-        # counters: batches on either transport, plus the queue
-        # transport's blob bytes and its deterministic two intermediate
-        # copies per batch.
+        # counters, with *zero* intermediate batch copies on spaces
+        # whose batches fit the rings (the zero-copy contract) and the
+        # codec's encode/decode time accounted.
         test = next(t for t in LITMUS_TESTS if t.name == "MP-ring-3-RA")
         m = Metrics()
-        engine = ExplorationEngine(
-            workers=WORKERS, backend="pipeline", transport="queue", metrics=m
-        )
-        engine.explore(test.build())
-        assert m.counters["pipeline.batches"] > 0
-        assert m.counters["pipeline.blob_bytes"] > 0
-        assert (
-            m.counters["pipeline.batch_copies"]
-            == 2 * m.counters["pipeline.batches"]
-        )
-
-    def test_pipeline_shm_reports_ring_traffic(self):
-        # The shm transport replaces blob bytes with ring frame bytes
-        # and must report *zero* intermediate batch copies on spaces
-        # whose batches fit the rings (the zero-copy contract).
-        from repro.engine.shm import shm_available
-
-        if not shm_available():
-            import pytest
-
-            pytest.skip("SharedMemory unavailable; shm falls back to queue")
-        test = next(t for t in LITMUS_TESTS if t.name == "MP-ring-3-RA")
-        m = Metrics()
-        engine = ExplorationEngine(
-            workers=WORKERS, backend="pipeline", transport="shm", metrics=m
-        )
+        engine = ExplorationEngine(workers=WORKERS, metrics=m)
         engine.explore(test.build())
         assert m.counters["pipeline.batches"] > 0
         assert m.counters["shm.ring.frames"] >= m.counters["pipeline.batches"]
         assert m.counters["shm.ring.bytes"] > 0
         assert m.counters.get("pipeline.batch_copies", 0) == 0
-
-    def test_rounds_reports_codec_traffic(self):
-        test = next(t for t in LITMUS_TESTS if t.name == "MP-ring-3-RA")
-        m = Metrics()
-        engine = ExplorationEngine(
-            workers=WORKERS, backend="rounds", metrics=m
-        )
-        engine.explore(test.build())
-        assert m.counters["rounds.blob_bytes"] > 0
+        assert m.counters["codec.encode_ns"] > 0
+        assert m.counters["codec.decode_ns"] > 0
 
     def test_engine_sink_accumulates_across_explorations(self):
         sink = Metrics()

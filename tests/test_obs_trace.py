@@ -70,8 +70,8 @@ class TestTraceWriter:
 
 class TestValidateEvent:
     def _ok(self, **overrides):
-        base = {"v": 1, "ts": 1.0, "ev": "explore.round",
-                "round": 1, "frontier": 2, "states": 3}
+        base = {"v": 1, "ts": 1.0, "ev": "explore.drain",
+                "worker": 1, "consumed": 3}
         base.update(overrides)
         return base
 
@@ -99,15 +99,15 @@ class TestValidateEvent:
 
     def test_rejects_missing_field(self):
         bad = self._ok()
-        del bad["frontier"]
-        with pytest.raises(ValueError, match="frontier"):
+        del bad["consumed"]
+        with pytest.raises(ValueError, match="consumed"):
             validate_event(bad)
 
     def test_bool_is_not_an_int(self):
         # isinstance(True, int) holds in Python; the schema must not
         # let a boolean masquerade as a count.
-        with pytest.raises(ValueError, match="round"):
-            validate_event(self._ok(round=True))
+        with pytest.raises(ValueError, match="worker"):
+            validate_event(self._ok(worker=True))
 
     def test_int_is_a_float(self):
         # JSON has one number type: integral elapsed values are fine.
@@ -119,9 +119,7 @@ class TestValidateEvent:
     def test_every_documented_event_has_a_spec(self):
         assert set(EVENTS) == {
             "explore.start", "explore.finish", "explore.cached",
-            "explore.round", "explore.drain", "explore.transport",
-            "explore.codec",
-            "metrics.sample", "analysis.report",
+            "explore.drain", "metrics.sample", "analysis.report",
             "litmus.start", "litmus.finish",
             "batch.start", "batch.finish",
             "batch.job.start", "batch.job.finish",
@@ -151,22 +149,15 @@ class TestEngineEmission:
         counters = sample["metrics"]["counters"]
         assert counters["explore.states"] == result.state_count
 
-    def test_rounds_emits_round_events(self):
-        result, events = self._explore(workers=2, backend="rounds")
-        rounds = [e for e in events if e["ev"] == "explore.round"]
-        assert rounds, "level-synchronous backend must trace its rounds"
-        assert [e["round"] for e in rounds] == list(
-            range(1, len(rounds) + 1)
-        )
-        assert rounds[0]["states"] == 1  # only the initial state admitted
-        finish = next(e for e in events if e["ev"] == "explore.finish")
-        assert finish["states"] == result.state_count
-
     def test_pipeline_emits_drain_events(self):
-        _result, events = self._explore(workers=2, backend="pipeline")
+        result, events = self._explore(workers=2)
+        assert events[0]["ev"] == "explore.start"
+        assert events[0]["backend"] == "pipeline"
         drains = [e for e in events if e["ev"] == "explore.drain"]
         assert drains, "pipeline workers must trace their idle reports"
         assert {e["worker"] for e in drains} <= {0, 1}
+        finish = next(e for e in events if e["ev"] == "explore.finish")
+        assert finish["states"] == result.state_count
 
     def test_cached_run_emits_cached_event(self, tmp_path):
         buf = io.StringIO()

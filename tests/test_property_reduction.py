@@ -18,17 +18,16 @@ reduced and unreduced exploration must agree on
   internally, so routing them through a closure-configured engine must
   change nothing;
 
-sequentially and through the sharded parallel backend, whose closure
-counts must match the sequential ones exactly.
+sequentially and through the sharded pipeline, whose closure counts
+must match the sequential ones exactly.
 
 ``reduction="dpor"`` (sleep sets + persistent sets,
 :mod:`repro.semantics.dpor`) is held to the same verdict bar — equal
 terminal-valuation sets, stuck-existence and reachability verdicts —
 while storing *at most* as many states as closure (it explores a
-subset of the closed macro-step system).  Its parallel leg runs on the
-rounds backend only, and asserts verdict parity without state-count
-equality: sleep sets depend on discovery order, so worker counts may
-legitimately store slightly different (always sound) state sets.
+subset of the closed macro-step system).  Multi-worker engines explore
+it sequentially (the pipeline has no cross-shard sleep-set exchange),
+and its parallel leg asserts verdict parity on that route.
 """
 
 from hypothesis import given, settings
@@ -183,17 +182,16 @@ class TestParallelParity:
         "name", ["MP-ring-2-RA", "MP-2-producers", "IRIW-await-RA"]
     )
     def test_parallel_dpor_verdict_parity(self, name, workers):
-        """dpor through the rounds backend: verdict parity with the
-        sequential engine, state count bounded by sequential closure.
-        State-count *equality* across worker counts is deliberately not
-        asserted — sleep sets depend on discovery order."""
+        """dpor on a multi-worker engine (which explores it
+        sequentially): verdict parity with the sequential engine, state
+        count bounded by sequential closure."""
         test = {t.name: t for t in LITMUS_TESTS}[name]
         program = test.build()
         seq = explore_sequential(program, reduction="dpor")
         closure = explore_sequential(program, reduction="closure")
-        par = ExplorationEngine(
-            workers=workers, reduction="dpor", backend="rounds"
-        ).explore(program)
+        par = ExplorationEngine(workers=workers, reduction="dpor").explore(
+            program
+        )
         assert _terminal_valuations(par) == _terminal_valuations(seq)
         assert bool(par.stuck) == bool(seq.stuck)
         assert par.state_count <= closure.state_count

@@ -4,8 +4,9 @@ The engine's ``find_witness`` tracks predecessors by key + edge label
 (no stored configurations) and re-derives the concrete schedule by
 replay; under ``reduction="closure"`` it additionally re-expands fused
 macro-steps.  These properties pin the contract over the litmus
-catalog, for the sequential and the 2-worker sharded backend, with the
-reduction off and on:
+catalog, for 1- and 2-worker engines (``find_witness`` searches on
+the sequential path at any worker count), with the reduction off and
+on:
 
 * **replayability** — every step of a reconstructed witness is an
   element of the raw (unreduced) ``successors`` relation at its point,
@@ -17,7 +18,7 @@ reduction off and on:
   (macro-BFS minimises visible steps, and silent-chain lengths are
   path-dependent);
 * **negative parity** — where the model forbids the weak outcome,
-  every backend proves unreachability (returns None) rather than
+  every engine proves unreachability (returns None) rather than
   fabricating a witness.
 """
 
@@ -33,7 +34,7 @@ WEAK_ALLOWED = [t for t in LITMUS_TESTS if t.weak_allowed]
 #: Tests whose weak outcome is forbidden — exhaustively unreachable.
 WEAK_FORBIDDEN = [t for t in LITMUS_TESTS if not t.weak_allowed]
 
-#: Subset exercised through the (pool-spawning) 2-worker backend.
+#: Subset exercised through a 2-worker engine.
 PARALLEL_SUBSET = [
     t
     for t in LITMUS_TESTS
@@ -123,8 +124,8 @@ class TestShardedWitnessParity:
     )
     @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     def test_two_worker_witness_replays(self, test, reduction):
-        # find_witness pins the rounds backend, which supports dpor —
-        # the pipeline rejection does not apply on this path.
+        # find_witness always searches on the sequential path, which
+        # supports dpor at any worker count.
         reference = _naive_reference(test)
         engine = ExplorationEngine(workers=2, reduction=reduction)
         w = engine.find_witness(
@@ -133,7 +134,7 @@ class TestShardedWitnessParity:
         assert w is not None
         _check_witness(test, w, reference, check_minimal=reduction != "dpor")
         if reduction == "off":
-            # Level-synchronous sharded BFS is still BFS: shortest.
+            # The sequential search is BFS: shortest.
             assert len(w) == len(reference)
 
     def test_two_worker_forbidden_is_none(self):
