@@ -42,7 +42,10 @@ Backpressure is bounded spin → event wait: a producer that finds the
 ring full spins briefly on ``head``, then sets the ``waiting`` word,
 clears the ring's space event, re-checks, and sleeps on the event with
 a timeout; the consumer sets the event after advancing ``head`` iff
-``waiting`` is up.  The timeout makes any lost-wakeup window benign.
+``waiting`` is up.  The producer waits for ``head`` to move past the
+value it read *before* its failed attempt, so a drain landing between
+the attempt and the wait still counts; the timeout covers a missed
+event set.
 All of a worker's inbound rings share one ``data`` event (set by every
 producer after publishing, and by the master alongside control-queue
 messages), so an idle worker blocks on a single primitive.
@@ -249,9 +252,19 @@ class Ring:
         self._commit(pos, flag, len(payload), tail + need)
         return need
 
-    def _wait_space(self, stop: Optional[Callable[[], bool]],
+    def _wait_space(self, seen_head: int,
+                    stop: Optional[Callable[[], bool]],
                     on_wait: Optional[Callable[[], None]] = None) -> bool:
-        """Block until the consumer moves ``head``; False if stopped.
+        """Block until the consumer moves ``head`` past ``seen_head``;
+        False if stopped.
+
+        ``seen_head`` must be read *before* the failed publish attempt:
+        a consumer that drains the ring between that attempt and this
+        wait has already moved ``head``, so the wait returns at once.
+        Re-reading ``head`` here instead would wait for an advance that
+        never comes once the ring is empty — a hang the stop flag
+        cannot break, because the run is not quiescent while this
+        producer holds an unpublished batch.
 
         ``on_wait`` runs on every blocked iteration.  The pipeline
         workers pass their inbound-ring drain here: two workers whose
@@ -260,21 +273,20 @@ class Ring:
         sit in its own inbound rings.
         """
         idx = self._idx
-        start_head = idx[0]
         for _ in range(_SPIN):
-            if idx[0] != start_head:
+            if idx[0] != seen_head:
                 return True
         idx[2] = 1  # waiting — consumer will set space_event on advance
         try:
-            while idx[0] == start_head:
+            while idx[0] == seen_head:
                 if stop is not None and stop():
                     return False
                 if on_wait is not None:
                     on_wait()
-                    if idx[0] != start_head:
+                    if idx[0] != seen_head:
                         break
                 self.space_event.clear()
-                if idx[0] != start_head:
+                if idx[0] != seen_head:
                     break
                 self.space_event.wait(_WAIT)
         finally:
@@ -297,6 +309,7 @@ class Ring:
         """
         waits = 0
         while True:
+            seen = self._idx[0]
             try:
                 wire = self.try_publish(batch)
                 return wire, 1, 0, waits
@@ -307,7 +320,7 @@ class Ring:
                 # contiguous frame: fall back to chunked frames.
                 return self._publish_chunked(batch, stop, on_wait, waits)
             waits += 1
-            if not self._wait_space(stop, on_wait):
+            if not self._wait_space(seen, stop, on_wait):
                 raise ProducerStopped
 
     def _publish_chunked(self, batch, stop, on_wait, waits: int
@@ -315,7 +328,10 @@ class Ring:
         # The one copy on this path: the oversized batch is encoded to
         # an intermediate bytes object, then streamed as CHUNK*, LAST.
         blob = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
-        piece = max(64, self.capacity // 4)
+        # Quarter-capacity pieces: a frame plus the wrap it may need
+        # (under one frame's worth) always fits an empty ring, so every
+        # chunk is eventually publishable at any capacity.
+        piece = self.capacity // 4
         view = memoryview(blob)
         offsets = range(0, len(blob), piece)
         last = offsets[-1]
@@ -325,13 +341,14 @@ class Ring:
             flag = FLAG_LAST if off == last else FLAG_CHUNK
             part = view[off:off + piece]
             while True:
+                seen = self._idx[0]
                 try:
                     wire += self._try_frame_bytes(flag, part)
                     frames += 1
                     break
                 except BufferFull:
                     waits += 1
-                    if not self._wait_space(stop, on_wait):
+                    if not self._wait_space(seen, stop, on_wait):
                         raise ProducerStopped from None
         return wire, frames, 1, waits
 

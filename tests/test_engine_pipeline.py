@@ -83,23 +83,19 @@ def _assert_parity(ref, par):
     assert bool(par.stuck) == bool(ref.stuck)
 
 
-
-
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 class TestCatalogParity:
-    def test_full_litmus_catalog(self, workers, reduction):
+    @pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
+    def test_full_litmus_catalog(self, workers, reduction, test):
         engine = ExplorationEngine(workers=workers, reduction=reduction)
-        for test in LITMUS_TESTS:
-            ref = _reference(test.name, test.build, reduction)
-            for keep_configs in (True, False):
-                par = engine.explore(
-                    test.build(), keep_configs=keep_configs
-                )
-                _assert_parity(ref, par)
-                assert par.terminal_locals(*test.regs) == ref.terminal_locals(
-                    *test.regs
-                ), test.name
+        ref = _reference(test.name, test.build, reduction)
+        for keep_configs in (True, False):
+            par = engine.explore(test.build(), keep_configs=keep_configs)
+            _assert_parity(ref, par)
+            assert par.terminal_locals(*test.regs) == ref.terminal_locals(
+                *test.regs
+            )
 
     def test_litmus_verdicts_match(self, workers, reduction):
         seq_engine = ExplorationEngine(reduction=reduction)

@@ -111,6 +111,72 @@ class TestRing:
         assert frames > 1  # CHUNK*, LAST
         assert consumed == [batch]
 
+    def test_chunks_fit_the_smallest_ring(self):
+        # At the 64-byte minimum capacity an oversize batch still
+        # streams through: every chunk frame (plus any wrap) fits an
+        # empty ring.  The consumer is the producer's own on_wait.
+        ring = _local_ring(capacity=64)
+        batch = [("big", "q" * 1000)]
+        got = []
+        deadline = time.monotonic() + 5.0
+
+        def stop():  # bounds the test if a frame can never fit
+            return time.monotonic() > deadline
+
+        wire, frames, copies, waits = ring.publish(
+            batch, stop=stop, on_wait=lambda: ring.drain(got.append)
+        )
+        ring.drain(got.append)
+        assert copies == 1 and frames > 1
+        assert got == [batch]
+
+    def test_drain_before_the_wait_is_not_a_lost_wakeup(self, monkeypatch):
+        # The consumer empties the ring after the producer's failed
+        # attempt but before it arms its wait: that head advance must
+        # count, or the producer waits forever on an empty ring.
+        ring = _local_ring(capacity=512)
+        filler = [("fill", "f" * 300)]
+        ring.publish(filler)
+        got = []
+        used = Ring.used
+
+        def used_then_drain(self):
+            n = used(self)
+            if not got:
+                self.drain(got.append)
+            return n
+
+        monkeypatch.setattr(Ring, "used", used_then_drain)
+        # stop is always up: a wait that does not see the drain raises.
+        wire, frames, copies, waits = ring.publish(filler, stop=lambda: True)
+        monkeypatch.setattr(Ring, "used", used)
+        assert waits == 1
+        ring.drain(got.append)
+        assert got == [filler, filler]
+
+    def test_chunk_drain_before_the_wait_is_not_a_lost_wakeup(
+        self, monkeypatch
+    ):
+        # Same race on the chunked path, between two chunk frames.
+        ring = _local_ring(capacity=256)
+        batch = [("big", "q" * 1000)]
+        got = []
+        try_frame = Ring._try_frame_bytes
+
+        def drain_on_full(self, flag, payload):
+            try:
+                return try_frame(self, flag, payload)
+            except BufferFull:
+                self.drain(got.append)
+                raise
+
+        monkeypatch.setattr(Ring, "_try_frame_bytes", drain_on_full)
+        wire, frames, copies, waits = ring.publish(batch, stop=lambda: True)
+        monkeypatch.setattr(Ring, "_try_frame_bytes", try_frame)
+        assert copies == 1 and waits >= 1
+        ring.drain(got.append)
+        assert got == [batch]
+
     def test_backpressure_blocks_until_consumer_drains(self):
         ring = _local_ring(capacity=512)
         filler = [("fill", "f" * 300)]
