@@ -91,7 +91,9 @@ def successor_function(reduction: str):
 def key_function(
     program: "Program", canonicalise: bool
 ) -> Callable[["Config"], Tuple]:
-    """The state-identification function used by both engine paths."""
+    """The sequential loop's state-identification function.  Canonical
+    keys are process-local (interned ids); the pipeline digests the
+    structural form instead (:func:`repro.engine.pipeline.encoding_function`)."""
     if canonicalise:
         from repro.semantics.canon import canonical_key
 

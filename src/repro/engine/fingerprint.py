@@ -107,6 +107,11 @@ def stable_digest(obj, digest_size: int = 16) -> bytes:
     so the encoding must not involve per-process hash state: sets and
     dataclasses are folded into *sub-digests* (sorted, for sets),
     everything else is fed as a tagged byte stream.
+
+    Raises :class:`TypeError` on an interned
+    :func:`~repro.semantics.canon.canonical_key`, whose ids are only
+    meaningful inside the process that assigned them; digest the
+    structural :func:`~repro.semantics.canon.canonical_encoding`.
     """
     h = hashlib.blake2b(digest_size=digest_size)
     _feed(h, obj, digest_size)
@@ -161,6 +166,16 @@ def _feed(h, x, digest_size: int) -> None:
             )
         )
     else:
+        from repro.semantics.canon import KeyScope
+
+        if isinstance(x, KeyScope):
+            # A scope-tagged canonical key: its ids are assigned by this
+            # process's intern tables, so a digest of it would silently
+            # disagree with any other process's.
+            raise TypeError(
+                "stable_digest of a process-local canonical_key; digest "
+                "canonical_encoding(program, cfg) instead"
+            )
         h.update(b"r")
         h.update(f"{type(x).__qualname__}:{x!r}".encode("utf-8"))
         h.update(b"\x00")

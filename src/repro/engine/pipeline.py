@@ -3,10 +3,12 @@
 The engine's one multiprocess path (see
 :class:`repro.engine.core.ExplorationEngine` for when it runs instead
 of the sequential loop).  States are assigned to workers by a 16-byte
-*stable digest* of their canonical key
-(:func:`repro.engine.fingerprint.stable_digest`,
-``PYTHONHASHSEED``-independent, so dedup is consistent across processes
-under both fork and spawn):
+*stable digest* of their canonical encoding
+(:func:`repro.engine.fingerprint.stable_digest` of
+:func:`repro.semantics.canon.canonical_encoding` — the structural form
+of the key, not the interned :func:`~repro.semantics.canon.canonical_key`,
+whose ids each process assigns for itself; ``PYTHONHASHSEED``-independent,
+so dedup is consistent across processes under both fork and spawn):
 
 * **Workers own their shard.**  Each of the ``workers`` persistent
   processes holds the visited set, frontier, configuration fragment,
@@ -164,6 +166,21 @@ def _budgets(max_states: int, workers: int) -> List[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
+def encoding_function(
+    program: "Program", canonicalise: bool
+) -> Callable[["Config"], Tuple]:
+    """State identity in process-independent form, for the shard and
+    initial digests: the structural canonical encoding (or the raw key
+    when ``canonicalise`` is off)."""
+    if canonicalise:
+        from repro.semantics.canon import canonical_encoding
+
+        return lambda cfg: canonical_encoding(program, cfg)
+    from repro.engine.core import _raw_key
+
+    return _raw_key
+
+
 def _worker_main(
     wid: int,
     workers: int,
@@ -228,7 +245,7 @@ def _worker_main(
     try:
         import gc
 
-        from repro.engine.core import key_function, successor_function
+        from repro.engine.core import successor_function
         from repro.engine.shm import ProducerStopped
 
         # A shard-owning worker accumulates an ever-growing heap of
@@ -241,7 +258,7 @@ def _worker_main(
         # lifetime; refcounting still frees everything non-cyclic.
         gc.disable()
 
-        keyf = key_function(program, canonicalise)
+        keyf = encoding_function(program, canonicalise)
         successors = successor_function(reduction)
 
         # Worker processes own their collector for their whole lifetime
@@ -542,7 +559,6 @@ def explore_pipeline(
     samples; ``trace`` gains one ``explore.drain`` event per worker
     idle report.
     """
-    from repro.engine.core import key_function
     from repro.engine.shm import ShmExchange
     from repro.semantics.config import initial_config
     from repro.semantics.reduce import get_strategy
@@ -569,7 +585,7 @@ def explore_pipeline(
         )
 
     start = time.perf_counter()
-    keyf = key_function(program, canonicalise)
+    keyf = encoding_function(program, canonicalise)
     with _collecting(metrics):
         # Master-side, so the initial configuration's ε-closure fusions
         # are counted exactly once, as in the sequential loop.

@@ -70,6 +70,13 @@ class Program:
         if clash:
             raise ValueError(f"object names clash with globals: {sorted(clash)}")
 
+    def __getstate__(self):
+        """The defining fields only: the canonical layer's intern tables
+        (:mod:`repro.semantics.canon`) are process-local and stay behind."""
+        state = dict(self.__dict__)
+        state.pop("_interner", None)
+        return state
+
     # -- derived structure -------------------------------------------------
     @property
     def tids(self) -> Tuple[str, ...]:

@@ -141,8 +141,9 @@ def _var_ranks(state: ComponentState) -> Dict:
 def naive_canonical_key(program: Program, cfg: Config) -> Tuple:
     """The pre-index canonical key: rebuilds per-variable rank maps and
     sorts modification views by ``repr``.  Equivalent to
-    :func:`repro.semantics.canon.canonical_key` as a state identifier
-    (same quotient), byte-different in encoding."""
+    :func:`repro.semantics.canon.canonical_encoding` (and so to the
+    interned ``canonical_key``) as a state identifier — same quotient,
+    byte-different in encoding."""
     g_ranks = _var_ranks(cfg.gamma)
     b_ranks = _var_ranks(cfg.beta)
     client_vars = program.client_var_names

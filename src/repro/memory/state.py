@@ -45,6 +45,13 @@ from repro.memory.views import View
 from repro.util.fmap import FMap
 from repro.util.rationals import between, next_after
 
+#: Cached attributes that :mod:`repro.semantics.canon` derives from a
+#: state's memory part (``ops``/``mview``/``cvd`` and the index) alone:
+#: the structural ``op -> (action, rank)`` table and the interned
+#: memory-part identity.  :meth:`ComponentState.with_thread_view`
+#: successors share the memory part and inherit them.
+MEMORY_DERIVED = ("_enc_table", "_mem_ident")
+
 #: Per-variable index entry: (ops on the variable sorted by timestamp,
 #: the parallel tuple of their timestamps — the bisect key sequence).
 VarIndex = Tuple[Tuple[Op, ...], Tuple[Fraction, ...]]
@@ -215,6 +222,13 @@ class ComponentState:
         new = ComponentState(
             ops=self.ops, tview=tview2, mview=self.mview, cvd=self.cvd
         )
+        # The successor shares the memory part, so it also shares what
+        # the canonical layer derived from it alone.
+        d = self.__dict__
+        for attr in MEMORY_DERIVED:
+            derived = d.get(attr)
+            if derived is not None:
+                object.__setattr__(new, attr, derived)
         return new._seed_caches(
             self.index, self.all_ts, self._derived_tvm_cache(tid, view)
         )

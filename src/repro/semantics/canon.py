@@ -1,4 +1,4 @@
-"""Canonical configuration keys (timestamp rank normalisation).
+"""Canonical state identity (timestamp rank normalisation).
 
 Two configurations that differ only in the rational values of their
 timestamps — not in the relative order of operations — describe the same
@@ -19,14 +19,50 @@ so an operation's canonical rank is simply its *position* in that
 sequence — read off the index in O(1) per operation instead of
 rebuilding per-variable ``rank_map``s from an unsorted ``ops`` scan for
 every visited state.  Because the client/library variable partition
-makes every operation belong to exactly one component's index, one
-combined ``op → rank`` table resolves the cross-component references in
-modification views without consulting the program's partition, and the
-resulting key is a pure function of the configuration — it is therefore
-cached on the (immutable) configuration, so BFS dedup, witness search
-and the refinement machinery rank-encode each state at most once.
-Deterministic orderings inside the key use cheap *structural* sort keys
-(action fields and integer ranks), not ``repr`` of whole encodings.
+makes every operation belong to exactly one component's index, the two
+components' ``op → rank`` tables resolve the cross-component references
+in modification views without consulting the program's partition.
+Deterministic orderings use cheap *structural* sort keys (variable
+names and integer ranks), not ``repr`` of whole encodings.
+
+Two forms of one identity
+-------------------------
+:func:`canonical_encoding` spells the identity structurally: nested
+tuples of ``(action, rank)`` operation encodings.  It is independent of
+the process, so it is what leaves one — the pipeline digests it
+(:func:`repro.engine.fingerprint.stable_digest`) — and what the naive
+oracle (:mod:`repro.memory.naive`) is checked against.
+
+:func:`canonical_key`, the key every in-process explorer dedups on, is
+the flat tuple ``(scope, cmds, locals, γ-id, β-id)``.  The ids are
+interned bottom-up: each ``(action, rank)`` to an operation id; each
+component's memory part (``ops``/``mview``/``cvd`` over operation ids)
+to a memory-part id; each component state to
+``intern((memory-part id, thread-view operation ids))``.  Hashing a key,
+or testing it against a visited set, then touches a few small ints
+instead of re-walking nested tuples of actions.  Interning is by dict,
+so each id is the dense index of one structural value: two ids of one
+table are equal exactly when the values are — unlike a hashed digest,
+there is no collision to rule out, and keys are equal exactly when the
+encodings are.
+
+The derivation is incremental.  The operation-id table and the
+memory-part id depend only on the memory part, which
+:meth:`~repro.memory.state.ComponentState.with_thread_view` successors
+share with their parent, so they inherit both
+(:data:`~repro.memory.state.MEMORY_DERIVED`): a read step re-interns
+only its thread-view operation ids.  A memory part whose modification
+views reach into the other component depends on the partner's ranks
+too, so its id is cached only against the partner table it was
+resolved with, never on the state alone.
+
+Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
+object and die with it.  Every key leads with the program's
+:class:`KeyScope` tag, every id cached on a state or configuration is
+stored next to its tag and recomputed on a mismatch, and keys of
+different programs never compare equal.  The tables are never pickled
+(:meth:`Program.__getstate__`), never fingerprinted, and never reach a
+pipeline worker's digest.
 
 Soundness: an order-isomorphic per-variable relabelling is a bisimulation
 — the enabled transitions, placement choices and view updates of the
@@ -40,7 +76,7 @@ the indexed encoding against a retained naive reference implementation
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.lang.program import Program
 from repro.memory.actions import Op
@@ -51,15 +87,17 @@ from repro.semantics.config import Config
 def _enc_table(state: ComponentState) -> Dict[Op, Tuple]:
     """``op -> (action, rank)``: each operation's canonical encoding,
     with the rank read directly off its per-variable index position.
-    The single rank-derivation walk shared by the canonical keys and the
-    refinement projection (:mod:`repro.refinement.traces`).
+    The rank-derivation walk shared by :func:`canonical_encoding`, the
+    client keys and the refinement projection
+    (:mod:`repro.refinement.traces`).
 
-    A pure function of the (immutable) state, so the table is cached on
-    it: component states are shared across many configurations — a step
-    of one component leaves the other's state object untouched — and
-    the unchanged component's ranks are then read back instead of
-    re-derived for every successor.  Callers must treat the returned
-    table as read-only.
+    A pure function of the memory part, so the table is cached on the
+    state and inherited by its ``with_thread_view`` successors:
+    component states are shared across many configurations — a step of
+    one component leaves the other's state object untouched — and the
+    unchanged component's ranks are then read back instead of re-derived
+    for every successor.  Callers must treat the returned table as
+    read-only.
     """
     cached = state.__dict__.get("_enc_table")
     if cached is not None:
@@ -128,16 +166,218 @@ def _enc_state(
     return key
 
 
+class KeyScope:
+    """The tag that scopes interned ids to one program's intern tables.
+
+    Every :func:`canonical_key` starts with its program's scope, and
+    every id cached on a state or configuration is stored next to the
+    scope it was drawn from, so ids of different tables never meet.
+    A bare identity token: it holds no table (the tables die with their
+    program, not with the last key), and pickling one yields a fresh
+    token that equals nothing live.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"<KeyScope {id(self):#x}>"
+
+
+class _Interner:
+    """One program's intern tables: ``value -> small int`` dicts for
+    operation encodings ``(action, rank)``, memory parts and component
+    states.  Ids are dense insertion indices, so equal ids mean equal
+    interned values — exact, unlike a hashed digest."""
+
+    __slots__ = ("scope", "ops", "mems", "comps")
+
+    def __init__(self) -> None:
+        self.scope = KeyScope()
+        self.ops: Dict[Tuple, int] = {}
+        self.mems: Dict[Tuple, int] = {}
+        self.comps: Dict[Tuple, int] = {}
+
+
+def _interner(program: Program) -> _Interner:
+    """``program``'s intern tables, created on first use.  They live in
+    the program's instance dict, which :meth:`Program.__getstate__`
+    leaves out of pickles and the fingerprint never reads."""
+    tables = program.__dict__.get("_interner")
+    if tables is None:
+        tables = _Interner()
+        object.__setattr__(program, "_interner", tables)
+    return tables
+
+
+class _MemIdent:
+    """The interned identity of one component's memory part (``ops``,
+    ``mview``, ``cvd``) under one scope.
+
+    ``table`` maps each operation to the id of its ``(action, rank)``
+    encoding.  ``mem`` is the memory part's id when its modification
+    views stay inside the component.  A part with foreign view
+    references depends on the partner's ranks too, so its id is kept
+    only next to the partner table it was resolved against
+    (``partner``/``partner_mem``), never on the state alone.
+
+    :meth:`ComponentState.with_thread_view` successors share the memory
+    part and inherit the parent's ident, so a read step's key costs one
+    intern of its thread-view operation ids.
+    """
+
+    __slots__ = ("scope", "table", "mem", "partner", "partner_mem")
+
+    def __init__(self, scope: KeyScope, table: Dict[Op, int]) -> None:
+        self.scope = scope
+        self.table = table
+        self.mem: Optional[int] = None
+        self.partner: Optional[Dict[Op, int]] = None
+        self.partner_mem: Optional[int] = None
+
+
+def _mem_ident(tables: _Interner, state: ComponentState) -> _MemIdent:
+    """``state``'s memory-part ident under ``tables``; an ident cached
+    under another scope is replaced."""
+    ident = state.__dict__.get("_mem_ident")
+    if ident is not None and ident.scope is tables.scope:
+        return ident
+    ops = tables.ops
+    table: Dict[Op, int] = {}
+    for seq, _ts in state.index.values():
+        for i, op in enumerate(seq):
+            table[op] = ops.setdefault((op.act, i), len(ops))
+    ident = _MemIdent(tables.scope, table)
+    object.__setattr__(state, "_mem_ident", ident)
+    return ident
+
+
+def _mem_id(
+    tables: _Interner,
+    state: ComponentState,
+    ident: _MemIdent,
+    partner: ComponentState,
+) -> int:
+    """The id of ``state``'s memory part: :func:`_enc_state`'s ``ops``,
+    ``mview`` and ``cvd`` encodings over operation ids, interned.
+    ``partner``'s operation ids resolve cross-component view
+    references."""
+    if ident.partner is not None:
+        partner_table = _mem_ident(tables, partner).table
+        if ident.partner is partner_table:
+            return ident.partner_mem
+    else:
+        partner_table = None
+    own = ident.table
+    own_get = own.get
+    mv = state.mview
+    index = state.index
+    ops = []
+    mview_items = []
+    foreign = False
+    for var in sorted(index):
+        for op in index[var][0]:
+            e = own[op]
+            ops.append(e)
+            view = mv.get(op)
+            if view is not None:
+                enc_view = []
+                for x, o in view.items_ordered():
+                    eo = own_get(o)
+                    if eo is None:
+                        if partner_table is None:
+                            partner_table = _mem_ident(tables, partner).table
+                        eo = partner_table[o]
+                        foreign = True
+                    enc_view.append((x, eo))
+                mview_items.append((e, tuple(enc_view)))
+    part = (
+        tuple(ops),
+        tuple(mview_items),
+        tuple(sorted([own[op] for op in state.cvd])),
+    )
+    mems = tables.mems
+    mem = mems.setdefault(part, len(mems))
+    if foreign:
+        # Holding the partner table keeps its identity from being
+        # reused while the entry stands.
+        ident.partner = partner_table
+        ident.partner_mem = mem
+    else:
+        ident.mem = mem
+    return mem
+
+
+def _component_id(
+    tables: _Interner, state: ComponentState, partner: ComponentState
+) -> int:
+    """``intern((memory-part id, thread-view operation ids))``, cached
+    on the state next to the scope and memory-part id it was built
+    from."""
+    scope = tables.scope
+    ident = _mem_ident(tables, state)
+    mem = ident.mem
+    if mem is None:
+        mem = _mem_id(tables, state, ident, partner)
+    cached = state.__dict__.get("_component_id")
+    if cached is not None and cached[0] is scope and cached[1] == mem:
+        return cached[2]
+    own = ident.table
+    tview = tuple([(k, own[op]) for k, op in state.tview.items_ordered()])
+    comps = tables.comps
+    cid = comps.setdefault((mem, tview), len(comps))
+    object.__setattr__(state, "_component_id", (scope, mem, cid))
+    return cid
+
+
 def canonical_key(program: Program, cfg: Config) -> Tuple:
     """A hashable key identifying ``cfg`` up to per-variable timestamp
-    relabelling.
+    relabelling: ``(scope, cmds, locals, γ-id, β-id)``.
 
-    The key is a pure function of the configuration (the variable
-    partition resolves itself through the per-component indices), so it
-    is computed once and cached on ``cfg``; ``program`` is retained for
-    API stability.
+    ``cmds`` and ``locals`` are the configuration's own maps (their
+    hashes are cached on them); the two component ids are drawn from
+    ``program``'s intern tables.  Hashing or comparing a key therefore
+    never walks nested operation encodings.
+
+    ``program`` is the key's scope.  Keys of different programs never
+    compare equal: their leading :class:`KeyScope` tags differ, and no
+    id is ever compared across tables.  Within one program two keys are
+    equal exactly when their :func:`canonical_encoding` values are: each id
+    is a dense index into a dict of the structural values it stands
+    for, so id equality is value equality, with no hash collision to
+    rule out.  Keys are process-local; anything that leaves the process
+    uses :func:`canonical_encoding`.
+
+    Cached on ``cfg``; a key cached under another program's scope is
+    recognised by its tag and replaced.
     """
+    tables = _interner(program)
     cached = cfg.__dict__.get("_canonical_key")
+    if cached is not None and cached[0] is tables.scope:
+        return cached
+    gamma = cfg.gamma
+    beta = cfg.beta
+    key = (
+        tables.scope,
+        cfg.cmds,
+        cfg.locals,
+        _component_id(tables, gamma, beta),
+        _component_id(tables, beta, gamma),
+    )
+    object.__setattr__(cfg, "_canonical_key", key)
+    return key
+
+
+def canonical_encoding(program: Program, cfg: Config) -> Tuple:
+    """The structural form of :func:`canonical_key`: the same quotient,
+    spelled as nested tuples of ``(action, rank)`` operation encodings.
+
+    Process-independent (no intern ids), so it is what leaves the
+    process — the pipeline's shard and initial digests
+    (:func:`repro.engine.fingerprint.stable_digest`) — and what meets the
+    naive oracle (:mod:`repro.memory.naive`).  A pure function of the
+    configuration, cached on ``cfg``; ``program`` is unused.
+    """
+    cached = cfg.__dict__.get("_canonical_encoding")
     if cached is not None:
         return cached
     genc = _enc_table(cfg.gamma)
@@ -153,7 +393,7 @@ def canonical_key(program: Program, cfg: Config) -> Tuple:
         _enc_state(cfg.gamma, genc, benc),
         _enc_state(cfg.beta, benc, genc),
     )
-    object.__setattr__(cfg, "_canonical_key", key)
+    object.__setattr__(cfg, "_canonical_encoding", key)
     return key
 
 

@@ -80,14 +80,14 @@ class TestFingerprint:
         assert prints[0] == prints[1] == program_fingerprint(_mp())
 
     def test_stable_digest_hash_seed_independent(self):
-        """Canonical keys contain frozensets, whose iteration order is
-        seed-dependent — the digest must not be (cross-process dedup in
-        the sharded explorer relies on it)."""
+        """Canonical encodings contain frozensets, whose iteration order
+        is seed-dependent — the digest must not be (cross-process dedup
+        in the sharded explorer relies on it)."""
         code = (
             "from repro.lang import ast as A\n"
             "from repro.lang.expr import Lit\n"
             "from repro.lang.program import Program, Thread\n"
-            "from repro.semantics.canon import canonical_key\n"
+            "from repro.semantics.canon import canonical_encoding\n"
             "from repro.semantics.explore import explore\n"
             "from repro.engine.fingerprint import stable_digest\n"
             "t1 = A.seq(A.Write('d', Lit(5)), A.Write('f', Lit(1), release=True))\n"
@@ -95,7 +95,8 @@ class TestFingerprint:
             "p = Program(threads={'1': Thread(t1), '2': Thread(t2)},\n"
             "            client_vars={'d': 0, 'f': 0})\n"
             "r = explore(p)\n"
-            "digests = sorted(stable_digest(k).hex() for k in r.configs)\n"
+            "digests = sorted(stable_digest(canonical_encoding(p, cfg)).hex()\n"
+            "                 for cfg in r.configs.values())\n"
             "print(','.join(digests))\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "src")

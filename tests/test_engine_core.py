@@ -36,8 +36,10 @@ class TestStrategyParity:
     @pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_full_catalog(self, test, strategy):
-        reference = explore(test.build())
-        other = ExplorationEngine(strategy=strategy).explore(test.build())
+        # One program object: canonical keys are scoped to it.
+        program = test.build()
+        reference = explore(program)
+        other = ExplorationEngine(strategy=strategy).explore(program)
         assert _signature(other, test) == _signature(reference, test)
         assert set(other.configs) == set(reference.configs)
 
@@ -49,9 +51,9 @@ class TestStrategyParity:
             assert verdict["verdict_ok"], (strategy, test.name)
 
     def test_swarm_is_deterministic_per_seed(self):
-        test = LITMUS_TESTS[0]
-        a = ExplorationEngine(strategy="swarm:42").explore(test.build())
-        b = ExplorationEngine(strategy="swarm:42").explore(test.build())
+        program = LITMUS_TESTS[0].build()
+        a = ExplorationEngine(strategy="swarm:42").explore(program)
+        b = ExplorationEngine(strategy="swarm:42").explore(program)
         assert list(a.configs) == list(b.configs)
 
 

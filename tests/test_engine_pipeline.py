@@ -18,15 +18,19 @@ must report itself as such on the trace.
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
 from repro.engine.fingerprint import stable_digest
+from repro.engine.shm import shm_available
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.obs.trace import TraceWriter, validate_event
-from repro.semantics.canon import canonical_key
+from repro.semantics.canon import canonical_encoding
 from repro.semantics.explore import explore, reachable
 from repro.semantics.reduce import REDUCTIONS, get_strategy
 from repro.semantics.witness import reconstruct_witness, replay_witness
@@ -234,9 +238,10 @@ class TestPipelineBehaviour:
         _assert_parity(ref, result)
 
     def test_workers_one_is_the_sequential_loop(self):
-        test = LITMUS_TESTS[0]
-        seq = explore(test.build())
-        one = ExplorationEngine(workers=1).explore(test.build())
+        # One program object: canonical keys are scoped to it.
+        program = LITMUS_TESTS[0].build()
+        seq = explore(program)
+        one = ExplorationEngine(workers=1).explore(program)
         # Identical including insertion order: same code path.
         assert list(one.configs) == list(seq.configs)
         assert one.edge_count == seq.edge_count
@@ -279,7 +284,7 @@ class TestPipelineBehaviour:
         result = engine.explore(program, track_parents=True)
 
         def key_of(cfg):
-            return stable_digest(canonical_key(program, cfg))
+            return stable_digest(canonical_encoding(program, cfg))
 
         target = next(
             cfg
@@ -304,6 +309,41 @@ class TestPipelineBehaviour:
 
         with pytest.raises(KeyError, match="probe exploded"):
             engine.explore(LITMUS_TESTS[0].build(), on_config=boom)
+
+    def test_cold_process_dedup_parity(self):
+        """Shards dedup by a digest every worker computes alike.  Run in
+        a fresh process on a freshly built program, so nothing explored
+        earlier in the process can have warmed shared state before the
+        workers fork: exactly the sequential 3,066 states / 10,508
+        edges of ``wide_program(4, 2)``."""
+        code = (
+            "import io, json\n"
+            "from benchmarks.spaces import wide_program\n"
+            "from repro.engine import ExplorationEngine\n"
+            "from repro.obs.trace import TraceWriter\n"
+            "buf = io.StringIO()\n"
+            "engine = ExplorationEngine(workers=2, trace=TraceWriter(buf))\n"
+            "r = engine.explore(wide_program(4, 2))\n"
+            "start = next(json.loads(line) for line in "
+            "buf.getvalue().splitlines() if '\"explore.start\"' in line)\n"
+            "print(start['backend'], r.state_count, r.edge_count)\n"
+        )
+        root = os.path.join(os.path.dirname(__file__), "..")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in (os.path.join(root, "src"), root)
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=600,
+        ).stdout.split()
+        if shm_available():
+            assert out[0] == "pipeline"
+        assert out[1:] == ["3066", "10508"]
 
     def test_summary_path_keeps_sinks_only(self):
         engine = ExplorationEngine(workers=2)

@@ -13,7 +13,10 @@ configuration that
 * every observation query (``obs``, ``observable_uncovered``,
   ``ops_on``, ``max_ts``, ``last_op``, ``fresh_ts``) agrees;
 * canonical keys and per-configuration successor *sets* (compared by
-  canonical key) are identical.
+  canonical key) are identical;
+* over every successor target of both representations, interned
+  canonical keys are equal exactly when the structural canonical
+  encodings are, and the encodings of lockstep twins are equal.
 """
 
 from collections import deque
@@ -31,7 +34,7 @@ from repro.memory.naive import (
     naive_canonical_key,
     naive_initial_config,
 )
-from repro.semantics.canon import canonical_key
+from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.step import successors
 from tests.conftest import abstract_lock_client, stack_program
@@ -75,6 +78,12 @@ def assert_differential(program: Program, max_pairs: int = MAX_PAIRS):
     # encoding identifies (checked via the seen-set bijection below).
     seen = {ki}
     seen_naive_enc = {naive_canonical_key(program, init_n)}
+    # (key, encoding) of every configuration met, of both
+    # representations: the two identities must induce one partition.
+    identities = {
+        (ki, canonical_encoding(program, init_i)),
+        (ki, canonical_encoding(program, init_n)),
+    }
     queue = deque([(init_i, init_n)])
     pairs = 0
     while queue:
@@ -87,16 +96,19 @@ def assert_differential(program: Program, max_pairs: int = MAX_PAIRS):
         _assert_component_match(
             cfg_i.beta, cfg_n.beta, [(t, x) for (t, x) in cfg_i.beta.tview]
         )
-        succ_i = {
-            canonical_key(program, tr.target): tr.target
-            for tr in successors(program, cfg_i)
-        }
-        succ_n = {
-            canonical_key(program, tr.target): tr.target
-            for tr in successors(program, cfg_n)
-        }
+        targets_i = [tr.target for tr in successors(program, cfg_i)]
+        targets_n = [tr.target for tr in successors(program, cfg_n)]
+        succ_i = {canonical_key(program, t): t for t in targets_i}
+        succ_n = {canonical_key(program, t): t for t in targets_n}
         assert set(succ_i) == set(succ_n)
+        identities.update(
+            (canonical_key(program, t), canonical_encoding(program, t))
+            for t in targets_i + targets_n
+        )
         for key, target_i in succ_i.items():
+            assert canonical_encoding(program, target_i) == canonical_encoding(
+                program, succ_n[key]
+            )
             if key not in seen:
                 seen.add(key)
                 seen_naive_enc.add(naive_canonical_key(program, succ_n[key]))
@@ -104,6 +116,8 @@ def assert_differential(program: Program, max_pairs: int = MAX_PAIRS):
     # Both encodings induce the same quotient: one distinct old-style
     # key per distinct new-style key.
     assert len(seen_naive_enc) == len(seen)
+    assert len({k for k, _ in identities}) == len(identities)
+    assert len({e for _, e in identities}) == len(identities)
 
 
 @pytest.mark.parametrize(
