@@ -6,13 +6,17 @@ specification (Figure 6) and with three concrete implementations —
 the paper's sequence lock (§6.2) and ticket lock (§6.3), plus a
 test-and-set spinlock.  For each implementation the example
 
-1. explores the client and shows it produces the same outcomes;
+1. explores the client once (``client_graph``) and shows it produces
+   the same outcomes;
 2. solves the forward-simulation game of Definition 8 (Propositions
    9 and 10 and the spinlock analogue);
 3. confirms contextual refinement directly by trace inclusion
    (Definitions 5–7) — the Theorem 8.1 cross-check;
 4. shows what goes wrong for a deliberately broken lock whose release
    write is relaxed.
+
+Steps 2 and 3 read the graphs explored in step 1: each program is
+explored once.
 
 Run:  python examples/lock_refinement.py
 """
@@ -23,7 +27,7 @@ from repro import (
     Reg,
     ast as A,
     check_program_refinement,
-    explore,
+    client_graph,
     find_forward_simulation,
 )
 from repro.impls.seqlock import SEQLOCK_VARS, seqlock_fill
@@ -44,8 +48,8 @@ def broken_fill(obj, method, dest=None):
 
 def main() -> None:
     afill, aobjs = abstract_fill(lambda: AbstractLock("l"))
-    abstract = lock_client(afill, objects=aobjs)
-    abs_result = explore(abstract)
+    abstract = client_graph(lock_client(afill, objects=aobjs))
+    abs_result = abstract.result
     regs = (("2", "a"), ("2", "b"))
     print("abstract lock client (Figure 7 shape)")
     print(f"  states  : {abs_result.state_count}")
@@ -59,8 +63,8 @@ def main() -> None:
     ]
 
     for name, fill, lib_vars in implementations:
-        concrete = lock_client(fill, lib_vars=dict(lib_vars))
-        conc_result = explore(concrete)
+        concrete = client_graph(lock_client(fill, lib_vars=dict(lib_vars)))
+        conc_result = concrete.result
         sim = find_forward_simulation(concrete, abstract)
         ref = check_program_refinement(concrete, abstract)
         print(name)

@@ -64,6 +64,7 @@ from repro.objects import (
 )
 from repro.refinement.simulation import find_forward_simulation
 from repro.refinement.tracecheck import check_program_refinement
+from repro.refinement.traces import client_graph
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore, final_outcomes, reachable
 from repro.semantics.random_exec import random_run, replay_run, sample_outcomes
@@ -105,6 +106,7 @@ __all__ = [
     "ast",
     "check_proof_outline",
     "check_program_refinement",
+    "client_graph",
     "explore",
     "final_outcomes",
     "find_forward_simulation",

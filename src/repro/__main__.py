@@ -5,7 +5,8 @@ Commands:
 * ``litmus``   — run the litmus battery and print the verdict table;
 * ``figures``  — verify the paper's figures (1, 2, 3, 7) end to end;
 * ``refine``   — verify all lock implementations against the abstract
-  lock across the client battery;
+  lock across the client battery, then print ``engine: N explorations``
+  (each client program is explored once: two per client);
 * ``batch``    — run named verification jobs concurrently and emit a
   JSON report (see ``--jobs``/``--json``);
 * ``witness``  — extract the shortest execution exhibiting a litmus
@@ -240,17 +241,17 @@ def run_refine(options: Optional[dict] = None) -> bool:
     from repro.impls.ticketlock import TICKETLOCK_VARS, ticketlock_fill
     from repro.toolkit import verify_lock_implementation
 
-    options = options or {}
-    engine = None
-    if options.get("workers", 1) > 1 or options.get("strategy", "bfs") != "bfs":
-        # Refinement needs full transition graphs, so there is nothing
-        # to cache — route through an engine only to set the workers.
-        from repro.engine import ExplorationEngine
+    from repro.engine import ExplorationEngine
 
-        engine = ExplorationEngine(
-            strategy=options.get("strategy", "bfs"),
-            workers=options.get("workers", 1),
-        )
+    options = options or {}
+    # Refinement needs full transition graphs, so there is nothing to
+    # cache: the engine only carries the workers/strategy and counts the
+    # explorations (two per client — each program is explored once and
+    # shared by the simulation game and trace inclusion).
+    engine = ExplorationEngine(
+        strategy=options.get("strategy", "bfs"),
+        workers=options.get("workers", 1),
+    )
     ok = True
     for fill, lib_vars in (
         (seqlock_fill, SEQLOCK_VARS),
@@ -260,6 +261,7 @@ def run_refine(options: Optional[dict] = None) -> bool:
         report = verify_lock_implementation(fill, lib_vars, engine=engine)
         print(report.describe())
         ok &= report.ok
+    print(f"engine: {engine.explorations} explorations")
     return ok
 
 

@@ -9,7 +9,7 @@ the label of the leftmost :class:`~repro.lang.ast.Labeled` node, or
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.lang.ast import (
     Com,
@@ -57,5 +57,14 @@ def _label_fold(node: Com, in_lib: bool, child_values) -> Optional[object]:
     return None
 
 
+#: ``(node, in_lib)`` -> label, shared by every program: AST nodes are
+#: immutable and a label depends on the node alone, so a continuation's
+#: pc is folded once however many configurations hold it (loop
+#: unfoldings rebuild structurally-equal ``Seq(body, While)`` suffixes,
+#: which hit by value).  Bounded like the step layer's summaries.
+_LABELS: Dict = {}
+_LABELS_MAX = 100_000
+
+
 def _leftmost_label(cmd: Com) -> Optional[object]:
-    return fold(cmd, _label_fold)
+    return fold(cmd, _label_fold, cache=_LABELS, cache_max=_LABELS_MAX)

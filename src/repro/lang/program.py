@@ -9,7 +9,9 @@ parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
 from repro.lang.ast import Com, library_registers
@@ -71,36 +73,43 @@ class Program:
             raise ValueError(f"object names clash with globals: {sorted(clash)}")
 
     def __getstate__(self):
-        """The defining fields only: the canonical layer's intern tables
-        (:mod:`repro.semantics.canon`) are process-local and stay behind."""
-        state = dict(self.__dict__)
-        state.pop("_interner", None)
-        return state
+        """The defining fields only.  Everything derived from them — the
+        structure below and the canonical layer's intern tables
+        (:mod:`repro.semantics.canon`) — is process-local and stays
+        behind."""
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     # -- derived structure -------------------------------------------------
-    @property
+    # Computed once per program object and kept in its instance dict (the
+    # fields are immutable after ``__post_init__``); hot paths read these
+    # on every step and projection.
+    @cached_property
     def tids(self) -> Tuple[str, ...]:
         return tuple(sorted(self.threads))
 
-    @property
+    @cached_property
     def object_map(self) -> Mapping[str, object]:
-        return {o.name: o for o in self.objects}
+        return MappingProxyType({o.name: o for o in self.objects})
 
-    @property
+    @cached_property
     def client_var_names(self) -> frozenset:
         return frozenset(self.client_vars)
 
-    @property
+    @cached_property
     def lib_var_names(self) -> frozenset:
         """Library globals plus abstract object names (both live in β)."""
         return frozenset(self.lib_vars) | frozenset(o.name for o in self.objects)
 
-    def lib_registers(self) -> frozenset:
-        """``LVar_L``: registers assigned inside any thread's LibBlocks."""
+    @cached_property
+    def _lib_registers(self) -> frozenset:
         regs: frozenset = frozenset()
         for th in self.threads.values():
             regs |= library_registers(th.body)
         return regs
+
+    def lib_registers(self) -> frozenset:
+        """``LVar_L``: registers assigned inside any thread's LibBlocks."""
+        return self._lib_registers
 
     def done_label_of(self, tid: str):
         return self.threads[tid].done_label

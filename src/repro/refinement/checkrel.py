@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.assertions.core import Env, make_env
-from repro.lang.program import Program
-from repro.refinement.simulation import _prepare
-from repro.util.errors import VerificationError
+from repro.refinement.traces import ClientSource, as_client_graph
 
 #: relate(abstract_env, concrete_env) -> bool.
 Relation = Callable[[Env, Env], bool]
@@ -47,20 +45,24 @@ class RelationCheckResult:
 
 
 def check_simulation_relation(
-    concrete: Program,
-    abstract: Program,
+    concrete: ClientSource,
+    abstract: ClientSource,
     relate: Relation,
     max_states: int = 200_000,
     stop_on_first: bool = False,
 ) -> RelationCheckResult:
-    """Verify that ``relate`` is a forward simulation per Definition 8."""
-    conc = _prepare(concrete, max_states)
-    abst = _prepare(abstract, max_states)
+    """Verify that ``relate`` is a forward simulation per Definition 8.
+
+    Each side is a program or a
+    :class:`~repro.refinement.traces.ClientGraph` already built for it.
+    """
+    conc = as_client_graph(concrete, max_states)
+    abst = as_client_graph(abstract, max_states)
 
     def related(akey: Tuple, ckey: Tuple) -> bool:
         return relate(
-            make_env(abstract, abst.result.configs[akey]),
-            make_env(concrete, conc.result.configs[ckey]),
+            make_env(abst.program, abst.result.configs[akey]),
+            make_env(conc.program, conc.result.configs[ckey]),
         )
 
     def observation_ok(akey: Tuple, ckey: Tuple) -> bool:

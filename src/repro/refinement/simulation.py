@@ -21,17 +21,22 @@ Good pairs additionally require equal client program counters, which
 pins the alignment of the shared client code; this strengthens ``R``
 (any relation satisfying a stronger condition (1) is still a simulation
 in the sense of Definition 8).
+
+The game runs over the two programs' un-fused configuration graphs,
+their client projections and program counters — a
+:class:`~repro.refinement.traces.ClientGraph` per side, explored once by
+:func:`~repro.refinement.traces.client_graph`.  A caller that also
+checks trace inclusion (:func:`repro.toolkit.verify_lock_implementation`)
+builds both graphs first and passes them to both checkers, so each
+client program is explored once per refinement check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lang.program import Program
-from repro.refinement.traces import ClientState, client_projection
-from repro.semantics.explore import ExploreResult, explore
-from repro.util.errors import VerificationError
+from repro.refinement.traces import ClientGraph, ClientSource, as_client_graph
 
 
 @dataclass
@@ -52,47 +57,9 @@ class SimulationResult:
         return self.found
 
 
-@dataclass
-class _Side:
-    result: ExploreResult
-    projections: Dict[Tuple, ClientState]
-    pcs: Dict[Tuple, Tuple]
-
-
-def _prepare(program: Program, max_states: int, engine=None) -> _Side:
-    # The simulation game matches individual concrete steps against
-    # abstract stuttering: it needs the un-fused transition graph (and
-    # the intermediate configurations whose program counters pin the
-    # alignment), so reduction is explicitly off regardless of the
-    # engine's configured policy.
-    if engine is not None:
-        result = engine.explore(
-            program, max_states=max_states, collect_edges=True,
-            reduction="off",
-        )
-    else:
-        result = explore(
-            program, max_states=max_states, collect_edges=True,
-            reduction="off",
-        )
-    if result.truncated:
-        raise VerificationError(
-            "state space truncated during simulation; raise max_states"
-        )
-    projections = {
-        key: client_projection(program, cfg)
-        for key, cfg in result.configs.items()
-    }
-    pcs = {
-        key: tuple(cfg.pc(t, program) for t in program.tids)
-        for key, cfg in result.configs.items()
-    }
-    return _Side(result=result, projections=projections, pcs=pcs)
-
-
 def find_forward_simulation(
-    concrete: Program,
-    abstract: Program,
+    concrete: ClientSource,
+    abstract: ClientSource,
     max_states: int = 200_000,
     engine=None,
 ) -> SimulationResult:
@@ -100,20 +67,34 @@ def find_forward_simulation(
 
     Both programs must be instantiations of the same client template
     (same thread ids, same client variables, same statement labels), as
-    in Definition 7.  ``engine`` optionally routes the two explorations
-    through a configured :class:`repro.engine.ExplorationEngine` (e.g.
-    the sharded multiprocess pipeline for large implementations).
+    in Definition 7.  Each side is a :class:`~repro.lang.program.Program`
+    — explored here, optionally through ``engine`` (a configured
+    :class:`repro.engine.ExplorationEngine`) — or a
+    :class:`~repro.refinement.traces.ClientGraph` already built for it,
+    e.g. one shared with
+    :func:`~repro.refinement.tracecheck.check_program_refinement`.
     """
-    conc = _prepare(concrete, max_states, engine)
-    abst = _prepare(abstract, max_states, engine)
+    conc = as_client_graph(concrete, max_states, engine)
+    abst = as_client_graph(abstract, max_states, engine)
+    # The game runs over dense node ids (a configuration's position in
+    # its graph): product pairs are single ints ``a * n + c``, so the
+    # pair set, the candidate table and the fixpoint hash and compare
+    # machine ints instead of configuration keys.
+    c_keys, c_succ, c_init = _indexed(conc)
+    a_keys, a_succ, a_init = _indexed(abst)
+    c_pcs = [conc.pcs[k] for k in c_keys]
+    a_pcs = [abst.pcs[k] for k in a_keys]
+    c_proj = [conc.projections[k] for k in c_keys]
+    a_proj = [abst.projections[k] for k in a_keys]
+    n = len(c_keys)
 
-    def good(akey: Tuple, ckey: Tuple) -> bool:
-        if conc.pcs[ckey] != abst.pcs[akey]:
+    def good(a: int, c: int) -> bool:
+        if c_pcs[c] != a_pcs[a]:
             return False
-        return conc.projections[ckey].refines(abst.projections[akey])
+        return c_proj[c].refines(a_proj[a])
 
-    init_pair = (abst.result.initial_key, conc.result.initial_key)
-    if not good(*init_pair):
+    init_pair = a_init * n + c_init
+    if not good(a_init, c_init):
         return SimulationResult(
             found=False,
             relation_size=0,
@@ -126,47 +107,47 @@ def find_forward_simulation(
 
     # Forward-reachable good pairs, with candidate matches per concrete
     # edge: stutter (same abstract state) or one abstract move.
-    pairs: Set[Tuple[Tuple, Tuple]] = {init_pair}
-    queue: List[Tuple[Tuple, Tuple]] = [init_pair]
-    # (pair, concrete edge index) -> list of candidate successor pairs
-    candidates: Dict[Tuple[Tuple[Tuple, Tuple], int], List] = {}
+    pairs: Set[int] = {init_pair}
+    queue: List[int] = [init_pair]
+    # pair -> per concrete edge, the candidate successor pairs
+    candidates: Dict[int, List[List[int]]] = {}
 
     while queue:
-        akey, ckey = queue.pop()
-        for i, (_tid, _comp, _act, csucc) in enumerate(
-            conc.result.edges.get(ckey, ())
-        ):
+        pair = queue.pop()
+        a, c = divmod(pair, n)
+        a_moves = a_succ[a]
+        per_edge = []
+        for cs in c_succ[c]:
             cands = []
-            if good(akey, csucc):
-                cands.append((akey, csucc))
-            for (_t2, _c2, _a2, asucc) in abst.result.edges.get(akey, ()):
-                if good(asucc, csucc):
-                    cands.append((asucc, csucc))
-            candidates[((akey, ckey), i)] = cands
-            for pair in cands:
-                if pair not in pairs:
-                    pairs.add(pair)
-                    queue.append(pair)
+            if good(a, cs):
+                cands.append(a * n + cs)
+            for as_ in a_moves:
+                if good(as_, cs):
+                    cands.append(as_ * n + cs)
+            per_edge.append(cands)
+            for succ_pair in cands:
+                if succ_pair not in pairs:
+                    pairs.add(succ_pair)
+                    queue.append(succ_pair)
+        candidates[pair] = per_edge
 
     # Greatest fixpoint: drop pairs with an unmatchable concrete step.
-    alive: Set[Tuple[Tuple, Tuple]] = set(pairs)
+    alive: Set[int] = set(pairs)
     iterations = 0
     changed = True
     while changed:
         changed = False
         iterations += 1
-        dead = []
-        for pair in alive:
-            akey, ckey = pair
-            for i in range(len(conc.result.edges.get(ckey, ()))):
-                cands = candidates.get((pair, i), ())
-                if not any(p in alive for p in cands):
-                    dead.append(pair)
-                    break
+        dead = [
+            pair
+            for pair in alive
+            if not all(
+                any(p in alive for p in cands) for cands in candidates[pair]
+            )
+        ]
         if dead:
             changed = True
-            for pair in dead:
-                alive.discard(pair)
+            alive.difference_update(dead)
 
     found = init_pair in alive
     return SimulationResult(
@@ -178,3 +159,17 @@ def find_forward_simulation(
         iterations=iterations,
         failure=None if found else conc.result.initial_key,
     )
+
+
+def _indexed(
+    graph: ClientGraph,
+) -> Tuple[List[Tuple], List[Tuple[int, ...]], int]:
+    """``graph``'s configuration keys in node-id order, per node the ids
+    of its edge targets (one entry per recorded edge), and the initial
+    configuration's id."""
+    result = graph.result
+    keys = list(result.configs)
+    ids = {key: i for i, key in enumerate(keys)}
+    edges = result.edges
+    succ = [tuple(ids[e[3]] for e in edges.get(key, ())) for key in keys]
+    return keys, succ, ids[result.initial_key]

@@ -21,6 +21,12 @@ stutter-free trace language infinite and is reported as
 This checker is exponential and meant for the small client battery; it
 decides refinement directly, and cross-validates the forward-simulation
 solver (the Theorem 8.1 soundness bench).
+
+Traces are read off a :class:`~repro.refinement.traces.ClientGraph` —
+the same un-fused graph and client projections the simulation game
+consumes — so a caller running both checks
+(:func:`repro.toolkit.verify_lock_implementation`) explores each client
+program once and hands the graphs to both.
 """
 
 from __future__ import annotations
@@ -29,9 +35,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lang.program import Program
-from repro.refinement.traces import ClientState, client_projection, trace_refines
-from repro.semantics.explore import explore
+from repro.refinement.traces import (
+    ClientGraph,
+    ClientSource,
+    ClientState,
+    as_client_graph,
+    trace_refines,
+)
 from repro.semantics.witness import Witness, WitnessStep
 
 
@@ -108,57 +118,26 @@ def _tarjan_scc(nodes: List, edges: Dict) -> Dict:
 
 
 def client_traces(
-    program: Program, max_states: int = 200_000, engine=None
+    program: ClientSource, max_states: int = 200_000, engine=None
 ) -> Tuple[Set[Tuple[ClientState, ...]], bool]:
     """Complete stutter-free client traces of ``program``.
 
     A trace is *complete* when its execution ends at a configuration
     without successors (terminal or stuck) or enters a bottom SCC.
-    Returns ``(traces, cyclic_client_change)``.  ``engine`` optionally
-    routes exploration through a configured
-    :class:`repro.engine.ExplorationEngine`.
+    Returns ``(traces, cyclic_client_change)``.  ``program`` is a
+    :class:`~repro.lang.program.Program` — explored here, optionally
+    through ``engine`` (a configured
+    :class:`repro.engine.ExplorationEngine`) — or a
+    :class:`~repro.refinement.traces.ClientGraph` already built for it.
     """
-    traces, cyclic, _result, _projections = _client_trace_data(
-        program, max_states=max_states, engine=engine
-    )
-    return traces, cyclic
+    return _client_traces(as_client_graph(program, max_states, engine))
 
 
-def _client_trace_data(
-    program: Program, max_states: int = 200_000, engine=None
-):
-    """Trace enumeration keeping its exploration by-products.
-
-    Returns ``(traces, cyclic_client_change, result, projections)`` —
-    the explored graph and per-state client projections are what
-    :func:`_realise_trace` consumes to turn an unmatched trace back
-    into a concrete interleaving without re-exploring.
-    """
-    # Trace enumeration consumes the un-fused transition graph: the
-    # client projection changes across silent steps (local assignments
-    # are client-observable), so ε-closure would alter the stutter
-    # structure.  Request reduction="off" explicitly, overriding
-    # whatever policy the supplied engine was configured with.
-    if engine is not None:
-        result = engine.explore(
-            program, max_states=max_states, collect_edges=True,
-            reduction="off",
-        )
-    else:
-        result = explore(
-            program, max_states=max_states, collect_edges=True,
-            reduction="off",
-        )
-    if result.truncated:
-        from repro.util.errors import VerificationError
-
-        raise VerificationError(
-            "state space truncated during trace collection; raise max_states"
-        )
-    projections: Dict[Tuple, ClientState] = {
-        key: client_projection(program, cfg)
-        for key, cfg in result.configs.items()
-    }
+def _client_traces(graph: ClientGraph):
+    """Enumerate ``graph``'s complete stutter-free client traces:
+    ``(traces, cyclic_client_change)``."""
+    result = graph.result
+    projections = graph.projections
     node_list = list(result.configs.keys())
     scc_of = _tarjan_scc(node_list, result.edges)
 
@@ -203,7 +182,7 @@ def _client_trace_data(
         suffixes[scc] = frozenset(collected)
 
     initial_scc = scc_of[result.initial_key]
-    return set(suffixes[initial_scc]), cyclic_change, result, projections
+    return set(suffixes[initial_scc]), cyclic_change
 
 
 def _realise_trace(
@@ -275,8 +254,8 @@ def prefix_closure(
 
 
 def check_program_refinement(
-    concrete: Program,
-    abstract: Program,
+    concrete: ClientSource,
+    abstract: ClientSource,
     max_states: int = 200_000,
     engine=None,
 ) -> RefinementResult:
@@ -293,12 +272,16 @@ def check_program_refinement(
     unmatched trace, rebuilt from the transition graph the check
     already explored — this is what
     :meth:`repro.toolkit.RefinementReport.describe` prints.
+
+    Each side is a program (explored here, optionally through
+    ``engine``) or a :class:`~repro.refinement.traces.ClientGraph`
+    already built for it, e.g. one shared with
+    :func:`~repro.refinement.simulation.find_forward_simulation`.
     """
-    conc_traces, conc_cyclic, conc_result, conc_proj = _client_trace_data(
-        concrete, max_states=max_states, engine=engine
-    )
-    abs_traces, abs_cyclic = client_traces(
-        abstract, max_states=max_states, engine=engine
+    conc = as_client_graph(concrete, max_states, engine)
+    conc_traces, conc_cyclic = _client_traces(conc)
+    abs_traces, abs_cyclic = _client_traces(
+        as_client_graph(abstract, max_states, engine)
     )
     abs_prefixes = prefix_closure(abs_traces)
 
@@ -315,7 +298,7 @@ def check_program_refinement(
     witness = None
     if unmatched:
         shortest = min(unmatched, key=lambda t: (len(t), repr(t)))
-        witness = _realise_trace(conc_result, conc_proj, shortest)
+        witness = _realise_trace(conc.result, conc.projections, shortest)
 
     return RefinementResult(
         refines=not unmatched and not conc_cyclic and not abs_cyclic,

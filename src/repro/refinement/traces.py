@@ -9,16 +9,30 @@ stutter-free traces of Definition 6.
 Projections are *canonical* — client operation timestamps are replaced
 by their ranks — so projections of corresponding abstract and concrete
 executions are directly comparable.
+
+Both refinement checkers read the same thing off a client program: its
+unreduced transition graph, each configuration's projection and (for the
+simulation game) each configuration's program counters.
+:func:`client_graph` explores a program once into a :class:`ClientGraph`
+that :func:`~repro.refinement.simulation.find_forward_simulation`,
+:func:`~repro.refinement.tracecheck.check_program_refinement` and
+:func:`~repro.refinement.checkrel.check_simulation_relation` all accept
+in place of the program, so a caller running several checks on one
+client pair explores each program once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Sequence, Tuple, Union
 
+from repro.engine.result import ExploreResult
 from repro.lang.program import Program
 from repro.memory.actions import Op
 from repro.semantics.config import Config
+from repro.semantics.explore import explore
+from repro.util.errors import VerificationError
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,90 @@ def client_projection(program: Program, cfg: Config) -> ClientState:
         obs=obs,
         cvd=frozenset(enc(op) for op in gamma.cvd),
     )
+
+
+@dataclass
+class ClientGraph:
+    """A client program's unreduced transition graph, explored once and
+    shared by the refinement checkers.
+
+    ``projections`` (configuration key -> :class:`ClientState`) and
+    ``pcs`` (key -> per-thread program counters, in ``program.tids``
+    order) are filled on first use, so their cost lands in whichever
+    checker reads them first and a checker that never reads ``pcs``
+    never pays for it.
+    """
+
+    result: ExploreResult
+
+    @property
+    def program(self) -> Program:
+        return self.result.program
+
+    @cached_property
+    def projections(self) -> Dict[Tuple, ClientState]:
+        program = self.program
+        return {
+            key: client_projection(program, cfg)
+            for key, cfg in self.result.configs.items()
+        }
+
+    @cached_property
+    def pcs(self) -> Dict[Tuple, Tuple]:
+        program = self.program
+        tids = program.tids
+        # Program counters read the continuations alone, and far fewer
+        # distinct continuation maps than configurations are reachable
+        # (the map's hash is cached on it).
+        by_cmds: Dict = {}
+        pcs: Dict[Tuple, Tuple] = {}
+        for key, cfg in self.result.configs.items():
+            pc = by_cmds.get(cfg.cmds)
+            if pc is None:
+                pc = by_cmds[cfg.cmds] = tuple(cfg.pc(t, program) for t in tids)
+            pcs[key] = pc
+        return pcs
+
+
+def client_graph(
+    program: Program, max_states: int = 200_000, engine=None
+) -> ClientGraph:
+    """Explore ``program`` once for the refinement checkers.
+
+    The checkers match individual concrete steps against abstract
+    stuttering and read the client projection across silent steps
+    (local assignments are client-observable), so they need the
+    un-fused graph with its intermediate configurations: reduction is
+    ``"off"`` whatever policy ``engine`` (an optional
+    :class:`repro.engine.ExplorationEngine`) is configured with.
+    Raises :class:`VerificationError` when the exploration truncates —
+    a partial graph would give an unsound verdict.
+    """
+    run = explore if engine is None else engine.explore
+    result = run(
+        program, max_states=max_states, collect_edges=True, reduction="off"
+    )
+    if result.truncated:
+        raise VerificationError(
+            "state space truncated during refinement exploration; "
+            "raise max_states"
+        )
+    return ClientGraph(result)
+
+
+#: What the refinement checkers accept for each side: a program (explored
+#: on the spot) or a graph built earlier by :func:`client_graph`.
+ClientSource = Union[Program, ClientGraph]
+
+
+def as_client_graph(
+    source: ClientSource, max_states: int = 200_000, engine=None
+) -> ClientGraph:
+    """``source`` itself when it is already a :class:`ClientGraph`
+    (``max_states`` and ``engine`` are then unused), else its graph."""
+    if isinstance(source, ClientGraph):
+        return source
+    return client_graph(source, max_states=max_states, engine=engine)
 
 
 def remove_stutter(trace: Sequence[ClientState]) -> Tuple[ClientState, ...]:

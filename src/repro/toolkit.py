@@ -20,6 +20,7 @@ from repro.litmus.clients import (
 )
 from repro.refinement.simulation import SimulationResult, find_forward_simulation
 from repro.refinement.tracecheck import RefinementResult, check_program_refinement
+from repro.refinement.traces import client_graph
 
 #: A client builder: (fill, objects=..., lib_vars=...) -> Program.
 ClientBuilder = Callable[..., Program]
@@ -107,7 +108,9 @@ def verify_lock_implementation(
     For each client in the battery, instantiates ``C[CO]`` with ``fill``
     and ``C[AO]`` with the abstract object, solves the Definition 8
     simulation game, and (optionally) confirms by Definition 6 trace
-    inclusion.
+    inclusion.  Each of the two programs is explored once
+    (:func:`repro.refinement.traces.client_graph`) and both checkers
+    read the same graphs, so a client costs two explorations.
 
     Parameters
     ----------
@@ -140,14 +143,12 @@ def verify_lock_implementation(
         afill, objs = abstract_fill(object_factory)
         abstract = builder(afill, objects=objs, **kwargs)
         concrete = builder(fill, lib_vars=dict(lib_vars), **kwargs)
-        sim = find_forward_simulation(
-            concrete, abstract, max_states=max_states, engine=engine
-        )
+        conc = client_graph(concrete, max_states=max_states, engine=engine)
+        abst = client_graph(abstract, max_states=max_states, engine=engine)
+        sim = find_forward_simulation(conc, abst)
         traces = None
         if check_traces:
-            traces = check_program_refinement(
-                concrete, abstract, max_states=max_states, engine=engine
-            )
+            traces = check_program_refinement(conc, abst)
         report.verdicts.append(
             ClientVerdict(client=client_name, simulation=sim, traces=traces)
         )

@@ -21,6 +21,12 @@ class TestJobs:
         out = capsys.readouterr().out
         assert "seqlock_fill" in out and "PASS" in out
 
+    def test_run_refine_explores_each_program_once(self, capsys):
+        # 3 locks x 3 battery clients x 2 programs, each explored once
+        # and shared by the simulation game and trace inclusion.
+        assert run_refine() is True
+        assert "engine: 18 explorations" in capsys.readouterr().out
+
 
 class TestMain:
     def test_single_command(self, capsys):

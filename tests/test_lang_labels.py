@@ -1,8 +1,24 @@
 """Tests for program-counter extraction from continuations."""
 
+import pytest
+
+from repro.figures.fig3 import fig3_outline
+from repro.figures.fig7 import fig7_outline
+from repro.impls.spinlock import SPINLOCK_VARS, spinlock_fill
 from repro.lang import ast as A
+from repro.lang import labels
 from repro.lang.expr import Lit, Reg
 from repro.lang.labels import DONE_PC, pc_of
+from repro.lang.walk import fold, iter_nodes
+from repro.litmus.clients import lock_client_three_threads
+from repro.litmus.peterson import peterson_program
+from repro.semantics.explore import explore
+from tests.conftest import (
+    abstract_lock_client,
+    seqlock_client,
+    spinlock_client,
+    ticketlock_client,
+)
 
 
 class TestPcOf:
@@ -58,3 +74,97 @@ class TestPcOf:
     def test_string_labels(self):
         cmd = A.Labeled("cs", A.Write("x", Lit(1)))
         assert pc_of(cmd) == "cs"
+
+
+
+def _uncached(cmd):
+    return fold(cmd, labels._label_fold)
+
+
+def _continuations(program):
+    """Every live continuation of every reachable configuration."""
+    result = explore(program)
+    return [
+        cfg.cmds[tid]
+        for cfg in result.configs.values()
+        for tid in program.tids
+        if cfg.cmds[tid] is not None
+    ]
+
+
+def _loop_unfoldings(cmd):
+    """Fresh ``Seq(body, While)`` unfoldings of every loop in ``cmd`` —
+    new objects, structurally equal to what the semantics builds."""
+    return [
+        A.Seq(v.node.body, v.node)
+        for v in iter_nodes(cmd)
+        if isinstance(v.node, A.While)
+    ]
+
+
+PC_PROGRAMS = {
+    "fig3": lambda: fig3_outline().program,
+    "fig7": lambda: fig7_outline().program,
+    "peterson": peterson_program,
+    "abstract-lock": abstract_lock_client,
+    "seqlock": seqlock_client,
+    "ticketlock": ticketlock_client,
+    "spinlock": spinlock_client,
+    "spinlock-three-threads": lambda: lock_client_three_threads(
+        spinlock_fill, lib_vars=dict(SPINLOCK_VARS)
+    ),
+}
+
+
+class TestPcMemo:
+    """``pc_of`` memoises labels per continuation node in the bounded
+    ``labels._LABELS`` table; the memo must agree with the plain fold."""
+
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(labels, "_LABELS", table)
+        return table
+
+    @pytest.mark.parametrize("name", sorted(PC_PROGRAMS))
+    def test_memo_matches_uncached_fold(self, name, fresh_table):
+        conts = _continuations(PC_PROGRAMS[name]())
+        assert conts
+        # First pass fills the table (misses), second reads it (hits).
+        for _ in range(2):
+            for cmd in conts:
+                assert pc_of(cmd) == _uncached(cmd)
+        assert fresh_table
+
+    @pytest.mark.parametrize("name", sorted(PC_PROGRAMS))
+    def test_fresh_loop_unfoldings_hit_by_value(self, name, fresh_table):
+        unfoldings = [
+            u for cmd in _continuations(PC_PROGRAMS[name]())
+            for u in _loop_unfoldings(cmd)
+        ]
+        for u in unfoldings:
+            assert pc_of(u) == _uncached(u)
+        size = len(fresh_table)
+        # Rebuilt unfoldings are new objects, equal by value: they are
+        # answered from the table without adding entries.
+        for u in unfoldings:
+            again = A.Seq(u.first, u.second)
+            assert again is not u
+            assert pc_of(again) == _uncached(u)
+        assert len(fresh_table) == size
+
+    def test_bounded_table_evicts_and_stays_correct(
+        self, fresh_table, monkeypatch
+    ):
+        monkeypatch.setattr(labels, "_LABELS_MAX", 8)
+        conts = _continuations(PC_PROGRAMS["spinlock-three-threads"]())
+        evicted = False
+        for _ in range(2):
+            for cmd in conts + [
+                u for c in conts[:50] for u in _loop_unfoldings(c)
+            ]:
+                before = len(fresh_table)
+                assert pc_of(cmd) == _uncached(cmd)
+                assert len(fresh_table) <= 8
+                evicted |= len(fresh_table) < before
+        assert evicted

@@ -101,3 +101,48 @@ class TestInitials:
         lock = AbstractLock("l")
         p = Program(threads={"1": A.skip()}, objects=(lock,))
         assert p.object_map == {"l": lock}
+
+
+class TestDerivedStructure:
+    """Derived structure is computed once per program object and never
+    leaves the process (pickles carry the defining fields only)."""
+
+    def _program(self):
+        body = A.seq(seqlock_fill("l", "acquire"), A.Write("x", Lit(5)))
+        return Program(
+            threads={"2": body, "1": A.skip()},
+            client_vars={"x": 0},
+            lib_vars={"glb": 0},
+            objects=(AbstractLock("l2"),),
+        )
+
+    def test_computed_once(self):
+        p = self._program()
+        assert p.lib_registers() is p.lib_registers()
+        assert p.tids is p.tids
+        assert p.client_var_names is p.client_var_names
+        assert p.lib_var_names is p.lib_var_names
+        assert p.object_map is p.object_map
+
+    def test_object_map_is_read_only(self):
+        p = self._program()
+        with pytest.raises(TypeError):
+            p.object_map["other"] = AbstractLock("other")
+        assert set(p.object_map) == {"l2"}
+
+    def test_pickle_drops_derived_caches(self):
+        import dataclasses
+        import pickle
+
+        from repro.engine.fingerprint import program_fingerprint
+
+        p = self._program()
+        fields = {f.name for f in dataclasses.fields(Program)}
+        p.lib_registers(), p.tids, p.object_map
+        p.client_var_names, p.lib_var_names
+        assert set(p.__dict__) > fields
+        clone = pickle.loads(pickle.dumps(p))
+        assert set(clone.__dict__) == fields
+        assert program_fingerprint(clone) == program_fingerprint(p)
+        assert clone.tids == ("1", "2")
+        assert clone.lib_registers() == p.lib_registers()
