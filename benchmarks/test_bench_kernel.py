@@ -19,6 +19,13 @@ Two legs:
   to).  The committed record itself must keep showing the headline,
   checked on every run.
 
+Both legs also pin the visible-step memo's counters
+(``explore.memo.lookups`` / ``explore.memo.entries``, see
+:func:`repro.semantics.step.successors`) on their space: they are
+deterministic, so a change in either means the memo key or the rules
+changed, on any host.  They are counted in a separate untimed
+exploration, so the timed one runs without a metrics sink.
+
 **Where the speed gates arm.**  Absolute states/sec does not transfer
 across machines, so each committed section records the ``cpus`` of the
 recording host and the wall-clock gates enforce only when both the
@@ -38,6 +45,7 @@ from benchmarks.spaces import wide_program
 from repro.engine.core import explore_sequential
 from repro.lang.program import Program
 from repro.litmus.peterson import peterson_program
+from repro.obs.metrics import Metrics
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_kernel.json"
 
@@ -50,6 +58,11 @@ KERNEL_BAR = 1.3
 #: Perf-smoke gate: fail when measured states/sec regresses by more
 #: than this factor against the committed smoke record.
 REGRESSION_FACTOR = 2.0
+
+
+#: ``(explore.memo.lookups, explore.memo.entries)`` per leg's space.
+PETERSON_MEMO = (1410, 628)
+WIDE_4X3_MEMO = (103_796, 15_788)
 
 
 def _armed(section: dict) -> bool:
@@ -82,6 +95,16 @@ def _measure_sequential(program: Program):
     assert not result.truncated
     states = result.state_total or len(result.configs)
     return states, elapsed, states / elapsed if elapsed > 0 else 0.0
+
+
+def _memo_counts(program: Program):
+    metrics = Metrics()
+    explore_sequential(program, 2_000_000, metrics=metrics)
+    counters = metrics.snapshot()["counters"]
+    return (
+        counters["explore.memo.lookups"],
+        counters["explore.memo.entries"],
+    )
 
 
 def test_committed_kernel_headline():
@@ -138,6 +161,7 @@ def test_sequential_kernel_smoke(record_row):
         "smoke program changed: regenerate BENCH_kernel.json with "
         "pytest --bench-update"
     )
+    assert _memo_counts(peterson_program()) == PETERSON_MEMO
     if enforce:
         assert sps >= floor, (
             f"sequential kernel regression: {sps:.0f} < {floor:.0f} "
@@ -154,6 +178,7 @@ def test_sequential_kernel_large_space(record_row):
     """The ≥1.3x states/sec headline over the committed
     pre-specialisation baseline, on the ≥50k-state wide-4x3 space."""
     states, elapsed, sps = _measure_sequential(wide_program(4, reads=3))
+    memo_counts = _memo_counts(wide_program(4, reads=3))
 
     if os.environ.get("REPRO_BENCH_WRITE_BASELINE", "") == "1":
         _update_baseline(
@@ -187,5 +212,6 @@ def test_sequential_kernel_large_space(record_row):
         "large program changed: regenerate BENCH_kernel.json with "
         "REPRO_BENCH_LARGE=1 pytest --bench-update"
     )
+    assert memo_counts == WIDE_4X3_MEMO
     if enforce:
         assert ratio >= KERNEL_BAR

@@ -239,6 +239,14 @@ def _explore_sequential(
         queued: set = set()
         sunk: set = set()
 
+        # The visible-step memo (repro.semantics.step.successors): one
+        # per exploration, keyed by the interned component ids of the
+        # canonical keys this loop computes anyway, so it runs only on
+        # the plain, canonically keyed relation.
+        memo: Optional[Dict] = (
+            {} if canonicalise and strat.name == "off" else None
+        )
+
         frontier = make_frontier(strategy)
         frontier.push(init_key, init)
         while frontier:
@@ -255,7 +263,10 @@ def _explore_sequential(
             if on_config is not None and on_config(cfg):
                 stopped = True
                 break
-            if sleep_expand is None:
+            if memo is not None:
+                succs = successors(program, cfg, memo=memo)
+                child_sleeps = None
+            elif sleep_expand is None:
                 succs = successors(program, cfg)
                 child_sleeps = None
             else:

@@ -14,7 +14,7 @@ caller (combined semantics, §3.2) orients client vs library.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.lang.expr import Value
 from repro.memory.actions import (
@@ -35,6 +35,10 @@ MemStep = Tuple[Action, Op, ComponentState, ComponentState]
 
 #: Sentinel for "no forbidden value" — ``None`` is a legal read value.
 NO_FORBID = object()
+
+#: Sentinel for "any expected value" (FAI) — ``None`` is a legal
+#: expected value of a CAS.
+ANY_VALUE = object()
 
 
 def read_steps(
@@ -152,16 +156,17 @@ def update_steps(
     beta: ComponentState,
     tid: str,
     var: str,
-    expect: Optional[Value],
+    expect: Value,
     make_new: "callable",
 ) -> Iterator[MemStep]:
     """The ``Update`` rule: ``a = updRA(x, m, n)``.
 
     A combination of Read and Write: the update reads an observable,
     *uncovered* operation ``(w, q)`` whose written value matches
-    ``expect`` (``None`` = any, for FAI), covers it, and inserts the new
-    operation immediately after it.  ``make_new(m)`` computes the written
-    value from the value read (CAS: constant; FAI: ``m + 1``).
+    ``expect`` (:data:`ANY_VALUE` = any, for FAI), covers it, and
+    inserts the new operation immediately after it.  ``make_new(m)``
+    computes the written value from the value read (CAS: constant; FAI:
+    ``m + 1``).
 
     Synchronisation: when ``w`` is releasing, the updater additionally
     acquires ``w``'s modification view into both components' thread views.
@@ -178,7 +183,7 @@ def update_steps(
     add_op = gamma.add_op
     for w in candidates:
         m = wrval(w.act)
-        if expect is not None and m != expect:
+        if expect is not ANY_VALUE and m != expect:
             continue
         n = make_new(m)
         action = mk_update(var, m, n, tid)

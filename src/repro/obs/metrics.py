@@ -26,6 +26,11 @@ Counter schema — stable names; the same keys appear in trace
 ===================================  ======================================
 ``explore.states``                   states admitted to the visited set
 ``explore.edges``                    transitions generated while expanding
+``explore.memo.lookups``             visible steps looked up in the
+                                     sequential loop's visible-step memo
+                                     (``reduction="off"``, canonical keys)
+``explore.memo.entries``             visible steps the memo computed and
+                                     stored (lookups − entries = hits)
 ``reduce.epsilon_fused``             silent steps fused by the ε-closure
 ``reduce.covering_pruned``           read candidates skipped by the
                                      covering prune

@@ -56,6 +56,14 @@ views reach into the other component depends on the partner's ranks
 too, so its id is cached only against the partner table it was
 resolved with, never on the state alone.
 
+The component ids double as the key of the sequential explorer's
+visible-step memo (:func:`component_ids`,
+:func:`repro.semantics.step.successors`): a memo hit returns successor
+component states built from an earlier configuration with the same ids,
+whose ``_mem_ident``/``_component_id`` caches are already filled, so
+keying the successor costs little more than the ``cmds``/``locals``
+tuple.
+
 Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
 object and die with it.  Every key leads with the program's
 :class:`KeyScope` tag, every id cached on a state or configuration is
@@ -365,6 +373,19 @@ def canonical_key(program: Program, cfg: Config) -> Tuple:
     )
     object.__setattr__(cfg, "_canonical_key", key)
     return key
+
+
+def component_ids(program: Program, cfg: Config) -> Tuple[int, int]:
+    """``(γ-id, β-id)``: the interned component ids of ``cfg``'s
+    canonical key — the identity of its memory up to per-variable
+    timestamp relabelling, the key of the visible-step memo
+    (:func:`repro.semantics.step.successors`).  Read off the key cached
+    on ``cfg`` (an explorer has keyed every configuration it expands),
+    derived only when it is missing or of another scope."""
+    cached = cfg.__dict__.get("_canonical_key")
+    if cached is None or cached[0] is not _interner(program).scope:
+        cached = canonical_key(program, cfg)
+    return cached[3], cached[4]
 
 
 def canonical_encoding(program: Program, cfg: Config) -> Tuple:

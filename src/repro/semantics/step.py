@@ -16,6 +16,25 @@ is a visible memory/method step.  ``_steps`` therefore consults
 ``silent_step`` first and only enumerates the visible rules when it
 returns nothing, so the ε-fragment cannot drift between ordinary and
 ε-closed successor generation.
+
+Visible steps go through one rule function per command kind
+(``_write_rule``, ``_read_rule``, ``_cas_rule``, ``_fai_rule``,
+``_method_rule``).  Each is a function of the configuration's component
+states, the stepping thread, the lib/client orientation and the
+command's *evaluated* operands, and returns every ``(action, register
+value, γ', β')`` step; ``_steps`` binds the register.  That makes a
+visible step memoisable: the sequential explorer passes a
+per-exploration dict as ``successors(..., memo=)``, keyed by the
+configuration's interned ``(γ-id, β-id)``
+(:func:`repro.semantics.canon.component_ids`) plus the thread,
+orientation, rule and operands.  Equal ids mean memories equal up to
+per-variable timestamp relabelling, and the rules commute with such
+relabellings ("Verifying C11 Programs Operationally", the argument the
+canonical key rests on), so the first-seen configuration's successor
+states serve every later one with the same key — with their interned
+ids already cached on them.  Every other caller (the ε-closure, dpor,
+pipeline workers, witness replay, the proof-rule checkers, raw-keyed
+exploration) runs the same rule functions without a memo.
 """
 
 from __future__ import annotations
@@ -23,11 +42,18 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.lang import ast as A
-from repro.lang.expr import eval_expr
+from repro.lang.expr import Value, eval_expr
 from repro.lang.program import Program
 from repro.memory.actions import Action
 from repro.memory.state import ComponentState
-from repro.memory.transitions import read_steps, update_steps, write_steps
+from repro.memory.transitions import (
+    ANY_VALUE,
+    read_steps,
+    update_steps,
+    write_steps,
+)
+from repro.obs import metrics as _metrics
+from repro.semantics.canon import component_ids
 from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
@@ -80,6 +106,14 @@ _ThreadStep = Tuple[
     Optional[Action], str, A.Com, FMap, ComponentState, ComponentState
 ]
 
+#: Internal: one visible step as a rule returns it —
+#: (action, register value, γ', β').
+_VisibleStep = Tuple[Action, Value, ComponentState, ComponentState]
+
+#: Internal: a visible-step memo table with the interned ``(γ-id,
+#: β-id)`` of the configuration being expanded.
+_MemoContext = Tuple[Dict[Tuple, List[_VisibleStep]], int, int]
+
 #: Continuation summary for the covering-read prune: the set of global
 #: variables the continuation may still access, and whether it may still
 #: *publish* thread views (write/update/method/lib steps record the
@@ -95,6 +129,7 @@ def successors(
     cfg: Config,
     prune: bool = False,
     close=None,
+    memo: Optional[Dict] = None,
 ) -> List[Transition]:
     """All ``=⇒`` successors of ``cfg`` across every thread.
 
@@ -110,18 +145,34 @@ def successors(
     fusing them here builds each macro-step target exactly once instead
     of materialising a throwaway intermediate Transition/Config pair
     per closed successor.
+
+    ``memo``, when given, is the exploration's visible-step memo: a dict
+    the caller owns for one exploration of ``program`` and passes to
+    every call.  Each visible rule application is keyed by the interned
+    ``(γ-id, β-id)`` of ``cfg``'s canonical key plus the thread, the
+    component orientation, the rule and its evaluated operands, and a
+    repeated key returns the stored successor component states instead
+    of re-running the rule.  Ids are exact value identity, so the stored
+    states are equal, up to per-variable timestamp relabelling, to the
+    ones the rule would build; the rules commute with such relabellings,
+    so every successor has the same label and the same canonical key as
+    without the memo.  The memo is only meaningful where states are
+    identified by :func:`~repro.semantics.canon.canonical_key`.
     """
     out: List[Transition] = []
     append = out.append
     rest = _REST_EMPTY if prune else None
+    context: Optional[_MemoContext] = None
+    if memo is not None:
+        gid, bid = component_ids(program, cfg)
+        context = (memo, gid, bid)
     for tid in program.tids:
         cmd = cfg.cmds[tid]
         if cmd is None:
             continue
         ls = cfg.locals[tid]
         for action, comp, cmd2, ls2, gamma2, beta2 in _steps(
-            program, cmd, tid, ls, cfg.gamma, cfg.beta, in_lib=False,
-            rest=rest,
+            program, cmd, tid, ls, cfg.gamma, cfg.beta, False, rest, context
         ):
             if close is not None and cmd2 is not None:
                 cmd2, ls2, _fused = close(cmd2, ls2)
@@ -294,6 +345,7 @@ def _steps(
     beta: ComponentState,
     in_lib: bool,
     rest: Optional[_Rest] = None,
+    memo: Optional[_MemoContext] = None,
 ) -> Iterator[_ThreadStep]:
     """All steps of ``cmd``.
 
@@ -301,6 +353,10 @@ def _steps(
     prune (the default, byte-identical to the historical semantics); a
     summary tuple carries what the *rest of the thread* beyond ``cmd``
     may still do, maintained through ``Seq`` descent.
+
+    ``memo`` is the visible-step memo of the configuration ``gamma``
+    and ``beta`` belong to (see :func:`successors`); None runs the
+    rule directly.
     """
     silent = silent_step(cmd, ls, in_lib)
     if silent is not None:
@@ -308,90 +364,160 @@ def _steps(
         yield None, comp2, cmd2, ls2, gamma, beta
         return
 
-    comp = "L" if in_lib else "C"
-
+    # A visible command: pick its rule, evaluate its operands, and note
+    # the register the rule's value binds.
     if isinstance(cmd, A.Write):
-        value = eval_expr(cmd.expr, ls)
-        exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
-        for action, _w, exec2, ctx2 in write_steps(
-            exec_state, ctx_state, tid, cmd.var, value, cmd.release
-        ):
-            g2, b2 = (ctx2, exec2) if in_lib else (exec2, ctx2)
-            yield action, comp, None, ls, g2, b2
-
+        rule, reg = _write_rule, None
+        operands = (cmd.var, eval_expr(cmd.expr, ls), cmd.release)
     elif isinstance(cmd, A.Read):
-        exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
-        for action, _w, exec2, ctx2 in read_steps(
-            exec_state, ctx_state, tid, cmd.var, cmd.acquire,
-            collapse_same_value=_collapse_ok(cmd.var, rest),
-        ):
-            g2, b2 = (ctx2, exec2) if in_lib else (exec2, ctx2)
-            yield action, comp, None, ls.set(cmd.reg, action.val), g2, b2
-
+        rule, reg = _read_rule, cmd.reg
+        operands = (cmd.var, cmd.acquire, _collapse_ok(cmd.var, rest))
     elif isinstance(cmd, A.Cas):
-        expect = eval_expr(cmd.expect, ls)
-        new = eval_expr(cmd.new, ls)
-        exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
-        # Success: an acquiring-releasing update updRA(x, u, v).
-        for action, _w, exec2, ctx2 in update_steps(
-            exec_state, ctx_state, tid, cmd.var, expect, lambda _m: new
-        ):
-            g2, b2 = (ctx2, exec2) if in_lib else (exec2, ctx2)
-            yield action, comp, None, ls.set(cmd.reg, True), g2, b2
-        # Failure: a relaxed read of any observable value ≠ u.
-        for action, _w, exec2, ctx2 in read_steps(
-            exec_state, ctx_state, tid, cmd.var, acquire=False, forbid=expect,
-            collapse_same_value=_collapse_ok(cmd.var, rest),
-        ):
-            g2, b2 = (ctx2, exec2) if in_lib else (exec2, ctx2)
-            yield action, comp, None, ls.set(cmd.reg, False), g2, b2
-
+        rule, reg = _cas_rule, cmd.reg
+        operands = (
+            cmd.var,
+            eval_expr(cmd.expect, ls),
+            eval_expr(cmd.new, ls),
+            _collapse_ok(cmd.var, rest),
+        )
     elif isinstance(cmd, A.Fai):
-        exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
-        for action, _w, exec2, ctx2 in update_steps(
-            exec_state, ctx_state, tid, cmd.var, None, _increment
-        ):
-            g2, b2 = (ctx2, exec2) if in_lib else (exec2, ctx2)
-            yield action, comp, None, ls.set(cmd.reg, action.rdval), g2, b2
-
+        rule, reg = _fai_rule, cmd.reg
+        operands = (cmd.var,)
     elif isinstance(cmd, A.MethodCall):
-        # Abstract method calls are library transitions: the object's home
-        # component β executes, the client γ is the context (Figure 6).
-        obj = program.object_map.get(cmd.obj)
-        if obj is None:
-            raise SemanticsError(f"no abstract object named {cmd.obj!r}")
+        rule, reg = _method_rule, cmd.dest
         arg = None if cmd.arg is None else eval_expr(cmd.arg, ls)
-        for step in obj.method_steps(beta, gamma, tid, cmd.method, arg):
-            ls2 = ls.set(cmd.dest, step.retval) if cmd.dest else ls
-            yield step.action, "L", None, ls2, step.cli, step.lib
+        operands = (cmd.obj, cmd.method, arg)
 
     elif isinstance(cmd, A.Seq):
         rest2 = None if rest is None else _combine(
             _node_summary(cmd.second), rest
         )
         for action, comp2, first2, ls2, g2, b2 in _steps(
-            program, cmd.first, tid, ls, gamma, beta, in_lib, rest=rest2
+            program, cmd.first, tid, ls, gamma, beta, in_lib, rest2, memo
         ):
             yield action, comp2, A.seq_cons(first2, cmd.second), ls2, g2, b2
+        return
 
     elif isinstance(cmd, A.LibBlock):
         for action, _comp2, body2, ls2, g2, b2 in _steps(
-            program, cmd.body, tid, ls, gamma, beta, in_lib=True, rest=rest
+            program, cmd.body, tid, ls, gamma, beta, True, rest, memo
         ):
             wrapped = (
                 A.LibBlock(body2, cmd.public_regs) if body2 is not None else None
             )
             yield action, "L", wrapped, ls2, g2, b2
+        return
 
     elif isinstance(cmd, A.Labeled):
         for action, comp2, body2, ls2, g2, b2 in _steps(
-            program, cmd.body, tid, ls, gamma, beta, in_lib, rest=rest
+            program, cmd.body, tid, ls, gamma, beta, in_lib, rest, memo
         ):
             wrapped = A.Labeled(cmd.label, body2) if body2 is not None else None
             yield action, comp2, wrapped, ls2, g2, b2
+        return
 
     else:
         raise SemanticsError(f"cannot step command: {cmd!r}")
+
+    if memo is None:
+        steps = rule(program, gamma, beta, tid, in_lib, *operands)
+    else:
+        table, gid, bid = memo
+        key = (gid, bid, tid, in_lib, rule, operands)
+        steps = table.get(key)
+        if steps is None:
+            steps = rule(program, gamma, beta, tid, in_lib, *operands)
+            table[key] = steps
+            if _metrics._ACTIVE is not None:
+                _metrics._ACTIVE.inc("explore.memo.entries")
+        if _metrics._ACTIVE is not None:
+            _metrics._ACTIVE.inc("explore.memo.lookups")
+    # Abstract method calls are library transitions wherever they occur.
+    comp = "L" if in_lib or rule is _method_rule else "C"
+    for action, value, g2, b2 in steps:
+        yield action, comp, None, ls.set(reg, value) if reg else ls, g2, b2
+
+
+# ---------------------------------------------------------------------------
+# visible-step rules
+# ---------------------------------------------------------------------------
+#
+# One function per visible command kind, each a function of the
+# configuration's component states and the command's *evaluated*
+# operands only: ``rule(program, γ, β, tid, in_lib, *operands)`` returns
+# every ``(action, register value, γ', β')`` step.  ``in_lib`` orients
+# the Figure 5 rules: a library step executes against ``β`` with ``γ``
+# as context.
+
+
+def _oriented(in_lib: bool, steps, value) -> List[_VisibleStep]:
+    """A Figure 5 rule's ``(action, w, exec', ctx')`` steps as
+    ``(action, value(action), γ', β')``."""
+    if in_lib:
+        return [(a, value(a), g2, b2) for a, _w, b2, g2 in steps]
+    return [(a, value(a), g2, b2) for a, _w, g2, b2 in steps]
+
+
+def _write_rule(program, gamma, beta, tid, in_lib, var, value, release):
+    exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
+    return _oriented(
+        in_lib,
+        write_steps(exec_state, ctx_state, tid, var, value, release),
+        lambda _a: None,
+    )
+
+
+def _read_rule(program, gamma, beta, tid, in_lib, var, acquire, collapse):
+    exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
+    return _oriented(
+        in_lib,
+        read_steps(
+            exec_state, ctx_state, tid, var, acquire,
+            collapse_same_value=collapse,
+        ),
+        lambda a: a.val,
+    )
+
+
+def _cas_rule(program, gamma, beta, tid, in_lib, var, expect, new, collapse):
+    exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
+    # Success: an acquiring-releasing update updRA(x, u, v).
+    steps = _oriented(
+        in_lib,
+        update_steps(exec_state, ctx_state, tid, var, expect, lambda _m: new),
+        lambda _a: True,
+    )
+    # Failure: a relaxed read of any observable value ≠ u.
+    steps += _oriented(
+        in_lib,
+        read_steps(
+            exec_state, ctx_state, tid, var, acquire=False, forbid=expect,
+            collapse_same_value=collapse,
+        ),
+        lambda _a: False,
+    )
+    return steps
+
+
+def _fai_rule(program, gamma, beta, tid, in_lib, var):
+    exec_state, ctx_state = (beta, gamma) if in_lib else (gamma, beta)
+    return _oriented(
+        in_lib,
+        update_steps(exec_state, ctx_state, tid, var, ANY_VALUE, _increment),
+        lambda a: a.rdval,
+    )
+
+
+def _method_rule(program, gamma, beta, tid, in_lib, obj_name, method, arg):
+    # Abstract method calls are library transitions: the object's home
+    # component β executes, the client γ is the context (Figure 6).
+    obj = program.object_map.get(obj_name)
+    if obj is None:
+        raise SemanticsError(f"no abstract object named {obj_name!r}")
+    return [
+        (step.action, step.retval, step.cli, step.lib)
+        for step in obj.method_steps(beta, gamma, tid, method, arg)
+    ]
 
 
 def _increment(m):

@@ -11,7 +11,12 @@ import pytest
 from repro.lang.program import Program, Thread
 from repro.lang import ast as A
 from repro.memory.initial import initial_states
-from repro.memory.transitions import read_steps, update_steps, write_steps
+from repro.memory.transitions import (
+    ANY_VALUE,
+    read_steps,
+    update_steps,
+    write_steps,
+)
 from tests.conftest import mp_relaxed
 
 
@@ -180,14 +185,21 @@ class TestUpdateRule:
         gamma, beta = states
         assert list(update_steps(gamma, beta, "1", "d", 7, lambda m: m)) == []
 
+    def test_expect_none_is_a_value_not_a_wildcard(self, states):
+        # ``None`` is a legal value: an update expecting it must not
+        # match the initial 0.
+        gamma, beta = states
+        steps = update_steps(gamma, beta, "1", "d", None, lambda m: 5)
+        assert list(steps) == []
+
     def test_two_updates_chain(self, states):
         gamma, beta = states
         _a, _w, gamma1, _ = the(
-            update_steps(gamma, beta, "1", "d", None, lambda m: m + 1)
+            update_steps(gamma, beta, "1", "d", ANY_VALUE, lambda m: m + 1)
         )
         # Second update (by thread 2) must read the first update, not init.
         action, w, gamma2, _b = the(
-            update_steps(gamma1, beta, "2", "d", None, lambda m: m + 1)
+            update_steps(gamma1, beta, "2", "d", ANY_VALUE, lambda m: m + 1)
         )
         assert action.rdval == 1 and action.val == 2
         assert w.act.kind == "updRA"

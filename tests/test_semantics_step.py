@@ -91,6 +91,23 @@ class TestMemorySteps:
         assert tr.action.kind == "updRA"
         assert tr.target.local("1", "ok") is True
 
+    def test_cas_expecting_none_fails_against_zero(self):
+        # ``None`` is a legal value, not "any": CAS(None → 5) on x = 0
+        # can only fail (a relaxed read of 0).
+        p = prog(A.Cas("ok", "x", Lit(None), Lit(5)), client_vars={"x": 0})
+        from repro.semantics.explore import explore
+
+        result = explore(p)
+        assert {t.local("1", "ok") for t in result.terminals} == {False}
+        (tr,) = all_steps(p)
+        assert tr.action.kind == "rd" and tr.action.val == 0
+
+    def test_cas_expecting_none_succeeds_against_none(self):
+        p = prog(A.Cas("ok", "x", Lit(None), Lit(5)), client_vars={"x": None})
+        (tr,) = all_steps(p)
+        assert tr.action.kind == "updRA" and tr.action.val == 5
+        assert tr.target.local("1", "ok") is True
+
     def test_fai_returns_old_value(self):
         p = prog(A.Fai("r", "x"), client_vars={"x": 3})
         (tr,) = all_steps(p)
