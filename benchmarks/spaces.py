@@ -2,8 +2,8 @@
 
 The ``wide`` relaxed-access grid is the workload several benchmarks and
 their *committed baselines* are stated over (``BENCH_state_index.json``,
-``BENCH_parallel_pipeline.json``): one definition keeps the recorded
-headline numbers comparable across benchmark files.
+``BENCH_kernel.json``, and perfbench's ``wide-4x3``): one definition
+keeps the recorded headline numbers comparable across benchmark files.
 """
 
 from __future__ import annotations

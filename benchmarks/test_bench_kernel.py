@@ -93,7 +93,7 @@ def _measure_sequential(program: Program):
     result = explore_sequential(program, 2_000_000)
     elapsed = time.perf_counter() - t0
     assert not result.truncated
-    states = result.state_total or len(result.configs)
+    states = result.state_count
     return states, elapsed, states / elapsed if elapsed > 0 else 0.0
 
 

@@ -1,20 +1,11 @@
-"""W1 — Witness machinery: parent-tracking overhead and memory shape.
+"""W1 — Witness machinery: parent-tracking overhead.
 
-Two claims are gated:
-
-* **throughput** — recording predecessor edges (``track_parents=True``)
-  costs the sequential engine at most **15% states/sec** vs tracking
-  off (the cost is one extra dict insert per discovered state, re-
-  hashing its canonical key).  Both legs drive the identical
-  ``explore_sequential`` loop over Peterson's algorithm, interleaved
-  and best-of-N; the ratio is enforced under ``REPRO_PERF_SMOKE=1``
-  (CI) and recorded always.
-* **memory** — the engine's predecessor graph is *digest-based*: per
-  state a 16-byte digest key plus a ``(parent digest, tid, component,
-  action)`` label, never a configuration.  Its deep bytes/state must
-  beat the config-storing :func:`find_path` reference (which retains a
-  full ``Config`` per state inside its parent map) by a wide margin —
-  enforced unconditionally, the ordering is platform-independent.
+Recording predecessor edges (``track_parents=True``) costs the
+sequential engine at most **15% states/sec** vs tracking off (the cost
+is one extra dict insert per discovered state, re-hashing its canonical
+key).  Both legs drive the identical ``explore_sequential`` loop over
+Peterson's algorithm, interleaved and best-of-N; the ratio is enforced
+under ``REPRO_PERF_SMOKE=1`` (CI) and recorded always.
 
 The committed ``BENCH_witness.json`` records the measured numbers
 (regenerate with ``REPRO_BENCH_WRITE_BASELINE=1``).
@@ -22,52 +13,16 @@ The committed ``BENCH_witness.json`` records the measured numbers
 
 import json
 import os
-import sys
 import time
-from collections import deque
 from pathlib import Path
 
-from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
 from repro.litmus.peterson import peterson_program
-from repro.semantics.canon import canonical_key
-from repro.semantics.config import initial_config
-from repro.semantics.step import successors
-from repro.semantics.witness import WitnessStep
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_witness.json"
 
 #: Parent tracking may cost at most this fraction of states/sec.
 OVERHEAD_FLOOR = 0.85
-
-#: Digest-based tracking must be at least this many times leaner than
-#: config-storing parent maps (measured ~100x; 5x is a loose floor).
-MEMORY_RATIO_FLOOR = 5.0
-
-
-def _deep_bytes(obj, seen=None) -> int:
-    """Recursive ``sys.getsizeof`` with sharing awareness: each object
-    is counted once, so structurally shared substates are not double
-    billed — the fair way to compare the two parent representations."""
-    if seen is None:
-        seen = set()
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            size += _deep_bytes(k, seen) + _deep_bytes(v, seen)
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        for e in obj:
-            size += _deep_bytes(e, seen)
-    elif hasattr(obj, "__dict__"):
-        size += _deep_bytes(vars(obj), seen)
-    elif hasattr(obj, "__slots__"):
-        for slot in obj.__slots__:
-            if hasattr(obj, slot):
-                size += _deep_bytes(getattr(obj, slot), seen)
-    return size
 
 
 def _states_per_sec(track: bool, repeats: int) -> float:
@@ -102,63 +57,6 @@ def test_parent_tracking_overhead(record_row):
             f"parent tracking regressed throughput to {ratio:.3f}x of the "
             f"untracked loop (floor {OVERHEAD_FLOOR}x)"
         )
-
-
-def _find_path_storage(program, max_states: int):
-    """Replicate exactly what the config-storing ``find_path`` retains
-    per state: the parent map whose entries hold a full configuration
-    (inside :class:`WitnessStep`).  Run with an unsatisfiable predicate
-    so the whole space is materialised."""
-    init = initial_config(program)
-    init_key = canonical_key(program, init)
-    parents = {init_key: (None, None)}
-    queue = deque([(init_key, init)])
-    while queue:
-        key, cfg = queue.popleft()
-        for tr in successors(program, cfg):
-            tkey = canonical_key(program, tr.target)
-            if tkey in parents or len(parents) >= max_states:
-                continue
-            parents[tkey] = (
-                key,
-                WitnessStep(tr.tid, tr.component, tr.action, tr.target),
-            )
-            queue.append((tkey, tr.target))
-    return parents
-
-
-def test_digest_tracking_beats_config_storage(record_row):
-    program = peterson_program()
-    engine = ExplorationEngine(workers=2)
-    result = engine.explore(
-        program, track_parents=True, keep_configs=False
-    )
-    assert result.parents is not None
-    engine_bytes = _deep_bytes(result.parents) / len(result.parents)
-
-    naive_parents = _find_path_storage(
-        peterson_program(), max_states=result.state_count
-    )
-    naive_bytes = _deep_bytes(naive_parents) / len(naive_parents)
-
-    ratio = naive_bytes / engine_bytes
-    ok = ratio >= MEMORY_RATIO_FLOOR
-    record_row(
-        "W1 witness tracking memory",
-        f"digest-based parents ≥{MEMORY_RATIO_FLOOR:.0f}x leaner than "
-        "config-storing find_path",
-        f"{engine_bytes:.0f} vs {naive_bytes:.0f} tracked bytes/state "
-        f"({ratio:.1f}x)",
-        ok,
-    )
-    _update_baseline("engine_bytes_per_state", round(engine_bytes))
-    _update_baseline("naive_bytes_per_state", round(naive_bytes))
-    # Platform-independent ordering: enforced unconditionally.
-    assert ok, (
-        f"digest-based parent tracking ({engine_bytes:.0f} B/state) no "
-        f"longer beats config-storing find_path ({naive_bytes:.0f} "
-        f"B/state) by {MEMORY_RATIO_FLOOR}x"
-    )
 
 
 def _update_baseline(key: str, value) -> None:

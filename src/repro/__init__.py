@@ -17,9 +17,9 @@ mechanisation becomes an executable model-checking framework:
   (:mod:`repro.impls`) and the paper's figure programs
   (:mod:`repro.figures`);
 * the exploration engine (:mod:`repro.engine`) — pluggable frontier
-  strategies (BFS / DFS / random swarm), a sharded multiprocess
-  explorer, a persistent result cache keyed by stable program
-  fingerprint, and a concurrent batch job runner with JSON reports.
+  strategies (BFS / DFS / random swarm) and reduction policies, a
+  persistent result cache keyed by stable program fingerprint, and a
+  concurrent batch job runner with JSON reports.
 
 Quickstart::
 
@@ -36,9 +36,9 @@ Engine quickstart::
 
     from repro import ExplorationEngine, ResultCache
 
-    engine = ExplorationEngine(workers=4, cache=ResultCache())
+    engine = ExplorationEngine(reduction="closure", cache=ResultCache())
     summary = engine.run(prog)          # cached on the second call
-    full = engine.explore(prog)         # full graph, sharded exploration
+    full = engine.explore(prog)         # full graph of the reduced system
 """
 
 from repro.engine import (

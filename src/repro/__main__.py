@@ -23,25 +23,18 @@ Commands:
 
 Options:
 
-* ``--workers N``   — worker processes: the engine's sharded pipeline
-  for ``litmus``/``refine``, job-level concurrency for ``batch``
-  (default 1).  With ``N > 1`` the engine still explores sequentially
-  where the pipeline cannot run (``--reduction dpor``, hosts without
-  working ``SharedMemory``); ``witness`` always searches sequentially
-  (shortest witnesses).  Results are identical either way;
+* ``--workers N``   — ``batch`` only: run the jobs in N processes
+  (default 1); every exploration itself runs in-process;
 * ``--profile PATH`` — dump cProfile stats of the exploration hot path
-  to PATH (sets ``REPRO_PROFILE``; with ``--workers N>1`` each
-  pipeline worker dumps ``PATH.w<wid>`` and the master merges them
-  into PATH);
+  to PATH (sets ``REPRO_PROFILE``);
 * ``--strategy S``  — frontier strategy ``bfs`` | ``dfs`` |
-  ``swarm[:seed]`` (sequential engine only);
+  ``swarm[:seed]``;
 * ``--reduction R`` — state-space reduction policy (any name in the
   registry :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
   (default: ε-closure + covering-read prune, same verdicts from far
   fewer stored states) | ``dpor`` (sleep-set + persistent-set partial
-  order reduction layered on ``closure``; always explored
-  sequentially) | ``off`` (the unreduced semantics) for
-  ``litmus``/``batch``;
+  order reduction layered on ``closure``) | ``off`` (the unreduced
+  semantics) for ``litmus``/``batch``;
 * ``--analysis P``  — static-analysis policy the engine applies before
   exploring: ``off`` (default) | ``warn`` (log findings, count them in
   the metrics) | ``strict`` (refuse to explore a program with
@@ -56,8 +49,9 @@ Options:
   the live progress heartbeat;
 * ``--verbose``/``-v`` — debug-level ``repro`` logging on stderr.
 
-Flags only apply to commands that read them (``--jobs``/``--json`` are
-batch-only, ``figures`` takes none); inapplicable flags are rejected.
+Flags only apply to commands that read them (``--workers``/``--jobs``/
+``--json`` are batch-only, ``figures`` takes none); inapplicable flags
+are rejected.
 
 The cache directory honours ``REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-engine``); ``REPRO_CACHE=0`` disables caching globally.
@@ -98,7 +92,6 @@ def _make_engine(options: Optional[dict] = None):
     quiet = options.get("quiet", False)
     return ExplorationEngine(
         strategy=options.get("strategy", "bfs"),
-        workers=options.get("workers", 1),
         cache=cache,
         reduction=options.get("reduction", "closure"),
         metrics=Metrics(),
@@ -245,13 +238,10 @@ def run_refine(options: Optional[dict] = None) -> bool:
 
     options = options or {}
     # Refinement needs full transition graphs, so there is nothing to
-    # cache: the engine only carries the workers/strategy and counts the
+    # cache: the engine only carries the strategy and counts the
     # explorations (two per client — each program is explored once and
     # shared by the simulation game and trace inclusion).
-    engine = ExplorationEngine(
-        strategy=options.get("strategy", "bfs"),
-        workers=options.get("workers", 1),
-    )
+    engine = ExplorationEngine(strategy=options.get("strategy", "bfs"))
     ok = True
     for fill, lib_vars in (
         (seqlock_fill, SEQLOCK_VARS),
@@ -270,8 +260,8 @@ def run_witness(options: Optional[dict] = None) -> bool:
     test's weak outcome; True iff reachability matches the RC11 RAR
     verdict (weak allowed ⇒ witness exists, forbidden ⇒ none).
 
-    The search rides the configured engine — workers, strategy and
-    reduction all apply — with predecessor tracking instead of stored
+    The search rides the configured engine — strategy and reduction
+    both apply — with predecessor tracking instead of stored
     configurations; under ``--reduction closure`` (the default) the
     reduced search's macro-steps are re-expanded so the printed
     schedule replays step-for-step through the unreduced semantics.
@@ -285,7 +275,7 @@ def run_witness(options: Optional[dict] = None) -> bool:
     if not name:
         raise ValueError(
             "usage: python -m repro witness <litmus-test> "
-            f"[--workers N --strategy S --reduction R]; "
+            f"[--strategy S --reduction R]; "
             f"available tests: {', '.join(sorted(tests))}"
         )
     if name not in tests:
@@ -464,23 +454,22 @@ def run_batch_cmd(options: Optional[dict] = None) -> bool:
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
     "litmus": {
-        "workers", "strategy", "no_cache", "reduction", "profile", "trace",
-        "quiet", "verbose", "analysis",
+        "strategy", "no_cache", "reduction", "profile", "trace", "quiet",
+        "verbose", "analysis",
     },
     "figures": set(),
-    "refine": {"workers", "strategy", "quiet", "verbose"},
+    "refine": {"strategy", "quiet", "verbose"},
     "batch": {
         "workers", "jobs", "json", "no_cache", "reduction", "profile",
         "trace", "quiet", "verbose",
     },
     "witness": {
-        "workers", "strategy", "reduction", "trace", "quiet", "verbose",
-        "analysis",
+        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
     },
     "lint": {"quiet", "verbose"},
     "all": {
-        "workers", "strategy", "no_cache", "reduction", "trace", "quiet",
-        "verbose", "analysis",
+        "strategy", "no_cache", "reduction", "trace", "quiet", "verbose",
+        "analysis",
     },
 }
 
@@ -603,8 +592,7 @@ def main(argv) -> int:
     env_sets = {}
     if options.get("profile"):
         # The profiling hook is environment-keyed so it reaches the
-        # pipeline workers (separate processes) as well as the
-        # sequential engine.
+        # batch job processes as well as this one.
         env_sets["REPRO_PROFILE"] = options["profile"]
     saved = {k: os.environ.get(k) for k in env_sets}
     os.environ.update(env_sets)

@@ -3,10 +3,9 @@
 A *job* is a self-contained verification workload — the litmus battery,
 the paper-figure checks, or one lock-refinement proof — returning a
 JSON-safe verdict.  :func:`run_batch` executes a list of jobs, spreading
-them across worker processes when ``workers > 1`` (each job is
-single-process internally, so job-level parallelism composes with the
-engine's own sharded explorer only when requested separately), and
-emits a machine-readable report.  ``use_cache`` governs the litmus
+them across worker processes when ``workers > 1`` (each job explores
+in-process, so the parallelism is job-level only), and emits a
+machine-readable report.  ``use_cache`` governs the litmus
 battery, the one workload whose verdicts are summary-shaped and hence
 cacheable; the figure and refinement jobs need full transition graphs
 and always explore live.  Usage::
@@ -40,14 +39,12 @@ def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
         run_litmus,
     )
 
-    # Honour the environment-configured engine (REPRO_WORKERS /
-    # REPRO_STRATEGY / cache settings) with the batch-level reduction
-    # policy layered on top.
+    # Honour the environment-configured engine (REPRO_STRATEGY / cache
+    # settings) with the batch-level reduction policy layered on top.
     base = default_engine()
     metrics = Metrics()
     engine = ExplorationEngine(
         strategy=base.strategy,
-        workers=base.workers,
         cache=base.cache if use_cache else None,
         reduction=reduction,
         metrics=metrics,
@@ -173,8 +170,9 @@ def _job_refine(impl: str) -> Dict:
 #: per-job ``diagnostics`` block (static-analysis summaries — populated
 #: by the litmus battery, ``null`` for jobs that don't run the passes);
 #: 4 dropped the ``meta`` block's ``engine_backend``/``engine_transport``
-#: (the engine now picks its path per exploration).
-REPORT_SCHEMA = 4
+#: (the engine now picks its path per exploration); 5 dropped
+#: ``engine_workers`` (the engine always explores in-process).
+REPORT_SCHEMA = 5
 
 
 def batch_meta(
@@ -209,8 +207,6 @@ def batch_meta(
             }
             for name in (jobs if jobs is not None else JOB_NAMES)
         },
-        # Engine settings the jobs inherit from the environment.
-        "engine_workers": int(os.environ.get("REPRO_WORKERS", "1") or "1"),
     }
 
 
@@ -348,6 +344,18 @@ def run_job(
     )
 
 
+def _pool_context():
+    """Prefer fork (cheap, no re-import) where available.  Imported
+    here, not at module level, so ``import repro.engine`` stays free of
+    :mod:`multiprocessing`."""
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+
+
 def run_batch(
     jobs: Optional[Sequence[str]] = None,
     workers: int = 1,
@@ -385,8 +393,6 @@ def run_batch(
         trace.emit("batch.start", jobs=names, workers=workers)
     if workers > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        from repro.engine.pipeline import _pool_context
 
         with ProcessPoolExecutor(
             max_workers=min(workers, len(names)),

@@ -11,13 +11,11 @@ sequential loop generalises the original BFS in
   instead of draining the queue, so the cap also bounds wall-clock time
   (``edge_count``/``terminals`` are lower bounds when ``truncated``).
 
-:class:`ExplorationEngine` bundles a strategy, a worker count and an
-optional persistent result cache:
+:class:`ExplorationEngine` bundles a strategy, a reduction policy and
+an optional persistent result cache:
 
 * ``engine.explore(program)`` — full :class:`ExploreResult`, computed
-  in-process or by the sharded multiprocess pipeline
-  (:mod:`repro.engine.pipeline`); the engine picks one of the two
-  paths from what it can observe (see :class:`ExplorationEngine`);
+  in-process by :func:`explore_sequential`;
 * ``engine.run(program)`` — cache-aware :class:`ExploreSummary`: on a
   warm cache a repeated verification performs zero re-explorations.
 """
@@ -79,21 +77,12 @@ def _check_reduction(reduction: str) -> str:
     return validate_reduction(reduction)
 
 
-def successor_function(reduction: str):
-    """The successor generator used by both engine paths — the
-    registered strategy's macro-step relation
-    (:data:`repro.semantics.reduce.ReductionStrategy.successors`)."""
-    from repro.semantics.reduce import get_strategy
-
-    return get_strategy(reduction).successors
-
-
 def key_function(
     program: "Program", canonicalise: bool
 ) -> Callable[["Config"], Tuple]:
     """The sequential loop's state-identification function.  Canonical
-    keys are process-local (interned ids); the pipeline digests the
-    structural form instead (:func:`repro.engine.pipeline.encoding_function`)."""
+    keys are process-local (interned ids); compare across processes
+    with :func:`~repro.semantics.canon.canonical_encoding` instead."""
     if canonicalise:
         from repro.semantics.canon import canonical_key
 
@@ -117,11 +106,10 @@ def explore_sequential(
     """See :func:`_explore_sequential`.  This wrapper adds the optional
     profiling hook: when ``REPRO_PROFILE=FILE`` is set (or ``--profile``
     on the CLI, which sets it), the exploration runs under
-    :mod:`cProfile` and the stats are dumped to ``FILE`` — the
-    sequential counterpart of the pipeline's per-worker
-    ``FILE.w<wid>`` dumps.  One process-wide profiler accumulates
-    across explorations, so after a battery (e.g. ``litmus``) ``FILE``
-    covers every exploration of the run, not just the last."""
+    :mod:`cProfile` and the stats are dumped to ``FILE``.  One
+    process-wide profiler accumulates across explorations, so after a
+    battery (e.g. ``litmus``) ``FILE`` covers every exploration of the
+    run, not just the last."""
     import os
 
     profile_to = os.environ.get("REPRO_PROFILE")
@@ -367,38 +355,17 @@ def _raw_state(state) -> Tuple:
 
 
 class ExplorationEngine:
-    """A configured exploration engine: strategy × workers × cache.
+    """A configured exploration engine: strategy × reduction × cache.
 
-    Every exploration takes one of two paths, chosen per call from
-    facts the engine can observe (:meth:`_route`), never from a user
-    setting:
-
-    * **sequential** — the in-process loop (:func:`explore_sequential`),
-      whenever ``workers == 1``, and at ``workers > 1`` when the
-      reduction policy is not ``pipeline_safe`` (``"dpor"``), for
-      :meth:`find_witness`, where ``SharedMemory`` does not work, or on
-      a spawn-only host with an unpicklable ``on_config``;
-    * **pipeline** — otherwise: persistent shard-owned worker processes
-      exchanging codec batches over shared-memory rings
-      (:mod:`repro.engine.pipeline`).
-
-    Non-truncated results agree across the two paths in every
-    representation-independent observable (state and edge counts,
-    terminal/stuck configurations, terminal outcomes); pipeline
-    results are keyed by stable digests, sequential ones by canonical
-    keys.
+    Every exploration runs in-process on the sequential loop
+    (:func:`explore_sequential`); results are keyed by canonical keys.
 
     Parameters
     ----------
     strategy:
-        Frontier policy for sequential exploration — ``"bfs"`` (default),
-        ``"dfs"``, ``"swarm[:seed]"`` or anything
-        :func:`repro.engine.strategy.make_frontier` accepts.  The
-        pipeline enumerates shard-complete visited sets (BFS-equivalent),
-        so ``workers > 1`` requires the default strategy.
-    workers:
-        Number of worker processes; ``1`` (default) explores in-process
-        — the deterministic reference.
+        Frontier policy — ``"bfs"`` (default), ``"dfs"``,
+        ``"swarm[:seed]"`` or anything
+        :func:`repro.engine.strategy.make_frontier` accepts.
     cache:
         Optional :class:`repro.engine.cache.ResultCache`; when set,
         :meth:`run` serves repeated explorations from disk.
@@ -410,29 +377,25 @@ class ExplorationEngine:
         the historical semantics), ``"closure"`` (ε-closure +
         covering-read prune, :mod:`repro.semantics.reduce`) or
         ``"dpor"`` (sleep-set + persistent-set partial-order reduction
-        on top of the closure, :mod:`repro.semantics.dpor`; always
-        sequential, and requires canonical keys) — overridable per
-        call.  The policy's fingerprint token is part of the
-        persistent-cache key: explorations under different policies are
-        cached separately because they store different configuration
-        sets.
+        on top of the closure, :mod:`repro.semantics.dpor`; requires
+        canonical keys) — overridable per call.  The policy's
+        fingerprint token is part of the persistent-cache key:
+        explorations under different policies are cached separately
+        because they store different configuration sets.
     metrics:
         Optional :class:`repro.obs.metrics.Metrics` sink.  When set (or
         when ``trace`` is), every exploration collects the engine
-        counter schema into a fresh per-run registry — merged across
-        worker fragments by the pipeline — whose snapshot lands on
-        ``ExploreResult.metrics``; the per-run registry is then folded
-        into this engine-level sink, which accumulates across
+        counter schema into a fresh per-run registry whose snapshot
+        lands on ``ExploreResult.metrics``; the per-run registry is then
+        folded into this engine-level sink, which accumulates across
         explorations (plus the ``cache.hits``/``cache.misses`` outcomes
         of :meth:`run`).  ``None`` (default) keeps telemetry off the
         hot paths entirely.
     trace:
         Optional :class:`repro.obs.trace.TraceWriter`.  When set, the
-        engine emits ``explore.start``/``explore.finish`` span events
-        (``explore.start`` names the path that actually ran), a
-        ``metrics.sample`` per exploration and ``explore.cached`` for
-        cache-served :meth:`run` calls (the pipeline adds
-        ``explore.drain`` events).
+        engine emits ``explore.start``/``explore.finish`` span events,
+        a ``metrics.sample`` per exploration and ``explore.cached`` for
+        cache-served :meth:`run` calls.
     progress:
         Optional :class:`repro.obs.progress.Progress` heartbeat,
         updated while explorations run and erased when they finish.
@@ -451,7 +414,6 @@ class ExplorationEngine:
     def __init__(
         self,
         strategy="bfs",
-        workers: int = 1,
         cache=None,
         max_states: int = DEFAULT_MAX_STATES,
         reduction: str = "off",
@@ -460,17 +422,8 @@ class ExplorationEngine:
         progress=None,
         analysis: str = "off",
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and strategy != "bfs":
-            raise ValueError(
-                "the sharded pipeline enumerates shard-complete visited "
-                f"sets (BFS-equivalent); strategy {strategy!r} requires "
-                "workers=1"
-            )
         make_frontier(strategy)  # fail fast on a bad spec
         self.strategy = strategy
-        self.workers = workers
         self.cache = cache
         self.max_states = max_states
         self.reduction = _check_reduction(reduction)
@@ -484,29 +437,11 @@ class ExplorationEngine:
     def __repr__(self) -> str:
         return (
             f"ExplorationEngine(strategy={self.strategy!r}, "
-            f"workers={self.workers}, cache={'on' if self.cache else 'off'}, "
+            f"cache={'on' if self.cache else 'off'}, "
             f"reduction={self.reduction!r})"
         )
 
     # -- full exploration ---------------------------------------------------
-    def _route(self, reduction: str, on_config) -> str:
-        """``"pipeline"`` when the sharded pipeline can run this
-        exploration, else ``"sequential"`` (see the class docstring)."""
-        if self.workers == 1:
-            return "sequential"
-        from repro.semantics.reduce import get_strategy
-
-        # Streaming shards never re-visit a state, so policies that need
-        # the sleep-shrink re-expansion protocol (dpor) stay in-process.
-        if not get_strategy(reduction).pipeline_safe:
-            return "sequential"
-        from repro.engine.pipeline import pipeline_usable
-        from repro.engine.shm import shm_available
-
-        if not shm_available() or not pipeline_usable(on_config):
-            return "sequential"
-        return "pipeline"
-
     def explore(
         self,
         program: Program,
@@ -527,36 +462,12 @@ class ExplorationEngine:
         Owicki–Gries) pass ``reduction="off"`` explicitly.
         ``analysis`` likewise overrides the engine's static-analysis
         policy for this call.
-        ``keep_configs=False`` lets the pipeline drop per-state payloads
-        once expanded (summary-only consumers); the sequential loop keys
-        its visited set by configuration and ignores it.
+        ``keep_configs`` has no effect on the in-process loop, which
+        keys its visited set by configuration and always returns the
+        full map; it is accepted so existing callers keep working.
         ``track_parents`` records each state's first-discovery edge in
-        ``result.parents`` (see :meth:`find_witness`).  The pipeline
-        evaluates ``on_config`` worker-side, so pass a pure predicate:
-        mutations it makes are not seen by the caller.
+        ``result.parents`` (see :meth:`find_witness`).
         """
-        return self._explore(
-            program, max_states, collect_edges, canonicalise,
-            check_invariants, on_config, reduction, keep_configs,
-            track_parents, analysis, sequential=False,
-        )
-
-    def _explore(
-        self,
-        program: Program,
-        max_states: Optional[int],
-        collect_edges: bool,
-        canonicalise: bool,
-        check_invariants: bool,
-        on_config: Optional[Callable[[Config], Optional[bool]]],
-        reduction: Optional[str],
-        keep_configs: bool,
-        track_parents: bool,
-        analysis: Optional[str],
-        sequential: bool,
-    ) -> ExploreResult:
-        """:meth:`explore`, with ``sequential=True`` pinning the
-        in-process path (:meth:`find_witness`)."""
         self.explorations += 1
         cap = self.max_states if max_states is None else max_states
         mode = (
@@ -581,47 +492,21 @@ class ExplorationEngine:
                 if self.metrics is not None and run_metrics is not None:
                     self.metrics.merge(run_metrics)
                 raise
-        path = "sequential" if sequential else self._route(mode, on_config)
         if self.trace is not None:
-            self.trace.emit(
-                "explore.start",
-                backend=path,
-                workers=self.workers,
-                reduction=mode,
-                max_states=cap,
-            )
-        if path == "pipeline":
-            from repro.engine.pipeline import explore_pipeline
-
-            result = explore_pipeline(
-                program,
-                workers=self.workers,
-                max_states=cap,
-                collect_edges=collect_edges,
-                canonicalise=canonicalise,
-                check_invariants=check_invariants,
-                on_config=on_config,
-                reduction=mode,
-                keep_configs=keep_configs,
-                track_parents=track_parents,
-                metrics=run_metrics,
-                progress=self.progress,
-                trace=self.trace,
-            )
-        else:
-            result = explore_sequential(
-                program,
-                max_states=cap,
-                collect_edges=collect_edges,
-                canonicalise=canonicalise,
-                check_invariants=check_invariants,
-                on_config=on_config,
-                strategy=self.strategy,
-                reduction=mode,
-                track_parents=track_parents,
-                metrics=run_metrics,
-                progress=self.progress,
-            )
+            self.trace.emit("explore.start", reduction=mode, max_states=cap)
+        result = explore_sequential(
+            program,
+            max_states=cap,
+            collect_edges=collect_edges,
+            canonicalise=canonicalise,
+            check_invariants=check_invariants,
+            on_config=on_config,
+            strategy=self.strategy,
+            reduction=mode,
+            track_parents=track_parents,
+            metrics=run_metrics,
+            progress=self.progress,
+        )
         if self.trace is not None:
             rate = (
                 run_metrics.states_per_sec() if run_metrics is not None else 0.0
@@ -704,12 +589,9 @@ class ExplorationEngine:
         stored configurations — and stops at the first hit; the witness
         is then reconstructed from the recorded graph
         (:func:`repro.semantics.witness.reconstruct_witness`) instead
-        of re-exploring.  The search always runs on the sequential path,
-        whatever ``workers`` is: its probe records the hit configuration
-        (a stateful callback, which pipeline workers could not hand
-        back), and under the default BFS strategy its recorded parents
-        make the witness shortest.  DFS/swarm engines return a valid but
-        not necessarily minimal execution.
+        of re-exploring.  Under the default BFS strategy the recorded
+        parents make the witness shortest; DFS/swarm engines return a
+        valid but not necessarily minimal execution.
 
         ``reduction="closure"`` searches the ε-closed macro-step system
         — typically several times fewer states — and the predicate is
@@ -739,18 +621,12 @@ class ExplorationEngine:
                 return True
             return False
 
-        result = self._explore(
+        result = self.explore(
             program,
             max_states,
-            collect_edges=False,
-            canonicalise=True,
-            check_invariants=False,
             on_config=probe,
             reduction=mode,
-            keep_configs=False,
             track_parents=True,
-            analysis=None,
-            sequential=True,
         )
         if hits:
 
@@ -801,9 +677,9 @@ class ExplorationEngine:
                 reduction=self.reduction,
             )
             hit = self.cache.get(key)
-            # Truncated summaries depend on visit order (strategy and
-            # worker count, which the key deliberately omits because
-            # complete results don't) — never serve or store them.
+            # Truncated summaries depend on visit order (the strategy,
+            # which the key deliberately omits because complete results
+            # don't) — never serve or store them.
             if hit is not None and not hit.truncated:
                 if self.metrics is not None:
                     self.metrics.inc("cache.hits")
@@ -813,12 +689,7 @@ class ExplorationEngine:
             if self.metrics is not None:
                 self.metrics.inc("cache.misses")
         summary = summarise(
-            self.explore(
-                program,
-                max_states=cap,
-                canonicalise=canonicalise,
-                keep_configs=False,
-            )
+            self.explore(program, max_states=cap, canonicalise=canonicalise)
         )
         if self.cache is not None and not summary.truncated:
             self.cache.put(key, summary)

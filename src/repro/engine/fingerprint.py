@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -75,144 +74,6 @@ def _encode(obj) -> tuple:
         f"{type(obj).__module__}.{type(obj).__qualname__}",
         _encode(state),
     )
-
-
-#: Memoised digests of hashable substructures (Actions, AST nodes, …)
-#: which repeat across virtually every canonical key of a run.  Value
-#: keyed — equal values share a digest — and bounded by half-eviction:
-#: when the memo reaches ``_SUB_DIGESTS_MAX`` entries, the oldest
-#: insertion half is dropped (dicts preserve insertion order).  The
-#: live working set — the substructures of the *current* exploration —
-#: is by construction the recently inserted half, so long batch runs
-#: shed the dead weight of earlier programs without ever re-hashing the
-#: current one from cold (a full clear forced exactly that).
-_SUB_DIGESTS: dict = {}
-_SUB_DIGESTS_MAX = 1_000_000
-
-
-def _evict_sub_digests() -> None:
-    """Drop the oldest-inserted half of the substructure memo."""
-    drop = len(_SUB_DIGESTS) // 2
-    for key in list(islice(_SUB_DIGESTS, drop)):
-        del _SUB_DIGESTS[key]
-
-
-def stable_digest(obj, digest_size: int = 16) -> bytes:
-    """An order- and process-independent digest of a canonical key.
-
-    Canonical keys are nested tuples containing frozensets (both at the
-    top level and inside ``LibBlock.public_regs``), whose iteration —
-    and hence pickle byte order — depends on ``PYTHONHASHSEED``.  The
-    sharded explorer dedups states across worker processes by digest,
-    so the encoding must not involve per-process hash state: sets and
-    dataclasses are folded into *sub-digests* (sorted, for sets),
-    everything else is fed as a tagged byte stream.
-
-    Raises :class:`TypeError` on an interned
-    :func:`~repro.semantics.canon.canonical_key`, whose ids are only
-    meaningful inside the process that assigned them; digest the
-    structural :func:`~repro.semantics.canon.canonical_encoding`.
-    """
-    h = hashlib.blake2b(digest_size=digest_size)
-    _feed(h, obj, digest_size)
-    return h.digest()
-
-
-def _feed(h, x, digest_size: int) -> None:
-    if isinstance(x, tuple):
-        if len(x) >= 2:
-            # Substructures (operation encodings, views, continuations)
-            # repeat across virtually every key of a run: fold them into
-            # memoised sub-digests instead of re-hashing byte streams.
-            h.update(b"c")
-            h.update(_sub_digest(x, digest_size))
-        else:
-            h.update(b"t%d:" % len(x))
-            for e in x:
-                _feed(h, e, digest_size)
-    elif isinstance(x, str):
-        h.update(b"s")
-        h.update(x.encode("utf-8", "surrogatepass"))
-        h.update(b"\x00")
-    elif x is None:
-        h.update(b"N")
-    elif isinstance(x, (bool, int, float, Fraction)):
-        # One numeric encoding for every numeric type: Python equality
-        # identifies True == 1 == Fraction(1), and digest equality must
-        # coincide with key equality or parallel dedup diverges from
-        # sequential dedup.
-        h.update(b"q")
-        h.update(str(Fraction(x)).encode("ascii"))
-        h.update(b"\x00")
-    elif isinstance(x, (frozenset, set)):
-        h.update(b"f%d:" % len(x))
-        h.update(b"".join(sorted(_sub_digest(e, digest_size) for e in x)))
-    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-        h.update(b"c")
-        h.update(_sub_digest(x, digest_size))
-    elif isinstance(x, list):
-        h.update(b"L%d:" % len(x))
-        for e in x:
-            _feed(h, e, digest_size)
-    elif isinstance(x, bytes):
-        h.update(b"b")
-        h.update(x)
-        h.update(b"\x00")
-    elif isinstance(x, Mapping):
-        h.update(b"m%d:" % len(x))
-        h.update(
-            b"".join(
-                sorted(_sub_digest(kv, digest_size) for kv in x.items())
-            )
-        )
-    else:
-        from repro.semantics.canon import KeyScope
-
-        if isinstance(x, KeyScope):
-            # A scope-tagged canonical key: its ids are assigned by this
-            # process's intern tables, so a digest of it would silently
-            # disagree with any other process's.
-            raise TypeError(
-                "stable_digest of a process-local canonical_key; digest "
-                "canonical_encoding(program, cfg) instead"
-            )
-        h.update(b"r")
-        h.update(f"{type(x).__qualname__}:{x!r}".encode("utf-8"))
-        h.update(b"\x00")
-
-
-def _sub_digest(x, digest_size: int) -> bytes:
-    """Digest of one substructure, memoised when ``x`` is hashable."""
-    try:
-        cached = _SUB_DIGESTS.get((digest_size, x))
-        cacheable = True
-    except TypeError:  # unhashable (e.g. a tuple containing a list)
-        cached = None
-        cacheable = False
-    if cached is not None:
-        return cached
-    h = hashlib.blake2b(digest_size=digest_size)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        cls = type(x)
-        h.update(b"d")
-        h.update(f"{cls.__module__}.{cls.__qualname__}".encode("ascii"))
-        h.update(b"\x00")
-        for f in dataclasses.fields(x):
-            _feed(h, getattr(x, f.name), digest_size)
-    elif isinstance(x, tuple):
-        # Inline element feed (not via _feed, which would re-enter this
-        # cache for the same tuple).
-        h.update(b"t%d:" % len(x))
-        for e in x:
-            _feed(h, e, digest_size)
-    else:
-        _feed(h, x, digest_size)
-    digest = h.digest()
-    if cacheable:
-        if len(_SUB_DIGESTS) >= _SUB_DIGESTS_MAX:
-            _evict_sub_digests()
-        _SUB_DIGESTS[(digest_size, x)] = digest
-    return digest
 
 
 def program_fingerprint(program: Program) -> str:

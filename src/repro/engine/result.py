@@ -41,13 +41,6 @@ class ExploreResult:
     #: True when an ``on_config`` callback requested an early halt; the
     #: result then covers only the states visited before the stop.
     stopped: bool = False
-    #: Explicit visited-state total, set whenever ``configs`` may hold
-    #: fewer entries than the exploration visited: summary-only
-    #: explorations (``keep_configs=False``, where ``configs`` holds
-    #: only the terminal/stuck configurations a verdict needs) and
-    #: every pipeline result (stopped/truncated pipeline runs
-    #: admit states they never materialise).
-    state_total: Optional[int] = None
     #: Predecessor graph recorded when the exploration was asked to
     #: ``track_parents``: state key -> ``(parent_key, tid, component,
     #: action)`` — the edge that first discovered the state — with the
@@ -66,8 +59,6 @@ class ExploreResult:
 
     @property
     def state_count(self) -> int:
-        if self.state_total is not None:
-            return self.state_total
         return len(self.configs)
 
     def terminal_locals(self, *regs: Tuple[str, str]) -> set:

@@ -118,7 +118,7 @@ def run_litmus(
 
     With the default arguments this is one sequential in-process
     exploration.  Pass an :class:`~repro.engine.core.ExplorationEngine`
-    to pick strategy/workers, and/or ``use_cache=True`` to serve
+    to pick strategy/reduction, and/or ``use_cache=True`` to serve
     repeated runs from the engine's persistent result cache (the CLI's
     default engine is used when caching is requested without an engine).
     """
@@ -132,12 +132,8 @@ def run_litmus(
     if use_cache and engine.cache is not None:
         summary = engine.run(test.build(), max_states=max_states)
     else:
-        # Summary-only consumer: let the sharded pipeline drop per-state
-        # payloads once expanded rather than materialising the full map.
         summary = summarise(
-            engine.explore(
-                test.build(), max_states=max_states, keep_configs=False
-            )
+            engine.explore(test.build(), max_states=max_states)
         )
     outcomes = summary.terminal_locals(*test.regs)
     weak_observed = bool(outcomes & test.weak)

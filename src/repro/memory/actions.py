@@ -45,8 +45,8 @@ class Action:
     Actions are immutable and hashed constantly (state sets, rank
     tables, canonical keys), so the hash is computed once and cached.
     The cache never crosses a pickle boundary: string hashing is
-    per-process (``PYTHONHASHSEED``), and the sharded explorer ships
-    configurations between processes.
+    per-process (``PYTHONHASHSEED``), and the persistent result cache
+    loads pickled configurations in later processes.
     """
 
     kind: str
@@ -77,12 +77,15 @@ class Action:
         return h
 
     def __reduce__(self):
-        """Compact positional encoding with trailing defaults omitted
-        and decode-side interning (:mod:`repro.memory.codec`).  The
-        cached hash is dropped across the pickle boundary as before."""
-        from repro.memory.codec import reduce_action
-
-        return reduce_action(self)
+        """Rebuild from the eight defining fields; the cached hash is
+        left behind."""
+        return (
+            Action,
+            (
+                self.kind, self.var, self.tid, self.val, self.rdval,
+                self.method, self.index, self.sync,
+            ),
+        )
 
     def __repr__(self) -> str:  # compact, used in counterexample dumps
         if self.kind == METH:
@@ -129,11 +132,8 @@ class Op:
         return NotImplemented
 
     def __reduce__(self):
-        """Numeric-pair timestamp encoding with decode-side interning
-        (:mod:`repro.memory.codec`); the cached hash never crosses."""
-        from repro.memory.codec import reduce_op
-
-        return reduce_op(self)
+        """Rebuild from ``(act, ts)``; the cached hash is left behind."""
+        return (Op, (self.act, self.ts))
 
     def __repr__(self) -> str:
         return f"⟨{self.act!r}@{self.ts}⟩"

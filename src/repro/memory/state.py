@@ -70,12 +70,10 @@ class ComponentState:
 
     # -- serialisation -------------------------------------------------------
     def __reduce__(self):
-        """Compact positional encoding of the four defining fields
-        (:mod:`repro.memory.codec`); indices, view-map caches and any
-        cached canonical data are derived — receivers rebuild lazily."""
-        from repro.memory.codec import reduce_component_state
-
-        return reduce_component_state(self)
+        """Rebuild from the four defining fields, as the same class (the
+        naive reference subclass stays naive).  Indices, view-map caches
+        and interned canonical ids are derived and rebuilt lazily."""
+        return (type(self), (self.ops, self.tview, self.mview, self.cvd))
 
     # -- derived indices -----------------------------------------------------
     @property

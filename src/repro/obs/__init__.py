@@ -1,23 +1,23 @@
 """repro.obs — engine-wide observability: metrics, progress, tracing.
 
 A 54k-state exploration used to be a silent black box until it
-returned.  This package is the telemetry layer every engine backend
+returned.  This package is the telemetry layer the engine
 threads through — strictly *zero-cost when off*: all collection points
 are guarded by ``is None`` tests on sinks the caller didn't install.
 
 * :mod:`repro.obs.metrics` — a mergeable registry of counters, timers
-  and gauges (:class:`Metrics`).  Backends count states/edges/frontier
-  depth; the reduction layer's hot paths report ε-fusions and
-  covering-read prunes through a module-level *active collector*;
-  worker processes ship per-shard fragments that merge into one global
-  snapshot on ``ExploreResult.metrics``.
+  and gauges (:class:`Metrics`).  The engine loop counts
+  states/edges/frontier depth; the reduction layer's hot paths report
+  ε-fusions and covering-read prunes through a module-level *active
+  collector*; the snapshot lands on ``ExploreResult.metrics``, and batch
+  job processes' snapshots merge into one report-level registry.
 * :mod:`repro.obs.progress` — a rate-limited stderr heartbeat
-  (:class:`Progress`): states/sec and per-shard balance while a long
-  exploration runs, automatically off when stderr is not a TTY or the
+  (:class:`Progress`): states and states/sec while a long exploration
+  runs, automatically off when stderr is not a TTY or the
   CLI was asked to be ``--quiet``.
 * :mod:`repro.obs.trace` — an append-only JSONL event stream
   (:class:`TraceWriter`, ``--trace FILE`` / ``REPRO_TRACE``) with a
-  documented stable schema: exploration spans, per-drain
+  documented stable schema: exploration spans, metrics
   samples and batch job lifecycle — the substrate a future
   ``repro serve`` mode streams to clients.
 

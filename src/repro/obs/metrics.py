@@ -3,22 +3,21 @@
 A :class:`Metrics` object is a small, mergeable registry.  Collection
 points come in two shapes:
 
-* call sites that hold a ``Metrics`` in hand — the engine backends —
+* call sites that hold a ``Metrics`` in hand — the engine loop —
   call :meth:`Metrics.inc` / :meth:`Metrics.add_time` /
   :meth:`Metrics.gauge_max` directly;
 * instrumentation buried in the semantics hot paths (the reduction
   layer's ε-fusion and covering-read-prune counts, which cannot thread
   a parameter through ``successors``) reads the module-level *active
   collector* ``_ACTIVE`` — ``None`` by default, installed around an
-  exploration by :func:`collecting` (or :func:`activate` in worker
-  processes).  The fully-disabled cost is one module-attribute load and
-  an ``is None`` test at each such site, which the overhead benchmark
-  (``benchmarks/test_bench_obs.py``) gates as unmeasurable.
+  exploration by :func:`collecting`.  The fully-disabled cost is one
+  module-attribute load and an ``is None`` test at each such site,
+  which the overhead benchmark (``benchmarks/test_bench_obs.py``)
+  gates as unmeasurable.
 
-Worker processes never share a registry: each pipeline worker collects
-into its own ``Metrics`` and ships ``snapshot()`` home inside its
-result fragment; the master :meth:`Metrics.merge`\\ s fragments into the
-one global registry whose snapshot lands on ``ExploreResult.metrics``.
+Processes never share a registry: a batch job collects into its own
+``Metrics`` and ships ``snapshot()`` home in its result; the report
+:meth:`Metrics.merge`\\ s the snapshots into one registry.
 
 Counter schema — stable names; the same keys appear in trace
 ``metrics.sample`` events and batch-report ``metrics`` blocks:
@@ -53,28 +52,12 @@ Counter schema — stable names; the same keys appear in trace
                                      the cache
 ``cache.misses``                     engine ``run()`` calls that explored
                                      live
-``shard.<w>.states``                 states owned/expanded by shard ``w``
-``pipeline.batches``                 cross-shard batches shipped (pipeline)
-``codec.encode_ns``                  nanoseconds spent encoding batches
-                                     into ring memory
-``codec.decode_ns``                  nanoseconds spent decoding batches
-``pipeline.batch_copies``            intermediate batch materialisations:
-                                     0 on the rings' zero-copy path, 1
-                                     per chunked oversize batch
-``shm.ring.bytes``                   bytes published into shm rings
-                                     (frame headers included)
-``shm.ring.frames``                  frames published into shm rings
-                                     (> batches only when chunking)
-``shm.ring.full_waits``              producer waits on a full ring —
-                                     sustained growth means undersized
-                                     rings (``REPRO_SHM_RING_CAP``)
 ===================================  ======================================
 
 Timers (seconds, additive): ``explore.elapsed`` — exploration
 wall-clock, the denominator of the states/sec rate.  Gauges (high-water
 marks, merged by max): ``explore.frontier_peak`` — sampled peak
-frontier/queue depth; ``shm.ring.<src>.<dst>.occupancy`` — peak bytes
-resident in the ``src → dst`` ring, sampled at publish.
+frontier/queue depth.
 """
 
 from __future__ import annotations
@@ -97,8 +80,7 @@ def active() -> Optional["Metrics"]:
 def activate(metrics: Optional["Metrics"]) -> Optional["Metrics"]:
     """Install ``metrics`` as the active collector; returns the
     previous one so callers can restore it (see :func:`collecting` for
-    the context-managed form used in-process; worker processes call
-    this once at startup and never restore)."""
+    the context-managed form)."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = metrics
@@ -198,15 +180,6 @@ class Metrics:
             return 0.0
         return self.counters.get("explore.states", 0) / elapsed
 
-    def shard_states(self) -> Dict[int, int]:
-        """Per-shard state counts: ``{wid: states}`` from the
-        ``shard.<wid>.states`` counters (empty for sequential runs)."""
-        out: Dict[int, int] = {}
-        for name, n in self.counters.items():
-            if name.startswith("shard.") and name.endswith(".states"):
-                out[int(name.split(".")[1])] = n
-        return out
-
     def describe(self) -> str:
         """The one-line human summary the CLI prints."""
         c = self.counters
@@ -223,10 +196,4 @@ class Metrics:
                 f"; cache {c.get('cache.hits', 0)} hits / "
                 f"{c.get('cache.misses', 0)} misses"
             )
-        shards = self.shard_states()
-        if shards:
-            balance = "/".join(
-                str(shards[w]) for w in sorted(shards)
-            )
-            line += f"; shard balance {balance}"
         return line

@@ -6,11 +6,11 @@ of the CLI's progress line — and the substrate the planned
 ``repro serve`` mode will stream to clients — so its schema is stable
 and versioned.
 
-Wire format (schema version 1)
+Wire format (schema version 2)
 ------------------------------
 Every line is one JSON object with three envelope fields::
 
-    {"v": 1, "ts": 1717171717.123, "ev": "explore.start", ...}
+    {"v": 2, "ts": 1717171717.123, "ev": "explore.start", ...}
 
 ``v``
     schema version (integer, currently :data:`SCHEMA_VERSION`);
@@ -23,19 +23,13 @@ Event payloads (additional fields may be appended in later versions —
 consumers must ignore unknown fields; the fields below are guaranteed):
 
 ``explore.start``
-    an engine exploration began — ``backend`` (the path that runs it:
-    ``"sequential"`` | ``"pipeline"``), ``workers``, ``reduction``,
-    ``max_states``;
+    an engine exploration began — ``reduction``, ``max_states``;
 ``explore.finish``
     its span end — ``states``, ``edges``, ``elapsed`` (seconds),
     ``truncated``, ``stopped``, ``states_per_sec``;
 ``explore.cached``
     an ``engine.run()`` served from the persistent result cache
     (no exploration span) — ``key`` (the cache fingerprint);
-``explore.drain``
-    pipeline, a worker drained its local frontier and went idle —
-    ``worker`` (shard id), ``consumed`` (control-queue batches
-    processed so far);
 ``metrics.sample``
     a metrics snapshot — ``metrics`` (the
     :meth:`repro.obs.metrics.Metrics.snapshot` dict); emitted by the
@@ -55,7 +49,7 @@ consumers must ignore unknown fields; the fields below are guaranteed):
     start events are emitted at submission and finish events as
     results arrive, all from the coordinating process.
 
-Events are emitted by the coordinating (master) process only — worker
+Events are emitted by the coordinating process only — batch job
 processes never touch the trace file, so no interleaving or locking
 concerns arise.  :func:`validate_event` checks one decoded line against
 the schema; the test-suite validates every stream the CLI produces.
@@ -68,8 +62,10 @@ import os
 import time
 from typing import Dict, Optional
 
-#: Trace schema version, the ``v`` field of every event.
-SCHEMA_VERSION = 1
+#: Trace schema version, the ``v`` field of every event.  2 dropped
+#: ``explore.start``'s ``backend``/``workers`` fields and the
+#: ``explore.drain`` event (the engine explores in-process only).
+SCHEMA_VERSION = 2
 
 #: Environment variable naming a JSONL trace file the CLI appends to
 #: (the ``--trace FILE`` flag wins when both are given).
@@ -79,15 +75,12 @@ TRACE_ENV = "REPRO_TRACE"
 #: JSON types.  ``float`` accepts ints (JSON has one number type);
 #: ``int`` rejects booleans (a common JSON-typing footgun).
 EVENTS: Dict[str, Dict[str, type]] = {
-    "explore.start": {
-        "backend": str, "workers": int, "reduction": str, "max_states": int,
-    },
+    "explore.start": {"reduction": str, "max_states": int},
     "explore.finish": {
         "states": int, "edges": int, "elapsed": float,
         "truncated": bool, "stopped": bool, "states_per_sec": float,
     },
     "explore.cached": {"key": str},
-    "explore.drain": {"worker": int, "consumed": int},
     "metrics.sample": {"metrics": dict},
     "analysis.report": {"policy": str, "errors": int, "warnings": int},
     "litmus.start": {"tests": int},

@@ -29,9 +29,8 @@ Two forms of one identity
 -------------------------
 :func:`canonical_encoding` spells the identity structurally: nested
 tuples of ``(action, rank)`` operation encodings.  It is independent of
-the process, so it is what leaves one — the pipeline digests it
-(:func:`repro.engine.fingerprint.stable_digest`) — and what the naive
-oracle (:mod:`repro.memory.naive`) is checked against.
+the process and of the program object, and it is what the naive oracle
+(:mod:`repro.memory.naive`) is checked against.
 
 :func:`canonical_key`, the key every in-process explorer dedups on, is
 the flat tuple ``(scope, cmds, locals, γ-id, β-id)``.  The ids are
@@ -69,8 +68,9 @@ object and die with it.  Every key leads with the program's
 :class:`KeyScope` tag, every id cached on a state or configuration is
 stored next to its tag and recomputed on a mismatch, and keys of
 different programs never compare equal.  The tables are never pickled
-(:meth:`Program.__getstate__`), never fingerprinted, and never reach a
-pipeline worker's digest.
+(:meth:`Program.__getstate__`), never fingerprinted, and never leave the
+process (:meth:`Config.__reduce__ <repro.semantics.config.Config.__reduce__>`
+drops every cached key).
 
 Soundness: an order-isomorphic per-variable relabelling is a bisimulation
 — the enabled transitions, placement choices and view updates of the
@@ -392,11 +392,10 @@ def canonical_encoding(program: Program, cfg: Config) -> Tuple:
     """The structural form of :func:`canonical_key`: the same quotient,
     spelled as nested tuples of ``(action, rank)`` operation encodings.
 
-    Process-independent (no intern ids), so it is what leaves the
-    process — the pipeline's shard and initial digests
-    (:func:`repro.engine.fingerprint.stable_digest`) — and what meets the
-    naive oracle (:mod:`repro.memory.naive`).  A pure function of the
-    configuration, cached on ``cfg``; ``program`` is unused.
+    Independent of the process and of the program object (no intern
+    ids), and what meets the naive oracle (:mod:`repro.memory.naive`).
+    A pure function of the configuration, cached on ``cfg``;
+    ``program`` is unused.
     """
     cached = cfg.__dict__.get("_canonical_encoding")
     if cached is not None:

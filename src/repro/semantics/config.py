@@ -32,13 +32,10 @@ class Config:
 
     # -- serialisation -------------------------------------------------------
     def __reduce__(self):
-        """Compact positional encoding of the four defining fields
-        (:mod:`repro.memory.codec`): cached canonical keys (installed by
-        :mod:`repro.semantics.canon`) are derived data and would bloat
-        the sharded explorer's cross-process byte stream."""
-        from repro.memory.codec import reduce_config
-
-        return reduce_config(self)
+        """Rebuild from ``(P, ls, γ, β)``.  Cached canonical keys
+        (installed by :mod:`repro.semantics.canon`) hold process-local
+        interned ids, so they never cross the pickle boundary."""
+        return (Config, (self.cmds, self.locals, self.gamma, self.beta))
 
     # -- inspection ----------------------------------------------------------
     def cmd(self, tid: str) -> Com:

@@ -141,7 +141,7 @@ footprints_conflict = fp_conflict
 #: AST nodes are immutable and loop unfoldings rebuild structurally-
 #: equal suffixes, so value-keyed memoisation hits across the
 #: exploration.  Bounded by oldest-half eviction (the shared
-#: :mod:`repro.util.cache` policy, matching the codec intern tables).
+#: :mod:`repro.util.cache` policy).
 _FOOTPRINTS: Dict[Tuple[A.Node, bool], _Footprint] = {}
 _FOOTPRINTS_MAX = 100_000
 
@@ -413,7 +413,7 @@ def dpor_successors(
 def _dpor_plain_successors(program: Program, cfg: Config) -> List[Transition]:
     """``successors``-signature wrapper: the empty-sleep expansion —
     persistent selection only, used by consumers that don't thread
-    sleep sets (``successor_function``, witness re-derivation)."""
+    sleep sets (witness re-derivation)."""
     return [tr for tr, _sleep in dpor_successors(program, cfg, frozenset())]
 
 
@@ -424,8 +424,6 @@ DPOR_STRATEGY = ReductionStrategy(
     normalise_initial=close_config,
     closure_expansion=True,
     supports_witness_reexpansion=True,
-    worker_safe=True,
-    pipeline_safe=False,  # no cross-shard sleep-set exchange yet
     requires_canonical=True,
     sleep_expand=dpor_successors,
     metric_names=(

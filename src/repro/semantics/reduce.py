@@ -72,10 +72,10 @@ This module is the *single* source of truth for reduction policies.
 Each policy is a :class:`ReductionStrategy` — successor function,
 initial-configuration normalisation, cache-fingerprint token,
 composability flags and metric names — registered under its name.
-Every consumer (``validate_reduction``, the engine's
-``successor_function``/``_check_reduction``, the persistent-cache key,
-the pipeline workers, batch, the CLI ``--reduction`` choices) reads
-the registry; nothing else enumerates policies.
+Every consumer (``validate_reduction``, the engine's loop and
+``_check_reduction``, the persistent-cache key, batch, the CLI
+``--reduction`` choices) reads the registry; nothing else enumerates
+policies.
 
 * ``"off"`` — the historical plain ``=⇒`` relation (the engine default).
 * ``"closure"`` — ε-closure + covering-read prune (this module).
@@ -117,7 +117,7 @@ class ReductionStrategy:
 
     ``successors`` is the policy's macro-step relation and
     ``normalise_initial`` its initial-configuration normalisation (both
-    with the ``(program, cfg)`` signature the engine backends use).
+    with the ``(program, cfg)`` signature the engine loop uses).
     ``sleep_expand`` — set only for sleep-set policies — replaces
     ``successors`` inside exploration loops that thread sleep sets: it
     maps ``(program, cfg, sleep)`` to ``[(transition, child_sleep)]``
@@ -131,11 +131,6 @@ class ReductionStrategy:
       policy built on the closed macro-step system);
     * ``supports_witness_reexpansion`` — recorded parent edges can be
       re-derived into a concrete, unreduced-replayable schedule;
-    * ``worker_safe`` — the successor/sleep functions are stateless and
-      may run inside worker processes;
-    * ``pipeline_safe`` — usable on the sharded pipeline (sleep-set
-      policies are not until cross-shard sleep exchange exists; the
-      engine explores them sequentially at any worker count);
     * ``requires_canonical`` — sound only under canonical state keys
       (the engine rejects ``canonicalise=False``).
 
@@ -153,8 +148,6 @@ class ReductionStrategy:
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
     supports_witness_reexpansion: bool = True
-    worker_safe: bool = True
-    pipeline_safe: bool = True
     requires_canonical: bool = False
     sleep_expand: Optional[
         Callable[[Program, Config, frozenset], List[Tuple]]

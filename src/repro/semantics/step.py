@@ -33,8 +33,7 @@ relabellings ("Verifying C11 Programs Operationally", the argument the
 canonical key rests on), so the first-seen configuration's successor
 states serve every later one with the same key — with their interned
 ids already cached on them.  Every other caller (the ε-closure, dpor,
-pipeline workers, witness replay, the proof-rule checkers, raw-keyed
-exploration) runs the same rule functions without a memo.
+witness replay, the proof-rule checkers, raw-keyed exploration) runs the same rule functions without a memo.
 """
 
 from __future__ import annotations
@@ -268,9 +267,8 @@ def silent_step(
 #: Memoised continuation summaries.  AST nodes are immutable and loop
 #: unfoldings rebuild structurally-equal suffixes, so value-keyed
 #: memoisation hits across the whole exploration.  Bounded by a crude
-#: flush (matching the fingerprint sub-digest cache) so long-lived
-#: processes exploring many distinct programs don't retain every dead
-#: program's AST.
+#: flush so long-lived processes exploring many distinct programs don't
+#: retain every dead program's AST.
 _SUMMARIES: Dict[A.Node, _Rest] = {}
 _SUMMARIES_MAX = 100_000
 

@@ -109,8 +109,8 @@ def find_path(
 
     This is the config-storing reference implementation; prefer
     :meth:`repro.engine.ExplorationEngine.find_witness` for anything
-    large — it rides the engine (sharded workers, ε-closure reduction)
-    and tracks predecessors by key + edge label instead of storing a
+    large — it rides the engine (frontier strategy, ε-closure
+    reduction) and tracks predecessors by key + edge label instead of storing a
     configuration per state.
     """
     init = initial_config(program)
@@ -192,7 +192,7 @@ def find_terminal_witness(
 
 #: A predecessor entry: ``(parent_key, tid, component, action)``; the
 #: initial key maps to None.  Keys are whatever the exploration used for
-#: state identity — canonical keys sequentially, stable digests sharded.
+#: state identity (canonical keys, or raw keys under ``canonicalise=False``).
 ParentGraph = Dict[object, Optional[Tuple]]
 
 
@@ -209,10 +209,10 @@ def reconstruct_witness(
     ``parents`` maps each explored state key to ``(parent_key, tid,
     component, action)`` — the edge that first discovered it — and the
     initial key to ``None``; ``key_of`` must be the exploration's own
-    state-identity function (canonical key for the sequential loop,
-    stable digest of it for the sharded pipeline).  Under a breadth-first
-    exploration the first-discovery edge is a shortest edge, so the
-    reconstructed path is shortest in (macro-)steps.
+    state-identity function (the canonical key, as
+    :meth:`~repro.engine.ExplorationEngine.find_witness` passes).  Under
+    a breadth-first exploration the first-discovery edge is a shortest
+    edge, so the reconstructed path is shortest in (macro-)steps.
 
     The parent chain stores no configurations: the path is re-derived
     by replaying forward from the initial configuration through the raw

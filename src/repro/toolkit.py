@@ -128,8 +128,8 @@ def verify_lock_implementation(
     engine:
         Optional :class:`repro.engine.ExplorationEngine` through which
         every state-space exploration of the battery is routed (pick a
-        strategy or the sharded multiprocess pipeline for large
-        implementations); None keeps the sequential in-process default.
+        frontier strategy, or count explorations); None keeps the
+        default engine.
     """
     if object_factory is None:
         from repro.objects.lock import AbstractLock

@@ -1,7 +1,7 @@
 """Bounded-dict eviction shared by the value-keyed memo tables.
 
 Several hot-path memoisations (continuation footprints, phase
-summaries, the codec intern tables) key immutable values in plain
+summaries) key immutable values in plain
 dicts bounded only as a backstop against pathological workloads.  When
 a table hits its cap, dropping the *oldest-inserted* half — dicts
 preserve insertion order — sheds dead entries from earlier programs

@@ -72,24 +72,35 @@ class TestReductionFlag:
         assert "not supported" in capsys.readouterr().out
 
 
-class TestShardedCli:
-    @pytest.mark.parametrize("reduction", ["closure", "dpor"])
-    def test_litmus_runs_with_two_workers(
-        self, capsys, monkeypatch, reduction
+class TestWorkersFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["litmus"], ["refine"], ["witness", "MP-relaxed"], ["all"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exploring_commands_reject_workers(self, capsys, argv):
+        # Explorations always run in-process; only batch has workers.
+        assert main(["repro", *argv, "--workers", "2"]) == 2
+        assert "--workers not supported" in capsys.readouterr().out
+
+    def test_batch_workers_runs_jobs_in_processes(
+        self, capsys, monkeypatch, tmp_path
     ):
-        # dpor is explored sequentially at any worker count; the
-        # pipeline runs the rest.
+        import json
+
         monkeypatch.setenv("REPRO_CACHE", "0")
-        assert (
-            main(
-                [
-                    "repro", "litmus", "--workers", "2",
-                    "--reduction", reduction, "--quiet",
-                ]
-            )
-            == 0
-        )
+        report = tmp_path / "report.json"
+        argv = [
+            "repro", "batch", "--workers", "2", "--jobs", "litmus,figures",
+            "--json", str(report), "--quiet",
+        ]
+        assert main(argv) == 0
         assert "ALL CHECKS PASS" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        assert data["ok"] and data["workers"] == 2
+        assert [j["name"] for j in data["jobs"]] == ["litmus", "figures"]
 
     def test_batch_reduction_json(self, capsys, monkeypatch, tmp_path):
         import json
@@ -270,10 +281,11 @@ class TestTraceFlag:
         # Satellite: the meta block makes archived reports
         # self-describing.
         meta = data["meta"]
-        assert meta["schema"] == 4
+        assert meta["schema"] == 5
         assert meta["python"] and meta["platform"]
         assert meta["cpu_count"] >= 1
         assert meta["workers"] == 1
+        assert "engine_workers" not in meta
         assert meta["reduction"] == "closure"
         # The litmus job carries telemetry; the aggregate mirrors it.
         litmus_job = next(j for j in data["jobs"] if j["name"] == "litmus")

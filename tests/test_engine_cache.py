@@ -5,8 +5,6 @@ import pickle
 import subprocess
 import sys
 
-import pytest
-
 from repro.engine import (
     ExplorationEngine,
     ResultCache,
@@ -79,64 +77,6 @@ class TestFingerprint:
             )
         assert prints[0] == prints[1] == program_fingerprint(_mp())
 
-    def test_stable_digest_hash_seed_independent(self):
-        """Canonical encodings contain frozensets, whose iteration order
-        is seed-dependent — the digest must not be (cross-process dedup
-        in the sharded explorer relies on it)."""
-        code = (
-            "from repro.lang import ast as A\n"
-            "from repro.lang.expr import Lit\n"
-            "from repro.lang.program import Program, Thread\n"
-            "from repro.semantics.canon import canonical_encoding\n"
-            "from repro.semantics.explore import explore\n"
-            "from repro.engine.fingerprint import stable_digest\n"
-            "t1 = A.seq(A.Write('d', Lit(5)), A.Write('f', Lit(1), release=True))\n"
-            "t2 = A.seq(A.Read('r1', 'f', acquire=True), A.Read('r2', 'd'))\n"
-            "p = Program(threads={'1': Thread(t1), '2': Thread(t2)},\n"
-            "            client_vars={'d': 0, 'f': 0})\n"
-            "r = explore(p)\n"
-            "digests = sorted(stable_digest(canonical_encoding(p, cfg)).hex()\n"
-            "                 for cfg in r.configs.values())\n"
-            "print(','.join(digests))\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        prints = []
-        for seed in ("1", "990099"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.path.abspath(src)
-            prints.append(
-                subprocess.run(
-                    [sys.executable, "-c", code],
-                    capture_output=True,
-                    text=True,
-                    env=env,
-                    check=True,
-                ).stdout.strip()
-            )
-        assert prints[0] == prints[1]
-        assert len(set(prints[0].split(","))) == len(prints[0].split(","))
-
-
-class TestSubDigestEviction:
-    def test_half_eviction_keeps_newest_and_stays_correct(self, monkeypatch):
-        """The substructure memo evicts its oldest-inserted half at the
-        cap — it must never grow past the cap, must retain the recent
-        half (the live working set), and eviction must not change any
-        digest."""
-        from repro.engine import fingerprint as fp
-
-        monkeypatch.setattr(fp, "_SUB_DIGESTS", {})
-        monkeypatch.setattr(fp, "_SUB_DIGESTS_MAX", 10)
-        keys = [("sub", i, str(i)) for i in range(25)]
-        digests = [fp.stable_digest((k, k)) for k in keys]
-        assert len(fp._SUB_DIGESTS) <= 10
-        # The most recently inserted substructures survived...
-        remembered = {k for (_size, k) in fp._SUB_DIGESTS}
-        assert keys[-1] in remembered and keys[0] not in remembered
-        # ...and re-digesting from a cold memo reproduces every digest.
-        monkeypatch.setattr(fp, "_SUB_DIGESTS", {})
-        assert [fp.stable_digest((k, k)) for k in keys] == digests
-
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
@@ -187,7 +127,7 @@ class TestResultCache:
         assert not path.exists()
 
     def test_truncated_results_not_cached(self, tmp_path):
-        # Truncated summaries depend on visit order (strategy/workers),
+        # Truncated summaries depend on visit order (the strategy),
         # which the cache key deliberately omits — they must never be
         # persisted or served.
         cache = ResultCache(tmp_path)
@@ -205,6 +145,54 @@ class TestResultCache:
         engine.run(_mp(2))
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+_CROSS_SEED_RUN = """
+import json, sys
+from repro.engine import ExplorationEngine, ResultCache
+from repro.litmus.catalog import LITMUS_TESTS
+
+test = {t.name: t for t in LITMUS_TESTS}["MP-relaxed"]
+engine = ExplorationEngine(cache=ResultCache(sys.argv[1]))
+summary = engine.run(test.build())
+derived = ("_canonical_key", "_canonical_encoding")
+print(json.dumps({
+    "cached": summary.cached,
+    "keyed": any(
+        name in cfg.__dict__ for cfg in summary.terminals for name in derived
+    ),
+    "outcomes": sorted(summary.terminal_locals(*test.regs)),
+}))
+"""
+
+
+class TestCrossProcessCache:
+    def test_summary_served_across_hash_seeds(self, tmp_path):
+        """A summary written by one process is served to another with a
+        different ``PYTHONHASHSEED``: its pickled configurations rebuild
+        from their defining fields, with no cached canonical key."""
+        import json
+
+        test = {t.name: t for t in LITMUS_TESTS}["MP-relaxed"]
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.path.abspath(src)
+            env.pop("REPRO_CACHE", None)
+            out = subprocess.run(
+                [sys.executable, "-c", _CROSS_SEED_RUN, str(tmp_path)],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            ).stdout
+            runs.append(json.loads(out))
+        written, served = runs
+        assert not written["cached"]
+        assert served["cached"]
+        assert {tuple(o) for o in served["outcomes"]} == set(test.allowed)
+        assert not served["keyed"]
 
 
 class TestCachedLitmus:

@@ -91,13 +91,25 @@ class TestFrontiers:
 
 
 class TestEngineAPI:
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(workers=0)
+    @pytest.mark.parametrize(
+        "option", ["workers", "backend", "transport", "codec"]
+    )
+    def test_removed_options_are_type_errors(self, option):
+        with pytest.raises(TypeError):
+            ExplorationEngine(**{option: 2})
+        with pytest.raises(TypeError):
+            ExplorationEngine().explore(
+                LITMUS_TESTS[0].build(), **{option: 2}
+            )
 
-    def test_rejects_non_bfs_parallel(self):
-        with pytest.raises(ValueError):
-            ExplorationEngine(strategy="dfs", workers=2)
+    def test_explore_is_the_sequential_loop(self):
+        # One program object: canonical keys are scoped to it.
+        program = LITMUS_TESTS[0].build()
+        seq = explore(program)
+        result = ExplorationEngine().explore(program)
+        # Identical including insertion order: same code path.
+        assert list(result.configs) == list(seq.configs)
+        assert result.edge_count == seq.edge_count
 
     def test_engine_counts_explorations(self):
         engine = ExplorationEngine()
@@ -122,3 +134,30 @@ class TestEngineAPI:
             *test.regs
         )
         assert not summary.cached
+
+
+class TestImportFootprint:
+    def test_engine_import_leaves_process_pools_out(self):
+        """``import repro, repro.engine`` must not load
+        :mod:`multiprocessing` or :mod:`concurrent.futures`: exploration
+        is in-process, and only ``batch --workers N`` needs a pool (it
+        imports one when it runs)."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.engine\n"
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert out == "[]"

@@ -94,29 +94,22 @@ class TestCacheKeying:
         assert red2.state_count == red.state_count
 
 
-class TestParallelSummaryPath:
-    def test_keep_configs_false_drops_map_keeps_verdict(self):
+class TestSummaryPath:
+    def test_keep_configs_is_accepted_and_inert(self):
+        """``keep_configs=False`` stays a valid keyword, and the
+        in-process loop returns the same full result with it."""
         test = _BY_NAME["MP-2-producers"]
         program = test.build()
-        engine = ExplorationEngine(workers=2)
+        engine = ExplorationEngine()
         full = engine.explore(program)
         slim = engine.explore(program, keep_configs=False)
-        assert slim.state_count == full.state_count
+        assert list(slim.configs) == list(full.configs)
         assert slim.edge_count == full.edge_count
         assert slim.terminal_locals(*test.regs) == set(test.allowed)
-        assert len(slim.configs) < slim.state_count
-        assert len(full.configs) == full.state_count
-
-    def test_collect_edges_forces_full_map(self):
-        result = ExplorationEngine(workers=2).explore(
-            _program(), collect_edges=True, keep_configs=False
-        )
-        assert len(result.configs) == result.state_count
-        assert set(result.edges) == set(result.configs)
 
     def test_engine_run_uses_summary_path(self):
         test = _BY_NAME["MP-ring-2-RA"]
-        summary = ExplorationEngine(workers=2).run(test.build())
+        summary = ExplorationEngine().run(test.build())
         assert summary.terminal_locals(*test.regs) == set(test.allowed)
         assert summary.state_count == 52  # unreduced ring-2 space
 
@@ -132,7 +125,7 @@ class TestPolicyNames:
 
     def test_batch_litmus_honours_env_engine(self, monkeypatch):
         """The batch litmus job builds its engine from the environment
-        (REPRO_WORKERS / REPRO_STRATEGY), with reduction layered on."""
+        (REPRO_STRATEGY), with reduction layered on."""
         from repro.engine.batch import run_job
 
         monkeypatch.setenv("REPRO_CACHE", "0")

@@ -1,24 +1,17 @@
-"""The metrics registry and its cross-path parity contract.
+"""The metrics registry and the engine's metrics sinks.
 
 The unit half exercises :class:`repro.obs.metrics.Metrics` (collection,
-merging, the active-collector protocol).  The parity half is the
-load-bearing guarantee of the telemetry layer: the pipeline's
-per-worker counter fragments must merge to exactly the sequential
-loop's totals — states, edges, and the reduction layer's fusion/prune
-counts — under {off, closure} on the litmus catalog, because both paths
-expand every reachable state exactly once and the semantics layers are
-deterministic per state.
+merging, the active-collector protocol); the engine half checks that
+per-run snapshots stay per-run while the engine-level sink accumulates
+explorations and cache outcomes.
 """
 
 import pytest
 
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
-from repro.engine.shm import shm_available
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.obs.metrics import Metrics, active, activate, collecting
-
-WORKERS = 2
 
 
 class TestMetricsRegistry:
@@ -79,13 +72,6 @@ class TestMetricsRegistry:
         m.inc("explore.states", 100)
         m.add_time("explore.elapsed", 2.0)
         assert m.states_per_sec() == pytest.approx(50.0)
-
-    def test_shard_states_parses_counter_names(self):
-        m = Metrics()
-        m.inc("shard.0.states", 7)
-        m.inc("shard.3.states", 9)
-        m.inc("explore.states", 16)
-        assert m.shard_states() == {0: 7, 3: 9}
 
     def test_describe_mentions_the_headline_numbers(self):
         m = Metrics()
@@ -159,72 +145,7 @@ class TestSequentialCollection:
         assert active() is None  # nothing leaked into the module slot
 
 
-def _sequential_counters(program, reduction):
-    m = Metrics()
-    explore_sequential(program, reduction=reduction, metrics=m)
-    return m.counters
-
-
-class TestShardedParity:
-    """Worker counter fragments must sum to the sequential totals."""
-
-    @pytest.mark.parametrize("reduction", ["off", "closure"])
-    def test_catalog_counter_parity(self, reduction):
-        mismatches = []
-        for test in LITMUS_TESTS:
-            seq = _sequential_counters(test.build(), reduction)
-            m = Metrics()
-            engine = ExplorationEngine(
-                workers=WORKERS, reduction=reduction, metrics=m
-            )
-            result = engine.explore(test.build())
-            # Counter parity is only defined on full runs (the
-            # documented lower-bound contract covers the rest); the
-            # catalog fits comfortably under the default cap.
-            assert not result.truncated and not result.stopped
-            par = result.metrics["counters"]
-            checks = {
-                "explore.states": seq["explore.states"],
-                "explore.edges": seq["explore.edges"],
-            }
-            for name, want in checks.items():
-                if par.get(name) != want:
-                    mismatches.append((test.name, name, par.get(name), want))
-            shard_sum = sum(
-                n
-                for name, n in par.items()
-                if name.startswith("shard.") and name.endswith(".states")
-            )
-            if shard_sum != seq["explore.states"]:
-                mismatches.append(
-                    (test.name, "shard-sum", shard_sum, seq["explore.states"])
-                )
-            for name in ("reduce.epsilon_fused", "reduce.covering_pruned"):
-                if par.get(name, 0) != seq.get(name, 0):
-                    mismatches.append(
-                        (test.name, name, par.get(name, 0), seq.get(name, 0))
-                    )
-        assert not mismatches, mismatches
-
-    @pytest.mark.skipif(
-        not shm_available(), reason="SharedMemory unavailable: no pipeline"
-    )
-    def test_pipeline_reports_ring_traffic(self):
-        # Cross-shard successors must pass through the transport
-        # counters, with *zero* intermediate batch copies on spaces
-        # whose batches fit the rings (the zero-copy contract) and the
-        # codec's encode/decode time accounted.
-        test = next(t for t in LITMUS_TESTS if t.name == "MP-ring-3-RA")
-        m = Metrics()
-        engine = ExplorationEngine(workers=WORKERS, metrics=m)
-        engine.explore(test.build())
-        assert m.counters["pipeline.batches"] > 0
-        assert m.counters["shm.ring.frames"] >= m.counters["pipeline.batches"]
-        assert m.counters["shm.ring.bytes"] > 0
-        assert m.counters.get("pipeline.batch_copies", 0) == 0
-        assert m.counters["codec.encode_ns"] > 0
-        assert m.counters["codec.decode_ns"] > 0
-
+class TestEngineSink:
     def test_engine_sink_accumulates_across_explorations(self):
         sink = Metrics()
         engine = ExplorationEngine(metrics=sink)

@@ -70,8 +70,8 @@ class TestTraceWriter:
 
 class TestValidateEvent:
     def _ok(self, **overrides):
-        base = {"v": 1, "ts": 1.0, "ev": "explore.drain",
-                "worker": 1, "consumed": 3}
+        base = {"v": SCHEMA_VERSION, "ts": 1.0, "ev": "explore.start",
+                "reduction": "off", "max_states": 3}
         base.update(overrides)
         return base
 
@@ -86,6 +86,10 @@ class TestValidateEvent:
     def test_rejects_wrong_version(self):
         with pytest.raises(ValueError, match="version"):
             validate_event(self._ok(v=99))
+        # Version 1 guaranteed explore.start's backend/workers fields,
+        # which version 2 dropped: old streams are refused, not misread.
+        with pytest.raises(ValueError, match="version"):
+            validate_event(self._ok(v=1))
 
     def test_rejects_bad_timestamp(self):
         with pytest.raises(ValueError, match="ts"):
@@ -99,19 +103,22 @@ class TestValidateEvent:
 
     def test_rejects_missing_field(self):
         bad = self._ok()
-        del bad["consumed"]
-        with pytest.raises(ValueError, match="consumed"):
+        del bad["max_states"]
+        with pytest.raises(ValueError, match="max_states"):
             validate_event(bad)
 
     def test_bool_is_not_an_int(self):
         # isinstance(True, int) holds in Python; the schema must not
         # let a boolean masquerade as a count.
-        with pytest.raises(ValueError, match="worker"):
-            validate_event(self._ok(worker=True))
+        with pytest.raises(ValueError, match="max_states"):
+            validate_event(self._ok(max_states=True))
 
     def test_int_is_a_float(self):
         # JSON has one number type: integral elapsed values are fine.
-        ev = {"v": 1, "ts": 1, "ev": "batch.finish", "ok": True, "elapsed": 2}
+        ev = {
+            "v": SCHEMA_VERSION, "ts": 1, "ev": "batch.finish", "ok": True,
+            "elapsed": 2,
+        }
         validate_event(ev)
         with pytest.raises(ValueError, match="elapsed"):
             validate_event({**ev, "elapsed": False})
@@ -119,7 +126,7 @@ class TestValidateEvent:
     def test_every_documented_event_has_a_spec(self):
         assert set(EVENTS) == {
             "explore.start", "explore.finish", "explore.cached",
-            "explore.drain", "metrics.sample", "analysis.report",
+            "metrics.sample", "analysis.report",
             "litmus.start", "litmus.finish",
             "batch.start", "batch.finish",
             "batch.job.start", "batch.job.finish",
@@ -141,23 +148,13 @@ class TestEngineEmission:
         kinds = [e["ev"] for e in events]
         assert kinds == ["explore.start", "explore.finish", "metrics.sample"]
         start, finish, sample = events
-        assert start["backend"] == "sequential"
-        assert start["workers"] == 1
+        assert start["reduction"] == "off"
+        assert "backend" not in start and "workers" not in start
         assert finish["states"] == result.state_count
         assert finish["edges"] == result.edge_count
         assert finish["states_per_sec"] > 0
         counters = sample["metrics"]["counters"]
         assert counters["explore.states"] == result.state_count
-
-    def test_pipeline_emits_drain_events(self):
-        result, events = self._explore(workers=2)
-        assert events[0]["ev"] == "explore.start"
-        assert events[0]["backend"] == "pipeline"
-        drains = [e for e in events if e["ev"] == "explore.drain"]
-        assert drains, "pipeline workers must trace their idle reports"
-        assert {e["worker"] for e in drains} <= {0, 1}
-        finish = next(e for e in events if e["ev"] == "explore.finish")
-        assert finish["states"] == result.state_count
 
     def test_cached_run_emits_cached_event(self, tmp_path):
         buf = io.StringIO()

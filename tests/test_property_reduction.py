@@ -16,18 +16,14 @@ reduced and unreduced exploration must agree on
   properties of terminal configurations;
 * refinement-check results — the checkers request ``reduction="off"``
   internally, so routing them through a closure-configured engine must
-  change nothing;
-
-sequentially and through the sharded pipeline, whose closure counts
-must match the sequential ones exactly.
+  change nothing.
 
 ``reduction="dpor"`` (sleep sets + persistent sets,
 :mod:`repro.semantics.dpor`) is held to the same verdict bar — equal
 terminal-valuation sets, stuck-existence and reachability verdicts —
 while storing *at most* as many states as closure (it explores a
-subset of the closed macro-step system).  Multi-worker engines explore
-it sequentially (the pipeline has no cross-shard sleep-set exchange),
-and its parallel leg asserts verdict parity on that route.
+subset of the closed macro-step system); an engine configured with
+``reduction="dpor"`` is held to the same bar.
 """
 
 from hypothesis import given, settings
@@ -161,41 +157,22 @@ class TestVerdictParity:
                 assert_invariant(program, impossible, reduction=reduction)
 
 
-class TestParallelParity:
+class TestEngineParity:
     @pytest.mark.parametrize(
         "name", ["MP-ring-2-RA", "MP-2-producers", "IRIW-await-RA"]
     )
-    def test_parallel_closure_matches_sequential(self, name):
-        test = {t.name: t for t in LITMUS_TESTS}[name]
-        program = test.build()
-        seq = explore_sequential(program, reduction="closure")
-        par = ExplorationEngine(workers=2, reduction="closure").explore(
-            program
-        )
-        assert par.state_count == seq.state_count
-        assert par.edge_count == seq.edge_count
-        assert _terminal_valuations(par) == _terminal_valuations(seq)
-        assert par.terminal_locals(*test.regs) == set(test.allowed)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize(
-        "name", ["MP-ring-2-RA", "MP-2-producers", "IRIW-await-RA"]
-    )
-    def test_parallel_dpor_verdict_parity(self, name, workers):
-        """dpor on a multi-worker engine (which explores it
-        sequentially): verdict parity with the sequential engine, state
-        count bounded by sequential closure."""
+    def test_engine_dpor_verdict_parity(self, name):
+        """dpor through a configured engine: verdict parity with
+        ``explore_sequential``, state count bounded by closure."""
         test = {t.name: t for t in LITMUS_TESTS}[name]
         program = test.build()
         seq = explore_sequential(program, reduction="dpor")
         closure = explore_sequential(program, reduction="closure")
-        par = ExplorationEngine(workers=workers, reduction="dpor").explore(
-            program
-        )
-        assert _terminal_valuations(par) == _terminal_valuations(seq)
-        assert bool(par.stuck) == bool(seq.stuck)
-        assert par.state_count <= closure.state_count
-        assert par.terminal_locals(*test.regs) == set(test.allowed)
+        result = ExplorationEngine(reduction="dpor").explore(program)
+        assert _terminal_valuations(result) == _terminal_valuations(seq)
+        assert bool(result.stuck) == bool(seq.stuck)
+        assert result.state_count <= closure.state_count
+        assert result.terminal_locals(*test.regs) == set(test.allowed)
 
 
 class TestRefinementParity:

@@ -4,9 +4,7 @@ The engine's ``find_witness`` tracks predecessors by key + edge label
 (no stored configurations) and re-derives the concrete schedule by
 replay; under ``reduction="closure"`` it additionally re-expands fused
 macro-steps.  These properties pin the contract over the litmus
-catalog, for 1- and 2-worker engines (``find_witness`` searches on
-the sequential path at any worker count), with the reduction off and
-on:
+catalog, with the reduction off and on:
 
 * **replayability** — every step of a reconstructed witness is an
   element of the raw (unreduced) ``successors`` relation at its point,
@@ -33,21 +31,6 @@ from repro.util.errors import VerificationError
 WEAK_ALLOWED = [t for t in LITMUS_TESTS if t.weak_allowed]
 #: Tests whose weak outcome is forbidden — exhaustively unreachable.
 WEAK_FORBIDDEN = [t for t in LITMUS_TESTS if not t.weak_allowed]
-
-#: Subset exercised through a 2-worker engine.
-PARALLEL_SUBSET = [
-    t
-    for t in LITMUS_TESTS
-    if t.name
-    in {
-        "MP-relaxed",
-        "SB-relaxed",
-        "IRIW-RA",
-        "MP-await-relaxed",
-        "MP-ring-2-relaxed",
-        "SB-computed",
-    }
-]
 
 
 def _weak_predicate(test):
@@ -118,36 +101,6 @@ class TestSequentialWitnessParity:
         assert w is None
 
 
-class TestShardedWitnessParity:
-    @pytest.mark.parametrize(
-        "test", PARALLEL_SUBSET, ids=lambda t: t.name
-    )
-    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
-    def test_two_worker_witness_replays(self, test, reduction):
-        # find_witness always searches on the sequential path, which
-        # supports dpor at any worker count.
-        reference = _naive_reference(test)
-        engine = ExplorationEngine(workers=2, reduction=reduction)
-        w = engine.find_witness(
-            test.build(), _weak_predicate(test), terminal_only=True
-        )
-        assert w is not None
-        _check_witness(test, w, reference, check_minimal=reduction != "dpor")
-        if reduction == "off":
-            # The sequential search is BFS: shortest.
-            assert len(w) == len(reference)
-
-    def test_two_worker_forbidden_is_none(self):
-        test = next(t for t in WEAK_FORBIDDEN if t.name == "LB")
-        engine = ExplorationEngine(workers=2, reduction="closure")
-        assert (
-            engine.find_witness(
-                test.build(), _weak_predicate(test), terminal_only=True
-            )
-            is None
-        )
-
-
 class TestEngineWitnessContract:
     def test_truncated_search_raises(self):
         from tests.conftest import mp_relaxed
@@ -157,27 +110,6 @@ class TestEngineWitnessContract:
             engine.find_witness(
                 mp_relaxed(), lambda c: False, max_states=3
             )
-
-    def test_parents_are_digests_not_configs_when_sharded(self):
-        """The sharded predecessor graph stores 16-byte digests + edge
-        labels — never configurations (the memory point of the
-        redesign)."""
-        from tests.conftest import mp_relaxed
-
-        engine = ExplorationEngine(workers=2)
-        result = engine.explore(
-            mp_relaxed(), track_parents=True, keep_configs=False
-        )
-        assert result.parents
-        roots = [k for k, v in result.parents.items() if v is None]
-        assert roots == [result.initial_key]
-        for key, entry in result.parents.items():
-            assert isinstance(key, bytes) and len(key) == 16
-            if entry is not None:
-                parent, tid, component, _action = entry
-                assert isinstance(parent, bytes) and len(parent) == 16
-                assert tid in mp_relaxed().tids
-                assert component in ("C", "L")
 
     def test_sequential_tracking_off_by_default(self):
         from tests.conftest import mp_relaxed

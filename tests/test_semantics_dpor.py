@@ -177,8 +177,6 @@ class TestStrategy:
         assert strat.fingerprint_token == "dpor-1"
         assert strat.closure_expansion
         assert strat.requires_canonical
-        assert not strat.pipeline_safe
-        assert strat.worker_safe
         assert strat.supports_witness_reexpansion
         assert strat.sleep_expand is dpor_successors
         assert "reduce.dpor.sleep_blocked" in strat.metric_names

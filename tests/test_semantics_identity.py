@@ -9,8 +9,6 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
   program objects never compare equal, a configuration keyed under one
   program is re-keyed under another, and nothing of the tables or of a
   cached id crosses a pickle.
-* **Portability.**  Keys are process-local, so
-  :func:`~repro.engine.fingerprint.stable_digest` refuses them.
 """
 
 import pickle
@@ -19,9 +17,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 
-from repro.engine.fingerprint import stable_digest
 from repro.litmus.catalog import LITMUS_TESTS
-from repro.semantics.canon import KeyScope, canonical_encoding, canonical_key
+from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
@@ -166,12 +163,3 @@ class TestScope:
             assert not set(vars(back)) & set(_CACHED)
         back = pickle.loads(pickle.dumps(program))
         assert explore(back).state_count == r.state_count
-
-    def test_stable_digest_rejects_interned_keys(self):
-        program = mp_relaxed()
-        cfg = initial_config(program)
-        with pytest.raises(TypeError):
-            stable_digest(canonical_key(program, cfg))
-        with pytest.raises(TypeError):
-            stable_digest(KeyScope())
-        assert len(stable_digest(canonical_encoding(program, cfg))) == 16
