@@ -9,7 +9,7 @@ catalog, with the reduction off and on:
 * **replayability** — every step of a reconstructed witness is an
   element of the raw (unreduced) ``successors`` relation at its point,
   and the replay ends in a terminal configuration exhibiting the weak
-  valuation searched for;
+  valuation searched for — on the BFS, DFS and swarm frontiers alike;
 * **minimality** — with the reduction off, the BFS witness length
   equals the naive config-storing :func:`find_path` reference; under
   closure the *visible*-step count never exceeds the reference's
@@ -31,6 +31,20 @@ from repro.util.errors import VerificationError
 WEAK_ALLOWED = [t for t in LITMUS_TESTS if t.weak_allowed]
 #: Tests whose weak outcome is forbidden — exhaustively unreachable.
 WEAK_FORBIDDEN = [t for t in LITMUS_TESTS if not t.weak_allowed]
+#: Subset searched on the non-BFS frontiers.
+STRATEGY_SUBSET = [
+    t
+    for t in LITMUS_TESTS
+    if t.name
+    in {
+        "MP-relaxed",
+        "SB-relaxed",
+        "IRIW-RA",
+        "MP-await-relaxed",
+        "MP-ring-2-relaxed",
+        "SB-computed",
+    }
+]
 
 
 def _weak_predicate(test):
@@ -99,6 +113,37 @@ class TestSequentialWitnessParity:
             test.build(), _weak_predicate(test), terminal_only=True
         )
         assert w is None
+
+
+class TestStrategyWitnessParity:
+    """DFS and swarm engines record *a* discovery path per state, not a
+    shortest one: their witnesses must still be real executions that
+    exhibit the weak valuation, under every reduction policy."""
+
+    @pytest.mark.parametrize(
+        "test", STRATEGY_SUBSET, ids=lambda t: t.name
+    )
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    @pytest.mark.parametrize("strategy", ["dfs", "swarm:7"])
+    def test_witness_replays(self, strategy, reduction, test):
+        reference = _naive_reference(test)
+        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
+        w = engine.find_witness(
+            test.build(), _weak_predicate(test), terminal_only=True
+        )
+        assert w is not None
+        _check_witness(test, w, reference, check_minimal=False)
+
+    @pytest.mark.parametrize("strategy", ["dfs", "swarm:7"])
+    def test_forbidden_is_none(self, strategy):
+        test = next(t for t in WEAK_FORBIDDEN if t.name == "LB")
+        engine = ExplorationEngine(strategy=strategy, reduction="closure")
+        assert (
+            engine.find_witness(
+                test.build(), _weak_predicate(test), terminal_only=True
+            )
+            is None
+        )
 
 
 class TestEngineWitnessContract:
