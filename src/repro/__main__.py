@@ -25,10 +25,8 @@ Options:
 
 * ``--workers N``   — ``batch`` only: run the jobs in N processes
   (default 1); every exploration itself runs in-process;
-* ``--profile PATH`` — dump cProfile stats of the exploration hot path
-  to PATH (sets ``REPRO_PROFILE``);
 * ``--strategy S``  — frontier strategy ``bfs`` | ``dfs`` |
-  ``swarm[:seed]``;
+  ``swarm[:seed]`` (any other spec is a usage error);
 * ``--reduction R`` — state-space reduction policy (any name in the
   registry :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
   (default: ε-closure + covering-read prune, same verdicts from far
@@ -44,7 +42,7 @@ Options:
 * ``--json PATH``   — write the batch report to PATH;
 * ``--trace PATH``  — append a JSONL telemetry stream (exploration
   spans, metrics samples, batch job lifecycle — schema documented in
-  :mod:`repro.obs.trace`) to PATH; ``REPRO_TRACE`` sets a default;
+  :mod:`repro.obs.trace`) to PATH;
 * ``--quiet``/``-q`` — suppress the telemetry/cache summary lines and
   the live progress heartbeat;
 * ``--verbose``/``-v`` — debug-level ``repro`` logging on stderr.
@@ -53,10 +51,12 @@ Flags only apply to commands that read them (``--workers``/``--jobs``/
 ``--json`` are batch-only, ``figures`` takes none); inapplicable flags
 are rejected.
 
-The cache directory honours ``REPRO_CACHE_DIR`` (default
+Environment: the cache directory honours ``REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-engine``); ``REPRO_CACHE=0`` disables caching globally.
-``REPRO_LOG`` (``quiet``/``info``/``debug`` or ``0``/``1``/``2``) sets
-the default verbosity when neither ``--quiet`` nor ``-v`` is given.
+No other environment variable is read.
+
+Profiling: ``python -m cProfile -o FILE -m repro litmus`` (with
+``batch``, pass ``--workers 1`` to keep the jobs in-process).
 """
 
 from __future__ import annotations
@@ -66,14 +66,12 @@ from typing import Optional
 
 
 def _make_trace(options: dict):
-    """The command's JSONL trace sink: ``--trace`` wins, then
-    ``REPRO_TRACE``, else None.  The caller owns closing it."""
-    from repro.obs import TraceWriter, trace_from_env
+    """The command's JSONL trace sink on the ``--trace`` file, else
+    None.  The caller owns closing it."""
+    from repro.obs import TraceWriter
 
     path = options.get("trace")
-    if path:
-        return TraceWriter(path)
-    return trace_from_env()
+    return TraceWriter(path) if path else None
 
 
 def _make_engine(options: Optional[dict] = None):
@@ -180,61 +178,33 @@ def run_litmus(options: Optional[dict] = None) -> bool:
     return ok
 
 
+#: How ``figures`` prints each :func:`repro.figures.figure_checks` row.
+_FIGURE_LINES = {
+    "figure-1": "Figure 1: outcomes {measured}  {verdict}",
+    "figure-2": "Figure 2: outcomes {measured}  {verdict}",
+    "figure-3-outline": "Figure 3: outline valid = {ok} ({measured})",
+    "mp-outline": "MP outline (variable-level): valid = {ok}",
+    "figure-7": "Figure 7: outcomes {measured}  {verdict}",
+    "lemma-4-outline": "Lemma 4 : outline valid = {ok} ({measured})",
+}
+
+
 def run_figures(options: Optional[dict] = None) -> bool:
     """Verify the paper's figure programs and proof outlines."""
-    from repro.figures.fig1 import EXPECTED_OUTCOMES as F1
-    from repro.figures.fig1 import fig1_program
-    from repro.figures.fig2 import EXPECTED_OUTCOMES as F2
-    from repro.figures.fig2 import fig2_program
-    from repro.figures.fig3 import fig3_outline
-    from repro.figures.fig7 import EXPECTED_OUTCOMES as F7
-    from repro.figures.fig7 import fig7_outline, fig7_program
-    from repro.figures.mp_outline import mp_outline
-    from repro.logic.owicki import check_proof_outline
-    from repro.semantics.explore import explore
+    from repro.figures import figure_checks
 
-    ok = True
-    out1 = explore(fig1_program()).terminal_locals(("2", "r2"))
-    print(f"Figure 1: outcomes {sorted(out1, key=repr)}  "
-          f"{'OK' if out1 == F1 else 'MISMATCH'}")
-    ok &= out1 == F1
-
-    out2 = explore(fig2_program()).terminal_locals(("2", "r2"))
-    print(f"Figure 2: outcomes {sorted(out2, key=repr)}  "
-          f"{'OK' if out2 == F2 else 'MISMATCH'}")
-    ok &= out2 == F2
-
-    r3 = check_proof_outline(fig3_outline())
-    print(f"Figure 3: outline valid = {r3.valid} "
-          f"({r3.obligations} obligations)")
-    ok &= r3.valid
-
-    rmp = check_proof_outline(mp_outline())
-    print(f"MP outline (variable-level): valid = {rmp.valid}")
-    ok &= rmp.valid
-
-    out7 = explore(fig7_program()).terminal_locals(
-        ("2", "rl"), ("2", "r1"), ("2", "r2")
-    )
-    print(f"Figure 7: outcomes {sorted(out7)}  "
-          f"{'OK' if out7 == F7 else 'MISMATCH'}")
-    ok &= out7 == F7
-
-    r7 = check_proof_outline(fig7_outline())
-    print(f"Lemma 4 : outline valid = {r7.valid} "
-          f"({r7.obligations} obligations)")
-    ok &= r7.valid
-    return ok
+    rows = figure_checks()
+    for row in rows:
+        verdict = "OK" if row["ok"] else "MISMATCH"
+        print(_FIGURE_LINES[row["check"]].format(verdict=verdict, **row))
+    return all(row["ok"] for row in rows)
 
 
 def run_refine(options: Optional[dict] = None) -> bool:
     """Verify every lock implementation against the abstract lock."""
-    from repro.impls.seqlock import SEQLOCK_VARS, seqlock_fill
-    from repro.impls.spinlock import SPINLOCK_VARS, spinlock_fill
-    from repro.impls.ticketlock import TICKETLOCK_VARS, ticketlock_fill
-    from repro.toolkit import verify_lock_implementation
-
     from repro.engine import ExplorationEngine
+    from repro.impls import LOCKS
+    from repro.toolkit import verify_lock_implementation
 
     options = options or {}
     # Refinement needs full transition graphs, so there is nothing to
@@ -243,11 +213,7 @@ def run_refine(options: Optional[dict] = None) -> bool:
     # shared by the simulation game and trace inclusion).
     engine = ExplorationEngine(strategy=options.get("strategy", "bfs"))
     ok = True
-    for fill, lib_vars in (
-        (seqlock_fill, SEQLOCK_VARS),
-        (ticketlock_fill, TICKETLOCK_VARS),
-        (spinlock_fill, SPINLOCK_VARS),
-    ):
+    for fill, lib_vars in LOCKS.values():
         report = verify_lock_implementation(fill, lib_vars, engine=engine)
         print(report.describe())
         ok &= report.ok
@@ -454,14 +420,14 @@ def run_batch_cmd(options: Optional[dict] = None) -> bool:
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
     "litmus": {
-        "strategy", "no_cache", "reduction", "profile", "trace", "quiet",
-        "verbose", "analysis",
+        "strategy", "no_cache", "reduction", "trace", "quiet", "verbose",
+        "analysis",
     },
     "figures": set(),
     "refine": {"strategy", "quiet", "verbose"},
     "batch": {
-        "workers", "jobs", "json", "no_cache", "reduction", "profile",
-        "trace", "quiet", "verbose",
+        "workers", "jobs", "json", "no_cache", "reduction", "trace",
+        "quiet", "verbose",
     },
     "witness": {
         "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
@@ -481,7 +447,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
         "strategy": "bfs",
         "no_cache": False,
         "reduction": "closure",
-        "profile": None,
         "trace": None,
         "quiet": False,
         "verbose": False,
@@ -502,7 +467,7 @@ def _parse_options(args, command: str) -> Optional[dict]:
             given.add("verbose")
         elif flag in (
             "--workers", "--strategy", "--jobs", "--json", "--reduction",
-            "--profile", "--trace", "--analysis",
+            "--trace", "--analysis",
         ):
             if i + 1 >= len(args):
                 return None
@@ -528,8 +493,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
                     )
                     return None
                 options["reduction"] = value
-            elif flag == "--profile":
-                options["profile"] = value
             elif flag == "--analysis":
                 from repro.analysis import ANALYSIS_POLICIES
 
@@ -587,31 +550,15 @@ def main(argv) -> int:
         quiet=options.get("quiet", False),
         verbose=options.get("verbose", False),
     )
-    import os
-
-    env_sets = {}
-    if options.get("profile"):
-        # The profiling hook is environment-keyed so it reaches the
-        # batch job processes as well as this one.
-        env_sets["REPRO_PROFILE"] = options["profile"]
-    saved = {k: os.environ.get(k) for k in env_sets}
-    os.environ.update(env_sets)
     ok = True
-    try:
-        for i, job in enumerate(dispatch[command]):
-            if i:
-                print()
-            try:
-                ok &= job(options)
-            except ValueError as exc:  # bad strategy / job names, etc.
-                print(f"error: {exc}")
-                return 2
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    for i, job in enumerate(dispatch[command]):
+        if i:
+            print()
+        try:
+            ok &= job(options)
+        except ValueError as exc:  # bad strategy / job names, etc.
+            print(f"error: {exc}")
+            return 2
     print()
     print("ALL CHECKS PASS" if ok else "SOME CHECKS FAILED")
     return 0 if ok else 1

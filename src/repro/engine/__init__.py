@@ -15,14 +15,13 @@ Exploration as a first-class subsystem, decoupled from the semantics:
   with a JSON report.
 
 ``repro.semantics.explore.explore`` remains the compatibility wrapper
-over the sequential engine; :func:`default_engine` is the shared
-CLI-facing instance configured from the environment (``REPRO_STRATEGY``,
-``REPRO_REDUCTION``, ``REPRO_CACHE``, ``REPRO_CACHE_DIR``).
+over the sequential engine.  An engine is configured by its
+constructor arguments only; the one environment input is the result
+cache's (``REPRO_CACHE``, ``REPRO_CACHE_DIR``, see
+:mod:`repro.engine.cache`).
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.engine.batch import (
     JOB_NAMES,
@@ -67,7 +66,6 @@ __all__ = [
     "SEMANTICS_VERSION",
     "SwarmFrontier",
     "cache_key",
-    "default_engine",
     "explore_sequential",
     "make_frontier",
     "program_fingerprint",
@@ -87,22 +85,3 @@ def __getattr__(name: str):
         return REDUCTIONS
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def default_engine() -> ExplorationEngine:
-    """A CLI-defaults engine, configured from the environment.
-
-    Reads ``REPRO_STRATEGY`` (default ``bfs``), ``REPRO_REDUCTION``
-    (default ``off``), ``REPRO_CACHE`` (set to ``0`` to disable the
-    persistent cache) and ``REPRO_CACHE_DIR`` afresh on every call, so
-    environment changes (and monkeypatched tests) always take effect.  Engines are cheap to construct; the heavyweight state —
-    the on-disk cache — is shared through the filesystem, not the
-    object.
-    """
-    strategy = os.environ.get("REPRO_STRATEGY", "bfs") or "bfs"
-    reduction = os.environ.get("REPRO_REDUCTION", "off") or "off"
-    cache = ResultCache() if cache_enabled_by_env() else None
-    return ExplorationEngine(
-        strategy=strategy,
-        cache=cache,
-        reduction=reduction,
-    )

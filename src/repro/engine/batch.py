@@ -31,7 +31,7 @@ from repro.obs.metrics import Metrics
 
 def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
     from repro.analysis import analyse_program
-    from repro.engine import default_engine
+    from repro.engine.cache import ResultCache, cache_enabled_by_env
     from repro.engine.core import ExplorationEngine
     from repro.litmus.catalog import (
         LITMUS_TESTS,
@@ -39,13 +39,9 @@ def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
         run_litmus,
     )
 
-    # Honour the environment-configured engine (REPRO_STRATEGY / cache
-    # settings) with the batch-level reduction policy layered on top.
-    base = default_engine()
     metrics = Metrics()
     engine = ExplorationEngine(
-        strategy=base.strategy,
-        cache=base.cache if use_cache else None,
+        cache=ResultCache() if use_cache and cache_enabled_by_env() else None,
         reduction=reduction,
         metrics=metrics,
     )
@@ -99,54 +95,17 @@ def _job_litmus(use_cache: bool, reduction: str = "closure") -> Dict:
 
 
 def _job_figures() -> Dict:
-    from repro.figures.fig1 import EXPECTED_OUTCOMES as F1
-    from repro.figures.fig1 import fig1_program
-    from repro.figures.fig2 import EXPECTED_OUTCOMES as F2
-    from repro.figures.fig2 import fig2_program
-    from repro.figures.fig3 import fig3_outline
-    from repro.figures.fig7 import EXPECTED_OUTCOMES as F7
-    from repro.figures.fig7 import fig7_outline, fig7_program
-    from repro.figures.mp_outline import mp_outline
-    from repro.logic.owicki import check_proof_outline
-    from repro.semantics.explore import explore
+    from repro.figures import figure_checks
 
-    rows = []
-
-    def check(name: str, passed: bool, measured: str) -> None:
-        rows.append({"check": name, "ok": bool(passed), "measured": measured})
-
-    out1 = explore(fig1_program()).terminal_locals(("2", "r2"))
-    check("figure-1", out1 == F1, repr(sorted(out1, key=repr)))
-    out2 = explore(fig2_program()).terminal_locals(("2", "r2"))
-    check("figure-2", out2 == F2, repr(sorted(out2, key=repr)))
-    r3 = check_proof_outline(fig3_outline())
-    check("figure-3-outline", r3.valid, f"{r3.obligations} obligations")
-    rmp = check_proof_outline(mp_outline())
-    check("mp-outline", rmp.valid, f"{rmp.obligations} obligations")
-    out7 = explore(fig7_program()).terminal_locals(
-        ("2", "rl"), ("2", "r1"), ("2", "r2")
-    )
-    check("figure-7", out7 == F7, repr(sorted(out7)))
-    r7 = check_proof_outline(fig7_outline())
-    check("lemma-4-outline", r7.valid, f"{r7.obligations} obligations")
+    rows = figure_checks()
     return {"ok": all(r["ok"] for r in rows), "detail": rows}
 
 
 def _job_refine(impl: str) -> Dict:
+    from repro.impls import LOCKS
     from repro.toolkit import verify_lock_implementation
 
-    if impl == "seqlock":
-        from repro.impls.seqlock import SEQLOCK_VARS as lib_vars
-        from repro.impls.seqlock import seqlock_fill as fill
-    elif impl == "ticketlock":
-        from repro.impls.ticketlock import TICKETLOCK_VARS as lib_vars
-        from repro.impls.ticketlock import ticketlock_fill as fill
-    elif impl == "spinlock":
-        from repro.impls.spinlock import SPINLOCK_VARS as lib_vars
-        from repro.impls.spinlock import spinlock_fill as fill
-    else:  # pragma: no cover - guarded by JOB_NAMES
-        raise ValueError(f"unknown implementation: {impl}")
-
+    fill, lib_vars = LOCKS[impl]
     report = verify_lock_implementation(fill, lib_vars)
     clients = [
         {

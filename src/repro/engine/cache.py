@@ -12,8 +12,11 @@ a temp file + ``os.replace`` so concurrent writers (the batch runner's
 worker processes) can never expose a torn entry.  Unreadable or corrupt
 entries are treated as misses and deleted.
 
-The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-engine``;
-set ``REPRO_CACHE=0`` to disable caching in the CLI entry points.
+The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-engine``.
+``REPRO_CACHE=0`` (:func:`cache_enabled_by_env`) stops the callers that
+build their own cache — the CLI, the batch litmus job and
+``run_litmus(test, use_cache=True)`` without an engine — from creating
+one.  These two are the only environment variables the package reads.
 """
 
 from __future__ import annotations

@@ -42,10 +42,6 @@ if TYPE_CHECKING:
 #: Default safety cap on explored configurations.
 DEFAULT_MAX_STATES = 500_000
 
-#: Process-wide profiler backing ``REPRO_PROFILE`` (lazily created by
-#: :func:`explore_sequential` so stats accumulate across explorations).
-_PROFILER = None
-
 
 def __getattr__(name: str):
     # ``REDUCTIONS`` lives in the policy registry
@@ -91,49 +87,6 @@ def key_function(
 
 
 def explore_sequential(
-    program: "Program",
-    max_states: int = DEFAULT_MAX_STATES,
-    collect_edges: bool = False,
-    canonicalise: bool = True,
-    check_invariants: bool = False,
-    on_config: Optional[Callable[["Config"], Optional[bool]]] = None,
-    strategy="bfs",
-    reduction: str = "off",
-    track_parents: bool = False,
-    metrics: Optional[Metrics] = None,
-    progress=None,
-) -> ExploreResult:
-    """See :func:`_explore_sequential`.  This wrapper adds the optional
-    profiling hook: when ``REPRO_PROFILE=FILE`` is set (or ``--profile``
-    on the CLI, which sets it), the exploration runs under
-    :mod:`cProfile` and the stats are dumped to ``FILE``.  One
-    process-wide profiler accumulates across explorations, so after a
-    battery (e.g. ``litmus``) ``FILE`` covers every exploration of the
-    run, not just the last."""
-    import os
-
-    profile_to = os.environ.get("REPRO_PROFILE")
-    if profile_to:
-        global _PROFILER
-        if _PROFILER is None:
-            import cProfile
-
-            _PROFILER = cProfile.Profile()
-        try:
-            return _PROFILER.runcall(
-                _explore_sequential, program, max_states, collect_edges,
-                canonicalise, check_invariants, on_config, strategy,
-                reduction, track_parents, metrics, progress,
-            )
-        finally:
-            _PROFILER.dump_stats(profile_to)
-    return _explore_sequential(
-        program, max_states, collect_edges, canonicalise, check_invariants,
-        on_config, strategy, reduction, track_parents, metrics, progress,
-    )
-
-
-def _explore_sequential(
     program: "Program",
     max_states: int = DEFAULT_MAX_STATES,
     collect_edges: bool = False,
@@ -363,9 +316,9 @@ class ExplorationEngine:
     Parameters
     ----------
     strategy:
-        Frontier policy — ``"bfs"`` (default), ``"dfs"``,
-        ``"swarm[:seed]"`` or anything
-        :func:`repro.engine.strategy.make_frontier` accepts.
+        Frontier policy — ``"bfs"`` (default), ``"dfs"``, ``"swarm"`` or
+        ``"swarm:<seed>"`` (:func:`repro.engine.strategy.make_frontier`);
+        any other spec raises :class:`ValueError` here.
     cache:
         Optional :class:`repro.engine.cache.ResultCache`; when set,
         :meth:`run` serves repeated explorations from disk.

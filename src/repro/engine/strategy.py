@@ -15,9 +15,9 @@ queries) and memory locality:
   verification trick for falling into bugs that both systematic orders
   postpone.  Deterministic for a fixed seed.
 
-Strategies are *specs*, not shared state: each exploration builds a
-fresh frontier via :func:`make_frontier`, so one engine object can be
-reused across programs.
+Strategies are *specs* (the strings above), not shared state: each
+exploration builds a fresh frontier via :func:`make_frontier`, so one
+engine object can be reused across programs.
 """
 
 from __future__ import annotations
@@ -111,30 +111,22 @@ class SwarmFrontier(Frontier):
         return len(self._s)
 
 
-def make_frontier(spec) -> Frontier:
-    """Build a fresh frontier from a strategy spec.
-
-    ``spec`` may be a name (``"bfs"``, ``"dfs"``, ``"swarm"`` or
-    ``"swarm:<seed>"``), a :class:`Frontier` subclass / zero-argument
-    factory, or an existing (empty) :class:`Frontier` instance.
-    """
-    if isinstance(spec, Frontier):
-        if len(spec):
-            raise ValueError("frontier instances cannot be reused mid-run")
-        return spec
-    if isinstance(spec, type) and issubclass(spec, Frontier):
-        return spec()
-    if callable(spec):
-        frontier = spec()
-        if not isinstance(frontier, Frontier):
-            raise TypeError(f"strategy factory returned {type(frontier)!r}")
-        return frontier
+def make_frontier(spec: str) -> Frontier:
+    """Build a fresh frontier from a strategy spec: ``"bfs"``,
+    ``"dfs"``, ``"swarm"`` or ``"swarm:<seed>"`` (an integer seed).
+    Any other spec raises :class:`ValueError`."""
     if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        if name == "bfs":
+        name, sep, arg = spec.partition(":")
+        if name == "bfs" and not sep:
             return BFSFrontier()
-        if name == "dfs":
+        if name == "dfs" and not sep:
             return DFSFrontier()
         if name == "swarm":
-            return SwarmFrontier(seed=int(arg) if arg else 0)
-    raise ValueError(f"unknown exploration strategy: {spec!r}")
+            try:
+                return SwarmFrontier(seed=int(arg) if sep else 0)
+            except ValueError:
+                pass
+    raise ValueError(
+        f"unknown exploration strategy {spec!r}; "
+        "expected bfs, dfs or swarm[:seed]"
+    )

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.engine.cache import ResultCache, cache_enabled_by_env
 from repro.engine.core import ExplorationEngine
 from repro.engine.result import summarise
 from repro.lang import ast as A
@@ -119,16 +120,16 @@ def run_litmus(
     With the default arguments this is one sequential in-process
     exploration.  Pass an :class:`~repro.engine.core.ExplorationEngine`
     to pick strategy/reduction, and/or ``use_cache=True`` to serve
-    repeated runs from the engine's persistent result cache (the CLI's
-    default engine is used when caching is requested without an engine).
+    repeated runs from the engine's persistent result cache.  Without
+    an engine the test runs on a BFS engine with reduction ``off``,
+    holding a :class:`~repro.engine.cache.ResultCache` when
+    ``use_cache`` is set and ``REPRO_CACHE`` does not disable it.
     """
     if engine is None:
-        if use_cache:
-            from repro.engine import default_engine
-
-            engine = default_engine()
-        else:
-            engine = ExplorationEngine()
+        cache = (
+            ResultCache() if use_cache and cache_enabled_by_env() else None
+        )
+        engine = ExplorationEngine(cache=cache)
     if use_cache and engine.cache is not None:
         summary = engine.run(test.build(), max_states=max_states)
     else:

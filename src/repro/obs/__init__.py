@@ -16,78 +16,47 @@ are guarded by ``is None`` tests on sinks the caller didn't install.
   runs, automatically off when stderr is not a TTY or the
   CLI was asked to be ``--quiet``.
 * :mod:`repro.obs.trace` — an append-only JSONL event stream
-  (:class:`TraceWriter`, ``--trace FILE`` / ``REPRO_TRACE``) with a
+  (:class:`TraceWriter`, ``--trace FILE`` on the CLI) with a
   documented stable schema: exploration spans, metrics
   samples and batch job lifecycle — the substrate a future
   ``repro serve`` mode streams to clients.
 
-Verbosity is resolved in one place (:func:`configure_verbosity`):
-CLI ``--quiet``/``-v`` flags win over the ``REPRO_LOG`` environment
-variable (``quiet``/``info``/``debug`` or ``0``/``1``/``2``), and the
-result also sets the ``repro`` logger level.
+Verbosity is resolved in one place (:func:`configure_verbosity`) from
+the CLI's ``--quiet``/``-v`` flags, and the result also sets the
+``repro`` logger level.  The package reads no environment variables.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 
 from repro.obs.metrics import Metrics, active, collecting
 from repro.obs.progress import Progress
-from repro.obs.trace import (
-    SCHEMA_VERSION,
-    TRACE_ENV,
-    TraceWriter,
-    trace_from_env,
-    validate_event,
-)
+from repro.obs.trace import SCHEMA_VERSION, TraceWriter, validate_event
 
 __all__ = [
-    "LOG_ENV",
     "Metrics",
     "Progress",
     "SCHEMA_VERSION",
-    "TRACE_ENV",
     "TraceWriter",
     "active",
     "collecting",
     "configure_verbosity",
-    "trace_from_env",
     "validate_event",
-    "verbosity_from_env",
 ]
-
-#: Environment variable holding the default verbosity when no CLI flag
-#: is given: ``quiet``/``warning``/``0``, ``info``/``1`` (default) or
-#: ``debug``/``verbose``/``2``.
-LOG_ENV = "REPRO_LOG"
-
-_LEVEL_NAMES = {
-    "0": 0, "quiet": 0, "warning": 0, "warn": 0,
-    "1": 1, "info": 1,
-    "2": 2, "debug": 2, "verbose": 2,
-}
 
 _LOG_LEVELS = {0: logging.WARNING, 1: logging.INFO, 2: logging.DEBUG}
 
 
-def verbosity_from_env(default: int = 1) -> int:
-    """The ``REPRO_LOG`` verbosity (0 quiet / 1 normal / 2 verbose),
-    or ``default`` when unset or unrecognised."""
-    raw = os.environ.get(LOG_ENV, "").strip().lower()
-    return _LEVEL_NAMES.get(raw, default)
-
-
 def configure_verbosity(quiet: bool = False, verbose: bool = False) -> int:
-    """Resolve CLI flags and ``REPRO_LOG`` into one verbosity level.
+    """Resolve the CLI flags into one verbosity level.
 
-    ``--quiet`` wins over everything (0), then ``-v`` (2), then the
-    environment default (1 when ``REPRO_LOG`` is unset).  The ``repro``
+    ``--quiet`` wins (0), then ``-v`` (2), else INFO (1).  The ``repro``
     logger is set to WARNING/INFO/DEBUG accordingly (with a stderr
     handler installed once), so library ``logger.debug`` diagnostics
     surface under ``-v`` without any print plumbing.
     """
-    level = 0 if quiet else 2 if verbose else verbosity_from_env(1)
+    level = 0 if quiet else 2 if verbose else 1
     logger = logging.getLogger("repro")
     logger.setLevel(_LOG_LEVELS[level])
     if not logger.handlers:

@@ -58,18 +58,13 @@ the schema; the test-suite validates every stream the CLI produces.
 from __future__ import annotations
 
 import json
-import os
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 #: Trace schema version, the ``v`` field of every event.  2 dropped
 #: ``explore.start``'s ``backend``/``workers`` fields and the
 #: ``explore.drain`` event (the engine explores in-process only).
 SCHEMA_VERSION = 2
-
-#: Environment variable naming a JSONL trace file the CLI appends to
-#: (the ``--trace FILE`` flag wins when both are given).
-TRACE_ENV = "REPRO_TRACE"
 
 #: The event schema: event name -> required payload fields and their
 #: JSON types.  ``float`` accepts ints (JSON has one number type);
@@ -172,8 +167,3 @@ class TraceWriter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def trace_from_env() -> Optional[TraceWriter]:
-    """A :class:`TraceWriter` on the ``REPRO_TRACE`` file, or None."""
-    path = os.environ.get(TRACE_ENV, "").strip()
-    return TraceWriter(path) if path else None

@@ -423,14 +423,6 @@ DPOR_STRATEGY = ReductionStrategy(
     successors=_dpor_plain_successors,
     normalise_initial=close_config,
     closure_expansion=True,
-    supports_witness_reexpansion=True,
     requires_canonical=True,
     sleep_expand=dpor_successors,
-    metric_names=(
-        "reduce.epsilon_fused",
-        "reduce.covering_pruned",
-        "reduce.dpor.sleep_blocked",
-        "reduce.dpor.persistent_expanded",
-        "reduce.dpor.static_disjoint",
-    ),
 )

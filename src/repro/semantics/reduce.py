@@ -93,7 +93,7 @@ explicitly request ``reduction="off"`` at their call sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang.program import Program
@@ -129,17 +129,14 @@ class ReductionStrategy:
     * ``closure_expansion`` — witness reconstruction must re-expand
       recorded macro-edges through the ε-closure replay (true for every
       policy built on the closed macro-step system);
-    * ``supports_witness_reexpansion`` — recorded parent edges can be
-      re-derived into a concrete, unreduced-replayable schedule;
     * ``requires_canonical`` — sound only under canonical state keys
       (the engine rejects ``canonicalise=False``).
 
     ``fingerprint_token`` feeds the persistent-cache key (alongside
     ``SEMANTICS_VERSION``): bump a policy's token to invalidate its
     cached verdicts without touching the other policies' entries.
-    ``metric_names`` documents the policy's own counters (the
-    :mod:`repro.obs.metrics` schema), collected through the active
-    collector exactly like the closure's fusion/prune counts.
+    A policy's own counters are listed in the :mod:`repro.obs.metrics`
+    counter schema.
     """
 
     name: str
@@ -147,12 +144,10 @@ class ReductionStrategy:
     successors: Callable[[Program, Config], List[Transition]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
-    supports_witness_reexpansion: bool = True
     requires_canonical: bool = False
     sleep_expand: Optional[
         Callable[[Program, Config, frozenset], List[Tuple]]
     ] = None
-    metric_names: Tuple[str, ...] = field(default_factory=tuple)
 
 
 #: The policy registry: name -> strategy.  Populated below ("off",
@@ -321,7 +316,6 @@ register_strategy(
         successors=reduced_successors,
         normalise_initial=close_config,
         closure_expansion=True,
-        metric_names=("reduce.epsilon_fused", "reduce.covering_pruned"),
     )
 )
 

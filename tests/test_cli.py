@@ -43,6 +43,42 @@ class TestMain:
         assert "litmus" in out or "MP-relaxed" in out
         assert "refinement report" in out
 
+    @pytest.mark.parametrize("command", ["litmus", "batch"])
+    def test_profile_flag_is_usage_error(self, capsys, command, tmp_path):
+        # Profiling is `python -m cProfile -o FILE -m repro ...`.
+        profile = tmp_path / "p.prof"
+        assert main(["repro", command, "--profile", str(profile)]) == 2
+        assert not profile.exists()
+
+    def test_malformed_strategy_is_usage_error(self, capsys):
+        assert main(["repro", "litmus", "--strategy", "bfs:7"]) == 2
+        assert "unknown exploration strategy" in capsys.readouterr().out
+
+
+class TestFigureChecks:
+    """``figures`` and the batch ``figures`` job read one set of rows."""
+
+    @pytest.fixture
+    def failing_row(self, monkeypatch):
+        import repro.figures
+
+        rows = [{"check": "figure-1", "ok": False, "measured": "[(7,)]"}]
+        monkeypatch.setattr(repro.figures, "figure_checks", lambda: rows)
+        return rows
+
+    def test_cli_fails_on_a_failing_row(self, capsys, failing_row):
+        assert main(["repro", "figures"]) == 1
+        out = capsys.readouterr().out
+        assert "Figure 1: outcomes [(7,)]  MISMATCH" in out
+        assert "SOME CHECKS FAILED" in out
+
+    def test_batch_job_fails_on_a_failing_row(self, failing_row):
+        from repro.engine.batch import run_job
+
+        result = run_job("figures")
+        assert not result.ok
+        assert result.detail == failing_row
+
 
 class TestReductionFlag:
     def test_litmus_reduction_off(self, capsys, monkeypatch):
@@ -248,11 +284,11 @@ class TestTraceFlag:
         assert sum(e["states"] for e in finishes) > 0
         assert "telemetry:" in table
 
-    def test_trace_via_environment(self, capsys, monkeypatch, tmp_path):
+    def test_witness_trace_stream(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        trace = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(trace))
-        assert main(["repro", "witness", "MP-relaxed"]) == 0
+        trace = tmp_path / "w.jsonl"
+        argv = ["repro", "witness", "MP-relaxed", "--trace", str(trace)]
+        assert main(argv) == 0
         kinds = [e["ev"] for e in self._validate(trace)]
         assert "explore.start" in kinds and "explore.finish" in kinds
 

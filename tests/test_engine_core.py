@@ -83,11 +83,11 @@ class TestFrontiers:
     def test_make_frontier_specs(self):
         assert isinstance(make_frontier("bfs"), BFSFrontier)
         assert isinstance(make_frontier("dfs"), DFSFrontier)
+        assert isinstance(make_frontier("swarm"), SwarmFrontier)
         assert isinstance(make_frontier("swarm:9"), SwarmFrontier)
-        assert isinstance(make_frontier(DFSFrontier), DFSFrontier)
-        assert isinstance(make_frontier(lambda: BFSFrontier()), BFSFrontier)
-        with pytest.raises(ValueError):
-            make_frontier("bogosort")
+        for spec in ("bogosort", "bfs:7", "dfs:junk", "swarm:x", DFSFrontier):
+            with pytest.raises(ValueError, match="unknown exploration strategy"):
+                make_frontier(spec)
 
 
 class TestEngineAPI:

@@ -56,14 +56,6 @@ class TestEngineConfiguration:
         off = engine.explore(program, reduction="off")
         assert red.state_count < off.state_count
 
-    def test_default_engine_reads_env(self, monkeypatch):
-        from repro.engine import default_engine
-
-        monkeypatch.setenv("REPRO_REDUCTION", "closure")
-        assert default_engine().reduction == "closure"
-        monkeypatch.delenv("REPRO_REDUCTION")
-        assert default_engine().reduction == "off"
-
 
 class TestCacheKeying:
     def test_reduction_in_cache_key(self):
@@ -123,14 +115,18 @@ class TestPolicyNames:
 
         assert REDUCTIONS == SEMANTICS_REDUCTIONS
 
-    def test_batch_litmus_honours_env_engine(self, monkeypatch):
-        """The batch litmus job builds its engine from the environment
-        (REPRO_STRATEGY), with reduction layered on."""
+    def test_batch_litmus_explores_under_batch_reduction(self, monkeypatch):
+        """The batch litmus job explores every test under the batch
+        reduction, storing the closure's state counts."""
         from repro.engine.batch import run_job
 
         monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_STRATEGY", "dfs")
         result = run_job("litmus", use_cache=False, reduction="closure")
         assert result.ok
         rows = {r["name"]: r for r in result.detail}
-        assert rows["MP-await-RA"]["states"] == 5  # reduced, via dfs
+        assert rows["MP-await-RA"]["states"] == 5  # reduced
+        engine = ExplorationEngine(reduction="closure")
+        for name, row in rows.items():
+            assert row["reduction"] == "closure"
+            program = _BY_NAME[name].build()
+            assert row["states"] == engine.explore(program).state_count

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     EVENTS,
     SCHEMA_VERSION,
     TraceWriter,
-    trace_from_env,
     validate_event,
 )
 
@@ -55,17 +54,6 @@ class TestTraceWriter:
         buf = io.StringIO()
         TraceWriter(buf).emit("explore.cached", key=b"\x01\x02")
         assert isinstance(_lines(buf)[0]["key"], str)
-
-    def test_trace_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace_from_env() is None
-        path = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_TRACE", str(path))
-        tw = trace_from_env()
-        assert tw is not None
-        tw.emit("litmus.start", tests=1)
-        tw.close()
-        validate_event(json.loads(path.read_text()))
 
 
 class TestValidateEvent:

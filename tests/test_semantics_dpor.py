@@ -177,10 +177,7 @@ class TestStrategy:
         assert strat.fingerprint_token == "dpor-1"
         assert strat.closure_expansion
         assert strat.requires_canonical
-        assert strat.supports_witness_reexpansion
         assert strat.sleep_expand is dpor_successors
-        assert "reduce.dpor.sleep_blocked" in strat.metric_names
-        assert "reduce.dpor.persistent_expanded" in strat.metric_names
 
     def test_requires_canonical_enforced(self):
         from repro.engine.core import explore_sequential
@@ -541,10 +538,6 @@ class TestStaticDisjoint:
         finally:
             activate(previous)
         assert collected.counters.get("reduce.dpor.static_disjoint", 0) >= 1
-
-    def test_strategy_declares_the_metric(self):
-        strat = get_strategy("dpor")
-        assert "reduce.dpor.static_disjoint" in strat.metric_names
 
 
 class TestFootprintCacheEviction:
