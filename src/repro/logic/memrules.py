@@ -182,7 +182,7 @@ def check_possible_read(
     matching read.
     """
     from repro.assertions.core import make_env
-    from repro.semantics.step import _steps
+    from repro.semantics.step import _run_step
 
     pre = PossibleValue(var, value, tid)
     checked = realised = 0
@@ -192,9 +192,9 @@ def check_possible_read(
         checked += 1
         values = {
             a.val
-            for a, _c, _n, _ls, _g, _b in _steps(
+            for a, _c, _n, _ls, _g, _b in _run_step(
                 program, A.Read(RREG, var), tid, cfg.locals[tid],
-                cfg.gamma, cfg.beta, in_lib=False,
+                cfg.gamma, cfg.beta,
             )
         }
         if value in values:

@@ -24,10 +24,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.assertions.core import Assertion, Env, make_env
 from repro.lang.ast import Node
 from repro.lang.program import Program
-from repro.semantics.canon import canonical_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import _steps
+from repro.semantics.step import _run_step
 
 
 @dataclass
@@ -91,8 +90,8 @@ def check_atomic_triple(
         if not pre.holds(make_env(program, cfg)):
             continue
         checked += 1
-        for _a, _comp, _c2, ls2, g2, b2 in _steps(
-            program, cmd, tid, cfg.locals[tid], cfg.gamma, cfg.beta, in_lib=False
+        for _a, _comp, _c2, ls2, g2, b2 in _run_step(
+            program, cmd, tid, cfg.locals[tid], cfg.gamma, cfg.beta
         ):
             applied += 1
             cfg2 = cfg.with_thread(tid, None, ls2, g2, b2)

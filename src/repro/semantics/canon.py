@@ -32,18 +32,21 @@ tuples of ``(action, rank)`` operation encodings.  It is independent of
 the process and of the program object, and it is what the naive oracle
 (:mod:`repro.memory.naive`) is checked against.
 
+The identity splits as the configuration does, ``Π = (P, ls, γ, β)``.
 :func:`canonical_key`, the key every in-process explorer dedups on, is
-the flat tuple ``(scope, cmds, locals, γ-id, β-id)``.  The ids are
-interned bottom-up: each ``(action, rank)`` to an operation id; each
-component's memory part (``ops``/``mview``/``cvd`` over operation ids)
-to a memory-part id; each component state to
-``intern((memory-part id, thread-view operation ids))``.  Hashing a key,
-or testing it against a visited set, then touches a few small ints
-instead of re-walking nested tuples of actions.  Interning is by dict,
-so each id is the dense index of one structural value: two ids of one
-table are equal exactly when the values are — unlike a hashed digest,
-there is no collision to rule out, and keys are equal exactly when the
-encodings are.
+the flat tuple ``(scope, thread ids, γ-id, β-id)``.  Each thread's part
+``(tid, cmd, ls)`` — its continuation and its local state — is interned
+whole to a thread id, and the thread ids stand in ``program.tids``
+order.  The memory ids are interned bottom-up: each ``(action, rank)``
+to an operation id; each component's memory part (``ops``/``mview``/
+``cvd`` over operation ids) to a memory-part id; each component state
+to ``intern((memory-part id, thread-view operation ids))``.  Hashing a
+key, or testing it against a visited set, then touches a few small ints
+instead of re-walking AST nodes, local-state maps or nested tuples of
+actions.  Interning is by dict, so each id is the dense index of one
+structural value: two ids of one table are equal exactly when the
+values are — unlike a hashed digest, there is no collision to rule out,
+and keys are equal exactly when the encodings are.
 
 The derivation is incremental.  The operation-id table and the
 memory-part id depend only on the memory part, which
@@ -55,13 +58,16 @@ views reach into the other component depends on the partner's ranks
 too, so its id is cached only against the partner table it was
 resolved with, never on the state alone.
 
-The component ids double as the key of the sequential explorer's
-visible-step memo (:func:`component_ids`,
-:func:`repro.semantics.step.successors`): a memo hit returns successor
-component states built from an earlier configuration with the same ids,
-whose ``_mem_ident``/``_component_id`` caches are already filled, so
-keying the successor costs little more than the ``cmds``/``locals``
-tuple.
+The ids double as cache keys for successor generation
+(:func:`repro.semantics.step.successors`).  The component ids
+(:func:`component_ids`) key the sequential explorer's visible-step
+memo: a memo hit returns successor component states built from an
+earlier configuration with the same ids, whose ``_mem_ident``/
+``_component_id`` caches are already filled.  The thread ids
+(:func:`thread_ids`) key each thread's step plan and its successor
+thread states, so a successor inherits its parent's thread ids with
+one slot replaced and keying it costs little more than its two
+component ids.
 
 Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
 object and die with it.  Every key leads with the program's
@@ -85,6 +91,7 @@ the indexed encoding against a retained naive reference implementation
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
+from weakref import WeakValueDictionary
 
 from repro.lang.program import Program
 from repro.memory.actions import Op
@@ -193,17 +200,34 @@ class KeyScope:
 
 class _Interner:
     """One program's intern tables: ``value -> small int`` dicts for
-    operation encodings ``(action, rank)``, memory parts and component
-    states.  Ids are dense insertion indices, so equal ids mean equal
-    interned values — exact, unlike a hashed digest."""
+    operation encodings ``(action, rank)``, memory parts, component
+    states and thread states ``(tid, cmd, ls)``.  Ids are dense
+    insertion indices, so equal ids mean equal interned values — exact,
+    unlike a hashed digest.
 
-    __slots__ = ("scope", "ops", "mems", "comps")
+    Two more tables, owned by :func:`repro.semantics.step.successors`,
+    hang off the ids.  ``plans`` holds, per prune/closure mode, each
+    thread state's step plan and its successor thread states; it grows
+    with the thread states, not with the configurations.  ``frames``
+    maps a thread-id tuple to the first configuration built with it,
+    whose ``(cmds, locals)`` maps every later one shares; it holds the
+    configurations weakly, so an entry dies with the configurations
+    that use its maps.  Like the intern tables both live and die with
+    the program object and are never pickled.
+    """
+
+    __slots__ = (
+        "scope", "ops", "mems", "comps", "threads", "plans", "frames"
+    )
 
     def __init__(self) -> None:
         self.scope = KeyScope()
         self.ops: Dict[Tuple, int] = {}
         self.mems: Dict[Tuple, int] = {}
         self.comps: Dict[Tuple, int] = {}
+        self.threads: Dict[Tuple, int] = {}
+        self.plans: Dict[Tuple, Dict[int, object]] = {}
+        self.frames: WeakValueDictionary = WeakValueDictionary()
 
 
 def _interner(program: Program) -> _Interner:
@@ -322,7 +346,9 @@ def _component_id(
     on the state next to the scope and memory-part id it was built
     from."""
     scope = tables.scope
-    ident = _mem_ident(tables, state)
+    ident = state.__dict__.get("_mem_ident")
+    if ident is None or ident.scope is not scope:
+        ident = _mem_ident(tables, state)
     mem = ident.mem
     if mem is None:
         mem = _mem_id(tables, state, ident, partner)
@@ -337,14 +363,35 @@ def _component_id(
     return cid
 
 
+def _thread_ids(
+    tables: _Interner, program: Program, cfg: Config
+) -> Tuple[int, ...]:
+    """The interned ids of ``cfg``'s thread states ``(tid, cmd, ls)``
+    in ``program.tids`` order, cached on ``cfg`` next to their scope."""
+    scope = tables.scope
+    cached = cfg.__dict__.get("_thread_ids")
+    if cached is not None and cached[0] is scope:
+        return cached[1]
+    threads = tables.threads
+    cmds = cfg.cmds
+    locals_ = cfg.locals
+    ids = tuple([
+        threads.setdefault((tid, cmds[tid], locals_[tid]), len(threads))
+        for tid in program.tids
+    ])
+    object.__setattr__(cfg, "_thread_ids", (scope, ids))
+    return ids
+
+
 def canonical_key(program: Program, cfg: Config) -> Tuple:
     """A hashable key identifying ``cfg`` up to per-variable timestamp
-    relabelling: ``(scope, cmds, locals, γ-id, β-id)``.
+    relabelling: ``(scope, thread ids, γ-id, β-id)``.
 
-    ``cmds`` and ``locals`` are the configuration's own maps (their
-    hashes are cached on them); the two component ids are drawn from
-    ``program``'s intern tables.  Hashing or comparing a key therefore
-    never walks nested operation encodings.
+    ``thread ids`` holds one id per thread, in ``program.tids`` order,
+    interning the thread's ``(tid, cmd, ls)`` under today's AST and
+    :class:`~repro.util.fmap.FMap` equality; the two component ids are
+    drawn from the memory tables.  Hashing or comparing a key therefore
+    never walks AST nodes, local states or nested operation encodings.
 
     ``program`` is the key's scope.  Keys of different programs never
     compare equal: their leading :class:`KeyScope` tags differ, and no
@@ -355,19 +402,23 @@ def canonical_key(program: Program, cfg: Config) -> Tuple:
     rule out.  Keys are process-local; anything that leaves the process
     uses :func:`canonical_encoding`.
 
-    Cached on ``cfg``; a key cached under another program's scope is
-    recognised by its tag and replaced.
+    Cached on ``cfg``, as are its thread ids (a configuration built by
+    :func:`~repro.semantics.step.successors` arrives with them); a key
+    or ids cached under another program's scope are recognised by their
+    tag and replaced.
     """
     tables = _interner(program)
+    scope = tables.scope
     cached = cfg.__dict__.get("_canonical_key")
-    if cached is not None and cached[0] is tables.scope:
+    if cached is not None and cached[0] is scope:
         return cached
+    ids = cfg.__dict__.get("_thread_ids")
     gamma = cfg.gamma
     beta = cfg.beta
     key = (
-        tables.scope,
-        cfg.cmds,
-        cfg.locals,
+        scope,
+        ids[1] if ids is not None and ids[0] is scope
+        else _thread_ids(tables, program, cfg),
         _component_id(tables, gamma, beta),
         _component_id(tables, beta, gamma),
     )
@@ -385,7 +436,16 @@ def component_ids(program: Program, cfg: Config) -> Tuple[int, int]:
     cached = cfg.__dict__.get("_canonical_key")
     if cached is None or cached[0] is not _interner(program).scope:
         cached = canonical_key(program, cfg)
-    return cached[3], cached[4]
+    return cached[2], cached[3]
+
+
+def thread_ids(program: Program, cfg: Config) -> Tuple[int, ...]:
+    """The thread ids of ``cfg``'s canonical key: one interned
+    ``(tid, cmd, ls)`` per thread, in ``program.tids`` order — the key
+    of each thread's step plan (:func:`repro.semantics.step.successors`).
+    Read off ``cfg``'s cache, interned only when it is missing or of
+    another scope; the memory part of the key is not derived."""
+    return _thread_ids(_interner(program), program, cfg)
 
 
 def canonical_encoding(program: Program, cfg: Config) -> Tuple:

@@ -286,10 +286,12 @@ def reduced_successors(program: Program, cfg: Config) -> List[Transition]:
     """
     # The silent suffix is fused *inside* successor generation (the
     # ``close`` hook), before each Transition/Config is built — no
-    # throwaway intermediate pair per closed successor.  The closure
-    # contract (component states untouched) holds by construction:
-    # ``_close_chain`` maps only ``(cmd, ls)``, and the target Config
-    # is assembled once from the visible step's ``γ``/``β``.
+    # throwaway intermediate pair per closed successor — and cached
+    # there with the successor thread state, whose repeats replay the
+    # fused count.  The closure contract (component states untouched)
+    # holds by construction: ``_close_chain`` maps only ``(cmd, ls)``,
+    # and the target Config is assembled once from the visible step's
+    # ``γ``/``β``.
     return successors(program, cfg, prune=True, close=_close_chain)
 
 

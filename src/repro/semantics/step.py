@@ -7,33 +7,44 @@ read-from and placement nondeterminism), and abstract method transitions
 from a :class:`~repro.lang.ast.MethodCall` are *library* steps: they
 execute against ``β`` with ``γ`` as context, and are tagged ``'L'``.
 
-Silent steps are factored into :func:`silent_step`, the single source of
-truth shared with the reduction layer (:mod:`repro.semantics.reduce`):
-a command's step set is *homogeneous* — either its head admits exactly
-one silent step (``LocalAssign``/``If``/``While`` bookkeeping, possibly
-under ``Seq``/``Labeled``/``LibBlock`` wrappers) or every step it admits
-is a visible memory/method step.  ``_steps`` therefore consults
-``silent_step`` first and only enumerates the visible rules when it
-returns nothing, so the ε-fragment cannot drift between ordinary and
-ε-closed successor generation.
+One thread-step function, :func:`_thread_step`, works out what a thread
+does next from its continuation and locals alone.  A command's step set
+is *homogeneous*: either its head admits exactly one silent step
+(``LocalAssign``/``If``/``While`` bookkeeping, possibly under
+``Seq``/``Labeled``/``LibBlock`` wrappers), which :func:`silent_step`
+returns — the single source of ε-truth shared with the reduction layer
+(:mod:`repro.semantics.reduce`) — or every step it admits is a visible
+memory/method step.  For a visible head, :func:`_thread_step` returns a
+*plan*: the rule function to run against the memory (``_write_rule``,
+``_read_rule``, ``_cas_rule``, ``_fai_rule``, ``_method_rule``), its
+evaluated operands, the orientation, the register the rule's value
+binds, and the continuation every outcome of the rule leaves behind.
+Each rule is a function of the configuration's component states, the
+stepping thread, the orientation and the operands, and returns every
+``(action, register value, γ', β')`` step.
 
-Visible steps go through one rule function per command kind
-(``_write_rule``, ``_read_rule``, ``_cas_rule``, ``_fai_rule``,
-``_method_rule``).  Each is a function of the configuration's component
-states, the stepping thread, the lib/client orientation and the
-command's *evaluated* operands, and returns every ``(action, register
-value, γ', β')`` step; ``_steps`` binds the register.  That makes a
-visible step memoisable: the sequential explorer passes a
-per-exploration dict as ``successors(..., memo=)``, keyed by the
-configuration's interned ``(γ-id, β-id)``
-(:func:`repro.semantics.canon.component_ids`) plus the thread,
-orientation, rule and operands.  Equal ids mean memories equal up to
-per-variable timestamp relabelling, and the rules commute with such
-relabellings ("Verifying C11 Programs Operationally", the argument the
-canonical key rests on), so the first-seen configuration's successor
-states serve every later one with the same key — with their interned
-ids already cached on them.  Every other caller (the ε-closure, dpor,
-witness replay, the proof-rule checkers, raw-keyed exploration) runs the same rule functions without a memo.
+:func:`successors` caches per thread state.  A thread's plan depends
+only on ``(tid, cmd, ls)``, which the canonical layer interns to a
+thread id (:func:`repro.semantics.canon.thread_ids`), so it is worked
+out once per thread id and prune mode, and so is the successor thread
+state of each register value: its locals, its continuation (ε-closed
+for the reduction layer) and its id.  The tables live with the
+program's intern tables.  What varies per configuration is the memory,
+so the rule runs per configuration — except where the caller passes a
+visible-step memo: the sequential explorer passes a per-exploration
+dict as ``successors(..., memo=)``, keyed by the configuration's
+interned ``(γ-id, β-id)`` (:func:`repro.semantics.canon.component_ids`)
+plus the thread, orientation, rule and operands.  Equal ids mean
+memories equal up to per-variable timestamp relabelling, and the rules
+commute with such relabellings ("Verifying C11 Programs
+Operationally", the argument the canonical key rests on), so the
+first-seen configuration's successor states serve every later one with
+the same key — with their interned ids already cached on them.  Every
+other caller (the ε-closure, dpor, witness replay, raw-keyed
+exploration) runs the rule without a memo, and
+:func:`thread_successors` and the proof-rule checkers
+(:mod:`repro.logic.triples`) step a thread through :func:`_run_step`,
+which runs :func:`_thread_step` and the rule with no cache at all.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from repro.memory.transitions import (
     write_steps,
 )
 from repro.obs import metrics as _metrics
-from repro.semantics.canon import component_ids
+from repro.semantics.canon import _interner, component_ids, thread_ids
 from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
@@ -109,10 +120,6 @@ _ThreadStep = Tuple[
 #: (action, register value, γ', β').
 _VisibleStep = Tuple[Action, Value, ComponentState, ComponentState]
 
-#: Internal: a visible-step memo table with the interned ``(γ-id,
-#: β-id)`` of the configuration being expanded.
-_MemoContext = Tuple[Dict[Tuple, List[_VisibleStep]], int, int]
-
 #: Continuation summary for the covering-read prune: the set of global
 #: variables the continuation may still access, and whether it may still
 #: *publish* thread views (write/update/method/lib steps record the
@@ -121,6 +128,58 @@ _MemoContext = Tuple[Dict[Tuple, List[_VisibleStep]], int, int]
 _Rest = Tuple[FrozenSet, bool]
 
 _REST_EMPTY: _Rest = (frozenset(), False)
+
+
+class _Plan:
+    """One thread state's step, as :func:`successors` caches it per
+    thread id: the :func:`_thread_step` result plus, per register
+    value, the successor thread state it leads to.
+
+    ``rule`` is None for a silent step, whose one outcome leaves ``γ``
+    and ``β`` as they are; ``ls`` is then the silent step's ``ls'`` and
+    ``cont`` its ``cmd'``.  ``outcomes`` maps a register value to
+    ``(cmd', ls', thread id, fused)``: the continuation and locals
+    after the step — ε-closed under ``close``, with the number of
+    silent steps the closure fused — and their interned id.
+    """
+
+    __slots__ = (
+        "tid", "comp", "rule", "operands", "in_lib", "memo_tail", "reg",
+        "cont", "ls", "outcomes",
+    )
+
+    def __init__(self, tid: str, ls: FMap, step: Tuple) -> None:
+        self.tid = tid
+        self.outcomes: Dict[Value, Tuple] = {}
+        if len(step) == 3:
+            self.comp, self.cont, self.ls = step
+            self.rule = self.operands = self.in_lib = None
+            self.memo_tail = self.reg = None
+            return
+        rule, operands, in_lib, reg, cont = step
+        self.comp = _component(rule, in_lib)
+        self.rule = rule
+        self.operands = operands
+        self.in_lib = in_lib
+        self.memo_tail = (tid, in_lib, rule, operands)
+        self.reg = reg
+        self.cont = cont
+        self.ls = ls
+
+    def settle(self, value: Value, close, threads: Dict[Tuple, int]) -> Tuple:
+        """Work out and cache the outcome of register value ``value``."""
+        ls2 = self.ls.set(self.reg, value) if self.reg else self.ls
+        cmd2 = self.cont
+        fused = 0
+        if close is not None and cmd2 is not None:
+            cmd2, ls2, fused = close(cmd2, ls2)
+        tsid = threads.setdefault((self.tid, cmd2, ls2), len(threads))
+        outcome = self.outcomes[value] = (cmd2, ls2, tsid, fused)
+        return outcome
+
+
+#: The plan of a terminated thread: it has no step.
+_DONE = object()
 
 
 def successors(
@@ -132,8 +191,6 @@ def successors(
 ) -> List[Transition]:
     """All ``=⇒`` successors of ``cfg`` across every thread.
 
-    One shared output list, appended to directly per thread — no
-    per-thread generator materialisation and second ``extend`` pass.
     ``prune=True`` enables the covering-read prune (sound only as part
     of the reduction layer; see :mod:`repro.semantics.reduce`).
 
@@ -141,9 +198,19 @@ def successors(
     ``(cmd, ls) -> (cmd', ls', fused)`` applied to each successor's
     stepping thread *before* the transition is constructed: silent
     chains touch only the continuation and locals by construction, so
-    fusing them here builds each macro-step target exactly once instead
-    of materialising a throwaway intermediate Transition/Config pair
-    per closed successor.
+    fusing them here builds each macro-step target exactly once.
+
+    A thread's step depends only on its thread state ``(tid, cmd, ls)``
+    and on the memory, so it is worked out once per thread id
+    (:func:`~repro.semantics.canon.thread_ids`).  ``program``'s intern
+    tables hold, per ``(prune, close)`` mode, each thread id's
+    :class:`_Plan`: its :func:`_thread_step` result and, per register
+    value, the successor thread state — its locals, its continuation
+    (ε-closed under ``close``) and its id.  A repeated outcome replays
+    the silent steps its closure fused into ``reduce.epsilon_fused``.
+    A target inherits ``cfg``'s thread ids with the stepping thread's
+    slot replaced, and targets with equal thread ids share one
+    ``(cmds, locals)`` map pair.
 
     ``memo``, when given, is the exploration's visible-step memo: a dict
     the caller owns for one exploration of ``program`` and passes to
@@ -158,29 +225,79 @@ def successors(
     without the memo.  The memo is only meaningful where states are
     identified by :func:`~repro.semantics.canon.canonical_key`.
     """
-    out: List[Transition] = []
-    append = out.append
-    rest = _REST_EMPTY if prune else None
-    context: Optional[_MemoContext] = None
+    tables = _interner(program)
+    scope = tables.scope
+    threads = tables.threads
+    frames = tables.frames
+    mode = (prune, close)
+    plans = tables.plans.get(mode)
+    if plans is None:
+        plans = tables.plans[mode] = {}
+    ids = thread_ids(program, cfg)
     if memo is not None:
         gid, bid = component_ids(program, cfg)
-        context = (memo, gid, bid)
-    for tid in program.tids:
-        cmd = cfg.cmds[tid]
-        if cmd is None:
-            continue
-        ls = cfg.locals[tid]
-        for action, comp, cmd2, ls2, gamma2, beta2 in _steps(
-            program, cmd, tid, ls, cfg.gamma, cfg.beta, False, rest, context
-        ):
-            if close is not None and cmd2 is not None:
-                cmd2, ls2, _fused = close(cmd2, ls2)
-            append(
-                Transition(
-                    tid, comp, action,
-                    cfg.with_thread(tid, cmd2, ls2, gamma2, beta2),
+    gamma = cfg.gamma
+    beta = cfg.beta
+    active = _metrics._ACTIVE
+    out: List[Transition] = []
+    append = out.append
+    for i, tid in enumerate(program.tids):
+        plan = plans.get(ids[i])
+        if plan is None:
+            cmd = cfg.cmds[tid]
+            if cmd is None:
+                plan = _DONE
+            else:
+                ls = cfg.locals[tid]
+                plan = _Plan(
+                    tid, ls,
+                    _thread_step(
+                        cmd, ls, False, _REST_EMPTY if prune else None
+                    ),
                 )
-            )
+            plans[ids[i]] = plan
+        if plan is _DONE:
+            continue
+        rule = plan.rule
+        if rule is None:
+            steps = ((None, None, gamma, beta),)
+        elif memo is None:
+            steps = rule(program, gamma, beta, tid, plan.in_lib, *plan.operands)
+        else:
+            key = (gid, bid, *plan.memo_tail)
+            steps = memo.get(key)
+            if steps is None:
+                steps = rule(
+                    program, gamma, beta, tid, plan.in_lib, *plan.operands
+                )
+                memo[key] = steps
+                if active is not None:
+                    active.inc("explore.memo.entries")
+            if active is not None:
+                active.inc("explore.memo.lookups")
+        comp = plan.comp
+        outcomes = plan.outcomes
+        head = ids[:i]
+        tail = ids[i + 1:]
+        for action, value, g2, b2 in steps:
+            outcome = outcomes.get(value)
+            if outcome is None:
+                outcome = plan.settle(value, close, threads)
+            elif outcome[3] and active is not None:
+                active.inc("reduce.epsilon_fused", outcome[3])
+            ids2 = head + (outcome[2],) + tail
+            frame = frames.get(ids2)
+            if frame is None:
+                target = Config(
+                    cfg.cmds.set(tid, outcome[0]),
+                    cfg.locals.set(tid, outcome[1]),
+                    g2, b2,
+                )
+                frames[ids2] = target
+            else:
+                target = Config(frame.cmds, frame.locals, g2, b2)
+            object.__setattr__(target, "_thread_ids", (scope, ids2))
+            append(Transition(tid, comp, action, target))
     return out
 
 
@@ -190,14 +307,12 @@ def thread_successors(
     """Successors contributed by thread ``tid`` (always unpruned — the
     covering-read prune is only sound composed with the ε-closure, so
     it is reachable solely through ``successors(prune=True)`` inside
-    the reduction layer)."""
+    the reduction layer).  Worked out afresh, with no cache."""
     cmd = cfg.cmds[tid]
     if cmd is None:
         return
-    ls = cfg.locals[tid]
-    for action, comp, cmd2, ls2, gamma2, beta2 in _steps(
-        program, cmd, tid, ls, cfg.gamma, cfg.beta, in_lib=False,
-        rest=None,
+    for action, comp, cmd2, ls2, gamma2, beta2 in _run_step(
+        program, cmd, tid, cfg.locals[tid], cfg.gamma, cfg.beta
     ):
         yield Transition(
             tid=tid,
@@ -334,33 +449,47 @@ def _collapse_ok(var: str, rest: Optional[_Rest]) -> bool:
     return not publishes and var not in vars_
 
 
-def _steps(
-    program: Program,
-    cmd: A.Node,
-    tid: str,
-    ls: FMap,
-    gamma: ComponentState,
-    beta: ComponentState,
-    in_lib: bool,
-    rest: Optional[_Rest] = None,
-    memo: Optional[_MemoContext] = None,
-) -> Iterator[_ThreadStep]:
-    """All steps of ``cmd``.
+def _thread_step(
+    cmd: A.Node, ls: FMap, in_lib: bool, rest: Optional[_Rest]
+) -> Tuple:
+    """The step of one thread whose continuation is ``cmd``: a function
+    of ``(cmd, ls)`` and the orientation alone, never of the memory.
+
+    Returns the silent step ``(comp, cmd', ls')`` (:func:`silent_step`)
+    when there is one.  Otherwise ``cmd``'s head is a visible command,
+    and the result is its plan ``(rule, operands, in_lib, reg,
+    continuation)``: the rule to run against the memory, its evaluated
+    operands, the orientation at the head (inside a ``LibBlock`` it is
+    a library step), the register the rule's value binds (None for a
+    write), and the ``Seq``/``Labeled``/``LibBlock`` spine rebuilt
+    around the finished head — the continuation of every outcome of
+    the rule.
 
     ``rest`` is the covering-read prune context: None disables the
     prune (the default, byte-identical to the historical semantics); a
     summary tuple carries what the *rest of the thread* beyond ``cmd``
-    may still do, maintained through ``Seq`` descent.
-
-    ``memo`` is the visible-step memo of the configuration ``gamma``
-    and ``beta`` belong to (see :func:`successors`); None runs the
-    rule directly.
+    may still do, extended through the ``Seq`` descent.
     """
     silent = silent_step(cmd, ls, in_lib)
     if silent is not None:
-        comp2, cmd2, ls2 = silent
-        yield None, comp2, cmd2, ls2, gamma, beta
-        return
+        return silent
+
+    spine = []
+    while True:
+        if isinstance(cmd, A.Seq):
+            if rest is not None:
+                rest = _combine(_node_summary(cmd.second), rest)
+            spine.append(cmd)
+            cmd = cmd.first
+        elif isinstance(cmd, A.LibBlock):
+            in_lib = True
+            spine.append(cmd)
+            cmd = cmd.body
+        elif isinstance(cmd, A.Labeled):
+            spine.append(cmd)
+            cmd = cmd.body
+        else:
+            break
 
     # A visible command: pick its rule, evaluate its operands, and note
     # the register the rule's value binds.
@@ -385,55 +514,51 @@ def _steps(
         rule, reg = _method_rule, cmd.dest
         arg = None if cmd.arg is None else eval_expr(cmd.arg, ls)
         operands = (cmd.obj, cmd.method, arg)
-
-    elif isinstance(cmd, A.Seq):
-        rest2 = None if rest is None else _combine(
-            _node_summary(cmd.second), rest
-        )
-        for action, comp2, first2, ls2, g2, b2 in _steps(
-            program, cmd.first, tid, ls, gamma, beta, in_lib, rest2, memo
-        ):
-            yield action, comp2, A.seq_cons(first2, cmd.second), ls2, g2, b2
-        return
-
-    elif isinstance(cmd, A.LibBlock):
-        for action, _comp2, body2, ls2, g2, b2 in _steps(
-            program, cmd.body, tid, ls, gamma, beta, True, rest, memo
-        ):
-            wrapped = (
-                A.LibBlock(body2, cmd.public_regs) if body2 is not None else None
-            )
-            yield action, "L", wrapped, ls2, g2, b2
-        return
-
-    elif isinstance(cmd, A.Labeled):
-        for action, comp2, body2, ls2, g2, b2 in _steps(
-            program, cmd.body, tid, ls, gamma, beta, in_lib, rest, memo
-        ):
-            wrapped = A.Labeled(cmd.label, body2) if body2 is not None else None
-            yield action, comp2, wrapped, ls2, g2, b2
-        return
-
     else:
         raise SemanticsError(f"cannot step command: {cmd!r}")
 
-    if memo is None:
-        steps = rule(program, gamma, beta, tid, in_lib, *operands)
-    else:
-        table, gid, bid = memo
-        key = (gid, bid, tid, in_lib, rule, operands)
-        steps = table.get(key)
-        if steps is None:
-            steps = rule(program, gamma, beta, tid, in_lib, *operands)
-            table[key] = steps
-            if _metrics._ACTIVE is not None:
-                _metrics._ACTIVE.inc("explore.memo.entries")
-        if _metrics._ACTIVE is not None:
-            _metrics._ACTIVE.inc("explore.memo.lookups")
-    # Abstract method calls are library transitions wherever they occur.
-    comp = "L" if in_lib or rule is _method_rule else "C"
-    for action, value, g2, b2 in steps:
-        yield action, comp, None, ls.set(reg, value) if reg else ls, g2, b2
+    cont = None
+    for node in reversed(spine):
+        if isinstance(node, A.Seq):
+            cont = A.seq_cons(cont, node.second)
+        elif cont is None:
+            pass  # a finished Labeled/LibBlock body finishes the wrapper
+        elif isinstance(node, A.LibBlock):
+            cont = A.LibBlock(cont, node.public_regs)
+        else:
+            cont = A.Labeled(node.label, cont)
+    return rule, operands, in_lib, reg, cont
+
+
+def _component(rule, in_lib: bool) -> str:
+    """The component tag of a visible step: abstract method calls are
+    library transitions wherever they occur."""
+    return "L" if in_lib or rule is _method_rule else "C"
+
+
+def _run_step(
+    program: Program,
+    cmd: A.Node,
+    tid: str,
+    ls: FMap,
+    gamma: ComponentState,
+    beta: ComponentState,
+) -> List[_ThreadStep]:
+    """Every ``(action, comp, cmd', ls', γ', β')`` of thread ``tid``
+    running ``cmd`` from locals ``ls`` and memory ``(γ, β)``, unpruned
+    and worked out afresh through :func:`_thread_step`, with no cache."""
+    step = _thread_step(cmd, ls, False, None)
+    if len(step) == 3:
+        comp, cmd2, ls2 = step
+        return [(None, comp, cmd2, ls2, gamma, beta)]
+    rule, operands, in_lib, reg, cont = step
+    comp = _component(rule, in_lib)
+    return [
+        (action, comp, cont, ls.set(reg, value) if reg else ls, g2, b2)
+        for action, value, g2, b2 in rule(
+            program, gamma, beta, tid, in_lib, *operands
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

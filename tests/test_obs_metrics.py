@@ -169,3 +169,24 @@ class TestEngineSink:
         engine.run(program)
         assert sink.counters["cache.misses"] == 1
         assert sink.counters["cache.hits"] == 1
+
+
+class TestReductionCounters:
+    """The reduction layer's counters over the litmus catalog, pinned.
+
+    Successor generation caches each thread's closed continuation, so a
+    repeated step must replay the silent steps it fused into
+    ``reduce.epsilon_fused`` exactly as a fresh ε-closure walk counts
+    them; the covering-read prune must skip the same read candidates.
+    """
+
+    @pytest.mark.parametrize(
+        "reduction, fused, pruned",
+        [("closure", 587, 6), ("dpor", 509, 6)],
+    )
+    def test_catalog_totals(self, reduction, fused, pruned):
+        m = Metrics()
+        for test in LITMUS_TESTS:
+            explore_sequential(test.build(), reduction=reduction, metrics=m)
+        assert m.counters["reduce.epsilon_fused"] == fused
+        assert m.counters["reduce.covering_pruned"] == pruned

@@ -19,8 +19,9 @@ from hypothesis import given, settings
 
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.semantics.canon import canonical_encoding, canonical_key
-from repro.semantics.config import initial_config
+from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
+from repro.semantics.reduce import close_config, get_strategy, reduced_successors
 from repro.semantics.step import successors
 from tests.conftest import (
     abstract_lock_client,
@@ -45,6 +46,7 @@ OBJECT_CLIENTS = (
 _CACHED = (
     "_interner",
     "_canonical_key",
+    "_thread_ids",
     "_canonical_encoding",
     "_mem_ident",
     "_component_id",
@@ -53,16 +55,15 @@ _CACHED = (
 )
 
 
-def successor_targets(program, max_states=20_000):
-    """Every successor target of every reachable configuration (BFS
-    deduplicated by canonical key), plus the initial configuration."""
-    init = initial_config(program)
+def _bfs_targets(program, init, expand, max_states):
+    """``init`` plus every target of ``expand`` from every configuration
+    reachable through it, BFS deduplicated by canonical key."""
     seen = {canonical_key(program, init)}
     out = [init]
     queue = deque([init])
     while queue:
         cfg = queue.popleft()
-        for tr in successors(program, cfg):
+        for tr in expand(cfg):
             out.append(tr.target)
             key = canonical_key(program, tr.target)
             if key not in seen:
@@ -70,6 +71,22 @@ def successor_targets(program, max_states=20_000):
                 seen.add(key)
                 queue.append(tr.target)
     return out
+
+
+def successor_targets(program, max_states=20_000):
+    """Every successor target of every reachable configuration, plus
+    the initial configuration: under the plain relation, and under the
+    ε-closed macro-step relation from the closed initial
+    configuration."""
+    init = initial_config(program)
+    return _bfs_targets(
+        program, init, lambda cfg: successors(program, cfg), max_states
+    ) + _bfs_targets(
+        program,
+        close_config(program, init),
+        lambda cfg: reduced_successors(program, cfg),
+        max_states,
+    )
 
 
 def assert_identity_parity(program, configs):
@@ -118,6 +135,34 @@ class TestParity:
                 canonical_encoding(program, cfg) for cfg in r.configs.values()
             }
             assert len(encodings) == r.state_count, name
+
+
+class TestInheritedKeys:
+    """A successor arrives with its parent's thread ids, one slot
+    replaced: the key it is then given equals the key of a cache-free
+    copy of it."""
+
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    @pytest.mark.parametrize(
+        "build",
+        [t.build for t in LITMUS_TESTS] + [b for _, b in OBJECT_CLIENTS],
+        ids=[t.name for t in LITMUS_TESTS] + [n for n, _ in OBJECT_CLIENTS],
+    )
+    def test_matches_cache_free_copy(self, build, reduction):
+        program = build()
+        strategy = get_strategy(reduction)
+        init = strategy.normalise_initial(program, initial_config(program))
+        if reduction == "off":
+            memo = {}
+            expand = lambda cfg: successors(program, cfg, memo=memo)
+        else:
+            expand = lambda cfg: strategy.successors(program, cfg)
+        targets = _bfs_targets(program, init, expand, 20_000)[1:]
+        assert targets
+        for t in targets:
+            assert "_thread_ids" in vars(t)
+            fresh = Config(t.cmds, t.locals, t.gamma, t.beta)
+            assert canonical_key(program, t) == canonical_key(program, fresh)
 
 
 class TestScope:

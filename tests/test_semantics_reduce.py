@@ -59,7 +59,8 @@ class TestPolicy:
 
 
 class TestSilentStep:
-    """silent_step is the single source of ε-truth shared with _steps."""
+    """silent_step is the single source of ε-truth shared with
+    _thread_step."""
 
     def test_local_assign(self):
         program = Program(
@@ -101,7 +102,7 @@ class TestSilentStep:
 
     @pytest.mark.parametrize("ra", [True, False])
     def test_agrees_with_steps_over_reachable_states(self, ra):
-        """Wherever silent_step fires, _steps yields exactly that one
+        """Wherever silent_step fires, a thread steps exactly that one
         silent step; wherever it does not, no step is silent."""
         program = _mp_await(ra)
         init = initial_config(program)
