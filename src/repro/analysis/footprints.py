@@ -11,8 +11,8 @@ in two ways the whole-continuation recursion cannot express:
   constant-fold branch conditions: an ``If`` whose condition evaluates
   under the environment contributes only the taken branch, so locations
   touched exclusively by statically-dead code drop out of the summary;
-* **phase sensitivity** — because the engine calls it per configuration
-  on the *remaining* continuation with the *current* locals, the
+* **phase sensitivity** — because DPOR calls it per thread state, on
+  the *remaining* continuation with the *current* locals, the
   summary shrinks as execution advances: a mode register read in an
   earlier phase resolves the conditionals of later phases.
 
@@ -27,12 +27,10 @@ continuation may still touch — the contract DPOR's persistent-set
 argument needs — while staying a subset of the whole-continuation
 footprint.
 
-Summaries are memoised under ``(node, in_lib, relevant-env)`` keys,
-where the relevant environment is the projection onto the registers the
-node actually reads; loop unfoldings rebuild structurally-equal
-suffixes and register values recur, so the table hits across a whole
-exploration (bounded by oldest-half eviction, the shared policy of
-:mod:`repro.util.cache`).
+Nothing here is memoised.  A thread's phase footprint is a function of
+its thread state ``(tid, cmd, ls)``, so DPOR keeps one per thread id in
+the program's intern tables (:mod:`repro.semantics.canon`) and the
+interpreter runs once per thread state, not once per configuration.
 """
 
 from __future__ import annotations
@@ -49,14 +47,8 @@ from repro.lang.expr import (
     Reg,
     UnOp,
     Value,
-    registers_of,
 )
-from repro.lang.walk import (
-    assigned_register,
-    fold,
-    node_exprs,
-)
-from repro.util.cache import evict_half
+from repro.lang.walk import assigned_register, fold
 
 # -- footprint algebra -------------------------------------------------------
 
@@ -128,27 +120,7 @@ def try_eval(
         return False, None
 
 
-# -- per-node register summaries (fold-memoised) -----------------------------
-
-_READ_REGS: Dict = {}
-_ASSIGNED_REGS: Dict = {}
-_REGS_MAX = 100_000
-
-
-def _read_regs_fold(node, in_lib, child_values) -> frozenset:
-    if node is None:
-        return frozenset()
-    acc = frozenset()
-    for expr in node_exprs(node):
-        acc |= registers_of(expr)
-    for value in child_values:
-        acc |= value
-    return acc
-
-
-def read_registers(cmd: A.Com) -> frozenset:
-    """Registers occurring in any expression anywhere in ``cmd``."""
-    return fold(cmd, _read_regs_fold, cache=_READ_REGS, cache_max=_REGS_MAX)
+# -- per-node register summaries ---------------------------------------------
 
 
 def _assigned_regs_fold(node, in_lib, child_values) -> frozenset:
@@ -163,17 +135,10 @@ def _assigned_regs_fold(node, in_lib, child_values) -> frozenset:
 
 def assigned_registers(cmd: A.Com) -> frozenset:
     """Registers any execution of ``cmd`` may assign."""
-    return fold(
-        cmd, _assigned_regs_fold, cache=_ASSIGNED_REGS, cache_max=_REGS_MAX
-    )
+    return fold(cmd, _assigned_regs_fold)
 
 
 # -- the phase-sensitive interpreter -----------------------------------------
-
-#: Memoised ``(footprint, binds, kills)`` summaries, keyed
-#: ``(node, in_lib, relevant-env projection)``.
-_PHASE: Dict = {}
-_PHASE_MAX = 100_000
 
 _Env = Dict[str, Value]
 
@@ -197,39 +162,6 @@ def _analyse(
 ) -> Tuple[Footprint, _Env]:
     if node is None:
         return FP_EMPTY, env
-    relevant = read_registers(node)
-    key = (
-        node,
-        in_lib,
-        tuple(sorted((r, env[r]) for r in relevant if r in env)),
-    )
-    hit = _PHASE.get(key)
-    if hit is not None:
-        fp, binds, kills = hit
-        out = dict(env)
-        for r in kills:
-            out.pop(r, None)
-        out.update(binds)
-        return fp, out
-    fp, env_out = _analyse_raw(node, env, in_lib)
-    # The node only rebinds registers it assigns, and both the summary
-    # and the new bindings are functions of the relevant projection —
-    # store the delta so one memo entry serves every incoming
-    # environment with the same projection.
-    assigned = assigned_registers(node)
-    binds = tuple(
-        sorted((r, env_out[r]) for r in assigned if r in env_out)
-    )
-    kills = frozenset(r for r in assigned if r not in env_out)
-    if len(_PHASE) >= _PHASE_MAX:
-        evict_half(_PHASE)
-    _PHASE[key] = (fp, binds, kills)
-    return fp, env_out
-
-
-def _analyse_raw(
-    node: A.Node, env: _Env, in_lib: bool
-) -> Tuple[Footprint, _Env]:
     comp = "L" if in_lib else "C"
     if isinstance(node, A.LocalAssign):
         known, value = try_eval(node.expr, env)

@@ -4,12 +4,15 @@ The proof outlines of Figures 3 and 7 annotate statements with labels and
 let assertions refer to the program counters of *other* threads
 (``pc1 ∈ {2,3,4}`` etc.).  We recover a thread's pc from its continuation:
 the label of the leftmost :class:`~repro.lang.ast.Labeled` node, or
-:data:`DONE_PC` when the thread has terminated.
+:data:`DONE_PC` when the thread has terminated.  :func:`pc_of` folds
+the continuation afresh; :meth:`Config.pc
+<repro.semantics.config.Config.pc>` keeps one pc per thread state in the
+program's intern tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.lang.ast import (
     Com,
@@ -37,7 +40,7 @@ def pc_of(cmd: Com, done_label=DONE_PC):
     """
     if cmd is None:
         return done_label
-    return _leftmost_label(cmd)
+    return fold(cmd, _label_fold)
 
 
 def _label_fold(node: Com, in_lib: bool, child_values) -> Optional[object]:
@@ -55,16 +58,3 @@ def _label_fold(node: Com, in_lib: bool, child_values) -> Optional[object]:
     # ``If``: a conditional's label lives on the node wrapping it —
     # branches are only consulted once taken.  Leaves carry no label.
     return None
-
-
-#: ``(node, in_lib)`` -> label, shared by every program: AST nodes are
-#: immutable and a label depends on the node alone, so a continuation's
-#: pc is folded once however many configurations hold it (loop
-#: unfoldings rebuild structurally-equal ``Seq(body, While)`` suffixes,
-#: which hit by value).  Bounded like the step layer's summaries.
-_LABELS: Dict = {}
-_LABELS_MAX = 100_000
-
-
-def _leftmost_label(cmd: Com) -> Optional[object]:
-    return fold(cmd, _label_fold, cache=_LABELS, cache_max=_LABELS_MAX)

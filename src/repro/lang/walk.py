@@ -15,10 +15,7 @@ place:
 :func:`fold`
     a bottom-up combinator ``fn(node, in_lib, child_values)`` with full
     control at every node (a ``LibBlock`` can subtract its
-    ``public_regs``, a ``Labeled`` can ignore its children), plus an
-    optional value-keyed memo table — AST nodes are immutable and loop
-    unfoldings rebuild structurally-equal suffixes, so ``(node,
-    in_lib)``-keyed memoisation hits across a whole exploration.
+    ``public_regs``, a ``Labeled`` can ignore its children).
 
 Both treat ``None`` (the terminated command ``⊥``) as the empty tree.
 """
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 from typing import (
     Callable,
-    Dict,
     Iterator,
     Mapping,
     NamedTuple,
@@ -52,7 +48,6 @@ from repro.lang.ast import (
     Write,
 )
 from repro.lang.expr import Expr
-from repro.util.cache import evict_half
 
 #: Child field names per interior node type; leaves are absent.
 CHILD_FIELDS: Mapping[Type[Node], Tuple[str, ...]] = {
@@ -146,17 +141,7 @@ def format_path(path: Tuple[str, ...]) -> str:
     return ".".join(path) if path else "<body>"
 
 
-#: Sentinel distinguishing a memo miss from a cached ``None``-able value.
-_MISS = object()
-
-
-def fold(
-    cmd: Com,
-    fn: Callable,
-    in_lib: bool = False,
-    cache: Optional[Dict] = None,
-    cache_max: Optional[int] = None,
-):
+def fold(cmd: Com, fn: Callable, in_lib: bool = False):
     """Bottom-up reduction of ``cmd``: ``fn(node, in_lib, child_values)``.
 
     ``child_values`` holds one value per :func:`children` entry (a
@@ -166,26 +151,14 @@ def fold(
     itself is folded with the *outer* flag, its body with the inner
     one, which is what lets ``fn`` scope ``public_regs`` subtraction.
 
-    ``cache`` memoises results under ``(node, in_lib)`` keys; when
-    ``cache_max`` is set the table sheds its oldest-inserted half at
-    the bound (:func:`repro.util.cache.evict_half`).  Only pass a cache
-    when ``fn`` is a pure function of the node — the table is consulted
-    before descending.
+    Nothing is memoised: a fact that is hot per thread state is kept
+    per thread id in the program's intern tables
+    (:class:`repro.semantics.canon._Interner`), not per node here.
     """
     if cmd is None:
         return fn(None, in_lib, ())
-    if cache is not None:
-        hit = cache.get((cmd, in_lib), _MISS)
-        if hit is not _MISS:
-            return hit
     child_lib = in_lib or isinstance(cmd, LibBlock)
     values = tuple(
-        fold(child, fn, child_lib, cache, cache_max)
-        for _field, child in children(cmd)
+        fold(child, fn, child_lib) for _field, child in children(cmd)
     )
-    result = fn(cmd, in_lib, values)
-    if cache is not None:
-        if cache_max is not None and len(cache) >= cache_max:
-            evict_half(cache)
-        cache[(cmd, in_lib)] = result
-    return result
+    return fn(cmd, in_lib, values)

@@ -67,7 +67,9 @@ earlier configuration with the same ids, whose ``_mem_ident``/
 (:func:`thread_ids`) key each thread's step plan and its successor
 thread states, so a successor inherits its parent's thread ids with
 one slot replaced and keying it costs little more than its two
-component ids.
+component ids.  They also key every other fact that is a function of
+a thread state — its proof-outline pc and its DPOR footprint — so the
+program's intern tables are the one home of every such cache.
 
 Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
 object and die with it.  Every key leads with the program's
@@ -90,13 +92,15 @@ the indexed encoding against a retained naive reference implementation
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 from weakref import WeakValueDictionary
 
 from repro.lang.program import Program
 from repro.memory.actions import Op
 from repro.memory.state import ComponentState
-from repro.semantics.config import Config
+
+if TYPE_CHECKING:
+    from repro.semantics.config import Config
 
 
 def _enc_table(state: ComponentState) -> Dict[Op, Tuple]:
@@ -205,19 +209,27 @@ class _Interner:
     insertion indices, so equal ids mean equal interned values — exact,
     unlike a hashed digest.
 
-    Two more tables, owned by :func:`repro.semantics.step.successors`,
-    hang off the ids.  ``plans`` holds, per prune/closure mode, each
-    thread state's step plan and its successor thread states; it grows
-    with the thread states, not with the configurations.  ``frames``
-    maps a thread-id tuple to the first configuration built with it,
-    whose ``(cmds, locals)`` maps every later one shares; it holds the
-    configurations weakly, so an entry dies with the configurations
-    that use its maps.  Like the intern tables both live and die with
-    the program object and are never pickled.
+    The rest hang facts off the thread ids, so every fact that is a
+    function of a thread state is worked out once per thread state of
+    this program.  ``plans`` (owned by
+    :func:`repro.semantics.step.successors`) holds, per prune/closure
+    mode, each thread id's step plan and its successor thread states.
+    ``pcs`` maps a thread id to its proof-outline pc
+    (:meth:`Config.pc <repro.semantics.config.Config.pc>`).
+    ``footprints`` maps ``(footprint mode, thread id)`` to the thread's
+    DPOR footprint and ``disjoint`` holds the program's statically
+    disjoint thread pairs (both :mod:`repro.semantics.dpor`).  These
+    grow with the thread states, not with the configurations.
+    ``frames`` maps a thread-id tuple to the first configuration built
+    with it, whose ``(cmds, locals)`` maps every later one shares; it
+    holds the configurations weakly, so an entry dies with the
+    configurations that use its maps.  Like the intern tables all of
+    them live and die with the program object and are never pickled.
     """
 
     __slots__ = (
-        "scope", "ops", "mems", "comps", "threads", "plans", "frames"
+        "scope", "ops", "mems", "comps", "threads", "plans", "pcs",
+        "footprints", "disjoint", "frames",
     )
 
     def __init__(self) -> None:
@@ -227,6 +239,9 @@ class _Interner:
         self.comps: Dict[Tuple, int] = {}
         self.threads: Dict[Tuple, int] = {}
         self.plans: Dict[Tuple, Dict[int, object]] = {}
+        self.pcs: Dict[int, object] = {}
+        self.footprints: Dict[Tuple[str, int], Tuple] = {}
+        self.disjoint: Optional[FrozenSet] = None
         self.frames: WeakValueDictionary = WeakValueDictionary()
 
 

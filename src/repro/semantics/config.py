@@ -18,6 +18,7 @@ from repro.lang.labels import pc_of
 from repro.lang.program import Program
 from repro.memory.initial import initial_states
 from repro.memory.state import ComponentState
+from repro.semantics.canon import _interner, _thread_ids
 from repro.util.fmap import FMap
 
 
@@ -52,8 +53,20 @@ class Config:
         return all(c is None for c in self.cmds.values())
 
     def pc(self, tid: str, program: Program):
-        """The proof-outline program counter of ``tid`` (see §5.3)."""
-        return pc_of(self.cmds[tid], done_label=program.done_label_of(tid))
+        """The proof-outline program counter of ``tid`` (see §5.3).
+
+        A function of the thread state, so it is worked out once per
+        thread id (:func:`~repro.semantics.canon.thread_ids`) and kept
+        in ``program``'s ``pcs`` table."""
+        tables = _interner(program)
+        tsid = _thread_ids(tables, program, self)[program.tids.index(tid)]
+        pcs = tables.pcs
+        if tsid in pcs:
+            return pcs[tsid]
+        label = pcs[tsid] = pc_of(
+            self.cmds[tid], done_label=program.done_label_of(tid)
+        )
+        return label
 
     # -- updates ---------------------------------------------------------------
     def with_thread(

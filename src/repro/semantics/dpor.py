@@ -18,7 +18,7 @@ partition beyond the whole-continuation union:
 * **static disjointness** — thread pairs whose *whole-body* footprints
   never conflict are disjoint in every reachable configuration
   (continuation footprints only shrink), so their conflict test is
-  skipped outright, memoised once per program;
+  skipped outright, worked out once per program;
 * **phase sensitivity** — the default footprint is
   :func:`repro.analysis.phase_footprint`, which constant-folds branch
   conditions under the thread's *current* local state: locations
@@ -100,7 +100,6 @@ checks by executing random independent pairs in both orders.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.footprints import (
@@ -116,6 +115,7 @@ from repro.lang.program import Program
 from repro.lang.walk import fold
 from repro.memory import actions as ACT
 from repro.obs import metrics as _metrics
+from repro.semantics.canon import _interner, thread_ids
 from repro.semantics.config import Config
 from repro.semantics.reduce import (
     ReductionStrategy,
@@ -123,7 +123,6 @@ from repro.semantics.reduce import (
     reduced_successors,
 )
 from repro.semantics.step import Transition
-from repro.util.cache import evict_half
 
 #: Independence verdicts.  ``STRONG`` — the two transitions commute to
 #: bit-identical configurations; ``CANONICAL`` — they commute up to the
@@ -136,15 +135,6 @@ CANONICAL = "canonical"
 #: The footprint algebra lives in :mod:`repro.analysis.footprints`;
 #: ``footprints_conflict`` keeps its historical name here.
 footprints_conflict = fp_conflict
-
-#: Memoised whole-continuation footprints, keyed ``(node, in_lib)`` —
-#: AST nodes are immutable and loop unfoldings rebuild structurally-
-#: equal suffixes, so value-keyed memoisation hits across the
-#: exploration.  Bounded by oldest-half eviction (the shared
-#: :mod:`repro.util.cache` policy).
-_FOOTPRINTS: Dict[Tuple[A.Node, bool], _Footprint] = {}
-_FOOTPRINTS_MAX = 100_000
-
 
 def _fp_fold(node: Optional[A.Node], in_lib: bool, child_values) -> _Footprint:
     if node is None:
@@ -176,10 +166,7 @@ def thread_footprint(cmd: Optional[A.Node], in_lib: bool = False) -> _Footprint:
     their bodies; ``Cas``/``Fai`` both read and write their location;
     commands inside a ``LibBlock`` touch ``'L'`` locations.
     """
-    return fold(
-        cmd, _fp_fold, in_lib=in_lib,
-        cache=_FOOTPRINTS, cache_max=_FOOTPRINTS_MAX,
-    )
+    return fold(cmd, _fp_fold, in_lib=in_lib)
 
 
 #: Which footprint feeds the conflict partition: ``"phase"`` (the
@@ -207,32 +194,24 @@ def set_footprint_mode(mode: str) -> str:
     return previous
 
 
-#: Per-program statically-disjoint thread pairs, keyed ``id(program)``
-#: with a weakref guard against id reuse.  Whole-body footprints bound
-#: every reachable continuation's footprint, so a pair disjoint here is
-#: disjoint forever — its conflict test is skipped in every partition.
-_STATIC_DISJOINT: Dict[int, Tuple] = {}
-_STATIC_DISJOINT_MAX = 1024
-
-
 def _static_disjoint_pairs(program: Program) -> FrozenSet:
-    hit = _STATIC_DISJOINT.get(id(program))
-    if hit is not None:
-        ref, pairs = hit
-        if ref() is program:
-            return pairs
-    fps = {t: thread_footprint(program.body_of(t)) for t in program.tids}
-    tids = program.tids
-    pairs = frozenset(
-        (t, u)
-        for i, t in enumerate(tids)
-        for u in tids[i + 1:]
-        if not footprints_conflict(fps[t], fps[u])
-    )
-    if len(_STATIC_DISJOINT) >= _STATIC_DISJOINT_MAX:
-        evict_half(_STATIC_DISJOINT)
-    _STATIC_DISJOINT[id(program)] = (weakref.ref(program), pairs)
-    return pairs
+    """The thread pairs whose whole-body footprints never conflict.
+
+    Whole-body footprints bound every reachable continuation's
+    footprint, so a pair disjoint here is disjoint forever — its
+    conflict test is skipped in every partition.  Worked out once per
+    program and kept in its intern tables."""
+    tables = _interner(program)
+    if tables.disjoint is None:
+        fps = {t: thread_footprint(program.body_of(t)) for t in program.tids}
+        tids = program.tids
+        tables.disjoint = frozenset(
+            (t, u)
+            for i, t in enumerate(tids)
+            for u in tids[i + 1:]
+            if not footprints_conflict(fps[t], fps[u])
+        )
+    return tables.disjoint
 
 
 def independence(a: Transition, b: Transition) -> str:
@@ -258,23 +237,27 @@ def independence(a: Transition, b: Transition) -> str:
 def _partition(program: Program, cfg: Config) -> List[List[str]]:
     """Conflict-graph connected components over the live threads.
 
-    Footprints are computed lazily per thread: a pair on the static-
-    disjointness fast path never evaluates them at all, and phase mode
-    only interprets the continuations actually compared.
+    A thread's footprint is a function of its thread state, so it is
+    kept per ``(footprint mode, thread id)`` in the program's
+    ``footprints`` table and worked out on first use: a pair on the
+    static-disjointness fast path never evaluates them at all, and
+    phase mode only interprets the continuations actually compared.
     """
-    live = [t for t in program.tids if cfg.cmds[t] is not None]
     disjoint = _static_disjoint_pairs(program)
-    phase = _FOOTPRINT_MODE == "phase"
-    fps: Dict[str, _Footprint] = {}
+    footprints = _interner(program).footprints
+    mode = _FOOTPRINT_MODE
+    tsids = dict(zip(program.tids, thread_ids(program, cfg)))
+    live = [t for t in program.tids if cfg.cmds[t] is not None]
 
     def fp_of(t: str) -> _Footprint:
-        fp = fps.get(t)
+        key = (mode, tsids[t])
+        fp = footprints.get(key)
         if fp is None:
-            if phase:
+            if mode == "phase":
                 fp = phase_footprint(cfg.cmds[t], cfg.locals[t])
             else:
                 fp = thread_footprint(cfg.cmds[t])
-            fps[t] = fp
+            footprints[key] = fp
         return fp
 
     parent = {t: t for t in live}

@@ -7,8 +7,8 @@ the historical call surface — :func:`explore`, :func:`reachable`,
 :func:`assert_invariant`, :func:`final_outcomes` and
 :class:`ExploreResult` — as thin wrappers over the engine's sequential
 BFS backend, so existing call sites and tests are untouched while new
-code can pick strategies, worker processes and the persistent result
-cache through :class:`repro.engine.ExplorationEngine`.
+code can pick strategies and the persistent result cache through
+:class:`repro.engine.ExplorationEngine`.
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ def explore(
         result is then marked ``stopped``) — used by :func:`reachable`
         to stop at the first witness.
     reduction:
-        ``"off"`` (default) or ``"closure"`` — the ε-closure +
-        covering-read reduction (:mod:`repro.semantics.reduce`).
-        Closure preserves terminal outcomes, stuck-ness and
-        register-level verdicts but fuses intermediate silent
-        configurations away: they are not stored, counted, or passed to
-        ``on_config``/``check_invariants``.
+        ``"off"`` (default), ``"closure"`` — the ε-closure +
+        covering-read reduction (:mod:`repro.semantics.reduce`) — or
+        ``"dpor"``, closure plus sleep and persistent sets
+        (:mod:`repro.semantics.dpor`).  Both preserve terminal
+        outcomes, stuck-ness and register-level verdicts but fuse
+        intermediate silent configurations away: they are not stored,
+        counted, or passed to ``on_config``/``check_invariants``.
     track_parents:
         Record each state's first-discovery edge (parent key +
         ``(tid, component, action)`` label) in ``result.parents``, from

@@ -63,15 +63,15 @@ successors are covering-equivalent, and only the mo-earliest candidate
 per value is generated (``collapse_same_value`` in
 :func:`repro.memory.transitions.read_steps` — the skip happens before
 the successor component state is even constructed).  The gate is
-computed per read site from memoised continuation summaries
-(:func:`repro.semantics.step._node_summary`).
+computed per read site, once per step plan, from continuation
+summaries (:func:`repro.semantics.step._node_summary`).
 
 Policy registry
 ---------------
 This module is the *single* source of truth for reduction policies.
 Each policy is a :class:`ReductionStrategy` — successor function,
-initial-configuration normalisation, cache-fingerprint token,
-composability flags and metric names — registered under its name.
+initial-configuration normalisation, cache-fingerprint token and
+composability flags — registered under its name.
 Every consumer (``validate_reduction``, the engine's loop and
 ``_check_reduction``, the persistent-cache key, batch, the CLI
 ``--reduction`` choices) reads the registry; nothing else enumerates
@@ -182,58 +182,40 @@ def get_strategy(reduction: str) -> ReductionStrategy:
     return _REGISTRY[validate_reduction(reduction)]
 
 
-#: Memoised silent chains: ``(cmd, ls) -> (cmd', ls', fused)``.  The
-#: chain is a pure function of the continuation/locals pair (silent
-#: steps read nothing else), and the ε-closure re-walks the same chains
-#: constantly — every interleaving that reaches a thread at the same
-#: local point closes it identically.  Bounded by the same crude flush
-#: as the continuation-summary cache so long-lived processes don't
-#: retain dead programs' ASTs.
-_CHAINS: Dict[Tuple, Tuple] = {}
-_CHAINS_MAX = 100_000
-
-
 def _close_chain(cmd, ls) -> Tuple:
-    """Run (or replay) the maximal silent chain from ``(cmd, ls)``.
+    """Run the maximal silent chain from ``(cmd, ls)``.
 
-    Returns ``(cmd', ls', fused)``.  Deterministic by homogeneity of
-    the step relation; diverging silent chains (a purely-local loop)
-    are cut off at the first revisited ``(continuation, locals)`` pair
-    or after :data:`MAX_SILENT_CHAIN` fused steps, whichever comes
-    first.  Memo hits replay the stored ``fused`` count into the active
-    metrics collector, so ``reduce.epsilon_fused`` is identical to the
-    unmemoised walk.
+    Returns ``(cmd', ls', fused)`` and counts ``fused`` into
+    ``reduce.epsilon_fused``.  Deterministic by homogeneity of the step
+    relation; diverging silent chains (a purely-local loop) are cut off
+    at the first revisited ``(continuation, locals)`` pair or after
+    :data:`MAX_SILENT_CHAIN` fused steps, whichever comes first.  Not
+    memoised: :func:`~repro.semantics.step.successors` runs it once per
+    successor thread state and replays the count on repeats.
     """
-    key = (cmd, ls)
-    cached = _CHAINS.get(key)
-    if cached is None:
-        visited = None
-        fused = 0
-        while cmd is not None and fused < MAX_SILENT_CHAIN:
-            step = silent_step(cmd, ls)
-            if step is None:
-                break
-            if visited is None:
-                visited = {(cmd, ls)}
-            elif (cmd, ls) in visited:
-                break  # divergent ε-loop: leave the silent edge in place
-            else:
-                visited.add((cmd, ls))
-            _comp, cmd, ls = step
-            fused += 1
-        cached = (cmd, ls, fused)
-        if len(_CHAINS) >= _CHAINS_MAX:
-            _CHAINS.clear()
-        _CHAINS[key] = cached
-    if cached[2] and _metrics._ACTIVE is not None:
-        _metrics._ACTIVE.inc("reduce.epsilon_fused", cached[2])
-    return cached
+    visited = None
+    fused = 0
+    while cmd is not None and fused < MAX_SILENT_CHAIN:
+        step = silent_step(cmd, ls)
+        if step is None:
+            break
+        if visited is None:
+            visited = {(cmd, ls)}
+        elif (cmd, ls) in visited:
+            break  # divergent ε-loop: leave the silent edge in place
+        else:
+            visited.add((cmd, ls))
+        _comp, cmd, ls = step
+        fused += 1
+    if fused and _metrics._ACTIVE is not None:
+        _metrics._ACTIVE.inc("reduce.epsilon_fused", fused)
+    return cmd, ls, fused
 
 
 def close_thread(cfg: Config, tid: str) -> Config:
     """Run thread ``tid``'s maximal chain of silent steps.
 
-    A thin wrapper over the memoised :func:`_close_chain`.  The closure
+    A thin wrapper over :func:`_close_chain`.  The closure
     contract — every fused step is silent (``silent_step`` yields no
     action at all) and leaves both component states untouched — holds
     by construction: the chain maps only ``(cmd, ls)`` and the rebuilt

@@ -29,7 +29,10 @@ thread id (:func:`repro.semantics.canon.thread_ids`), so it is worked
 out once per thread id and prune mode, and so is the successor thread
 state of each register value: its locals, its continuation (ε-closed
 for the reduction layer) and its id.  The tables live with the
-program's intern tables.  What varies per configuration is the memory,
+program's intern tables.  What a plan needs besides — the continuation
+summaries of the covering-read prune (:func:`_node_summary`) and the
+ε-closure of each outcome — is worked out with the plan and not cached
+on its own.  What varies per configuration is the memory,
 so the rule runs per configuration — except where the caller passes a
 visible-step memo: the sequential explorer passes a per-exploration
 dict as ``successors(..., memo=)``, keyed by the configuration's
@@ -379,50 +382,31 @@ def silent_step(
     return None
 
 
-#: Memoised continuation summaries.  AST nodes are immutable and loop
-#: unfoldings rebuild structurally-equal suffixes, so value-keyed
-#: memoisation hits across the whole exploration.  Bounded by a crude
-#: flush so long-lived processes exploring many distinct programs don't
-#: retain every dead program's AST.
-_SUMMARIES: Dict[A.Node, _Rest] = {}
-_SUMMARIES_MAX = 100_000
-
-
 def _node_summary(cmd: Optional[A.Node]) -> _Rest:
     """``(vars possibly accessed, may publish views)`` of a command.
 
     Conservative over all executions: branches union, loops summarise
     their bodies.  ``MethodCall`` (and any unknown node) counts as
     publishing — abstract methods execute against ``β`` with arbitrary
-    variable footprints.
+    variable footprints.  Not memoised: :func:`_thread_step` asks for
+    it once per step plan.
     """
-    if cmd is None:
+    if cmd is None or isinstance(cmd, A.LocalAssign):
         return _REST_EMPTY
-    cached = _SUMMARIES.get(cmd)
-    if cached is not None:
-        return cached
-    if isinstance(cmd, A.LocalAssign):
-        summary: _Rest = _REST_EMPTY
-    elif isinstance(cmd, A.Read):
-        summary = (frozenset((cmd.var,)), False)
-    elif isinstance(cmd, (A.Write, A.Cas, A.Fai)):
-        summary = (frozenset((cmd.var,)), True)
-    elif isinstance(cmd, A.Seq):
-        summary = _combine(_node_summary(cmd.first), _node_summary(cmd.second))
-    elif isinstance(cmd, A.If):
-        summary = _combine(
+    if isinstance(cmd, A.Read):
+        return (frozenset((cmd.var,)), False)
+    if isinstance(cmd, (A.Write, A.Cas, A.Fai)):
+        return (frozenset((cmd.var,)), True)
+    if isinstance(cmd, A.Seq):
+        return _combine(_node_summary(cmd.first), _node_summary(cmd.second))
+    if isinstance(cmd, A.If):
+        return _combine(
             _node_summary(cmd.then_branch), _node_summary(cmd.else_branch)
         )
-    elif isinstance(cmd, A.While):
-        summary = _node_summary(cmd.body)
-    elif isinstance(cmd, (A.Labeled, A.LibBlock)):
-        summary = _node_summary(cmd.body)
-    else:  # MethodCall and anything unforeseen: assume everything.
-        summary = (frozenset(), True)
-    if len(_SUMMARIES) >= _SUMMARIES_MAX:
-        _SUMMARIES.clear()
-    _SUMMARIES[cmd] = summary
-    return summary
+    if isinstance(cmd, (A.While, A.Labeled, A.LibBlock)):
+        return _node_summary(cmd.body)
+    # MethodCall and anything unforeseen: assume everything.
+    return (frozenset(), True)
 
 
 def _combine(a: _Rest, b: _Rest) -> _Rest:

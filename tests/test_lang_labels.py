@@ -9,9 +9,10 @@ from repro.lang import ast as A
 from repro.lang import labels
 from repro.lang.expr import Lit, Reg
 from repro.lang.labels import DONE_PC, pc_of
-from repro.lang.walk import fold, iter_nodes
+from repro.lang.walk import fold
 from repro.litmus.clients import lock_client_three_threads
 from repro.litmus.peterson import peterson_program
+from repro.semantics.config import Config
 from repro.semantics.explore import explore
 from tests.conftest import (
     abstract_lock_client,
@@ -81,25 +82,9 @@ def _uncached(cmd):
     return fold(cmd, labels._label_fold)
 
 
-def _continuations(program):
-    """Every live continuation of every reachable configuration."""
-    result = explore(program)
-    return [
-        cfg.cmds[tid]
-        for cfg in result.configs.values()
-        for tid in program.tids
-        if cfg.cmds[tid] is not None
-    ]
-
-
-def _loop_unfoldings(cmd):
-    """Fresh ``Seq(body, While)`` unfoldings of every loop in ``cmd`` —
-    new objects, structurally equal to what the semantics builds."""
-    return [
-        A.Seq(v.node.body, v.node)
-        for v in iter_nodes(cmd)
-        if isinstance(v.node, A.While)
-    ]
+def _reachable(program):
+    """Every reachable configuration of ``program``."""
+    return list(explore(program).configs.values())
 
 
 PC_PROGRAMS = {
@@ -117,54 +102,50 @@ PC_PROGRAMS = {
 
 
 class TestPcMemo:
-    """``pc_of`` memoises labels per continuation node in the bounded
-    ``labels._LABELS`` table; the memo must agree with the plain fold."""
-
-    @pytest.fixture
-    def fresh_table(self, monkeypatch):
-        table = {}
-        monkeypatch.setattr(labels, "_LABELS", table)
-        return table
+    """``Config.pc`` keeps one label per thread id in the program's
+    ``pcs`` table; the table must agree with the plain fold."""
 
     @pytest.mark.parametrize("name", sorted(PC_PROGRAMS))
-    def test_memo_matches_uncached_fold(self, name, fresh_table):
-        conts = _continuations(PC_PROGRAMS[name]())
-        assert conts
+    def test_memo_matches_uncached_fold(self, name):
+        program = PC_PROGRAMS[name]()
+        configs = _reachable(program)
         # First pass fills the table (misses), second reads it (hits).
         for _ in range(2):
-            for cmd in conts:
-                assert pc_of(cmd) == _uncached(cmd)
-        assert fresh_table
+            for cfg in configs:
+                for tid in program.tids:
+                    cmd = cfg.cmds[tid]
+                    expected = (
+                        program.done_label_of(tid) if cmd is None
+                        else _uncached(cmd)
+                    )
+                    assert cfg.pc(tid, program) == expected
+        assert program._interner.pcs
 
     @pytest.mark.parametrize("name", sorted(PC_PROGRAMS))
-    def test_fresh_loop_unfoldings_hit_by_value(self, name, fresh_table):
-        unfoldings = [
-            u for cmd in _continuations(PC_PROGRAMS[name]())
-            for u in _loop_unfoldings(cmd)
-        ]
-        for u in unfoldings:
-            assert pc_of(u) == _uncached(u)
-        size = len(fresh_table)
-        # Rebuilt unfoldings are new objects, equal by value: they are
-        # answered from the table without adding entries.
-        for u in unfoldings:
-            again = A.Seq(u.first, u.second)
-            assert again is not u
-            assert pc_of(again) == _uncached(u)
-        assert len(fresh_table) == size
-
-    def test_bounded_table_evicts_and_stays_correct(
-        self, fresh_table, monkeypatch
-    ):
-        monkeypatch.setattr(labels, "_LABELS_MAX", 8)
-        conts = _continuations(PC_PROGRAMS["spinlock-three-threads"]())
-        evicted = False
-        for _ in range(2):
-            for cmd in conts + [
-                u for c in conts[:50] for u in _loop_unfoldings(c)
-            ]:
-                before = len(fresh_table)
-                assert pc_of(cmd) == _uncached(cmd)
-                assert len(fresh_table) <= 8
-                evicted |= len(fresh_table) < before
-        assert evicted
+    def test_fresh_loop_unfoldings_hit_by_value(self, name):
+        program = PC_PROGRAMS[name]()
+        configs = _reachable(program)
+        for cfg in configs:
+            for tid in program.tids:
+                cfg.pc(tid, program)
+        pcs = program._interner.pcs
+        size = len(pcs)
+        rebuilt = 0
+        # Configurations whose continuations are new objects, equal by
+        # value (a fresh ``Seq`` over the same children, as a loop
+        # unfolding builds one): they are answered from the table
+        # without adding entries.
+        for cfg in configs:
+            for tid in program.tids:
+                cmd = cfg.cmds[tid]
+                if not isinstance(cmd, A.Seq):
+                    continue
+                again = A.Seq(cmd.first, cmd.second)
+                assert again is not cmd
+                fresh = Config(
+                    cfg.cmds.set(tid, again), cfg.locals, cfg.gamma, cfg.beta
+                )
+                assert fresh.pc(tid, program) == _uncached(cmd)
+                rebuilt += 1
+        assert rebuilt
+        assert len(pcs) == size

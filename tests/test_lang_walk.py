@@ -148,40 +148,6 @@ class TestFold:
             "none"
         )
 
-    def test_cache_hits_and_bound(self):
-        cache = {}
-        calls = []
-
-        def count(node, in_lib, child_values):
-            if node is None:
-                return 0
-            calls.append(node)
-            return 1 + sum(child_values)
-
-        body = _mp_body()
-        assert fold(body, count, cache=cache) == 3
-        first_calls = len(calls)
-        # Second fold over a structurally-equal tree: all cache hits.
-        assert fold(_mp_body(), count, cache=cache) == 3
-        assert len(calls) == first_calls
-        assert cache  # keyed (node, in_lib)
-
-    def test_cache_eviction_keeps_newest(self):
-        cache = {}
-
-        def one(node, in_lib, child_values):
-            return 0 if node is None else 1 + sum(child_values)
-
-        writes = [A.Write(f"v{i}", Lit(i)) for i in range(8)]
-        for w in writes[:4]:
-            fold(w, one, cache=cache, cache_max=4)
-        assert len(cache) == 4
-        # The 5th insert evicts the oldest half, keeping the newest.
-        fold(writes[4], one, cache=cache, cache_max=4)
-        kept = {node.var for (node, _lib) in cache}
-        assert "v4" in kept and "v3" in kept
-        assert "v0" not in kept and "v1" not in kept
-
     def test_lib_block_fn_sees_outer_flag(self):
         seen = {}
 

@@ -412,11 +412,10 @@ class TestOracleTable:
         for a, b in pairs:
             assert independence(a, b) == DEPENDENT
 
-# -- footprint modes, static disjointness, cache eviction --------------------
+# -- footprint modes, static disjointness -----------------------------------
 
 from repro.engine.core import explore_sequential  # noqa: E402
 from repro.obs.metrics import Metrics, activate  # noqa: E402
-from repro.semantics import dpor as dpor_mod  # noqa: E402
 from repro.semantics.dpor import (  # noqa: E402
     FOOTPRINT_MODES,
     _static_disjoint_pairs,
@@ -540,27 +539,56 @@ class TestStaticDisjoint:
         assert collected.counters.get("reduce.dpor.static_disjoint", 0) >= 1
 
 
-class TestFootprintCacheEviction:
-    """Satellite regression: the memo table sheds its *oldest half* at
-    the bound instead of clearing wholesale — the newest entries (the
-    live exploration's working set) must survive an overflow."""
+# -- the per-thread-id footprint table ---------------------------------------
 
-    def test_oldest_half_evicted_newest_survive(self, monkeypatch):
-        monkeypatch.setattr(dpor_mod, "_FOOTPRINTS", {})
-        monkeypatch.setattr(dpor_mod, "_FOOTPRINTS_MAX", 8)
-        nodes = [A.Write(f"v{i}", Lit(i)) for i in range(9)]
-        for node in nodes[:8]:
-            thread_footprint(node)
-        assert len(dpor_mod._FOOTPRINTS) == 8
-        thread_footprint(nodes[8])  # overflow triggers eviction
-        kept = {node.var for node, _lib in dpor_mod._FOOTPRINTS}
-        assert kept == {"v4", "v5", "v6", "v7", "v8"}
+from benchmarks.test_bench_dpor import _family as _dpor_family  # noqa: E402
+from repro.analysis.footprints import phase_footprint  # noqa: E402
 
-    def test_survivors_still_hit(self, monkeypatch):
-        monkeypatch.setattr(dpor_mod, "_FOOTPRINTS", {})
-        monkeypatch.setattr(dpor_mod, "_FOOTPRINTS_MAX", 4)
-        nodes = [A.Write(f"v{i}", Lit(i)) for i in range(5)]
-        for node in nodes:
-            thread_footprint(node)
-        survivor_fp = dpor_mod._FOOTPRINTS[(nodes[4], False)]
-        assert thread_footprint(nodes[4]) is survivor_fp
+
+def _fresh_groups(program, cfg, mode):
+    """The conflict partition of ``cfg`` from footprints computed afresh,
+    with no table and no static-disjointness fast path."""
+    live = [t for t in program.tids if cfg.cmds[t] is not None]
+    fps = {
+        t: phase_footprint(cfg.cmds[t], cfg.locals[t]) if mode == "phase"
+        else thread_footprint(cfg.cmds[t])
+        for t in live
+    }
+    groups = {t: frozenset((t,)) for t in live}
+    for i, t in enumerate(live):
+        for u in live[i + 1:]:
+            if groups[t] is not groups[u] and footprints_conflict(
+                fps[t], fps[u]
+            ):
+                merged = groups[t] | groups[u]
+                for v in merged:
+                    groups[v] = merged
+    return set(groups.values())
+
+
+class TestFootprintTable:
+    """``_partition`` reads each live thread's footprint from the
+    program's ``(mode, thread id)`` table; the partition must equal the
+    one built from footprints computed afresh, in both modes, with the
+    table already warm from the other mode."""
+
+    @pytest.mark.parametrize("name", sorted(_dpor_family()))
+    def test_partition_matches_fresh_footprints(self, name):
+        program = _dpor_family()[name]
+        configs = list(
+            explore_sequential(program, reduction="dpor").configs.values()
+        )
+        assert configs
+        for mode in FOOTPRINT_MODES:
+            previous = set_footprint_mode(mode)
+            try:
+                for _ in range(2):
+                    for cfg in configs:
+                        groups = {
+                            frozenset(g) for g in _partition(program, cfg)
+                        }
+                        assert groups == _fresh_groups(program, cfg, mode)
+            finally:
+                set_footprint_mode(previous)
+        modes = {mode for mode, _tsid in program._interner.footprints}
+        assert modes == set(FOOTPRINT_MODES)

@@ -7,11 +7,14 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
   when the two encodings are: the quotient is unchanged.
 * **Scope.**  Ids are drawn from per-program tables: keys of two
   program objects never compare equal, a configuration keyed under one
-  program is re-keyed under another, and nothing of the tables or of a
-  cached id crosses a pickle.
+  program is re-keyed under another, nothing of the tables or of a
+  cached id crosses a pickle, and nothing cached per thread state
+  outlives the program.
 """
 
+import gc
 import pickle
+import weakref
 from collections import deque
 
 import pytest
@@ -193,6 +196,25 @@ class TestScope:
         assert canonical_key(p2, fresh) == k2
         # And p1 still recognises its own.
         assert canonical_key(p1, cfg) == k1
+
+    def test_nothing_outlives_the_program(self):
+        def explore_all():
+            program = {t.name: t for t in LITMUS_TESTS}["MP-await-RA"].build()
+            bodies = [
+                weakref.ref(program.body_of(tid)) for tid in program.tids
+            ]
+            for reduction in ("off", "closure", "dpor"):
+                result = explore(program, reduction=reduction)
+                for cfg in result.configs.values():
+                    for tid in program.tids:
+                        cfg.pc(tid, program)
+            return bodies
+
+        bodies = explore_all()
+        gc.collect()
+        # Every cache of a thread state dies with its program: no
+        # process-wide table keeps the program's AST alive.
+        assert [ref for ref in bodies if ref() is not None] == []
 
     def test_pickles_carry_no_table_or_cached_id(self):
         program = seqlock_client()
