@@ -22,7 +22,9 @@ an optional persistent result cache:
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.result import ExploreResult, ExploreSummary, summarise
@@ -41,6 +43,10 @@ if TYPE_CHECKING:
 
 #: Default safety cap on explored configurations.
 DEFAULT_MAX_STATES = 500_000
+
+#: CPython's gen-0 collection threshold while :func:`explore_sequential`
+#: runs (the interpreter default is 700); see that function's docstring.
+GC_GEN0_THRESHOLD = 50_000
 
 
 def __getattr__(name: str):
@@ -84,6 +90,42 @@ def key_function(
 
         return lambda cfg: canonical_key(program, cfg)
     return _raw_key
+
+
+@contextmanager
+def _gc_policy(metrics: Optional[Metrics]):
+    """Raise the gen-0 threshold (never lowering it, never re-enabling
+    a caller's ``0``) and, with a sink, time collections into it; the
+    caller's threshold triple and ``gc.callbacks`` come back on exit."""
+    saved = gc.get_threshold()
+    if saved[0]:
+        gc.set_threshold(max(saved[0], GC_GEN0_THRESHOLD), *saved[1:])
+    hook = _gc_timer(metrics) if metrics is not None else None
+    if hook is not None:
+        gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        if hook is not None:
+            gc.callbacks.remove(hook)
+        gc.set_threshold(*saved)
+
+
+def _gc_timer(metrics: Metrics) -> Callable[[str, Dict], None]:
+    """A ``gc.callbacks`` hook adding each collection's duration to the
+    ``explore.gc`` timer and one to ``explore.gc.collections``."""
+    clock = time.perf_counter
+    started = 0.0
+
+    def hook(phase: str, info: Dict) -> None:
+        nonlocal started
+        if phase == "start":
+            started = clock()
+        else:
+            metrics.add_time("explore.gc", clock() - started)
+            metrics.inc("explore.gc.collections")
+
+    return hook
 
 
 def explore_sequential(
@@ -132,7 +174,30 @@ def explore_sequential(
     :class:`repro.obs.progress.Progress`) receives rate-limited
     ``update`` calls while the loop runs.  Both default to ``None``,
     which keeps the hot loop's telemetry cost to one boolean test per
-    expanded configuration.
+    expanded configuration.  With a ``metrics`` sink attached, a
+    ``gc.callbacks`` hook also times the cyclic collector for the
+    length of the loop (``explore.gc`` seconds,
+    ``explore.gc.collections``); without one nothing is registered.
+
+    The loop raises CPython's gen-0 collection threshold to
+    :data:`GC_GEN0_THRESHOLD` while it runs.  The visited set keeps
+    every ``Config`` and key it admits for the whole exploration, so
+    at the default threshold (700) the cyclic collector mostly
+    re-scans young objects that can never be garbage: on
+    ``wide_program(4, reads=3)`` (54k states, a 2-CPU host) it took
+    1.35–1.52 s of a 4.1–4.8 s exploration in 1,583 collections.  A sweep put 10k at
+    0.52–0.66 s (110 collections), 50k at 0.30–0.34 s (22) and 200k
+    at 0.31 s (5), with the same peak RSS in every case; 50k sits at
+    the knee.  The caller's setting is never weakened — a higher
+    gen-0 threshold is kept, ``0`` (automatic collection off) is left
+    untouched, and gen-1/gen-2 are never changed — and the caller's
+    exact ``gc.get_threshold()`` triple is restored on every exit:
+    normal return, an ``on_config`` stop, truncation or an exception.
+    Every exploration in the package runs through this function, so
+    this is the one place that touches the collector's settings.  The
+    threshold is process-wide state: explorations overlapping in
+    several threads of one process could restore it out of order (the
+    package starts no such threads).
     """
     from repro.semantics.config import initial_config
     from repro.semantics.reduce import get_strategy
@@ -146,7 +211,7 @@ def explore_sequential(
     successors = strat.successors
     sleep_expand = strat.sleep_expand
     start = time.perf_counter()
-    with _collecting(metrics):
+    with _collecting(metrics), _gc_policy(metrics):
         init = initial_config(program)
         init = strat.normalise_initial(program, init)
         keyf = key_function(program, canonicalise)

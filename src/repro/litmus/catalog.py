@@ -58,6 +58,7 @@ from repro.engine.result import summarise
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
 from repro.lang.program import Program, Thread
+from repro.util.errors import VerificationError
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,10 @@ def run_litmus(
     an engine the test runs on a BFS engine with reduction ``off``,
     holding a :class:`~repro.engine.cache.ResultCache` when
     ``use_cache`` is set and ``REPRO_CACHE`` does not disable it.
+
+    Raises :class:`~repro.util.errors.VerificationError` when the
+    exploration is truncated by ``max_states``: outcomes of a partial
+    state space are a lower bound, so no verdict is given.
     """
     if engine is None:
         cache = (
@@ -135,6 +140,11 @@ def run_litmus(
     else:
         summary = summarise(
             engine.explore(test.build(), max_states=max_states)
+        )
+    if summary.truncated:
+        raise VerificationError(
+            f"litmus test {test.name!r}: exploration truncated at "
+            f"{summary.state_count} states — no verdict; raise max_states"
         )
     outcomes = summary.terminal_locals(*test.regs)
     weak_observed = bool(outcomes & test.weak)
@@ -171,8 +181,6 @@ def _violation_witness(
     reconstruction bugs propagate).  The schedule is JSON-safe: one
     rendered step per line, ready for the batch report.
     """
-    from repro.util.errors import VerificationError
-
     bad = set(outcomes) - set(test.allowed)
     if not test.weak_allowed:
         bad |= set(outcomes) & set(test.weak)

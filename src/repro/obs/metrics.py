@@ -30,6 +30,9 @@ Counter schema — stable names; the same keys appear in trace
                                      (``reduction="off"``, canonical keys)
 ``explore.memo.entries``             visible steps the memo computed and
                                      stored (lookups − entries = hits)
+``explore.gc.collections``           cyclic-GC collections (any
+                                     generation) during the exploration
+                                     loop
 ``reduce.epsilon_fused``             silent steps fused by the ε-closure
 ``reduce.covering_pruned``           read candidates skipped by the
                                      covering prune
@@ -55,9 +58,12 @@ Counter schema — stable names; the same keys appear in trace
 ===================================  ======================================
 
 Timers (seconds, additive): ``explore.elapsed`` — exploration
-wall-clock, the denominator of the states/sec rate.  Gauges (high-water
-marks, merged by max): ``explore.frontier_peak`` — sampled peak
-frontier/queue depth.
+wall-clock, the denominator of the states/sec rate; ``explore.gc`` —
+time spent in those collections, part of ``explore.elapsed``.  Both
+GC names come from a ``gc.callbacks`` hook the engine registers only
+while a sink is attached (:func:`repro.engine.core.explore_sequential`).
+Gauges (high-water marks, merged by max): ``explore.frontier_peak`` —
+sampled peak frontier/queue depth.
 """
 
 from __future__ import annotations
@@ -189,7 +195,9 @@ class Metrics:
             f"{self.timers.get('explore.elapsed', 0.0):.3f}s "
             f"({self.states_per_sec():,.0f} states/sec); "
             f"ε-fused {c.get('reduce.epsilon_fused', 0)}, "
-            f"covering-read pruned {c.get('reduce.covering_pruned', 0)}"
+            f"covering-read pruned {c.get('reduce.covering_pruned', 0)}; "
+            f"GC {self.timers.get('explore.gc', 0.0):.3f} s in "
+            f"{c.get('explore.gc.collections', 0)} collections"
         )
         if "cache.hits" in c or "cache.misses" in c:
             line += (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.impls.seqlock import SEQLOCK_VARS, seqlock_fill
@@ -15,6 +17,22 @@ from repro.objects.lock import AbstractLock
 from repro.objects.stack import AbstractStack
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
+
+
+@pytest.fixture(autouse=True)
+def _gc_settings_unchanged():
+    """Every test leaves the cyclic collector as it found it: each
+    exploration restores the GC thresholds and removes its
+    ``gc.callbacks`` hook on every exit.  (Only the package's own hooks
+    are checked: Hypothesis registers a process-wide one on first use.)"""
+    threshold = gc.get_threshold()
+    yield
+    assert gc.get_threshold() == threshold
+    assert not [
+        hook
+        for hook in gc.callbacks
+        if getattr(hook, "__module__", "").startswith("repro.")
+    ]
 
 
 def mp_relaxed() -> Program:

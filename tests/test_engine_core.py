@@ -1,4 +1,5 @@
-"""Tests for the exploration engine: strategies and the engine API.
+"""Tests for the exploration engine: strategies, the engine API and
+the loop's GC policy.
 
 The visited-set exploration is order-insensitive, so every frontier
 strategy must reconstruct *exactly* the same state space — same
@@ -6,6 +7,10 @@ strategy must reconstruct *exactly* the same state space — same
 — as the reference breadth-first order.  These parity tests run the
 full litmus catalog through each strategy.
 """
+
+import ast
+import gc
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,7 @@ from repro.engine import (
     SwarmFrontier,
     make_frontier,
 )
+from repro.engine.core import GC_GEN0_THRESHOLD, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.explore import explore
 
@@ -161,3 +167,178 @@ class TestImportFootprint:
             check=True,
         ).stdout.strip()
         assert out == "[]"
+
+
+#: A distinctive caller setting: gen-1/gen-2 differ from the defaults,
+#: so a restore that rebuilt the triple from defaults would show.
+CALLER = (701, 11, 12)
+
+
+@pytest.fixture
+def caller_gc():
+    """Install ``CALLER`` as the GC thresholds for one test and put the
+    process's own setting back afterwards."""
+    saved = gc.get_threshold()
+    gc.set_threshold(*CALLER)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
+
+
+def _program():
+    return next(t for t in LITMUS_TESTS if t.name == "MP-RA").build()
+
+
+class TestGCThreshold:
+    """``explore_sequential`` raises the gen-0 threshold for the loop and
+    gives the caller's exact triple back on every exit."""
+
+    def test_raised_during_the_loop(self, caller_gc):
+        seen = []
+        explore_sequential(
+            _program(), on_config=lambda c: seen.append(gc.get_threshold())
+        )
+        assert seen and set(seen) == {(GC_GEN0_THRESHOLD, 11, 12)}
+        assert gc.get_threshold() == CALLER
+
+    def test_restored_after_early_stop(self, caller_gc):
+        result = explore_sequential(_program(), on_config=lambda c: True)
+        assert result.stopped
+        assert gc.get_threshold() == CALLER
+
+    def test_restored_after_truncation(self, caller_gc):
+        result = explore_sequential(_program(), max_states=3)
+        assert result.truncated
+        assert gc.get_threshold() == CALLER
+
+    def test_restored_after_on_config_raises(self, caller_gc):
+        def boom(cfg):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            explore_sequential(_program(), on_config=boom)
+        assert gc.get_threshold() == CALLER
+
+    def test_restored_after_nested_exploration(self, caller_gc):
+        inner = []
+
+        def nest(cfg):
+            if not inner:
+                ExplorationEngine().explore(_program())
+                inner.append(gc.get_threshold())
+            return False
+
+        ExplorationEngine().explore(_program(), on_config=nest)
+        # The inner run restores the outer run's raised setting, the
+        # outer run the caller's.
+        assert inner == [(GC_GEN0_THRESHOLD, 11, 12)]
+        assert gc.get_threshold() == CALLER
+
+    @pytest.mark.parametrize("gen0", [0, 100_000])
+    def test_caller_setting_never_weakened(self, gen0):
+        # 0 means automatic collection is off: raising it would switch
+        # collection back on.  A higher threshold is kept as it is.
+        saved = gc.get_threshold()
+        gc.set_threshold(gen0, 11, 12)
+        try:
+            seen = []
+            explore_sequential(
+                _program(), on_config=lambda c: seen.append(gc.get_threshold())
+            )
+            assert set(seen) == {(gen0, 11, 12)}
+            assert gc.get_threshold() == (gen0, 11, 12)
+        finally:
+            gc.set_threshold(*saved)
+
+    def test_no_hook_without_a_metrics_sink(self):
+        before = list(gc.callbacks)
+        during = []
+        explore_sequential(
+            _program(), on_config=lambda c: during.append(len(gc.callbacks))
+        )
+        assert set(during) == {len(before)}
+        assert gc.callbacks == before
+
+
+#: The calls that change the collector's process-wide behaviour.
+GC_POLICY_CALLS = {"set_threshold", "disable", "freeze"}
+
+
+def _gc_policy_calls(tree: ast.AST):
+    """Line numbers of GC-policy calls in a module: ``gc.set_threshold``,
+    ``gc.disable``, ``gc.freeze`` and ``gc.callbacks.append``, also
+    through an alias of the module or a ``from gc import``."""
+    modules = {"gc"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            names |= {
+                a.asname or a.name
+                for a in node.names
+                if a.name in GC_POLICY_CALLS | {"callbacks"}
+            }
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id in names:
+                hits.append(node.lineno)
+            continue
+        if not isinstance(func, ast.Attribute):
+            continue
+        owner = func.value
+        if func.attr in GC_POLICY_CALLS:
+            flagged = isinstance(owner, ast.Name) and owner.id in modules
+        elif func.attr == "append":
+            flagged = (isinstance(owner, ast.Name) and owner.id in names) or (
+                isinstance(owner, ast.Attribute)
+                and owner.attr == "callbacks"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in modules
+            )
+        else:
+            flagged = False
+        if flagged:
+            hits.append(node.lineno)
+    return hits
+
+
+class TestGCPolicyHome:
+    """The engine loop is the one place in the package that sets the
+    cyclic collector's policy."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    def test_only_the_engine_loop_sets_gc_policy(self):
+        offenders = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            rel = path.relative_to(self.SRC).as_posix()
+            if rel == "engine/core.py":
+                continue
+            hits = _gc_policy_calls(ast.parse(path.read_text(), str(path)))
+            if hits:
+                offenders[rel] = hits
+        assert offenders == {}
+
+    def test_the_engine_loop_is_found(self):
+        # Guards the walker itself: the one home must register as such.
+        core = self.SRC / "engine" / "core.py"
+        assert _gc_policy_calls(ast.parse(core.read_text()))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import gc\ngc.disable()",
+            "import gc as g\ng.set_threshold(1)",
+            "from gc import freeze\nfreeze()",
+            "import gc\ngc.callbacks.append(print)",
+            "from gc import callbacks\ncallbacks.append(print)",
+        ],
+    )
+    def test_walker_flags_each_form(self, source):
+        assert _gc_policy_calls(ast.parse(source)) == [2]

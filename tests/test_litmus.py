@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.engine import ExplorationEngine
+from repro.engine.cache import ResultCache
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
+from repro.util.errors import VerificationError
 
 
 @pytest.mark.parametrize("test", LITMUS_TESTS, ids=[t.name for t in LITMUS_TESTS])
@@ -79,3 +82,18 @@ class TestViolationWitness:
         # Macro-steps re-expanded: the polling loop's silent steps are
         # present in the concrete schedule.
         assert any("ε" in line for line in result["witness"])
+
+
+class TestTruncatedVerdict:
+    """A verdict never comes from a partial state space, cached or not."""
+
+    MP_RA = next(t for t in LITMUS_TESTS if t.name == "MP-RA")
+
+    def test_truncated_exploration_raises(self):
+        with pytest.raises(VerificationError, match="truncated at 3 states"):
+            run_litmus(self.MP_RA, max_states=3)
+
+    def test_truncated_run_raises_on_a_caching_engine(self, tmp_path):
+        engine = ExplorationEngine(cache=ResultCache(tmp_path))
+        with pytest.raises(VerificationError, match="MP-RA"):
+            run_litmus(self.MP_RA, max_states=3, engine=engine, use_cache=True)

@@ -6,6 +6,8 @@ per-run snapshots stay per-run while the engine-level sink accumulates
 explorations and cache outcomes.
 """
 
+import gc
+
 import pytest
 
 from repro.engine import ExplorationEngine
@@ -88,6 +90,13 @@ class TestMetricsRegistry:
         m.inc("cache.hits", 3)
         assert "cache 3 hits" in m.describe()
 
+    def test_describe_reports_the_gc_layer(self):
+        m = Metrics()
+        assert "GC 0.000 s in 0 collections" in m.describe()
+        m.add_time("explore.gc", 0.25)
+        m.inc("explore.gc.collections", 3)
+        assert "GC 0.250 s in 3 collections" in m.describe()
+
 
 class TestActiveCollector:
     def test_default_is_off(self):
@@ -143,6 +152,43 @@ class TestSequentialCollection:
         result = explore_sequential(LITMUS_TESTS[0].build())
         assert result.metrics is None
         assert active() is None  # nothing leaked into the module slot
+
+
+class TestGCLayer:
+    """With a sink attached the loop times the cyclic collector."""
+
+    def _program(self):
+        return next(t for t in LITMUS_TESTS if t.name == "MP-RA").build()
+
+    def test_collections_are_counted_and_timed(self):
+        m = Metrics()
+        result = explore_sequential(
+            self._program(), metrics=m, on_config=lambda c: gc.collect() < 0
+        )
+        assert m.counters["explore.gc.collections"] >= 1
+        assert m.timers["explore.gc"] > 0.0
+        assert result.metrics["counters"]["explore.gc.collections"] >= 1
+
+    def test_hook_only_for_the_loop(self):
+        before = len(gc.callbacks)
+        during = []
+        explore_sequential(
+            self._program(),
+            metrics=Metrics(),
+            on_config=lambda c: during.append(len(gc.callbacks)),
+        )
+        assert set(during) == {before + 1}
+        assert len(gc.callbacks) == before
+
+    def test_hook_removed_after_a_raising_run(self):
+        before = len(gc.callbacks)
+
+        def boom(cfg):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            explore_sequential(self._program(), metrics=Metrics(), on_config=boom)
+        assert len(gc.callbacks) == before
 
 
 class TestEngineSink:
