@@ -17,9 +17,7 @@ mechanisation becomes an executable model-checking framework:
   (:mod:`repro.impls`) and the paper's figure programs
   (:mod:`repro.figures`);
 * the exploration engine (:mod:`repro.engine`) — pluggable frontier
-  strategies (BFS / DFS / random swarm) and reduction policies, a
-  persistent result cache keyed by stable program fingerprint, and a
-  concurrent batch job runner with JSON reports.
+  strategies (BFS / DFS / random swarm) and reduction policies.
 
 Quickstart::
 
@@ -34,10 +32,9 @@ Quickstart::
 
 Engine quickstart::
 
-    from repro import ExplorationEngine, ResultCache
+    from repro import ExplorationEngine
 
-    engine = ExplorationEngine(reduction="closure", cache=ResultCache())
-    summary = engine.run(prog)          # cached on the second call
+    engine = ExplorationEngine(reduction="closure")
     full = engine.explore(prog)         # full graph of the reduced system
 """
 
@@ -45,9 +42,6 @@ from repro.engine import (
     ExplorationEngine,
     ExploreResult,
     ExploreSummary,
-    ResultCache,
-    program_fingerprint,
-    run_batch,
 )
 from repro.lang import ast
 from repro.lang.expr import EMPTY, Lit, Reg, lit, reg
@@ -97,7 +91,6 @@ __all__ = [
     "ProofOutline",
     "Program",
     "Reg",
-    "ResultCache",
     "Thread",
     "ThreadOutline",
     "Witness",
@@ -115,14 +108,12 @@ __all__ = [
     "format_config",
     "initial_config",
     "lit",
-    "program_fingerprint",
     "random_run",
     "reachable",
     "reconstruct_witness",
     "reg",
     "replay_run",
     "replay_witness",
-    "run_batch",
     "sample_outcomes",
     "verify_lock_implementation",
 ]

@@ -7,8 +7,6 @@ Commands:
 * ``refine``   — verify all lock implementations against the abstract
   lock across the client battery, then print ``engine: N explorations``
   (each client program is explored once: two per client);
-* ``batch``    — run named verification jobs concurrently and emit a
-  JSON report (see ``--jobs``/``--json``);
 * ``witness``  — extract the shortest execution exhibiting a litmus
   test's weak outcome (``witness MP-relaxed``): the engine explores
   with predecessor tracking and reconstructs the concrete schedule,
@@ -23,8 +21,6 @@ Commands:
 
 Options:
 
-* ``--workers N``   — ``batch`` only: run the jobs in N processes
-  (default 1); every exploration itself runs in-process;
 * ``--strategy S``  — frontier strategy ``bfs`` | ``dfs`` |
   ``swarm[:seed]`` (any other spec is a usage error);
 * ``--reduction R`` — state-space reduction policy (any name in the
@@ -32,31 +28,26 @@ Options:
   (default: ε-closure + covering-read prune, same verdicts from far
   fewer stored states) | ``dpor`` (sleep-set + persistent-set partial
   order reduction layered on ``closure``) | ``off`` (the unreduced
-  semantics) for ``litmus``/``batch``;
+  semantics) for ``litmus``/``witness``/``all``;
 * ``--analysis P``  — static-analysis policy the engine applies before
   exploring: ``off`` (default) | ``warn`` (log findings, count them in
   the metrics) | ``strict`` (refuse to explore a program with
   error-severity findings);
-* ``--no-cache``    — disable the persistent result cache;
-* ``--jobs a,b,c``  — subset of batch jobs (default: all);
-* ``--json PATH``   — write the batch report to PATH;
+* ``--json PATH``   — write a JSON report of the rows the command
+  printed to PATH (``litmus``/``figures``/``refine``/``all``; layout
+  in :func:`_write_report`);
 * ``--trace PATH``  — append a JSONL telemetry stream (exploration
-  spans, metrics samples, batch job lifecycle — schema documented in
-  :mod:`repro.obs.trace`) to PATH;
-* ``--quiet``/``-q`` — suppress the telemetry/cache summary lines and
-  the live progress heartbeat;
+  spans, metrics samples, the litmus battery span — schema documented
+  in :mod:`repro.obs.trace`) to PATH;
+* ``--quiet``/``-q`` — suppress the telemetry summary line and the
+  live progress heartbeat;
 * ``--verbose``/``-v`` — debug-level ``repro`` logging on stderr.
 
-Flags only apply to commands that read them (``--workers``/``--jobs``/
-``--json`` are batch-only, ``figures`` takes none); inapplicable flags
-are rejected.
+Flags only apply to commands that read them; inapplicable flags are
+rejected.  Every verdict comes from an exploration of the current code:
+nothing is cached between runs, and no environment variable is read.
 
-Environment: the cache directory honours ``REPRO_CACHE_DIR`` (default
-``~/.cache/repro-engine``); ``REPRO_CACHE=0`` disables caching globally.
-No other environment variable is read.
-
-Profiling: ``python -m cProfile -o FILE -m repro litmus`` (with
-``batch``, pass ``--workers 1`` to keep the jobs in-process).
+Profiling: ``python -m cProfile -o FILE -m repro litmus``.
 """
 
 from __future__ import annotations
@@ -65,38 +56,70 @@ import sys
 from typing import Optional
 
 
-def _make_trace(options: dict):
-    """The command's JSONL trace sink on the ``--trace`` file, else
-    None.  The caller owns closing it."""
-    from repro.obs import TraceWriter
-
-    path = options.get("trace")
-    return TraceWriter(path) if path else None
-
-
 def _make_engine(options: Optional[dict] = None):
     """Build the exploration engine the CLI commands route through,
     with the observability sinks attached: an always-on metrics
     registry (the summary line is printed unless ``--quiet``), the
-    optional JSONL trace and a live progress heartbeat (auto-disabled
-    off-TTY, forced off by ``--quiet``)."""
-    from repro.engine import ExplorationEngine, ResultCache, cache_enabled_by_env
-    from repro.obs import Metrics, Progress
+    optional JSONL trace on the ``--trace`` file (the caller closes it)
+    and a live progress heartbeat (auto-disabled off-TTY, forced off by
+    ``--quiet``)."""
+    from repro.engine import ExplorationEngine
+    from repro.obs import Metrics, Progress, TraceWriter
 
     options = options or {}
-    cache = None
-    if not options.get("no_cache") and cache_enabled_by_env():
-        cache = ResultCache()
     quiet = options.get("quiet", False)
+    trace = options.get("trace")
     return ExplorationEngine(
         strategy=options.get("strategy", "bfs"),
-        cache=cache,
         reduction=options.get("reduction", "closure"),
         metrics=Metrics(),
-        trace=_make_trace(options),
+        trace=TraceWriter(trace) if trace else None,
         progress=None if quiet else Progress(),
         analysis=options.get("analysis", "off"),
     )
+
+
+def _record(options: dict, section: str, rows, metrics=None) -> None:
+    """Keep a section's rows (and, for the litmus battery, its engine's
+    metrics snapshot) for the ``--json`` report, when one was asked
+    for."""
+    report = options.get("report")
+    if report is not None:
+        report[section] = rows
+        if metrics is not None:
+            report["metrics"] = metrics
+
+
+def _litmus_row(test, result, baseline) -> dict:
+    """One litmus verdict as the table prints it and ``--json``
+    records it."""
+    row = {
+        "name": test.name,
+        "states": result["states"],
+        "weak_observed": result["weak_observed"],
+        "verdict_ok": result["verdict_ok"],
+    }
+    if baseline is not None:
+        row["full_states"] = baseline.get(test.name)
+    if not result["verdict_ok"]:
+        # A forbidden-outcome violation keeps its witness schedule
+        # (None for absence-only violations).
+        row["witness"] = result.get("witness")
+    return row
+
+
+def _print_litmus_row(row: dict, with_full: bool) -> None:
+    full = ""
+    if with_full:
+        states = row["full_states"]
+        full = f" {'?' if states is None else states:>7}"
+    weak = "observed" if row["weak_observed"] else "absent"
+    verdict = "OK" if row["verdict_ok"] else "MISMATCH"
+    print(f"{row['name']:20s} {row['states']:7d}{full} {weak:>10s} {verdict}")
+    if row.get("witness"):
+        print("  violating schedule:")
+        for line in row["witness"]:
+            print(f"    {line}")
 
 
 def run_litmus(options: Optional[dict] = None) -> bool:
@@ -109,72 +132,45 @@ def run_litmus(options: Optional[dict] = None) -> bool:
     from repro.litmus.catalog import LITMUS_TESTS, reduction_baseline, run_litmus
 
     options = options or {}
-    quiet = options.get("quiet", False)
     engine = _make_engine(options)
     baseline = (
         reduction_baseline() if engine.reduction == "closure" else None
     )
     full_col = f" {'full':>7s}" if baseline is not None else ""
-    ok = True
+    rows = []
     try:
         if engine.trace is not None:
             engine.trace.emit("litmus.start", tests=len(LITMUS_TESTS))
         print(
-            f"{'litmus test':20s} {'states':>7s}{full_col} {'weak':>10s} "
-            f"{'src':>6s} verdict"
+            f"{'litmus test':20s} {'states':>7s}{full_col} "
+            f"{'weak':>10s} verdict"
         )
+        for test in LITMUS_TESTS:
+            row = _litmus_row(test, run_litmus(test, engine=engine), baseline)
+            rows.append(row)
+            _print_litmus_row(row, baseline is not None)
+        ok = all(row["verdict_ok"] for row in rows)
         # Both totals run over the tests the baseline covers, so the
         # printed ratio always compares like with like (a catalog entry
         # added since the baseline was regenerated is shown with `?`
         # and excluded).
-        explored_total = 0
-        full_total = 0
-        for test in LITMUS_TESTS:
-            result = run_litmus(test, engine=engine, use_cache=True)
-            ok &= result["verdict_ok"]
-            weak = "observed" if result["weak_observed"] else "absent"
-            src = "cache" if result["cached"] else "run"
-            full = ""
-            if baseline is not None:
-                full_states = baseline.get(test.name)
-                if full_states is not None:
-                    full = f" {full_states:7d}"
-                    full_total += full_states
-                    explored_total += result["states"]
-                else:
-                    full = f" {'?':>7s}"
-            print(
-                f"{test.name:20s} {result['states']:7d}{full} {weak:>10s} "
-                f"{src:>6s} {'OK' if result['verdict_ok'] else 'MISMATCH'}"
-            )
-            if not result["verdict_ok"] and result.get("witness"):
-                print("  violating schedule:")
-                for line in result["witness"]:
-                    print(f"    {line}")
-        if baseline is not None and full_total:
+        covered = [r for r in rows if r.get("full_states") is not None]
+        if covered:
+            explored_total = sum(r["states"] for r in covered)
+            full_total = sum(r["full_states"] for r in covered)
             print(
                 f"reduction: {explored_total} states stored vs {full_total} "
                 f"unreduced ({full_total / max(explored_total, 1):.2f}x, "
                 "baseline benchmarks/BENCH_reduction.json)"
             )
-        if engine.cache is not None:
-            print(
-                f"engine: {engine.explorations} explorations, "
-                f"cache {engine.cache.hits} hits / {engine.cache.misses} misses"
-            )
-        if not quiet:
+        if not options.get("quiet", False):
             print(engine.metrics.describe())
-            if engine.cache is not None:
-                stats = engine.cache.stats()
-                print(
-                    f"cache: {stats['hits']} hits, {stats['misses']} misses, "
-                    f"{stats['entries']} entries on disk"
-                )
         if engine.trace is not None:
             engine.trace.emit("litmus.finish", ok=ok)
     finally:
         if engine.trace is not None:
             engine.trace.close()
+    _record(options, "litmus", rows, engine.metrics.snapshot())
     return ok
 
 
@@ -197,7 +193,28 @@ def run_figures(options: Optional[dict] = None) -> bool:
     for row in rows:
         verdict = "OK" if row["ok"] else "MISMATCH"
         print(_FIGURE_LINES[row["check"]].format(verdict=verdict, **row))
+    _record(options or {}, "figures", rows)
     return all(row["ok"] for row in rows)
+
+
+def _refine_row(report) -> dict:
+    """One lock's refinement report as ``--json`` records it."""
+    return {
+        "implementation": report.implementation,
+        "ok": report.ok,
+        "clients": [
+            {
+                "client": v.client,
+                "ok": v.ok,
+                "simulation_found": v.simulation.found,
+                "relation_size": v.simulation.relation_size,
+                "traces_ok": (
+                    None if v.traces is None else bool(v.traces.refines)
+                ),
+            }
+            for v in report.verdicts
+        ],
+    }
 
 
 def run_refine(options: Optional[dict] = None) -> bool:
@@ -207,18 +224,19 @@ def run_refine(options: Optional[dict] = None) -> bool:
     from repro.toolkit import verify_lock_implementation
 
     options = options or {}
-    # Refinement needs full transition graphs, so there is nothing to
-    # cache: the engine only carries the strategy and counts the
-    # explorations (two per client — each program is explored once and
-    # shared by the simulation game and trace inclusion).
+    # Refinement needs full transition graphs: the engine only carries
+    # the strategy and counts the explorations (two per client — each
+    # program is explored once and shared by the simulation game and
+    # trace inclusion).
     engine = ExplorationEngine(strategy=options.get("strategy", "bfs"))
-    ok = True
+    rows = []
     for fill, lib_vars in LOCKS.values():
         report = verify_lock_implementation(fill, lib_vars, engine=engine)
         print(report.describe())
-        ok &= report.ok
+        rows.append(_refine_row(report))
     print(f"engine: {engine.explorations} explorations")
-    return ok
+    _record(options, "refine", rows)
+    return all(row["ok"] for row in rows)
 
 
 def run_witness(options: Optional[dict] = None) -> bool:
@@ -386,56 +404,22 @@ def run_lint(options: Optional[dict] = None) -> bool:
     return total_errors == 0
 
 
-def run_batch_cmd(options: Optional[dict] = None) -> bool:
-    """Run the batch job suite; True iff every job passes."""
-    from repro.engine.batch import run_batch
-
-    options = options or {}
-    trace = _make_trace(options)
-    try:
-        report = run_batch(
-            jobs=options.get("jobs"),
-            workers=options.get("workers", 1),
-            use_cache=not options.get("no_cache", False),
-            json_path=options.get("json"),
-            reduction=options.get("reduction", "closure"),
-            trace=trace,
-        )
-    finally:
-        if trace is not None:
-            trace.close()
-    print(report.describe())
-    if not options.get("quiet", False):
-        merged = report.aggregate_metrics()
-        if merged is not None:
-            from repro.obs import Metrics
-
-            print(Metrics().merge(merged).describe())
-    if options.get("json"):
-        print(f"report written to {options['json']}")
-    return report.ok
-
-
 #: Flags each command actually reads; anything else is a usage error
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
     "litmus": {
-        "strategy", "no_cache", "reduction", "trace", "quiet", "verbose",
-        "analysis",
+        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
+        "json",
     },
-    "figures": set(),
-    "refine": {"strategy", "quiet", "verbose"},
-    "batch": {
-        "workers", "jobs", "json", "no_cache", "reduction", "trace",
-        "quiet", "verbose",
-    },
+    "figures": {"json"},
+    "refine": {"strategy", "quiet", "verbose", "json"},
     "witness": {
         "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
     },
     "lint": {"quiet", "verbose"},
     "all": {
-        "strategy", "no_cache", "reduction", "trace", "quiet", "verbose",
-        "analysis",
+        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
+        "json",
     },
 }
 
@@ -443,11 +427,10 @@ _COMMAND_FLAGS = {
 def _parse_options(args, command: str) -> Optional[dict]:
     """Parse trailing CLI flags; None signals a usage error."""
     options = {
-        "workers": 1,
         "strategy": "bfs",
-        "no_cache": False,
         "reduction": "closure",
         "trace": None,
+        "json": None,
         "quiet": False,
         "verbose": False,
         "analysis": "off",
@@ -456,34 +439,22 @@ def _parse_options(args, command: str) -> Optional[dict]:
     i = 0
     while i < len(args):
         flag = args[i]
-        if flag == "--no-cache":
-            options["no_cache"] = True
-            given.add("no_cache")
-        elif flag in ("--quiet", "-q"):
+        if flag in ("--quiet", "-q"):
             options["quiet"] = True
             given.add("quiet")
         elif flag in ("--verbose", "-v"):
             options["verbose"] = True
             given.add("verbose")
         elif flag in (
-            "--workers", "--strategy", "--jobs", "--json", "--reduction",
-            "--trace", "--analysis",
+            "--strategy", "--json", "--reduction", "--trace", "--analysis",
         ):
             if i + 1 >= len(args):
                 return None
             value = args[i + 1]
             i += 1
-            given.add(flag.lstrip("-"))
-            if flag == "--workers":
-                try:
-                    options["workers"] = int(value)
-                except ValueError:
-                    return None
-            elif flag == "--strategy":
-                options["strategy"] = value
-            elif flag == "--jobs":
-                options["jobs"] = [j for j in value.split(",") if j]
-            elif flag == "--reduction":
+            name = flag.lstrip("-")
+            given.add(name)
+            if flag == "--reduction":
                 from repro.engine import REDUCTIONS
 
                 if value not in REDUCTIONS:
@@ -492,7 +463,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
                         + " or ".join(REDUCTIONS)
                     )
                     return None
-                options["reduction"] = value
             elif flag == "--analysis":
                 from repro.analysis import ANALYSIS_POLICIES
 
@@ -502,22 +472,51 @@ def _parse_options(args, command: str) -> Optional[dict]:
                         + " or ".join(ANALYSIS_POLICIES)
                     )
                     return None
-                options["analysis"] = value
-            elif flag == "--trace":
-                options["trace"] = value
-            else:
-                options["json"] = value
+            options[name] = value
         else:
             return None
         i += 1
     unsupported = given - _COMMAND_FLAGS[command]
     if unsupported:
-        flags = ", ".join(
-            "--" + f.replace("_", "-") for f in sorted(unsupported)
-        )
+        flags = ", ".join("--" + f for f in sorted(unsupported))
         print(f"error: {flags} not supported by the {command!r} command")
         return None
     return options
+
+
+#: Version of the ``--json`` report layout.  5 was the layout of the
+#: batch runner's report; 6 is one report per command, with one row
+#: list per section that ran.
+REPORT_SCHEMA = 6
+
+
+def _write_report(path: str, ok: bool, options: dict) -> None:
+    """Write the ``--json`` report: ``schema``, ``ok``, a ``meta``
+    block (where it ran, and the litmus battery's engine settings —
+    the figure and refinement checks always explore unreduced), the
+    litmus engine's ``metrics`` snapshot (None when the battery did not
+    run) and one row list per section that ran (``litmus``,
+    ``figures``, ``refine``), the same rows the tables print."""
+    import json
+    import os
+    import platform
+
+    report = {
+        "schema": REPORT_SCHEMA,
+        "ok": ok,
+        "meta": {
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "strategy": options["strategy"],
+            "reduction": options["reduction"],
+            "analysis": options["analysis"],
+        },
+        "metrics": None,
+    }
+    report.update(options["report"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def main(argv) -> int:
@@ -527,7 +526,6 @@ def main(argv) -> int:
         "litmus": [run_litmus],
         "figures": [run_figures],
         "refine": [run_refine],
-        "batch": [run_batch_cmd],
         "witness": [run_witness],
         "lint": [run_lint],
         "all": [run_litmus, run_figures, run_refine],
@@ -544,6 +542,8 @@ def main(argv) -> int:
         print(__doc__)
         return 2
     options.update(positional)
+    if options["json"]:
+        options["report"] = {}
     from repro.obs import configure_verbosity
 
     configure_verbosity(
@@ -556,9 +556,12 @@ def main(argv) -> int:
             print()
         try:
             ok &= job(options)
-        except ValueError as exc:  # bad strategy / job names, etc.
+        except ValueError as exc:  # bad strategy, unknown test, etc.
             print(f"error: {exc}")
             return 2
+    if options["json"]:
+        _write_report(options["json"], ok, options)
+        print(f"report written to {options['json']}")
     print()
     print("ALL CHECKS PASS" if ok else "SOME CHECKS FAILED")
     return 0 if ok else 1

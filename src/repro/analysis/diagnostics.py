@@ -5,7 +5,7 @@ human message, and (when the finding anchors to program text) the
 thread id and the node path from that thread's body root (the
 :func:`repro.lang.walk.iter_nodes` path).  An :class:`AnalysisReport`
 bundles the findings of one program and is what the engine policy
-hooks, the batch schema, and the ``lint`` CLI consume.
+hooks and the ``lint`` CLI consume.
 
 Severities
 ----------
@@ -24,7 +24,7 @@ Severities
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.lang.walk import format_path
 
@@ -58,16 +58,6 @@ class Diagnostic:
         if self.tid is not None:
             where = f" thread {self.tid} @ {format_path(self.path)}"
         return f"{self.severity}[{self.code}]{where}: {self.message}"
-
-    def to_dict(self) -> Dict:
-        """JSON-safe rendering (batch reports, trace payloads)."""
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "message": self.message,
-            "tid": self.tid,
-            "path": list(self.path),
-        }
 
 
 @dataclass(frozen=True)
@@ -111,14 +101,6 @@ class AnalysisReport:
         if not self.diagnostics:
             return "clean"
         return "\n".join(d.format() for d in self.diagnostics)
-
-    def to_dict(self) -> Dict:
-        """The batch-report ``diagnostics`` block shape."""
-        return {
-            "errors": len(self.errors),
-            "warnings": len(self.warnings),
-            "findings": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 def merge_reports(*reports: AnalysisReport) -> AnalysisReport:

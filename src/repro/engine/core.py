@@ -11,13 +11,9 @@ sequential loop generalises the original BFS in
   instead of draining the queue, so the cap also bounds wall-clock time
   (``edge_count``/``terminals`` are lower bounds when ``truncated``).
 
-:class:`ExplorationEngine` bundles a strategy, a reduction policy and
-an optional persistent result cache:
-
-* ``engine.explore(program)`` — full :class:`ExploreResult`, computed
-  in-process by :func:`explore_sequential`;
-* ``engine.run(program)`` — cache-aware :class:`ExploreSummary`: on a
-  warm cache a repeated verification performs zero re-explorations.
+:class:`ExplorationEngine` bundles a strategy and a reduction policy;
+``engine.explore(program)`` returns the full :class:`ExploreResult`,
+computed in-process by :func:`explore_sequential`.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.result import ExploreResult, ExploreSummary, summarise
+from repro.engine.result import ExploreResult
 from repro.engine.strategy import make_frontier
 from repro.obs.metrics import Metrics, collecting as _collecting
 
@@ -373,7 +369,7 @@ def _raw_state(state) -> Tuple:
 
 
 class ExplorationEngine:
-    """A configured exploration engine: strategy × reduction × cache.
+    """A configured exploration engine: strategy × reduction.
 
     Every exploration runs in-process on the sequential loop
     (:func:`explore_sequential`); results are keyed by canonical keys.
@@ -384,9 +380,6 @@ class ExplorationEngine:
         Frontier policy — ``"bfs"`` (default), ``"dfs"``, ``"swarm"`` or
         ``"swarm:<seed>"`` (:func:`repro.engine.strategy.make_frontier`);
         any other spec raises :class:`ValueError` here.
-    cache:
-        Optional :class:`repro.engine.cache.ResultCache`; when set,
-        :meth:`run` serves repeated explorations from disk.
     max_states:
         Default safety cap, overridable per call.
     reduction:
@@ -396,24 +389,19 @@ class ExplorationEngine:
         covering-read prune, :mod:`repro.semantics.reduce`) or
         ``"dpor"`` (sleep-set + persistent-set partial-order reduction
         on top of the closure, :mod:`repro.semantics.dpor`; requires
-        canonical keys) — overridable per call.  The policy's
-        fingerprint token is part of the persistent-cache key:
-        explorations under different policies are cached separately
-        because they store different configuration sets.
+        canonical keys) — overridable per call.
     metrics:
         Optional :class:`repro.obs.metrics.Metrics` sink.  When set (or
         when ``trace`` is), every exploration collects the engine
         counter schema into a fresh per-run registry whose snapshot
         lands on ``ExploreResult.metrics``; the per-run registry is then
         folded into this engine-level sink, which accumulates across
-        explorations (plus the ``cache.hits``/``cache.misses`` outcomes
-        of :meth:`run`).  ``None`` (default) keeps telemetry off the
-        hot paths entirely.
+        explorations.  ``None`` (default) keeps telemetry off the hot
+        paths entirely.
     trace:
         Optional :class:`repro.obs.trace.TraceWriter`.  When set, the
-        engine emits ``explore.start``/``explore.finish`` span events,
-        a ``metrics.sample`` per exploration and ``explore.cached`` for
-        cache-served :meth:`run` calls.
+        engine emits ``explore.start``/``explore.finish`` span events
+        and a ``metrics.sample`` per exploration.
     progress:
         Optional :class:`repro.obs.progress.Progress` heartbeat,
         updated while explorations run and erased when they finish.
@@ -432,7 +420,6 @@ class ExplorationEngine:
     def __init__(
         self,
         strategy="bfs",
-        cache=None,
         max_states: int = DEFAULT_MAX_STATES,
         reduction: str = "off",
         metrics: Optional[Metrics] = None,
@@ -442,20 +429,18 @@ class ExplorationEngine:
     ) -> None:
         make_frontier(strategy)  # fail fast on a bad spec
         self.strategy = strategy
-        self.cache = cache
         self.max_states = max_states
         self.reduction = _check_reduction(reduction)
         self.analysis = _check_analysis(analysis)
         self.metrics = metrics
         self.trace = trace
         self.progress = progress
-        #: Number of live (non-cached) explorations this engine ran.
+        #: Number of explorations this engine ran.
         self.explorations = 0
 
     def __repr__(self) -> str:
         return (
             f"ExplorationEngine(strategy={self.strategy!r}, "
-            f"cache={'on' if self.cache else 'off'}, "
             f"reduction={self.reduction!r})"
         )
 
@@ -667,48 +652,3 @@ class ExplorationEngine:
                 "max_states"
             )
         return None
-
-    # -- cache-aware verification -------------------------------------------
-    def run(
-        self,
-        program: Program,
-        max_states: Optional[int] = None,
-        canonicalise: bool = True,
-    ) -> ExploreSummary:
-        """Explore (or recall) ``program`` and return the result summary.
-
-        With a cache configured, a warm entry is returned directly —
-        zero re-exploration; otherwise the program is explored and the
-        summary persisted under its stable fingerprint (which includes
-        the engine's reduction policy — state counts differ across
-        policies, so their summaries never alias).
-        """
-        cap = self.max_states if max_states is None else max_states
-        key = None
-        if self.cache is not None:
-            from repro.engine.fingerprint import cache_key
-
-            key = cache_key(
-                program,
-                max_states=cap,
-                canonicalise=canonicalise,
-                reduction=self.reduction,
-            )
-            hit = self.cache.get(key)
-            # Truncated summaries depend on visit order (the strategy,
-            # which the key deliberately omits because complete results
-            # don't) — never serve or store them.
-            if hit is not None and not hit.truncated:
-                if self.metrics is not None:
-                    self.metrics.inc("cache.hits")
-                if self.trace is not None:
-                    self.trace.emit("explore.cached", key=str(key))
-                return hit
-            if self.metrics is not None:
-                self.metrics.inc("cache.misses")
-        summary = summarise(
-            self.explore(program, max_states=cap, canonicalise=canonicalise)
-        )
-        if self.cache is not None and not summary.truncated:
-            self.cache.put(key, summary)
-        return summary

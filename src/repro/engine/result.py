@@ -1,4 +1,4 @@
-"""Exploration results: the full graph and its cacheable summary.
+"""Exploration results: the full graph and its verdict summary.
 
 :class:`ExploreResult` is the complete product of one exploration — the
 configuration map, terminal/stuck configurations and (optionally) the
@@ -8,9 +8,7 @@ returns (that module re-exports the class for backwards compatibility).
 
 :class:`ExploreSummary` is the slice of a result that verification
 verdicts actually need — counts, truncation flag and the terminal
-configurations — small enough to pickle into the persistent result
-cache (:mod:`repro.engine.cache`) and reload on a later run without
-re-exploring.
+configurations — without the configuration map.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ class ExploreResult:
     #: Telemetry snapshot (``repro.obs.metrics.Metrics.snapshot()``:
     #: counters/timers/gauges) when the exploration ran with a metrics
     #: sink attached; ``None`` — the default — means telemetry was off.
-    #: Deliberately absent from :class:`ExploreSummary`: cached entries
-    #: describe the program, not the run that produced them.
+    #: Deliberately absent from :class:`ExploreSummary`, which
+    #: describes the program, not the run that produced it.
     metrics: Optional[Dict[str, Dict]] = None
 
     @property
@@ -75,11 +73,11 @@ class ExploreResult:
 
 @dataclass
 class ExploreSummary:
-    """The cache-persistable essence of an :class:`ExploreResult`.
+    """The verdict-bearing essence of an :class:`ExploreResult`.
 
     Carries everything a verdict needs (state/edge counts, truncation,
     terminal configurations, a stuck witness) but not the full
-    configuration map, so entries stay small on disk.
+    configuration map.
     """
 
     state_count: int
@@ -89,8 +87,6 @@ class ExploreSummary:
     stuck_count: int = 0
     stuck_example: Optional["Config"] = None
     elapsed: float = 0.0
-    #: True when this summary was served from the persistent cache.
-    cached: bool = False
 
     def terminal_locals(self, *regs: Tuple[str, str]) -> set:
         """Distinct terminal register valuations (as on the full result)."""
@@ -101,7 +97,7 @@ class ExploreSummary:
 
 
 def summarise(result: ExploreResult) -> ExploreSummary:
-    """Condense a full exploration result into its cacheable summary."""
+    """Condense a full exploration result into its verdict summary."""
     return ExploreSummary(
         state_count=result.state_count,
         edge_count=result.edge_count,
@@ -110,5 +106,4 @@ def summarise(result: ExploreResult) -> ExploreSummary:
         stuck_count=len(result.stuck),
         stuck_example=result.stuck[0] if result.stuck else None,
         elapsed=result.elapsed,
-        cached=False,
     )

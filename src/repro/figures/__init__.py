@@ -7,7 +7,7 @@
   (Lemma 4), including the paper's ``Inv``, ``P1–P4`` and ``Q1–Q4``.
 
 :func:`figure_checks` runs the figure verdicts the ``figures`` CLI
-command prints and the ``figures`` batch job reports.
+command prints and its ``--json`` report records.
 """
 
 from typing import Dict, List

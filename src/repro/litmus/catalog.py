@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from repro.engine.cache import ResultCache, cache_enabled_by_env
 from repro.engine.core import ExplorationEngine
 from repro.engine.result import summarise
 from repro.lang import ast as A
@@ -114,33 +113,21 @@ def run_litmus(
     test: LitmusTest,
     max_states: int = 500_000,
     engine: Optional[ExplorationEngine] = None,
-    use_cache: bool = False,
 ) -> Dict:
     """Execute a litmus test exhaustively; return verdicts and outcomes.
 
-    With the default arguments this is one sequential in-process
-    exploration.  Pass an :class:`~repro.engine.core.ExplorationEngine`
-    to pick strategy/reduction, and/or ``use_cache=True`` to serve
-    repeated runs from the engine's persistent result cache.  Without
-    an engine the test runs on a BFS engine with reduction ``off``,
-    holding a :class:`~repro.engine.cache.ResultCache` when
-    ``use_cache`` is set and ``REPRO_CACHE`` does not disable it.
+    Every call is one sequential in-process exploration.  Pass an
+    :class:`~repro.engine.core.ExplorationEngine` to pick
+    strategy/reduction; without one the test runs on a BFS engine with
+    reduction ``off``.
 
     Raises :class:`~repro.util.errors.VerificationError` when the
     exploration is truncated by ``max_states``: outcomes of a partial
     state space are a lower bound, so no verdict is given.
     """
     if engine is None:
-        cache = (
-            ResultCache() if use_cache and cache_enabled_by_env() else None
-        )
-        engine = ExplorationEngine(cache=cache)
-    if use_cache and engine.cache is not None:
-        summary = engine.run(test.build(), max_states=max_states)
-    else:
-        summary = summarise(
-            engine.explore(test.build(), max_states=max_states)
-        )
+        engine = ExplorationEngine()
+    summary = summarise(engine.explore(test.build(), max_states=max_states))
     if summary.truncated:
         raise VerificationError(
             f"litmus test {test.name!r}: exploration truncated at "
@@ -158,7 +145,6 @@ def run_litmus(
         "verdict_ok": weak_observed == test.weak_allowed
         and outcomes == set(test.allowed),
         "states": summary.state_count,
-        "cached": summary.cached,
         "reduction": engine.reduction,
     }
     if not verdict["verdict_ok"]:
@@ -179,7 +165,7 @@ def _violation_witness(
     outcome has no witness, and a truncated-inconclusive extraction
     search degrades to None (the verdict already failed; only genuine
     reconstruction bugs propagate).  The schedule is JSON-safe: one
-    rendered step per line, ready for the batch report.
+    rendered step per line, ready for the ``--json`` report.
     """
     bad = set(outcomes) - set(test.allowed)
     if not test.weak_allowed:

@@ -45,8 +45,8 @@ class Action:
     Actions are immutable and hashed constantly (state sets, rank
     tables, canonical keys), so the hash is computed once and cached.
     The cache never crosses a pickle boundary: string hashing is
-    per-process (``PYTHONHASHSEED``), and the persistent result cache
-    loads pickled configurations in later processes.
+    per-process (``PYTHONHASHSEED``), and a pickled configuration may
+    be loaded in another process.
     """
 
     kind: str

@@ -9,8 +9,8 @@ are guarded by ``is None`` tests on sinks the caller didn't install.
   and gauges (:class:`Metrics`).  The engine loop counts
   states/edges/frontier depth; the reduction layer's hot paths report
   ε-fusions and covering-read prunes through a module-level *active
-  collector*; the snapshot lands on ``ExploreResult.metrics``, and batch
-  job processes' snapshots merge into one report-level registry.
+  collector*; the snapshot lands on ``ExploreResult.metrics``, and each
+  exploration's registry merges into its engine's.
 * :mod:`repro.obs.progress` — a rate-limited stderr heartbeat
   (:class:`Progress`): states and states/sec while a long exploration
   runs, automatically off when stderr is not a TTY or the
@@ -18,7 +18,7 @@ are guarded by ``is None`` tests on sinks the caller didn't install.
 * :mod:`repro.obs.trace` — an append-only JSONL event stream
   (:class:`TraceWriter`, ``--trace FILE`` on the CLI) with a
   documented stable schema: exploration spans, metrics
-  samples and batch job lifecycle — the substrate a future
+  samples and the litmus battery span — the substrate a future
   ``repro serve`` mode streams to clients.
 
 Verbosity is resolved in one place (:func:`configure_verbosity`) from

@@ -15,12 +15,9 @@ points come in two shapes:
   which the overhead benchmark (``benchmarks/test_bench_obs.py``)
   gates as unmeasurable.
 
-Processes never share a registry: a batch job collects into its own
-``Metrics`` and ships ``snapshot()`` home in its result; the report
-:meth:`Metrics.merge`\\ s the snapshots into one registry.
-
 Counter schema — stable names; the same keys appear in trace
-``metrics.sample`` events and batch-report ``metrics`` blocks:
+``metrics.sample`` events and the CLI ``--json`` report's ``metrics``
+block:
 
 ===================================  ======================================
 ``explore.states``                   states admitted to the visited set
@@ -51,10 +48,6 @@ Counter schema — stable names; the same keys appear in trace
                                      those runs
 ``analysis.warnings``                warning-severity findings across
                                      those runs
-``cache.hits``                       engine ``run()`` calls served from
-                                     the cache
-``cache.misses``                     engine ``run()`` calls that explored
-                                     live
 ===================================  ======================================
 
 Timers (seconds, additive): ``explore.elapsed`` — exploration
@@ -148,9 +141,9 @@ class Metrics:
 
     # -- aggregation ---------------------------------------------------------
     def merge(self, other: Union["Metrics", Dict, None]) -> "Metrics":
-        """Fold another registry (or a :meth:`snapshot` dict, e.g. a
-        worker fragment) into this one: counters and timers add, gauges
-        take the maximum.  Returns self."""
+        """Fold another registry (or a :meth:`snapshot` dict) into this
+        one: counters and timers add, gauges take the maximum.  Returns
+        self."""
         if other is None:
             return self
         if isinstance(other, Metrics):
@@ -170,8 +163,8 @@ class Metrics:
 
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-safe copy: ``{"counters": .., "timers": .., "gauges": ..}``
-        — the wire format of worker fragments, ``ExploreResult.metrics``,
-        trace ``metrics.sample`` events and batch-report blocks."""
+        — the wire format of ``ExploreResult.metrics``, trace
+        ``metrics.sample`` events and the CLI ``--json`` report."""
         return {
             "counters": dict(self.counters),
             "timers": {k: round(v, 6) for k, v in self.timers.items()},
@@ -189,7 +182,7 @@ class Metrics:
     def describe(self) -> str:
         """The one-line human summary the CLI prints."""
         c = self.counters
-        line = (
+        return (
             f"telemetry: {c.get('explore.states', 0)} states, "
             f"{c.get('explore.edges', 0)} edges in "
             f"{self.timers.get('explore.elapsed', 0.0):.3f}s "
@@ -199,9 +192,3 @@ class Metrics:
             f"GC {self.timers.get('explore.gc', 0.0):.3f} s in "
             f"{c.get('explore.gc.collections', 0)} collections"
         )
-        if "cache.hits" in c or "cache.misses" in c:
-            line += (
-                f"; cache {c.get('cache.hits', 0)} hits / "
-                f"{c.get('cache.misses', 0)} misses"
-            )
-        return line

@@ -6,11 +6,11 @@ of the CLI's progress line — and the substrate the planned
 ``repro serve`` mode will stream to clients — so its schema is stable
 and versioned.
 
-Wire format (schema version 2)
+Wire format (schema version 3)
 ------------------------------
 Every line is one JSON object with three envelope fields::
 
-    {"v": 2, "ts": 1717171717.123, "ev": "explore.start", ...}
+    {"v": 3, "ts": 1717171717.123, "ev": "explore.start", ...}
 
 ``v``
     schema version (integer, currently :data:`SCHEMA_VERSION`);
@@ -27,9 +27,6 @@ consumers must ignore unknown fields; the fields below are guaranteed):
 ``explore.finish``
     its span end — ``states``, ``edges``, ``elapsed`` (seconds),
     ``truncated``, ``stopped``, ``states_per_sec``;
-``explore.cached``
-    an ``engine.run()`` served from the persistent result cache
-    (no exploration span) — ``key`` (the cache fingerprint);
 ``metrics.sample``
     a metrics snapshot — ``metrics`` (the
     :meth:`repro.obs.metrics.Metrics.snapshot` dict); emitted by the
@@ -39,20 +36,12 @@ consumers must ignore unknown fields; the fields below are guaranteed):
     policies other than ``"off"``) — ``policy``, ``errors``,
     ``warnings`` (finding counts by severity);
 ``litmus.start`` / ``litmus.finish``
-    CLI litmus battery span — ``tests`` / ``ok``;
-``batch.start`` / ``batch.finish``
-    batch-runner span — ``jobs`` (names), ``workers`` / ``ok``,
-    ``elapsed``;
-``batch.job.start`` / ``batch.job.finish``
-    one batch job's lifecycle — ``job`` / ``job``, ``ok``,
-    ``elapsed``.  With ``workers > 1`` the jobs run in a process pool:
-    start events are emitted at submission and finish events as
-    results arrive, all from the coordinating process.
+    CLI litmus battery span — ``tests`` / ``ok``.
 
-Events are emitted by the coordinating process only — batch job
-processes never touch the trace file, so no interleaving or locking
-concerns arise.  :func:`validate_event` checks one decoded line against
-the schema; the test-suite validates every stream the CLI produces.
+Every event is emitted by the one process that explores, so no
+interleaving or locking concerns arise.  :func:`validate_event` checks
+one decoded line against the schema; the test-suite validates every
+stream the CLI produces.
 """
 
 from __future__ import annotations
@@ -63,8 +52,10 @@ from typing import Dict
 
 #: Trace schema version, the ``v`` field of every event.  2 dropped
 #: ``explore.start``'s ``backend``/``workers`` fields and the
-#: ``explore.drain`` event (the engine explores in-process only).
-SCHEMA_VERSION = 2
+#: ``explore.drain`` event (the engine explores in-process only); 3
+#: dropped ``explore.cached`` and the ``batch.*`` events with the
+#: result cache and the batch runner.
+SCHEMA_VERSION = 3
 
 #: The event schema: event name -> required payload fields and their
 #: JSON types.  ``float`` accepts ints (JSON has one number type);
@@ -75,15 +66,10 @@ EVENTS: Dict[str, Dict[str, type]] = {
         "states": int, "edges": int, "elapsed": float,
         "truncated": bool, "stopped": bool, "states_per_sec": float,
     },
-    "explore.cached": {"key": str},
     "metrics.sample": {"metrics": dict},
     "analysis.report": {"policy": str, "errors": int, "warnings": int},
     "litmus.start": {"tests": int},
     "litmus.finish": {"ok": bool},
-    "batch.start": {"jobs": list, "workers": int},
-    "batch.finish": {"ok": bool, "elapsed": float},
-    "batch.job.start": {"job": str},
-    "batch.job.finish": {"job": str, "ok": bool, "elapsed": float},
 }
 
 

@@ -76,8 +76,8 @@ object and die with it.  Every key leads with the program's
 :class:`KeyScope` tag, every id cached on a state or configuration is
 stored next to its tag and recomputed on a mismatch, and keys of
 different programs never compare equal.  The tables are never pickled
-(:meth:`Program.__getstate__`), never fingerprinted, and never leave the
-process (:meth:`Config.__reduce__ <repro.semantics.config.Config.__reduce__>`
+(:meth:`Program.__getstate__`) and never leave the process
+(:meth:`Config.__reduce__ <repro.semantics.config.Config.__reduce__>`
 drops every cached key).
 
 Soundness: an order-isomorphic per-variable relabelling is a bisimulation
@@ -248,7 +248,7 @@ class _Interner:
 def _interner(program: Program) -> _Interner:
     """``program``'s intern tables, created on first use.  They live in
     the program's instance dict, which :meth:`Program.__getstate__`
-    leaves out of pickles and the fingerprint never reads."""
+    leaves out of pickles."""
     tables = program.__dict__.get("_interner")
     if tables is None:
         tables = _Interner()

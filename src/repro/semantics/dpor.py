@@ -402,7 +402,6 @@ def _dpor_plain_successors(program: Program, cfg: Config) -> List[Transition]:
 
 DPOR_STRATEGY = ReductionStrategy(
     name="dpor",
-    fingerprint_token="dpor-1",
     successors=_dpor_plain_successors,
     normalise_initial=close_config,
     closure_expansion=True,

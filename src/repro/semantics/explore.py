@@ -7,7 +7,7 @@ the historical call surface — :func:`explore`, :func:`reachable`,
 :func:`assert_invariant`, :func:`final_outcomes` and
 :class:`ExploreResult` — as thin wrappers over the engine's sequential
 BFS backend, so existing call sites and tests are untouched while new
-code can pick strategies and the persistent result cache through
+code can pick strategies and reduction policies through
 :class:`repro.engine.ExplorationEngine`.
 """
 

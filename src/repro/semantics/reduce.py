@@ -70,12 +70,11 @@ Policy registry
 ---------------
 This module is the *single* source of truth for reduction policies.
 Each policy is a :class:`ReductionStrategy` — successor function,
-initial-configuration normalisation, cache-fingerprint token and
-composability flags — registered under its name.
+initial-configuration normalisation and composability flags —
+registered under its name.
 Every consumer (``validate_reduction``, the engine's loop and
-``_check_reduction``, the persistent-cache key, batch, the CLI
-``--reduction`` choices) reads the registry; nothing else enumerates
-policies.
+``_check_reduction``, the CLI ``--reduction`` choices) reads the
+registry; nothing else enumerates policies.
 
 * ``"off"`` — the historical plain ``=⇒`` relation (the engine default).
 * ``"closure"`` — ε-closure + covering-read prune (this module).
@@ -84,11 +83,11 @@ policies.
   (:mod:`repro.semantics.dpor`), registered from its own module via the
   import at the bottom of this file.
 
-The reduction changes which configurations are stored — it is part of
-the persistent result-cache key — and consumers that need the un-fused
-transition graph (the refinement checkers and the Owicki–Gries
-enumerator, whose assertions live at intermediate program points)
-explicitly request ``reduction="off"`` at their call sites.
+The reduction changes which configurations are stored, so consumers
+that need the un-fused transition graph (the refinement checkers and
+the Owicki–Gries enumerator, whose assertions live at intermediate
+program points) explicitly request ``reduction="off"`` at their call
+sites.
 """
 
 from __future__ import annotations
@@ -132,15 +131,11 @@ class ReductionStrategy:
     * ``requires_canonical`` — sound only under canonical state keys
       (the engine rejects ``canonicalise=False``).
 
-    ``fingerprint_token`` feeds the persistent-cache key (alongside
-    ``SEMANTICS_VERSION``): bump a policy's token to invalidate its
-    cached verdicts without touching the other policies' entries.
     A policy's own counters are listed in the :mod:`repro.obs.metrics`
     counter schema.
     """
 
     name: str
-    fingerprint_token: str
     successors: Callable[[Program, Config], List[Transition]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
@@ -284,10 +279,6 @@ def reduced_successors(program: Program, cfg: Config) -> List[Transition]:
 register_strategy(
     ReductionStrategy(
         name="off",
-        # "off"/"closure" keep their historical plain-name tokens so
-        # existing cached verdicts stay valid across the registry
-        # refactor.
-        fingerprint_token="off",
         successors=successors,
         normalise_initial=lambda program, cfg: cfg,
     )
@@ -296,7 +287,6 @@ register_strategy(
 register_strategy(
     ReductionStrategy(
         name="closure",
-        fingerprint_token="closure",
         successors=reduced_successors,
         normalise_initial=close_config,
         closure_expansion=True,

@@ -130,30 +130,19 @@ class TestEngineAPI:
         assert engine.explore(test.build()).truncated
         assert not engine.explore(test.build(), max_states=500_000).truncated
 
-    def test_run_returns_summary_without_cache(self):
-        engine = ExplorationEngine()
-        test = LITMUS_TESTS[0]
-        summary = engine.run(test.build())
-        full = explore(test.build())
-        assert summary.state_count == full.state_count
-        assert summary.terminal_locals(*test.regs) == full.terminal_locals(
-            *test.regs
-        )
-        assert not summary.cached
-
 
 class TestImportFootprint:
     def test_engine_import_leaves_process_pools_out(self):
-        """``import repro, repro.engine`` must not load
-        :mod:`multiprocessing` or :mod:`concurrent.futures`: exploration
-        is in-process, and only ``batch --workers N`` needs a pool (it
-        imports one when it runs)."""
+        """``import repro, repro.engine, repro.__main__`` must not load
+        :mod:`multiprocessing` or :mod:`concurrent.futures`: every
+        exploration and every CLI command runs in-process, and no
+        module imports a pool."""
         import os
         import subprocess
         import sys
 
         code = (
-            "import sys, repro, repro.engine\n"
+            "import sys, repro, repro.engine, repro.__main__\n"
             "print(sorted(m for m in ('multiprocessing', "
             "'concurrent.futures') if m in sys.modules))\n"
         )

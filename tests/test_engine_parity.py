@@ -14,14 +14,14 @@ The reduction-``off`` catalog sweep lives in
 ``test_engine_core.py::TestStrategyParity``; this file covers the
 reduced policies on the catalog, the abstract-object/lock clients
 under every policy, ``reachable``/``assert_invariant``-shaped
-verdicts, the summary path of :meth:`ExplorationEngine.run`, and the
-search options (caps, early stop, edges, invariants, parents) on
+verdicts, the summary path of :func:`repro.engine.summarise` (what
+``run_litmus`` reads), and the search options (caps, early stop, edges, invariants, parents) on
 every strategy.
 """
 
 import pytest
 
-from repro.engine import ExplorationEngine
+from repro.engine import ExplorationEngine, summarise
 from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.canon import canonical_key
@@ -88,9 +88,9 @@ class TestCatalogParity:
         assert other.terminal_locals(*test.regs) == outcomes
         # The reduction is invisible at the register level.
         assert explore(program).terminal_locals(*test.regs) == outcomes
-        # The summary path (what the cache stores) carries the same
+        # The summary path (what run_litmus reads) carries the same
         # verdict-level data.
-        summary = engine.run(program)
+        summary = summarise(other)
         assert not summary.truncated
         assert summary.state_count == other.state_count
         assert summary.stuck_count == len(other.stuck)

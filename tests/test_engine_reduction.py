@@ -1,16 +1,10 @@
-"""Engine wiring of the reduction policy: strategies, cache, parallel
-summary path."""
+"""Engine wiring of the reduction policy: strategies, the summary path
+and the CLI's litmus rows."""
 
 import pytest
 
-from repro.engine import (
-    REDUCTIONS,
-    ExplorationEngine,
-    ResultCache,
-    cache_key,
-    explore_sequential,
-)
-from repro.litmus.catalog import LITMUS_TESTS
+from repro.engine import REDUCTIONS, ExplorationEngine, explore_sequential
+from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
 
@@ -57,35 +51,6 @@ class TestEngineConfiguration:
         assert red.state_count < off.state_count
 
 
-class TestCacheKeying:
-    def test_reduction_in_cache_key(self):
-        program = _program()
-        base = cache_key(program, max_states=1000)
-        assert base == cache_key(program, max_states=1000, reduction="off")
-        assert base != cache_key(
-            program, max_states=1000, reduction="closure"
-        )
-
-    def test_policies_cached_separately(self, tmp_path):
-        program_build = _BY_NAME["MP-await-RA"].build
-        off_engine = ExplorationEngine(
-            cache=ResultCache(tmp_path), reduction="off"
-        )
-        red_engine = ExplorationEngine(
-            cache=ResultCache(tmp_path), reduction="closure"
-        )
-        off = off_engine.run(program_build())
-        red = red_engine.run(program_build())
-        assert not off.cached and not red.cached
-        assert red.state_count < off.state_count
-        # Warm hits resolve to the matching policy's summary.
-        off2 = off_engine.run(program_build())
-        red2 = red_engine.run(program_build())
-        assert off2.cached and red2.cached
-        assert off2.state_count == off.state_count
-        assert red2.state_count == red.state_count
-
-
 class TestSummaryPath:
     def test_keep_configs_is_accepted_and_inert(self):
         """``keep_configs=False`` stays a valid keyword, and the
@@ -99,11 +64,11 @@ class TestSummaryPath:
         assert slim.edge_count == full.edge_count
         assert slim.terminal_locals(*test.regs) == set(test.allowed)
 
-    def test_engine_run_uses_summary_path(self):
+    def test_run_litmus_uses_summary_path(self):
         test = _BY_NAME["MP-ring-2-RA"]
-        summary = ExplorationEngine().run(test.build())
-        assert summary.terminal_locals(*test.regs) == set(test.allowed)
-        assert summary.state_count == 52  # unreduced ring-2 space
+        result = run_litmus(test)
+        assert result["outcomes"] == set(test.allowed)
+        assert result["states"] == 52  # unreduced ring-2 space
 
 
 class TestPolicyNames:
@@ -115,18 +80,21 @@ class TestPolicyNames:
 
         assert REDUCTIONS == SEMANTICS_REDUCTIONS
 
-    def test_batch_litmus_explores_under_batch_reduction(self, monkeypatch):
-        """The batch litmus job explores every test under the batch
-        reduction, storing the closure's state counts."""
-        from repro.engine.batch import run_job
+    def test_cli_litmus_explores_under_its_reduction(self, capsys, tmp_path):
+        """``repro litmus --json`` explores every test under the
+        command's reduction, recording the closure's state counts."""
+        import json
 
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        result = run_job("litmus", use_cache=False, reduction="closure")
-        assert result.ok
-        rows = {r["name"]: r for r in result.detail}
+        from repro.__main__ import main
+
+        path = tmp_path / "r.json"
+        argv = ["repro", "litmus", "--reduction", "closure"]
+        assert main([*argv, "--json", str(path)]) == 0
+        data = json.loads(path.read_text())
+        assert data["ok"] and data["meta"]["reduction"] == "closure"
+        rows = {r["name"]: r for r in data["litmus"]}
         assert rows["MP-await-RA"]["states"] == 5  # reduced
         engine = ExplorationEngine(reduction="closure")
         for name, row in rows.items():
-            assert row["reduction"] == "closure"
             program = _BY_NAME[name].build()
             assert row["states"] == engine.explore(program).state_count

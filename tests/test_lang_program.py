@@ -134,8 +134,6 @@ class TestDerivedStructure:
         import dataclasses
         import pickle
 
-        from repro.engine.fingerprint import program_fingerprint
-
         p = self._program()
         fields = {f.name for f in dataclasses.fields(Program)}
         p.lib_registers(), p.tids, p.object_map
@@ -143,6 +141,5 @@ class TestDerivedStructure:
         assert set(p.__dict__) > fields
         clone = pickle.loads(pickle.dumps(p))
         assert set(clone.__dict__) == fields
-        assert program_fingerprint(clone) == program_fingerprint(p)
         assert clone.tids == ("1", "2")
         assert clone.lib_registers() == p.lib_registers()

@@ -1,13 +1,12 @@
 """Pickling the semantic values: round-trip exactness, derived data left behind.
 
-The persistent result cache (:mod:`repro.engine.cache`) pickles
-``ExploreSummary.terminals`` — :class:`~repro.semantics.config.Config`
-objects — and a later process, possibly with a different
-``PYTHONHASHSEED``, loads them.  ``Config``, ``ComponentState`` (naive
-subclass included), ``Action`` and ``Op`` therefore rebuild from their
-defining fields only: a round trip must be value-identical (bit-identical
-canonical keys, equal raw fields), and nothing process-specific — cached
-hashes, interned canonical ids, indices, view caches — may cross.
+A pickled :class:`~repro.semantics.config.Config` may be loaded by
+another process, possibly with a different ``PYTHONHASHSEED``.
+``Config``, ``ComponentState`` (naive subclass included), ``Action``
+and ``Op`` therefore rebuild from their defining fields only: a round
+trip must be value-identical (bit-identical canonical keys, equal raw
+fields), and nothing process-specific — cached hashes, interned
+canonical ids, indices, view caches — may cross.
 """
 
 import pickle

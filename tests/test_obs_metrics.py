@@ -3,7 +3,7 @@
 The unit half exercises :class:`repro.obs.metrics.Metrics` (collection,
 merging, the active-collector protocol); the engine half checks that
 per-run snapshots stay per-run while the engine-level sink accumulates
-explorations and cache outcomes.
+explorations.
 """
 
 import gc
@@ -86,9 +86,6 @@ class TestMetricsRegistry:
         assert "99 edges" in line
         assert "ε-fused 5" in line
         assert "states/sec" in line
-        assert "cache" not in line  # no cache counters collected
-        m.inc("cache.hits", 3)
-        assert "cache 3 hits" in m.describe()
 
     def test_describe_reports_the_gc_layer(self):
         m = Metrics()
@@ -202,19 +199,6 @@ class TestEngineSink:
         )
         # Per-run snapshots stay per-run.
         assert r1.metrics["counters"]["explore.states"] == r1.state_count
-
-    def test_run_counts_cache_outcomes(self, tmp_path):
-        from repro.engine.cache import ResultCache
-
-        sink = Metrics()
-        engine = ExplorationEngine(
-            cache=ResultCache(tmp_path), metrics=sink
-        )
-        program = LITMUS_TESTS[0].build()
-        engine.run(program)
-        engine.run(program)
-        assert sink.counters["cache.misses"] == 1
-        assert sink.counters["cache.hits"] == 1
 
 
 class TestReductionCounters:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.engine import ExplorationEngine
-from repro.engine.cache import ResultCache
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.obs.trace import (
     EVENTS,
@@ -52,8 +51,8 @@ class TestTraceWriter:
 
     def test_non_json_fields_are_stringified(self):
         buf = io.StringIO()
-        TraceWriter(buf).emit("explore.cached", key=b"\x01\x02")
-        assert isinstance(_lines(buf)[0]["key"], str)
+        TraceWriter(buf).emit("litmus.start", tests=1, note=b"\x01\x02")
+        assert isinstance(_lines(buf)[0]["note"], str)
 
 
 class TestValidateEvent:
@@ -104,8 +103,9 @@ class TestValidateEvent:
     def test_int_is_a_float(self):
         # JSON has one number type: integral elapsed values are fine.
         ev = {
-            "v": SCHEMA_VERSION, "ts": 1, "ev": "batch.finish", "ok": True,
-            "elapsed": 2,
+            "v": SCHEMA_VERSION, "ts": 1, "ev": "explore.finish",
+            "states": 3, "edges": 2, "elapsed": 2, "truncated": False,
+            "stopped": False, "states_per_sec": 1.5,
         }
         validate_event(ev)
         with pytest.raises(ValueError, match="elapsed"):
@@ -113,11 +113,9 @@ class TestValidateEvent:
 
     def test_every_documented_event_has_a_spec(self):
         assert set(EVENTS) == {
-            "explore.start", "explore.finish", "explore.cached",
+            "explore.start", "explore.finish",
             "metrics.sample", "analysis.report",
             "litmus.start", "litmus.finish",
-            "batch.start", "batch.finish",
-            "batch.job.start", "batch.job.finish",
         }
 
 
@@ -144,48 +142,9 @@ class TestEngineEmission:
         counters = sample["metrics"]["counters"]
         assert counters["explore.states"] == result.state_count
 
-    def test_cached_run_emits_cached_event(self, tmp_path):
-        buf = io.StringIO()
-        engine = ExplorationEngine(
-            cache=ResultCache(tmp_path), trace=TraceWriter(buf)
-        )
-        program = LITMUS_TESTS[0].build()
-        engine.run(program)
-        engine.run(program)
-        events = _lines(buf)
-        for e in events:
-            validate_event(e)
-        kinds = [e["ev"] for e in events]
-        # Cold: a full exploration span.  Warm: one cached event, no
-        # exploration at all.
-        assert kinds == [
-            "explore.start", "explore.finish", "metrics.sample",
-            "explore.cached",
-        ]
-
     def test_trace_without_metrics_sink_still_samples(self):
         # A trace-only engine must still collect per-run metrics to
         # fill its samples (the engine-level sink is simply absent).
         _result, events = self._explore()
         sample = next(e for e in events if e["ev"] == "metrics.sample")
         assert sample["metrics"]["counters"]["explore.states"] > 0
-
-
-class TestBatchEmission:
-    def test_batch_lifecycle_events(self, monkeypatch, tmp_path):
-        from repro.engine.batch import run_batch
-
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        buf = io.StringIO()
-        report = run_batch(jobs=["figures"], trace=TraceWriter(buf))
-        events = _lines(buf)
-        for e in events:
-            validate_event(e)
-        assert [e["ev"] for e in events] == [
-            "batch.start", "batch.job.start", "batch.job.finish",
-            "batch.finish",
-        ]
-        assert events[0]["jobs"] == ["figures"]
-        assert events[2]["job"] == "figures"
-        assert events[2]["ok"] is report.ok is True
-        assert events[3]["elapsed"] >= events[2]["elapsed"]

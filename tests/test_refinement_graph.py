@@ -6,7 +6,7 @@ accept the graph in place of the program.  These tests pin that a shared
 graph gives exactly the verdicts of the standalone checks, that
 :func:`repro.toolkit.verify_lock_implementation` explores each program
 once, and that the per-program caches the checks fill never leak into
-pickles or fingerprints.
+pickles.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import pickle
 import pytest
 
 from repro.engine import ExplorationEngine
-from repro.engine.fingerprint import program_fingerprint
 from repro.impls.seqlock import SEQLOCK_VARS, seqlock_fill
 from repro.impls.spinlock import SPINLOCK_VARS, spinlock_fill
 from repro.impls.ticketlock import TICKETLOCK_VARS, ticketlock_fill
@@ -200,12 +199,12 @@ class TestTruncation:
 
 
 class TestProgramCacheHygiene:
-    def test_pickle_and_fingerprint_after_verification(self):
+    def test_pickle_after_verification(self):
         built = []
 
         def recording_client(fill, **kwargs):
             program = lock_client(fill, **kwargs)
-            built.append((program, program_fingerprint(program)))
+            built.append(program)
             return program
 
         report = verify_lock_implementation(
@@ -216,13 +215,11 @@ class TestProgramCacheHygiene:
         assert report.ok
         assert len(built) == 2
         field_names = {f.name for f in dataclasses.fields(Program)}
-        for program, fingerprint in built:
+        for program in built:
             # The checks filled the derived caches ...
             assert {"_interner", "tids", "_lib_registers"} <= set(
                 program.__dict__
             )
-            # ... none of which reaches a pickle or the fingerprint.
+            # ... none of which reaches a pickle.
             clone = pickle.loads(pickle.dumps(program))
             assert set(clone.__dict__) == field_names
-            assert program_fingerprint(program) == fingerprint
-            assert program_fingerprint(clone) == fingerprint

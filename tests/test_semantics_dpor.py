@@ -174,7 +174,6 @@ class TestStrategy:
     def test_flags(self):
         strat = get_strategy("dpor")
         assert strat.name == "dpor"
-        assert strat.fingerprint_token == "dpor-1"
         assert strat.closure_expansion
         assert strat.requires_canonical
         assert strat.sleep_expand is dpor_successors
