@@ -21,6 +21,13 @@ Per-member counts are committed to ``benchmarks/BENCH_dpor.json``
 (regenerate with ``REPRO_BENCH_WRITE_BASELINE=1``); with
 ``REPRO_PERF_SMOKE=1`` (the CI perf job) a >2x regression of the
 recorded closure-vs-dpor wall-clock ratio fails the run.
+
+Both policies run the visible-step memo
+(:class:`repro.semantics.step.StepMemo`); its counters
+(``explore.memo.lookups`` / ``explore.memo.entries``) are pinned per
+member in :data:`FAMILY_MEMO`, counted in separate untimed explorations.
+They are deterministic, so a change in either means the memo key, the
+rules or the policy changed, on any host.
 """
 
 import dataclasses
@@ -33,6 +40,7 @@ from repro.engine.core import explore_sequential
 from repro.lang import ast as A
 from repro.lang.program import Program, Thread
 from repro.litmus.catalog import LITMUS_TESTS
+from repro.obs.metrics import Metrics
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_dpor.json"
 
@@ -42,6 +50,15 @@ REGRESSION_FACTOR = 2.0
 
 #: The headline aggregate state-reduction gate over the composed family.
 STATE_RATIO_FLOOR = 5.0
+
+#: ``(explore.memo.lookups, explore.memo.entries)`` per family member
+#: and policy, next to the state counts of ``BENCH_dpor.json``.
+FAMILY_MEMO = {
+    "2+2W-x-ring2": {"closure": (5453, 2520), "dpor": (507, 247)},
+    "iriw-await-x2": {"closure": (1656, 784), "dpor": (410, 267)},
+    "iriw-await-x-ring2": {"closure": (1256, 672), "dpor": (152, 111)},
+    "ring2-x2": {"closure": (952, 576), "dpor": (120, 84)},
+}
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
 
@@ -188,3 +205,18 @@ def test_dpor_family_smoke(record_row):
             f"(committed baseline {baseline['totals']['time_ratio']}x, "
             f"allowed regression {REGRESSION_FACTOR}x)"
         )
+
+
+def test_dpor_family_memo_counts():
+    counts = {}
+    for name, program in _family().items():
+        counts[name] = {}
+        for reduction in ("closure", "dpor"):
+            metrics = Metrics()
+            explore_sequential(program, reduction=reduction, metrics=metrics)
+            counters = metrics.snapshot()["counters"]
+            counts[name][reduction] = (
+                counters["explore.memo.lookups"],
+                counters["explore.memo.entries"],
+            )
+    assert counts == FAMILY_MEMO

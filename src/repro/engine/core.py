@@ -197,6 +197,7 @@ def explore_sequential(
     """
     from repro.semantics.config import initial_config
     from repro.semantics.reduce import get_strategy
+    from repro.semantics.step import StepMemo
 
     strat = get_strategy(reduction)
     if strat.requires_canonical and not canonicalise:
@@ -241,13 +242,13 @@ def explore_sequential(
         queued: set = set()
         sunk: set = set()
 
-        # The visible-step memo (repro.semantics.step.successors): one
-        # per exploration, keyed by the interned component ids of the
-        # canonical keys this loop computes anyway, so it runs only on
-        # the plain, canonically keyed relation.
-        memo: Optional[Dict] = (
-            {} if canonicalise and strat.name == "off" else None
-        )
+        # The visible-step memo (repro.semantics.step.StepMemo): one per
+        # exploration, keyed by the interned component ids of the
+        # canonical keys this loop computes anyway, so every policy
+        # runs it whenever states are canonically keyed.  Seeded with
+        # the initial pair, it hands out the visited set's own
+        # component states.
+        memo = StepMemo(program, init) if canonicalise else None
 
         frontier = make_frontier(strategy)
         frontier.push(init_key, init)
@@ -265,16 +266,13 @@ def explore_sequential(
             if on_config is not None and on_config(cfg):
                 stopped = True
                 break
-            if memo is not None:
+            if sleep_expand is None:
                 succs = successors(program, cfg, memo=memo)
-                child_sleeps = None
-            elif sleep_expand is None:
-                succs = successors(program, cfg)
                 child_sleeps = None
             else:
                 queued.discard(key)
                 expansion = sleep_expand(
-                    program, cfg, sleep_of.get(key, _EMPTY_SLEEP)
+                    program, cfg, sleep_of.get(key, _EMPTY_SLEEP), memo=memo
                 )
                 succs = [tr for tr, _child in expansion]
                 child_sleeps = [child for _tr, child in expansion]

@@ -24,7 +24,7 @@ block:
 ``explore.edges``                    transitions generated while expanding
 ``explore.memo.lookups``             visible steps looked up in the
                                      sequential loop's visible-step memo
-                                     (``reduction="off"``, canonical keys)
+                                     (every policy over canonical keys)
 ``explore.memo.entries``             visible steps the memo computed and
                                      stored (lookups − entries = hits)
 ``explore.gc.collections``           cyclic-GC collections (any

@@ -122,7 +122,7 @@ from repro.semantics.reduce import (
     close_config,
     reduced_successors,
 )
-from repro.semantics.step import Transition
+from repro.semantics.step import StepMemo, Transition
 
 #: Independence verdicts.  ``STRONG`` — the two transitions commute to
 #: bit-identical configurations; ``CANONICAL`` — they commute up to the
@@ -329,7 +329,10 @@ def _select_persistent(
 
 
 def dpor_successors(
-    program: Program, cfg: Config, sleep: FrozenSet
+    program: Program,
+    cfg: Config,
+    sleep: FrozenSet,
+    memo: Optional[StepMemo] = None,
 ) -> List[Tuple[Transition, FrozenSet]]:
     """The DPOR expansion of a closed configuration under ``sleep``.
 
@@ -338,9 +341,11 @@ def dpor_successors(
     ids; a thread sleeps at a child when *all* of its enabled
     transitions here are independent (strong or canonical) of the edge
     taken, inherited from the parent sleep plus the already-expanded
-    earlier siblings.
+    earlier siblings.  ``memo`` is the exploration's visible-step memo
+    (:func:`~repro.semantics.reduce.reduced_successors`); it also
+    serves the threads left outside the persistent set.
     """
-    succs = reduced_successors(program, cfg)
+    succs = reduced_successors(program, cfg, memo)
     if not succs:
         return []
     by_tid: Dict[str, List[Transition]] = {}
@@ -393,11 +398,15 @@ def dpor_successors(
     return out
 
 
-def _dpor_plain_successors(program: Program, cfg: Config) -> List[Transition]:
+def _dpor_plain_successors(
+    program: Program, cfg: Config, memo: Optional[StepMemo] = None
+) -> List[Transition]:
     """``successors``-signature wrapper: the empty-sleep expansion —
     persistent selection only, used by consumers that don't thread
     sleep sets (witness re-derivation)."""
-    return [tr for tr, _sleep in dpor_successors(program, cfg, frozenset())]
+    return [
+        tr for tr, _sleep in dpor_successors(program, cfg, frozenset(), memo)
+    ]
 
 
 DPOR_STRATEGY = ReductionStrategy(

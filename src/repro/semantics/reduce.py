@@ -98,7 +98,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.lang.program import Program
 from repro.obs import metrics as _metrics
 from repro.semantics.config import Config
-from repro.semantics.step import Transition, silent_step, successors
+from repro.semantics.step import StepMemo, Transition, silent_step, successors
 
 #: Cut-off for one fused silent chain.  Past this many fused steps (or
 #: on an exact ``(continuation, locals)`` revisit) the remaining silent
@@ -116,12 +116,16 @@ class ReductionStrategy:
 
     ``successors`` is the policy's macro-step relation and
     ``normalise_initial`` its initial-configuration normalisation (both
-    with the ``(program, cfg)`` signature the engine loop uses).
+    with the ``(program, cfg)`` signature; ``successors`` also takes
+    the exploration's visible-step memo as ``memo=``, a
+    :class:`~repro.semantics.step.StepMemo` or None).
     ``sleep_expand`` — set only for sleep-set policies — replaces
     ``successors`` inside exploration loops that thread sleep sets: it
-    maps ``(program, cfg, sleep)`` to ``[(transition, child_sleep)]``
-    pairs and returns an empty list exactly when ``cfg`` has no
-    successors at all (sleep sets prune edges, never sink states).
+    maps ``(program, cfg, sleep, memo=)`` to ``[(transition,
+    child_sleep)]`` pairs and returns an empty list exactly when ``cfg``
+    has no successors at all (sleep sets prune edges, never sink
+    states).  The engine loop passes every policy the same memo
+    whenever states are canonically keyed, and None otherwise.
 
     The flags drive composition:
 
@@ -136,13 +140,11 @@ class ReductionStrategy:
     """
 
     name: str
-    successors: Callable[[Program, Config], List[Transition]]
+    successors: Callable[..., List[Transition]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
     requires_canonical: bool = False
-    sleep_expand: Optional[
-        Callable[[Program, Config, frozenset], List[Tuple]]
-    ] = None
+    sleep_expand: Optional[Callable[..., List[Tuple]]] = None
 
 
 #: The policy registry: name -> strategy.  Populated below ("off",
@@ -252,14 +254,20 @@ def close_config(program: Program, cfg: Config) -> Config:
     return cfg
 
 
-def reduced_successors(program: Program, cfg: Config) -> List[Transition]:
+def reduced_successors(
+    program: Program, cfg: Config, memo: Optional[StepMemo] = None
+) -> List[Transition]:
     """The macro-step successors of a closed configuration.
 
     Each underlying transition (with the covering-read prune enabled)
     is fused with the stepping thread's silent suffix; the macro-edge
     keeps the visible action and thread/component tags.  Callers must
     hand in closed configurations (the engine closes the initial one) —
-    every target returned is then closed as well.
+    every target returned is then closed as well.  ``memo`` is the
+    exploration's visible-step memo, passed through to
+    :func:`~repro.semantics.step.successors`: the closure fuses only
+    silent steps, which leave ``γ``/``β`` untouched, so a memoised
+    visible step serves the macro-step relation unchanged.
     """
     # The silent suffix is fused *inside* successor generation (the
     # ``close`` hook), before each Transition/Config is built — no
@@ -269,7 +277,7 @@ def reduced_successors(program: Program, cfg: Config) -> List[Transition]:
     # holds by construction: ``_close_chain`` maps only ``(cmd, ls)``,
     # and the target Config is assembled once from the visible step's
     # ``γ``/``β``.
-    return successors(program, cfg, prune=True, close=_close_chain)
+    return successors(program, cfg, prune=True, close=_close_chain, memo=memo)
 
 
 # ---------------------------------------------------------------------------

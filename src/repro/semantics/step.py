@@ -35,19 +35,24 @@ summaries of the covering-read prune (:func:`_node_summary`) and the
 on its own.  What varies per configuration is the memory,
 so the rule runs per configuration — except where the caller passes a
 visible-step memo: the sequential explorer passes a per-exploration
-dict as ``successors(..., memo=)``, keyed by the configuration's
-interned ``(γ-id, β-id)`` (:func:`repro.semantics.canon.component_ids`)
-plus the thread, orientation, rule and operands.  Equal ids mean
-memories equal up to per-variable timestamp relabelling, and the rules
-commute with such relabellings ("Verifying C11 Programs
-Operationally", the argument the canonical key rests on), so the
-first-seen configuration's successor states serve every later one with
-the same key — with their interned ids already cached on them.  Every
-other caller (the ε-closure, dpor, witness replay, raw-keyed
-exploration) runs the rule without a memo, and
-:func:`thread_successors` and the proof-rule checkers
-(:mod:`repro.logic.triples`) step a thread through :func:`_run_step`,
-which runs :func:`_thread_step` and the rule with no cache at all.
+:class:`StepMemo` as ``successors(..., memo=)`` under every policy
+whose states are canonically keyed (``off``, and through
+:func:`~repro.semantics.reduce.reduced_successors` the ε-closure and
+dpor).  A rule application is keyed by the configuration's interned
+``(γ-id, β-id)`` (:func:`repro.semantics.canon.component_ids`) plus
+the thread, orientation, rule and operands.  Equal ids mean memories
+equal up to per-variable timestamp relabelling, and the rules commute
+with such relabellings ("Verifying C11 Programs Operationally", the
+argument the canonical key rests on), so the first-seen
+configuration's successor states serve every later one with the same
+key — with their interned ids already cached on them.  The memo maps
+each successor pair to one representative pair per ``(γ-id, β-id)``,
+so it holds the visited configurations' own component states and no
+duplicates of them.  Raw-keyed exploration and witness replay run the
+rule without a memo, and :func:`thread_successors` and the proof-rule
+checkers (:mod:`repro.logic.triples`) step a thread through
+:func:`_run_step`, which runs :func:`_thread_step` and the rule with no
+cache at all.
 """
 
 from __future__ import annotations
@@ -66,7 +71,12 @@ from repro.memory.transitions import (
     write_steps,
 )
 from repro.obs import metrics as _metrics
-from repro.semantics.canon import _interner, component_ids, thread_ids
+from repro.semantics.canon import (
+    _component_id,
+    _interner,
+    component_ids,
+    thread_ids,
+)
 from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
@@ -185,12 +195,54 @@ class _Plan:
 _DONE = object()
 
 
+class StepMemo:
+    """One exploration's visible-step memo (:func:`successors`).
+
+    ``steps`` maps a rule application's key ``(γ-id, β-id, tid,
+    orientation, rule, operands)`` to the ``(action, register value,
+    γ', β')`` steps the rule returned.  ``pairs`` maps each
+    ``(γ-id, β-id)`` the memo has met to one representative ``(γ, β)``
+    pair, seeded with ``initial``'s: on a miss every step's successor
+    pair is replaced by the representative of its ids, and its first
+    occurrence becomes that representative.  Every configuration the
+    memo builds then carries representative states, so the states the
+    memo references are the ones the explorer's visited set stores, and
+    a successor equal up to relabelling to a visited one holds no copy.
+    A memoised step then keeps its source's ``(γ, β)`` objects exactly
+    when it keeps their ids, which is when the rules return their input
+    states unchanged, so dpor's memory-progress test
+    (:func:`repro.semantics.dpor._select_persistent`), which compares
+    states by identity, reads as it would without the memo.
+    """
+
+    __slots__ = ("steps", "pairs")
+
+    def __init__(self, program: Program, initial: Config) -> None:
+        self.steps: Dict[Tuple, List[_VisibleStep]] = {}
+        self.pairs: Dict[
+            Tuple[int, int], Tuple[ComponentState, ComponentState]
+        ] = {component_ids(program, initial): (initial.gamma, initial.beta)}
+
+    def share(self, tables, steps) -> List[_VisibleStep]:
+        """``steps`` with each ``(γ', β')`` replaced by the
+        representative pair of its component ids."""
+        pairs = self.pairs
+        out = []
+        for action, value, g2, b2 in steps:
+            ids = (_component_id(tables, g2, b2), _component_id(tables, b2, g2))
+            pair = pairs.get(ids)
+            if pair is None:
+                pair = pairs[ids] = (g2, b2)
+            out.append((action, value, pair[0], pair[1]))
+        return out
+
+
 def successors(
     program: Program,
     cfg: Config,
     prune: bool = False,
     close=None,
-    memo: Optional[Dict] = None,
+    memo: Optional[StepMemo] = None,
 ) -> List[Transition]:
     """All ``=⇒`` successors of ``cfg`` across every thread.
 
@@ -215,9 +267,10 @@ def successors(
     slot replaced, and targets with equal thread ids share one
     ``(cmds, locals)`` map pair.
 
-    ``memo``, when given, is the exploration's visible-step memo: a dict
-    the caller owns for one exploration of ``program`` and passes to
-    every call.  Each visible rule application is keyed by the interned
+    ``memo``, when given, is the exploration's visible-step memo: a
+    :class:`StepMemo` the caller owns for one exploration of ``program``
+    and passes to every call, with or without ``prune``/``close``.
+    Each visible rule application is keyed by the interned
     ``(γ-id, β-id)`` of ``cfg``'s canonical key plus the thread, the
     component orientation, the rule and its evaluated operands, and a
     repeated key returns the stored successor component states instead
@@ -225,8 +278,10 @@ def successors(
     states are equal, up to per-variable timestamp relabelling, to the
     ones the rule would build; the rules commute with such relabellings,
     so every successor has the same label and the same canonical key as
-    without the memo.  The memo is only meaningful where states are
-    identified by :func:`~repro.semantics.canon.canonical_key`.
+    without the memo.  On a miss each successor pair is swapped for the
+    memo's representative pair of its ids (:meth:`StepMemo.share`).
+    The memo is only meaningful where states are identified by
+    :func:`~repro.semantics.canon.canonical_key`.
     """
     tables = _interner(program)
     scope = tables.scope
@@ -239,6 +294,7 @@ def successors(
     ids = thread_ids(program, cfg)
     if memo is not None:
         gid, bid = component_ids(program, cfg)
+        memo_steps = memo.steps
     gamma = cfg.gamma
     beta = cfg.beta
     active = _metrics._ACTIVE
@@ -268,12 +324,12 @@ def successors(
             steps = rule(program, gamma, beta, tid, plan.in_lib, *plan.operands)
         else:
             key = (gid, bid, *plan.memo_tail)
-            steps = memo.get(key)
+            steps = memo_steps.get(key)
             if steps is None:
-                steps = rule(
-                    program, gamma, beta, tid, plan.in_lib, *plan.operands
+                steps = memo_steps[key] = memo.share(
+                    tables,
+                    rule(program, gamma, beta, tid, plan.in_lib, *plan.operands),
                 )
-                memo[key] = steps
                 if active is not None:
                     active.inc("explore.memo.entries")
             if active is not None:

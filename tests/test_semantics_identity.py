@@ -25,7 +25,7 @@ from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
 from repro.semantics.reduce import close_config, get_strategy, reduced_successors
-from repro.semantics.step import successors
+from repro.semantics.step import StepMemo, successors
 from tests.conftest import (
     abstract_lock_client,
     mp_relaxed,
@@ -155,11 +155,8 @@ class TestInheritedKeys:
         program = build()
         strategy = get_strategy(reduction)
         init = strategy.normalise_initial(program, initial_config(program))
-        if reduction == "off":
-            memo = {}
-            expand = lambda cfg: successors(program, cfg, memo=memo)
-        else:
-            expand = lambda cfg: strategy.successors(program, cfg)
+        memo = StepMemo(program, init)
+        expand = lambda cfg: strategy.successors(program, cfg, memo=memo)
         targets = _bfs_targets(program, init, expand, 20_000)[1:]
         assert targets
         for t in targets:

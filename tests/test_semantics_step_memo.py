@@ -2,26 +2,39 @@
 
 :func:`~repro.semantics.step.successors` with ``memo=`` serves a repeated
 ``(γ-id, β-id, thread, orientation, rule, operands)`` visible step from
-the exploration's memo: the stored successor component states were
-built from the *first* configuration with those ids, which may differ
-from the current one in its numeric timestamps.  Over the litmus
-catalog, the abstract-object clients and random programs:
+the exploration's :class:`~repro.semantics.step.StepMemo`: the stored
+successor component states were built from the *first* configuration
+with those ids, which may differ from the current one in its numeric
+timestamps.  The explorer runs the memo under every canonically keyed
+policy.  Over the litmus catalog, the abstract-object clients and random
+programs:
 
 * **step parity** — at every reachable configuration the memoised and
   unmemoised successor lists agree label for label
-  ``(tid, component, action)``, with equal canonical keys;
-* **exploration parity** — the engine's state count, edge count,
-  terminal valuations and stuck set equal those of a raw BFS over the
-  unmemoised ``successors`` (the :func:`~repro.semantics.witness.find_path`
-  loop), and those of the naive-representation explorer
-  (:func:`repro.memory.naive.explore_naive`);
-* **witnesses** — engine witnesses of the catalog's weak outcomes
-  replay step by step through the unmemoised relation.
+  ``(tid, component, action)``, with equal canonical keys, for the plain
+  relation and for the ε-closed, covering-pruned one
+  (``successors(prune=True, close=_close_chain)``);
+* **exploration parity** — under ``off`` the engine's state count, edge
+  count, terminal valuations and stuck set equal those of a raw BFS over
+  the unmemoised ``successors`` (the
+  :func:`~repro.semantics.witness.find_path` loop), and those of the
+  naive-representation explorer (:func:`repro.memory.naive.explore_naive`);
+  under ``closure`` and ``dpor`` they equal an unmemoised run of the
+  same policy through the same loop;
+* **witnesses** — engine witnesses of the catalog's weak outcomes, under
+  ``off`` and ``closure``, replay step by step through the unmemoised
+  relation;
+* **the bound** — after a complete ``off`` or ``closure`` exploration
+  every component state the memo references is, by identity, the ``γ``
+  or ``β`` of a stored configuration; under ``dpor`` only the threads
+  left outside a persistent set leave a few unstored ones.
 
-The ``explore.memo.*`` counters are pinned on a small ``wide_program``.
+The ``explore.memo.*`` counters are pinned on small ``wide_program``
+spaces.
 """
 
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +45,11 @@ from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.memory.naive import explore_naive
 from repro.obs.metrics import Metrics
+from repro.semantics import step as step_mod
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
-from repro.semantics.step import successors
+from repro.semantics.reduce import _close_chain, close_config
+from repro.semantics.step import StepMemo, successors
 from repro.semantics.witness import replay_witness
 from tests.test_property_state_index import programs
 from tests.test_semantics_identity import OBJECT_CLIENTS
@@ -44,6 +59,13 @@ PROGRAMS = [(t.name, t.build) for t in LITMUS_TESTS] + list(OBJECT_CLIENTS)
 #: Safety cap: every space below is explored exhaustively well within it.
 MAX_STATES = 30_000
 
+#: The successor relations of the step-parity check: ``(mode kwargs,
+#: initial-configuration normalisation)``.
+RELATIONS = {
+    "plain": ({}, lambda program, cfg: cfg),
+    "closed": ({"prune": True, "close": _close_chain}, close_config),
+}
+
 
 def _locals_of(cfg):
     return tuple(
@@ -51,20 +73,21 @@ def _locals_of(cfg):
     )
 
 
-def assert_step_parity(program):
+def assert_step_parity(program, relation="plain"):
     """BFS over canonical states sharing one memo; at every expanded
     configuration the memoised successors match the unmemoised ones.
     The queue holds the *unmemoised* targets, so memo hits meet states
     whose timestamps differ numerically from the stored representative.
     Returns the memo."""
-    memo = {}
-    init = initial_config(program)
+    mode, normalise = RELATIONS[relation]
+    init = normalise(program, initial_config(program))
+    memo = StepMemo(program, init)
     seen = {canonical_key(program, init)}
     queue = deque([init])
     while queue:
         cfg = queue.popleft()
-        plain = successors(program, cfg)
-        memoised = successors(program, cfg, memo=memo)
+        plain = successors(program, cfg, **mode)
+        memoised = successors(program, cfg, memo=memo, **mode)
         assert len(plain) == len(memoised)
         for p, m in zip(plain, memoised):
             assert (p.tid, p.component, p.action) == (
@@ -108,30 +131,87 @@ def raw_bfs(program):
     return len(seen), edges, terminals, stuck
 
 
-def assert_exploration_parity(program):
-    result = explore_sequential(program, MAX_STATES)
+def _summary(program, result):
     assert not result.truncated
-    engine = (
+    return (
         result.state_count,
         result.edge_count,
         {_locals_of(cfg) for cfg in result.terminals},
         {canonical_key(program, cfg) for cfg in result.stuck},
     )
-    assert engine == raw_bfs(program)
-    assert engine[:3] == explore_naive(program)
+
+
+def unmemoised(program, reduction):
+    """``explore_sequential`` under ``reduction`` with the memo left
+    out: the same loop and policy, every rule run afresh."""
+    with mock.patch.object(step_mod, "StepMemo", lambda program, init: None):
+        return explore_sequential(program, MAX_STATES, reduction=reduction)
+
+
+def explore_keeping_memo(program, reduction, **kwargs):
+    """``(result, memo)``: an exploration and the memo it ran with."""
+    memos = []
+
+    class Kept(StepMemo):
+        __slots__ = ()
+
+        def __init__(self, program, init):
+            super().__init__(program, init)
+            memos.append(self)
+
+    with mock.patch.object(step_mod, "StepMemo", Kept):
+        result = explore_sequential(
+            program, MAX_STATES, reduction=reduction, **kwargs
+        )
+    (memo,) = memos
+    return result, memo
+
+
+def assert_exploration_parity(program, reduction="off"):
+    engine = _summary(
+        program, explore_sequential(program, MAX_STATES, reduction=reduction)
+    )
+    if reduction == "off":
+        assert engine == raw_bfs(program)
+        assert engine[:3] == explore_naive(program)
+    else:
+        assert engine == _summary(program, unmemoised(program, reduction))
+
+
+def unstored_references(program, reduction):
+    """``(references, unstored)``: the component states the memo of a
+    complete exploration references — one per state of every memoised
+    step and of every representative pair — and how many of them are
+    neither the ``γ`` nor the ``β`` of a stored configuration."""
+    result, memo = explore_keeping_memo(program, reduction)
+    assert not result.truncated
+    stored = set()
+    for cfg in result.configs.values():
+        stored.add(id(cfg.gamma))
+        stored.add(id(cfg.beta))
+    refs = [
+        state
+        for steps in memo.steps.values()
+        for _action, _value, g2, b2 in steps
+        for state in (g2, b2)
+    ]
+    refs += [state for pair in memo.pairs.values() for state in pair]
+    return len(refs), sum(id(state) not in stored for state in refs)
 
 
 class TestStepParity:
+    @pytest.mark.parametrize("relation", sorted(RELATIONS))
     @pytest.mark.parametrize(
         "build", [b for _, b in PROGRAMS], ids=[n for n, _ in PROGRAMS]
     )
-    def test_catalog_and_object_clients(self, build):
-        assert_step_parity(build())
+    def test_catalog_and_object_clients(self, build, relation):
+        assert_step_parity(build(), relation)
 
+    @pytest.mark.parametrize("relation", sorted(RELATIONS))
     @settings(max_examples=25, deadline=None)
     @given(p=programs())
-    def test_random_programs(self, p):
-        assert_step_parity(p)
+    def test_random_programs(self, p, relation):
+        assert_step_parity(p, relation)
 
     def test_memo_is_hit(self):
         # Configurations whose memories are equal up to timestamp
@@ -141,37 +221,88 @@ class TestStepParity:
         metrics = Metrics()
         explore_sequential(wide_program(2, reads=1), metrics=metrics)
         counters = metrics.snapshot()["counters"]
-        assert counters["explore.memo.entries"] == len(memo)
-        assert counters["explore.memo.lookups"] > len(memo)
+        assert counters["explore.memo.entries"] == len(memo.steps)
+        assert counters["explore.memo.lookups"] > len(memo.steps)
 
 
 class TestExplorationParity:
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     @pytest.mark.parametrize(
         "build", [b for _, b in PROGRAMS], ids=[n for n, _ in PROGRAMS]
     )
-    def test_catalog_and_object_clients(self, build):
-        assert_exploration_parity(build())
+    def test_catalog_and_object_clients(self, build, reduction):
+        assert_exploration_parity(build(), reduction)
 
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     @settings(max_examples=25, deadline=None)
     @given(p=programs())
-    def test_random_programs(self, p):
-        assert_exploration_parity(p)
+    def test_random_programs(self, p, reduction):
+        assert_exploration_parity(p, reduction)
 
 
+@pytest.mark.parametrize("reduction", ["off", "closure"])
 @pytest.mark.parametrize(
     "test", [t for t in LITMUS_TESTS if t.weak_allowed], ids=lambda t: t.name
 )
-def test_witness_replays_unmemoised(test):
+def test_witness_replays_unmemoised(test, reduction):
     program = test.build()
     witness = ExplorationEngine().find_witness(
         program,
         lambda cfg: test.outcome_of(cfg) in test.weak,
+        reduction=reduction,
         terminal_only=True,
     )
     assert witness is not None
     final = replay_witness(program, witness)
     assert final.is_terminal()
     assert test.outcome_of(final) in test.weak
+
+
+class TestBound:
+    """The memo holds the visited set's own component states."""
+
+    BOUND_PROGRAMS = [("wide-2x1", lambda: wide_program(2, reads=1))] + [
+        (t.name, t.build) for t in LITMUS_TESTS
+    ]
+
+    @pytest.mark.parametrize("reduction", ["off", "closure"])
+    @pytest.mark.parametrize(
+        "build",
+        [b for _, b in BOUND_PROGRAMS],
+        ids=[n for n, _ in BOUND_PROGRAMS],
+    )
+    def test_every_reference_is_stored(self, build, reduction):
+        refs, unstored = unstored_references(build(), reduction)
+        assert refs
+        assert unstored == 0
+
+    def test_dpor_leaves_few_unstored(self):
+        # dpor memoises the threads outside each persistent set, whose
+        # targets it never stores: 51 of 2,972 references (1.7%) over
+        # wide_program(2, reads=1) and the catalog.  Bound them at 5%.
+        refs = unstored = 0
+        for _name, build in self.BOUND_PROGRAMS:
+            r, u = unstored_references(build(), "dpor")
+            refs += r
+            unstored += u
+        assert refs
+        assert unstored * 20 <= refs
+
+    def test_duplicates_are_not_held(self):
+        # Every memoised successor pair is its ids' representative, and
+        # the representatives are the pairs of distinct stored states.
+        result, memo = explore_keeping_memo(
+            wide_program(3, reads=2), "off"
+        )
+        pairs = {
+            (id(cfg.gamma), id(cfg.beta)) for cfg in result.configs.values()
+        }
+        assert {(id(g), id(b)) for g, b in memo.pairs.values()} == pairs
+        assert all(
+            (id(g2), id(b2)) in pairs
+            for steps in memo.steps.values()
+            for _action, _value, g2, b2 in steps
+        )
 
 
 class TestCounters:
@@ -185,11 +316,30 @@ class TestCounters:
         assert counters["explore.memo.lookups"] == 594
         assert counters["explore.memo.entries"] == 201
 
+    @pytest.mark.parametrize(
+        "reduction, counts",
+        [("off", (14, 10)), ("closure", (14, 10)), ("dpor", (13, 9))],
+    )
+    def test_pinned_per_policy(self, reduction, counts):
+        # Every canonically keyed policy memoises: (lookups, entries) on
+        # wide_program(2, reads=1).
+        metrics = Metrics()
+        explore_sequential(
+            wide_program(2, reads=1), reduction=reduction, metrics=metrics
+        )
+        counters = metrics.snapshot()["counters"]
+        assert (
+            counters["explore.memo.lookups"],
+            counters["explore.memo.entries"],
+        ) == counts
+
     def test_off_the_memo_path_no_counts(self):
-        for kwargs in ({"reduction": "closure"}, {"canonicalise": False}):
-            metrics = Metrics()
-            explore_sequential(wide_program(2, reads=1), metrics=metrics, **kwargs)
-            assert not any(
-                name.startswith("explore.memo.")
-                for name in metrics.snapshot()["counters"]
-            )
+        # Only an exploration over raw keys runs without the memo.
+        metrics = Metrics()
+        explore_sequential(
+            wide_program(2, reads=1), metrics=metrics, canonicalise=False
+        )
+        assert not any(
+            name.startswith("explore.memo.")
+            for name in metrics.snapshot()["counters"]
+        )
