@@ -245,9 +245,11 @@ def explore_sequential(
         # The visible-step memo (repro.semantics.step.StepMemo): one per
         # exploration, keyed by the interned component ids of the
         # canonical keys this loop computes anyway, so every policy
-        # runs it whenever states are canonically keyed.  Seeded with
-        # the initial pair, it hands out the visited set's own
-        # component states.
+        # runs it whenever states are canonically keyed.  It picks one
+        # representative memory pair per component ids from the keys
+        # of admitted targets (``adopt``), and once an expansion's
+        # targets are keyed it swaps the states of the steps that
+        # expansion stored for those representatives (``settle``).
         memo = StepMemo(program, init) if canonicalise else None
 
         frontier = make_frontier(strategy)
@@ -297,13 +299,16 @@ def explore_sequential(
                     if len(configs) >= max_states:
                         truncated = True
                         continue
-                    configs[tkey] = tr.target
+                    target = tr.target
+                    if memo is not None:
+                        target = memo.adopt(target, tkey)
+                    configs[tkey] = target
                     if child_sleeps is not None:
                         sleep_of[tkey] = child_sleeps[i]
                         queued.add(tkey)
                     if track_parents:
                         parents[tkey] = (key, tr.tid, tr.component, tr.action)
-                    frontier.push(tkey, tr.target)
+                    frontier.push(tkey, target)
                 elif child_sleeps is not None:
                     # Rediscovery: the state is only safely prunable by
                     # what *every* discovery path has already covered —
@@ -317,10 +322,16 @@ def explore_sequential(
                             if tkey not in queued and tkey not in sunk:
                                 queued.add(tkey)
                                 frontier.push(tkey, configs[tkey])
+            if memo is not None:
+                memo.settle()
             if truncated:
                 # Bail out promptly: the cap bounds work done, not just
                 # states recorded.  Counts are lower bounds from here on.
                 break
+        # The memo is garbage once the loop ends: free it while the
+        # raised threshold holds, so the first collection at the
+        # caller's threshold neither counts nor traverses its entries.
+        memo = None
 
     elapsed = time.perf_counter() - start
     if metrics is not None:

@@ -65,10 +65,10 @@ memo (:class:`repro.semantics.step.StepMemo`), which every reduction
 policy runs whenever states are canonically keyed: a memo hit returns
 successor component states built from an earlier configuration with
 the same ids, whose ``_mem_ident``/``_component_id`` caches are
-already filled.  They also pick the memo's one representative
-``(γ, β)`` pair per ``(γ-id, β-id)``, so successors equal up to
-relabelling share the visited configuration's state objects.  The
-thread ids
+already filled.  The explorer's keys of admitted configurations also
+pick the memo's one representative ``(γ, β)`` pair per
+``(γ-id, β-id)``, so configurations equal in memory up to relabelling
+share state objects.  The thread ids
 (:func:`thread_ids`) key each thread's step plan and its successor
 thread states, so a successor inherits its parent's thread ids with
 one slot replaced and keying it costs little more than its two

@@ -342,8 +342,10 @@ def dpor_successors(
     transitions here are independent (strong or canonical) of the edge
     taken, inherited from the parent sleep plus the already-expanded
     earlier siblings.  ``memo`` is the exploration's visible-step memo
-    (:func:`~repro.semantics.reduce.reduced_successors`); it also
-    serves the threads left outside the persistent set.
+    (:func:`~repro.semantics.reduce.reduced_successors`).  It serves the
+    threads left outside the persistent set too; the explorer never
+    keys their targets, so their stored steps keep the rule's own
+    states (:meth:`~repro.semantics.step.StepMemo.settle`).
     """
     succs = reduced_successors(program, cfg, memo)
     if not succs:
@@ -398,15 +400,11 @@ def dpor_successors(
     return out
 
 
-def _dpor_plain_successors(
-    program: Program, cfg: Config, memo: Optional[StepMemo] = None
-) -> List[Transition]:
+def _dpor_plain_successors(program: Program, cfg: Config) -> List[Transition]:
     """``successors``-signature wrapper: the empty-sleep expansion —
     persistent selection only, used by consumers that don't thread
     sleep sets (witness re-derivation)."""
-    return [
-        tr for tr, _sleep in dpor_successors(program, cfg, frozenset(), memo)
-    ]
+    return [tr for tr, _sleep in dpor_successors(program, cfg, frozenset())]
 
 
 DPOR_STRATEGY = ReductionStrategy(

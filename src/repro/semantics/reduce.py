@@ -116,16 +116,16 @@ class ReductionStrategy:
 
     ``successors`` is the policy's macro-step relation and
     ``normalise_initial`` its initial-configuration normalisation (both
-    with the ``(program, cfg)`` signature; ``successors`` also takes
-    the exploration's visible-step memo as ``memo=``, a
-    :class:`~repro.semantics.step.StepMemo` or None).
+    with the ``(program, cfg)`` signature).
     ``sleep_expand`` — set only for sleep-set policies — replaces
     ``successors`` inside exploration loops that thread sleep sets: it
     maps ``(program, cfg, sleep, memo=)`` to ``[(transition,
     child_sleep)]`` pairs and returns an empty list exactly when ``cfg``
     has no successors at all (sleep sets prune edges, never sink
-    states).  The engine loop passes every policy the same memo
-    whenever states are canonically keyed, and None otherwise.
+    states).  The engine loop passes the exploration's visible-step
+    memo (a :class:`~repro.semantics.step.StepMemo` whenever states are
+    canonically keyed, None otherwise) as ``memo=`` to ``sleep_expand``
+    where the policy has one and to ``successors`` where it has not.
 
     The flags drive composition:
 

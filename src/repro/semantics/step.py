@@ -45,10 +45,11 @@ equal up to per-variable timestamp relabelling, and the rules commute
 with such relabellings ("Verifying C11 Programs Operationally", the
 argument the canonical key rests on), so the first-seen
 configuration's successor states serve every later one with the same
-key — with their interned ids already cached on them.  The memo maps
-each successor pair to one representative pair per ``(γ-id, β-id)``,
-so it holds the visited configurations' own component states and no
-duplicates of them.  Raw-keyed exploration and witness replay run the
+key — with their interned ids already cached on them.  Once the
+explorer has keyed a miss's targets, the memo swaps their states for
+one representative pair per ``(γ-id, β-id)``, so it holds the visited
+configurations' own component states and no duplicates of them.
+Raw-keyed exploration and witness replay run the
 rule without a memo, and :func:`thread_successors` and the proof-rule
 checkers (:mod:`repro.logic.triples`) step a thread through
 :func:`_run_step`, which runs :func:`_thread_step` and the rule with no
@@ -71,12 +72,7 @@ from repro.memory.transitions import (
     write_steps,
 )
 from repro.obs import metrics as _metrics
-from repro.semantics.canon import (
-    _component_id,
-    _interner,
-    component_ids,
-    thread_ids,
-)
+from repro.semantics.canon import _interner, component_ids, thread_ids
 from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
@@ -194,47 +190,80 @@ class _Plan:
 #: The plan of a terminated thread: it has no step.
 _DONE = object()
 
+#: The covering-read prune's counter, replayed on a memo hit.
+_PRUNED = "reduce.covering_pruned"
+
 
 class StepMemo:
     """One exploration's visible-step memo (:func:`successors`).
 
     ``steps`` maps a rule application's key ``(γ-id, β-id, tid,
     orientation, rule, operands)`` to the ``(action, register value,
-    γ', β')`` steps the rule returned.  ``pairs`` maps each
-    ``(γ-id, β-id)`` the memo has met to one representative ``(γ, β)``
-    pair, seeded with ``initial``'s: on a miss every step's successor
-    pair is replaced by the representative of its ids, and its first
-    occurrence becomes that representative.  Every configuration the
-    memo builds then carries representative states, so the states the
-    memo references are the ones the explorer's visited set stores, and
-    a successor equal up to relabelling to a visited one holds no copy.
-    A memoised step then keeps its source's ``(γ, β)`` objects exactly
-    when it keeps their ids, which is when the rules return their input
-    states unchanged, so dpor's memory-progress test
-    (:func:`repro.semantics.dpor._select_persistent`), which compares
-    states by identity, reads as it would without the memo.
+    γ', β')`` steps the rule returned, and ``pruned`` the keys whose
+    rule skipped covering-equivalent read candidates to how many it
+    skipped (replayed into ``reduce.covering_pruned`` on a hit).
+    ``pairs`` maps each ``(γ-id, β-id)`` of an admitted configuration
+    to one representative ``(γ, β)`` pair, seeded with ``initial``'s.
+
+    The memo works out no ids of its own: the explorer keys every
+    target it admits, and hands each admitted configuration to
+    :meth:`adopt`, which swaps its memory for the representative pair
+    of its ids (its own pair becomes the representative when the ids
+    are new).  The visited set then holds one pair per ids.  A miss
+    stores the rule's steps as they are and files them, with the
+    transitions built from them, in ``fresh``; :meth:`settle`, run once
+    the explorer has keyed those transitions' targets, swaps each keyed
+    target's states in the stored steps for the representative of the
+    target's ids.  Under ``off`` and the ε-closure every target is
+    keyed, so the memo references the visited set's own states and
+    holds no duplicate of them; under dpor the targets of threads left
+    outside a persistent set are never keyed, and their steps keep the
+    rule's states.
+
+    A step that leaves a component unchanged returns its input state
+    object, and every configuration the explorer expands holds
+    representative states, so a memoised step keeps its source's
+    ``(γ, β)`` objects exactly when it keeps their ids: dpor's
+    memory-progress test (:func:`repro.semantics.dpor._select_persistent`),
+    which compares states by identity, reads as it would without the
+    memo.
     """
 
-    __slots__ = ("steps", "pairs")
+    __slots__ = ("steps", "pruned", "pairs", "fresh")
 
     def __init__(self, program: Program, initial: Config) -> None:
         self.steps: Dict[Tuple, List[_VisibleStep]] = {}
+        self.pruned: Dict[Tuple, int] = {}
         self.pairs: Dict[
             Tuple[int, int], Tuple[ComponentState, ComponentState]
         ] = {component_ids(program, initial): (initial.gamma, initial.beta)}
+        self.fresh: List[Tuple[List[_VisibleStep], List[Transition]]] = []
 
-    def share(self, tables, steps) -> List[_VisibleStep]:
-        """``steps`` with each ``(γ', β')`` replaced by the
+    def adopt(self, cfg: Config, key: Tuple) -> Config:
+        """``cfg``, admitted under canonical key ``key``, holding the
         representative pair of its component ids."""
+        pair = self.pairs.setdefault((key[2], key[3]), (cfg.gamma, cfg.beta))
+        if pair[0] is cfg.gamma and pair[1] is cfg.beta:
+            return cfg
+        shared = Config(cfg.cmds, cfg.locals, pair[0], pair[1])
+        object.__setattr__(shared, "_thread_ids", cfg.__dict__["_thread_ids"])
+        object.__setattr__(shared, "_canonical_key", key)
+        return shared
+
+    def settle(self) -> None:
+        """Swap the states of the steps stored since the last call for
+        the representatives of their keyed targets' ids."""
         pairs = self.pairs
-        out = []
-        for action, value, g2, b2 in steps:
-            ids = (_component_id(tables, g2, b2), _component_id(tables, b2, g2))
-            pair = pairs.get(ids)
-            if pair is None:
-                pair = pairs[ids] = (g2, b2)
-            out.append((action, value, pair[0], pair[1]))
-        return out
+        for steps, trs in self.fresh:
+            for i, tr in enumerate(trs):
+                key = tr.target.__dict__.get("_canonical_key")
+                if key is None:
+                    continue
+                pair = pairs.get((key[2], key[3]))
+                if pair is not None:
+                    action, value, _g2, _b2 = steps[i]
+                    steps[i] = (action, value, pair[0], pair[1])
+        self.fresh.clear()
 
 
 def successors(
@@ -278,9 +307,10 @@ def successors(
     states are equal, up to per-variable timestamp relabelling, to the
     ones the rule would build; the rules commute with such relabellings,
     so every successor has the same label and the same canonical key as
-    without the memo.  On a miss each successor pair is swapped for the
-    memo's representative pair of its ids (:meth:`StepMemo.share`).
-    The memo is only meaningful where states are identified by
+    without the memo.  A hit also replays the read candidates the
+    covering-read prune skipped into ``reduce.covering_pruned``.  A miss
+    files its steps and transitions for :meth:`StepMemo.settle`.  The
+    memo is only meaningful where states are identified by
     :func:`~repro.semantics.canon.canonical_key`.
     """
     tables = _interner(program)
@@ -300,6 +330,7 @@ def successors(
     active = _metrics._ACTIVE
     out: List[Transition] = []
     append = out.append
+    fresh = None
     for i, tid in enumerate(program.tids):
         plan = plans.get(ids[i])
         if plan is None:
@@ -326,12 +357,22 @@ def successors(
             key = (gid, bid, *plan.memo_tail)
             steps = memo_steps.get(key)
             if steps is None:
-                steps = memo_steps[key] = memo.share(
-                    tables,
-                    rule(program, gamma, beta, tid, plan.in_lib, *plan.operands),
+                if active is not None:
+                    pruned = active.counters.get(_PRUNED, 0)
+                steps = memo_steps[key] = rule(
+                    program, gamma, beta, tid, plan.in_lib, *plan.operands
                 )
                 if active is not None:
+                    pruned = active.counters.get(_PRUNED, 0) - pruned
+                    if pruned:
+                        memo.pruned[key] = pruned
                     active.inc("explore.memo.entries")
+                if steps:
+                    fresh = len(out)
+            elif active is not None:
+                pruned = memo.pruned.get(key)
+                if pruned:
+                    active.inc(_PRUNED, pruned)
             if active is not None:
                 active.inc("explore.memo.lookups")
         comp = plan.comp
@@ -357,6 +398,9 @@ def successors(
                 target = Config(frame.cmds, frame.locals, g2, b2)
             object.__setattr__(target, "_thread_ids", (scope, ids2))
             append(Transition(tid, comp, action, target))
+        if fresh is not None:
+            memo.fresh.append((steps, out[fresh:]))
+            fresh = None
     return out
 
 

@@ -156,7 +156,15 @@ class TestInheritedKeys:
         strategy = get_strategy(reduction)
         init = strategy.normalise_initial(program, initial_config(program))
         memo = StepMemo(program, init)
-        expand = lambda cfg: strategy.successors(program, cfg, memo=memo)
+        if strategy.sleep_expand is None:
+            expand = lambda cfg: strategy.successors(program, cfg, memo=memo)
+        else:
+            expand = lambda cfg: [
+                tr
+                for tr, _sleep in strategy.sleep_expand(
+                    program, cfg, frozenset(), memo=memo
+                )
+            ]
         targets = _bfs_targets(program, init, expand, 20_000)[1:]
         assert targets
         for t in targets:

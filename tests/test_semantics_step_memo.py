@@ -30,7 +30,8 @@ programs:
   left outside a persistent set leave a few unstored ones.
 
 The ``explore.memo.*`` counters are pinned on small ``wide_program``
-spaces.
+spaces, and ``reduce.covering_pruned`` on a space where pruned reads
+are memo hits.
 """
 
 from collections import deque
@@ -42,6 +43,9 @@ from hypothesis import given, settings
 from benchmarks.spaces import wide_program
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
+from repro.lang import ast as A
+from repro.lang.expr import Lit
+from repro.lang.program import Program, Thread
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.memory.naive import explore_naive
 from repro.obs.metrics import Metrics
@@ -141,11 +145,33 @@ def _summary(program, result):
     )
 
 
-def unmemoised(program, reduction):
+def unmemoised(program, reduction, **kwargs):
     """``explore_sequential`` under ``reduction`` with the memo left
     out: the same loop and policy, every rule run afresh."""
     with mock.patch.object(step_mod, "StepMemo", lambda program, init: None):
-        return explore_sequential(program, MAX_STATES, reduction=reduction)
+        return explore_sequential(
+            program, MAX_STATES, reduction=reduction, **kwargs
+        )
+
+
+def shared_writes_program(n):
+    """``n`` threads, each writing 1 to the shared ``s``, then 1 to its
+    own ``x<i>``, then reading ``s`` last: the read meets several
+    writes of one value, so the covering-read prune skips candidates,
+    and configurations differing only in locals share memo entries."""
+    threads = {}
+    for i in range(n):
+        threads[str(i + 1)] = Thread(
+            A.seq(
+                A.Write("s", Lit(1)),
+                A.Write(f"x{i}", Lit(1)),
+                A.Read(f"r{i}", "s"),
+            )
+        )
+    return Program(
+        threads=threads,
+        client_vars={"s": 0, **{f"x{i}": 0 for i in range(n)}},
+    )
 
 
 def explore_keeping_memo(program, reduction, **kwargs):
@@ -278,15 +304,16 @@ class TestBound:
 
     def test_dpor_leaves_few_unstored(self):
         # dpor memoises the threads outside each persistent set, whose
-        # targets it never stores: 51 of 2,972 references (1.7%) over
-        # wide_program(2, reads=1) and the catalog.  Bound them at 5%.
+        # targets it never keys, so their steps keep the rule's states:
+        # 141 of 2,926 references (4.8%) over wide_program(2, reads=1)
+        # and the catalog, 99 of them never keyed.  Bound them at 10%.
         refs = unstored = 0
         for _name, build in self.BOUND_PROGRAMS:
             r, u = unstored_references(build(), "dpor")
             refs += r
             unstored += u
         assert refs
-        assert unstored * 20 <= refs
+        assert unstored * 10 <= refs
 
     def test_duplicates_are_not_held(self):
         # Every memoised successor pair is its ids' representative, and
@@ -332,6 +359,29 @@ class TestCounters:
             counters["explore.memo.lookups"],
             counters["explore.memo.entries"],
         ) == counts
+
+    @pytest.mark.parametrize(
+        "reduction, states, pruned", [("closure", 226, 180), ("dpor", 196, 138)]
+    )
+    def test_covering_pruned_replayed_on_hits(self, reduction, states, pruned):
+        # A memo hit skips the rule, so it replays the read candidates
+        # the covering-read prune skipped when the step was stored: the
+        # count equals an unmemoised run's.
+        memoised, plain = Metrics(), Metrics()
+        result = explore_sequential(
+            shared_writes_program(3), reduction=reduction, metrics=memoised
+        )
+        assert result.state_count == states
+        result = unmemoised(
+            shared_writes_program(3), reduction, metrics=plain
+        )
+        assert result.state_count == states
+        counters = memoised.counters
+        assert counters["explore.memo.lookups"] > counters[
+            "explore.memo.entries"
+        ]
+        assert counters["reduce.covering_pruned"] == pruned
+        assert plain.counters["reduce.covering_pruned"] == pruned
 
     def test_off_the_memo_path_no_counts(self):
         # Only an exploration over raw keys runs without the memo.
