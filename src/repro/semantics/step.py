@@ -357,19 +357,20 @@ def successors(
             key = (gid, bid, *plan.memo_tail)
             steps = memo_steps.get(key)
             if steps is None:
-                if active is not None:
+                if prune and active is not None:
                     pruned = active.counters.get(_PRUNED, 0)
                 steps = memo_steps[key] = rule(
                     program, gamma, beta, tid, plan.in_lib, *plan.operands
                 )
                 if active is not None:
-                    pruned = active.counters.get(_PRUNED, 0) - pruned
-                    if pruned:
-                        memo.pruned[key] = pruned
+                    if prune:
+                        pruned = active.counters.get(_PRUNED, 0) - pruned
+                        if pruned:
+                            memo.pruned[key] = pruned
                     active.inc("explore.memo.entries")
                 if steps:
                     fresh = len(out)
-            elif active is not None:
+            elif prune and active is not None:
                 pruned = memo.pruned.get(key)
                 if pruned:
                     active.inc(_PRUNED, pruned)
