@@ -16,8 +16,8 @@ mechanisation becomes an executable model-checking framework:
 * the sequence lock, ticket lock and spinlock implementations
   (:mod:`repro.impls`) and the paper's figure programs
   (:mod:`repro.figures`);
-* the exploration engine (:mod:`repro.engine`) — pluggable frontier
-  strategies (BFS / DFS / random swarm) and reduction policies.
+* the exploration engine (:mod:`repro.engine`) — one breadth-first
+  loop under pluggable reduction policies.
 
 Quickstart::
 
@@ -38,11 +38,7 @@ Engine quickstart::
     full = engine.explore(prog)         # full graph of the reduced system
 """
 
-from repro.engine import (
-    ExplorationEngine,
-    ExploreResult,
-    ExploreSummary,
-)
+from repro.engine import ExplorationEngine, ExploreResult
 from repro.lang import ast
 from repro.lang.expr import EMPTY, Lit, Reg, lit, reg
 from repro.lang.program import Program, Thread
@@ -86,7 +82,6 @@ __all__ = [
     "EMPTY",
     "ExplorationEngine",
     "ExploreResult",
-    "ExploreSummary",
     "Lit",
     "ProofOutline",
     "Program",

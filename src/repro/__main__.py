@@ -21,8 +21,6 @@ Commands:
 
 Options:
 
-* ``--strategy S``  — frontier strategy ``bfs`` | ``dfs`` |
-  ``swarm[:seed]`` (any other spec is a usage error);
 * ``--reduction R`` — state-space reduction policy (any name in the
   registry :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
   (default: ε-closure + covering-read prune, same verdicts from far
@@ -70,7 +68,6 @@ def _make_engine(options: Optional[dict] = None):
     quiet = options.get("quiet", False)
     trace = options.get("trace")
     return ExplorationEngine(
-        strategy=options.get("strategy", "bfs"),
         reduction=options.get("reduction", "closure"),
         metrics=Metrics(),
         trace=TraceWriter(trace) if trace else None,
@@ -224,11 +221,10 @@ def run_refine(options: Optional[dict] = None) -> bool:
     from repro.toolkit import verify_lock_implementation
 
     options = options or {}
-    # Refinement needs full transition graphs: the engine only carries
-    # the strategy and counts the explorations (two per client — each
-    # program is explored once and shared by the simulation game and
-    # trace inclusion).
-    engine = ExplorationEngine(strategy=options.get("strategy", "bfs"))
+    # Refinement needs full transition graphs: the engine only counts
+    # the explorations (two per client — each program is explored once
+    # and shared by the simulation game and trace inclusion).
+    engine = ExplorationEngine()
     rows = []
     for fill, lib_vars in LOCKS.values():
         report = verify_lock_implementation(fill, lib_vars, engine=engine)
@@ -244,8 +240,8 @@ def run_witness(options: Optional[dict] = None) -> bool:
     test's weak outcome; True iff reachability matches the RC11 RAR
     verdict (weak allowed ⇒ witness exists, forbidden ⇒ none).
 
-    The search rides the configured engine — strategy and reduction
-    both apply — with predecessor tracking instead of stored
+    The search rides the configured engine and its reduction, with
+    predecessor tracking instead of stored
     configurations; under ``--reduction closure`` (the default) the
     reduced search's macro-steps are re-expanded so the printed
     schedule replays step-for-step through the unreduced semantics.
@@ -259,7 +255,7 @@ def run_witness(options: Optional[dict] = None) -> bool:
     if not name:
         raise ValueError(
             "usage: python -m repro witness <litmus-test> "
-            f"[--strategy S --reduction R]; "
+            f"[--reduction R]; "
             f"available tests: {', '.join(sorted(tests))}"
         )
     if name not in tests:
@@ -408,18 +404,14 @@ def run_lint(options: Optional[dict] = None) -> bool:
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
     "litmus": {
-        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
-        "json",
+        "reduction", "trace", "quiet", "verbose", "analysis", "json",
     },
     "figures": {"json"},
-    "refine": {"strategy", "quiet", "verbose", "json"},
-    "witness": {
-        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
-    },
+    "refine": {"quiet", "verbose", "json"},
+    "witness": {"reduction", "trace", "quiet", "verbose", "analysis"},
     "lint": {"quiet", "verbose"},
     "all": {
-        "strategy", "reduction", "trace", "quiet", "verbose", "analysis",
-        "json",
+        "reduction", "trace", "quiet", "verbose", "analysis", "json",
     },
 }
 
@@ -427,7 +419,6 @@ _COMMAND_FLAGS = {
 def _parse_options(args, command: str) -> Optional[dict]:
     """Parse trailing CLI flags; None signals a usage error."""
     options = {
-        "strategy": "bfs",
         "reduction": "closure",
         "trace": None,
         "json": None,
@@ -445,9 +436,7 @@ def _parse_options(args, command: str) -> Optional[dict]:
         elif flag in ("--verbose", "-v"):
             options["verbose"] = True
             given.add("verbose")
-        elif flag in (
-            "--strategy", "--json", "--reduction", "--trace", "--analysis",
-        ):
+        elif flag in ("--json", "--reduction", "--trace", "--analysis"):
             if i + 1 >= len(args):
                 return None
             value = args[i + 1]
@@ -486,8 +475,9 @@ def _parse_options(args, command: str) -> Optional[dict]:
 
 #: Version of the ``--json`` report layout.  5 was the layout of the
 #: batch runner's report; 6 is one report per command, with one row
-#: list per section that ran.
-REPORT_SCHEMA = 6
+#: list per section that ran; 7 drops ``meta.strategy`` (there is one
+#: exploration order).
+REPORT_SCHEMA = 7
 
 
 def _write_report(path: str, ok: bool, options: dict) -> None:
@@ -508,7 +498,6 @@ def _write_report(path: str, ok: bool, options: dict) -> None:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
-            "strategy": options["strategy"],
             "reduction": options["reduction"],
             "analysis": options["analysis"],
         },
@@ -556,7 +545,7 @@ def main(argv) -> int:
             print()
         try:
             ok &= job(options)
-        except ValueError as exc:  # bad strategy, unknown test, etc.
+        except ValueError as exc:  # unknown test, etc.
             print(f"error: {exc}")
             return 2
     if options["json"]:

@@ -1,20 +1,18 @@
-"""repro.engine — pluggable state-space exploration.
+"""repro.engine — state-space exploration.
 
 Exploration as a first-class subsystem, decoupled from the semantics:
 
 * :class:`~repro.engine.core.ExplorationEngine` — one API over the
-  in-process sequential loop with pluggable frontier strategies (BFS /
-  DFS / random swarm, :mod:`repro.engine.strategy`) and reduction
+  in-process breadth-first loop
+  (:func:`~repro.engine.core.explore_sequential`) and the reduction
   policies (:mod:`repro.semantics.reduce`);
 * :class:`~repro.engine.result.ExploreResult` — the full product of one
-  exploration — and :func:`~repro.engine.result.summarise`, which
-  condenses it into the :class:`~repro.engine.result.ExploreSummary` a
-  litmus verdict reads.
+  exploration.
 
-``repro.semantics.explore.explore`` remains the compatibility wrapper
-over the sequential engine.  An engine is configured by its
-constructor arguments only: every verdict comes from an exploration
-of the current code, and no environment variable is read.
+``repro.semantics.explore.explore`` is the same loop under its
+historical name.  An engine is configured by its constructor arguments
+only: every verdict comes from an exploration of the current code, and
+no environment variable is read.
 """
 
 from __future__ import annotations
@@ -24,28 +22,14 @@ from repro.engine.core import (
     ExplorationEngine,
     explore_sequential,
 )
-from repro.engine.result import ExploreResult, ExploreSummary, summarise
-from repro.engine.strategy import (
-    BFSFrontier,
-    DFSFrontier,
-    Frontier,
-    SwarmFrontier,
-    make_frontier,
-)
+from repro.engine.result import ExploreResult
 
 __all__ = [
-    "BFSFrontier",
     "DEFAULT_MAX_STATES",
-    "DFSFrontier",
     "ExplorationEngine",
     "ExploreResult",
-    "ExploreSummary",
-    "Frontier",
     "REDUCTIONS",
-    "SwarmFrontier",
     "explore_sequential",
-    "make_frontier",
-    "summarise",
 ]
 
 

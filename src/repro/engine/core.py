@@ -1,30 +1,34 @@
-"""The exploration engine: strategy-driven enumeration behind one API.
+"""The exploration engine: breadth-first enumeration behind one API.
 
 This is the subsystem the rest of the framework routes through.  The
-sequential loop generalises the original BFS in
-:mod:`repro.semantics.explore` (which is now a thin wrapper) with
+sequential loop is the breadth-first search that
+:mod:`repro.semantics.explore` re-exports as ``explore``, with
 
-* pluggable frontier strategies (:mod:`repro.engine.strategy`);
 * an early-stop protocol — ``on_config`` may return ``True`` to halt
   exploration as soon as a witness is found;
 * prompt truncation — once ``max_states`` is hit the loop bails out
   instead of draining the queue, so the cap also bounds wall-clock time
   (``edge_count``/``terminals`` are lower bounds when ``truncated``).
 
-:class:`ExplorationEngine` bundles a strategy and a reduction policy;
-``engine.explore(program)`` returns the full :class:`ExploreResult`,
-computed in-process by :func:`explore_sequential`.
+The visit order cannot change a verdict: the visited set is keyed by
+canonical key, so the reachable set is the same in any order.
+Breadth-first is kept because it makes recorded witnesses shortest.
+
+:class:`ExplorationEngine` bundles a reduction policy with telemetry
+and static-analysis settings; ``engine.explore(program)`` returns the
+full :class:`ExploreResult`, computed in-process by
+:func:`explore_sequential`.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.result import ExploreResult
-from repro.engine.strategy import make_frontier
 from repro.obs.metrics import Metrics, collecting as _collecting
 
 if TYPE_CHECKING:
@@ -43,19 +47,6 @@ DEFAULT_MAX_STATES = 500_000
 #: CPython's gen-0 collection threshold while :func:`explore_sequential`
 #: runs (the interpreter default is 700); see that function's docstring.
 GC_GEN0_THRESHOLD = 50_000
-
-
-def __getattr__(name: str):
-    # ``REDUCTIONS`` lives in the policy registry
-    # (repro.semantics.reduce), which cannot be imported at module
-    # level — see the NOTE above.  PEP 562 keeps the historical
-    # ``repro.engine.core.REDUCTIONS`` surface without restating the
-    # policy list here.
-    if name == "REDUCTIONS":
-        from repro.semantics.reduce import REDUCTIONS
-
-        return REDUCTIONS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_analysis(policy: str) -> str:
@@ -131,13 +122,23 @@ def explore_sequential(
     canonicalise: bool = True,
     check_invariants: bool = False,
     on_config: Optional[Callable[["Config"], Optional[bool]]] = None,
-    strategy="bfs",
     reduction: str = "off",
     track_parents: bool = False,
     metrics: Optional[Metrics] = None,
     progress=None,
 ) -> ExploreResult:
-    """Enumerate the reachable configurations of ``program`` in-process.
+    """Enumerate the reachable configurations of ``program`` in-process,
+    breadth-first, identifying configurations by canonical key.
+
+    ``max_states`` is a safety cap: exceeding it marks the result
+    ``truncated`` and the loop bails out promptly, so ``edge_count``,
+    ``terminals`` and ``stuck`` are lower bounds on a truncated result.
+    ``collect_edges`` records the labelled transition graph (the
+    refinement and Owicki–Gries checkers read it).
+    ``canonicalise=False`` identifies raw configurations instead (the
+    ablation benchmark: distinct rationals are then distinct states).
+    ``check_invariants`` asserts component-state coherence at every
+    configuration (a diagnostic mode of the test-suite).
 
     ``on_config`` is invoked on every configuration as it is expanded
     (the initial one included); returning a truthy value halts the
@@ -158,9 +159,8 @@ def explore_sequential(
     ``track_parents`` records each state's first-discovery edge
     (parent key + ``(tid, component, action)`` label, no extra
     configurations) in ``result.parents`` so a witness can be
-    reconstructed from the explored graph afterwards; under the default
-    BFS frontier the recorded path is shortest (DFS/swarm record *a*
-    discovery path, not a shortest one).
+    reconstructed from the explored graph afterwards; the recorded path
+    is shortest.
 
     ``metrics`` (a :class:`repro.obs.metrics.Metrics`) collects the
     engine counter schema — states, edges, frontier peak, elapsed, and
@@ -229,7 +229,7 @@ def explore_sequential(
         instrumented = metrics is not None or progress is not None
         frontier_peak = 0
 
-        # Sleep-set bookkeeping (only when the strategy threads sleep
+        # Sleep-set bookkeeping (only when the policy threads sleep
         # sets, e.g. "dpor").  ``sleep_of`` holds the current sleep set
         # per state key; a rediscovery with a smaller intersection
         # re-pushes the state for re-expansion (sets shrink strictly,
@@ -252,10 +252,10 @@ def explore_sequential(
         # expansion stored for those representatives (``settle``).
         memo = StepMemo(program, init) if canonicalise else None
 
-        frontier = make_frontier(strategy)
-        frontier.push(init_key, init)
+        frontier: deque = deque([(init_key, init)])
+        push, pop = frontier.append, frontier.popleft
         while frontier:
-            key, cfg = frontier.pop()
+            key, cfg = pop()
             if instrumented:
                 depth = len(frontier)
                 if depth > frontier_peak:
@@ -308,7 +308,7 @@ def explore_sequential(
                         queued.add(tkey)
                     if track_parents:
                         parents[tkey] = (key, tr.tid, tr.component, tr.action)
-                    frontier.push(tkey, target)
+                    push((tkey, target))
                 elif child_sleeps is not None:
                     # Rediscovery: the state is only safely prunable by
                     # what *every* discovery path has already covered —
@@ -321,7 +321,7 @@ def explore_sequential(
                             sleep_of[tkey] = inter
                             if tkey not in queued and tkey not in sunk:
                                 queued.add(tkey)
-                                frontier.push(tkey, configs[tkey])
+                                push((tkey, configs[tkey]))
             if memo is not None:
                 memo.settle()
             if truncated:
@@ -378,17 +378,14 @@ def _raw_state(state) -> Tuple:
 
 
 class ExplorationEngine:
-    """A configured exploration engine: strategy × reduction.
+    """A configured exploration engine: a reduction policy plus
+    telemetry and static-analysis settings.
 
     Every exploration runs in-process on the sequential loop
     (:func:`explore_sequential`); results are keyed by canonical keys.
 
     Parameters
     ----------
-    strategy:
-        Frontier policy — ``"bfs"`` (default), ``"dfs"``, ``"swarm"`` or
-        ``"swarm:<seed>"`` (:func:`repro.engine.strategy.make_frontier`);
-        any other spec raises :class:`ValueError` here.
     max_states:
         Default safety cap, overridable per call.
     reduction:
@@ -428,7 +425,6 @@ class ExplorationEngine:
 
     def __init__(
         self,
-        strategy="bfs",
         max_states: int = DEFAULT_MAX_STATES,
         reduction: str = "off",
         metrics: Optional[Metrics] = None,
@@ -436,8 +432,6 @@ class ExplorationEngine:
         progress=None,
         analysis: str = "off",
     ) -> None:
-        make_frontier(strategy)  # fail fast on a bad spec
-        self.strategy = strategy
         self.max_states = max_states
         self.reduction = _check_reduction(reduction)
         self.analysis = _check_analysis(analysis)
@@ -448,10 +442,7 @@ class ExplorationEngine:
         self.explorations = 0
 
     def __repr__(self) -> str:
-        return (
-            f"ExplorationEngine(strategy={self.strategy!r}, "
-            f"reduction={self.reduction!r})"
-        )
+        return f"ExplorationEngine(reduction={self.reduction!r})"
 
     # -- full exploration ---------------------------------------------------
     def explore(
@@ -513,7 +504,6 @@ class ExplorationEngine:
             canonicalise=canonicalise,
             check_invariants=check_invariants,
             on_config=on_config,
-            strategy=self.strategy,
             reduction=mode,
             track_parents=track_parents,
             metrics=run_metrics,
@@ -601,9 +591,8 @@ class ExplorationEngine:
         stored configurations — and stops at the first hit; the witness
         is then reconstructed from the recorded graph
         (:func:`repro.semantics.witness.reconstruct_witness`) instead
-        of re-exploring.  Under the default BFS strategy the recorded
-        parents make the witness shortest; DFS/swarm engines return a
-        valid but not necessarily minimal execution.
+        of re-exploring.  The search is breadth-first, so the recorded
+        path is shortest.
 
         ``reduction="closure"`` searches the ε-closed macro-step system
         — typically several times fewer states — and the predicate is

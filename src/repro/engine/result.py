@@ -1,19 +1,15 @@
-"""Exploration results: the full graph and its verdict summary.
+"""Exploration results.
 
 :class:`ExploreResult` is the complete product of one exploration — the
 configuration map, terminal/stuck configurations and (optionally) the
 labelled transition graph.  It is what the refinement and Owicki–Gries
 checkers consume, and what :func:`repro.semantics.explore.explore`
-returns (that module re-exports the class for backwards compatibility).
-
-:class:`ExploreSummary` is the slice of a result that verification
-verdicts actually need — counts, truncation flag and the terminal
-configurations — without the configuration map.
+returns (that module re-exports the class).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # imported for annotations only — keeps this module a
@@ -51,8 +47,6 @@ class ExploreResult:
     #: Telemetry snapshot (``repro.obs.metrics.Metrics.snapshot()``:
     #: counters/timers/gauges) when the exploration ran with a metrics
     #: sink attached; ``None`` — the default — means telemetry was off.
-    #: Deliberately absent from :class:`ExploreSummary`, which
-    #: describes the program, not the run that produced it.
     metrics: Optional[Dict[str, Dict]] = None
 
     @property
@@ -69,41 +63,3 @@ class ExploreResult:
         for cfg in self.terminals:
             out.add(tuple(cfg.local(t, r) for t, r in regs))
         return out
-
-
-@dataclass
-class ExploreSummary:
-    """The verdict-bearing essence of an :class:`ExploreResult`.
-
-    Carries everything a verdict needs (state/edge counts, truncation,
-    terminal configurations, a stuck witness) but not the full
-    configuration map.
-    """
-
-    state_count: int
-    edge_count: int
-    truncated: bool
-    terminals: List["Config"] = field(default_factory=list)
-    stuck_count: int = 0
-    stuck_example: Optional["Config"] = None
-    elapsed: float = 0.0
-
-    def terminal_locals(self, *regs: Tuple[str, str]) -> set:
-        """Distinct terminal register valuations (as on the full result)."""
-        out = set()
-        for cfg in self.terminals:
-            out.add(tuple(cfg.local(t, r) for t, r in regs))
-        return out
-
-
-def summarise(result: ExploreResult) -> ExploreSummary:
-    """Condense a full exploration result into its verdict summary."""
-    return ExploreSummary(
-        state_count=result.state_count,
-        edge_count=result.edge_count,
-        truncated=result.truncated,
-        terminals=list(result.terminals),
-        stuck_count=len(result.stuck),
-        stuck_example=result.stuck[0] if result.stuck else None,
-        elapsed=result.elapsed,
-    )

@@ -53,7 +53,6 @@ from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.engine.core import ExplorationEngine
-from repro.engine.result import summarise
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
 from repro.lang.program import Program, Thread
@@ -117,9 +116,8 @@ def run_litmus(
     """Execute a litmus test exhaustively; return verdicts and outcomes.
 
     Every call is one sequential in-process exploration.  Pass an
-    :class:`~repro.engine.core.ExplorationEngine` to pick
-    strategy/reduction; without one the test runs on a BFS engine with
-    reduction ``off``.
+    :class:`~repro.engine.core.ExplorationEngine` to pick the
+    reduction; without one the test runs with reduction ``off``.
 
     Raises :class:`~repro.util.errors.VerificationError` when the
     exploration is truncated by ``max_states``: outcomes of a partial
@@ -127,13 +125,13 @@ def run_litmus(
     """
     if engine is None:
         engine = ExplorationEngine()
-    summary = summarise(engine.explore(test.build(), max_states=max_states))
-    if summary.truncated:
+    result = engine.explore(test.build(), max_states=max_states)
+    if result.truncated:
         raise VerificationError(
             f"litmus test {test.name!r}: exploration truncated at "
-            f"{summary.state_count} states — no verdict; raise max_states"
+            f"{result.state_count} states — no verdict; raise max_states"
         )
-    outcomes = summary.terminal_locals(*test.regs)
+    outcomes = result.terminal_locals(*test.regs)
     weak_observed = bool(outcomes & test.weak)
     verdict = {
         "name": test.name,
@@ -144,7 +142,7 @@ def run_litmus(
         "weak_allowed": test.weak_allowed,
         "verdict_ok": weak_observed == test.weak_allowed
         and outcomes == set(test.allowed),
-        "states": summary.state_count,
+        "states": result.state_count,
         "reduction": engine.reduction,
     }
     if not verdict["verdict_ok"]:

@@ -1,23 +1,18 @@
-"""Exhaustive state-space exploration (compatibility wrappers).
+"""Exhaustive state-space exploration.
 
 Breadth-first enumeration of the reachable configuration space under the
-combined semantics, memoised by canonical key.  The loop itself now
-lives in the exploration engine (:mod:`repro.engine`): this module keeps
-the historical call surface — :func:`explore`, :func:`reachable`,
-:func:`assert_invariant`, :func:`final_outcomes` and
-:class:`ExploreResult` — as thin wrappers over the engine's sequential
-BFS backend, so existing call sites and tests are untouched while new
-code can pick strategies and reduction policies through
-:class:`repro.engine.ExplorationEngine`.
+combined semantics, memoised by canonical key.  :func:`explore` is the
+engine's loop itself (:func:`repro.engine.core.explore_sequential`,
+documented there); this module adds the queries built on it —
+:func:`reachable`, :func:`assert_invariant` and :func:`final_outcomes`
+— and re-exports :class:`ExploreResult`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-# Re-exported for backwards compatibility: ExploreResult historically
-# lived here, and the ablation benchmarks reach for _raw_key.
-from repro.engine.core import _raw_key, _raw_state, explore_sequential
+from repro.engine.core import explore_sequential
 from repro.engine.result import ExploreResult
 from repro.lang.program import Program
 from repro.semantics.config import Config
@@ -31,64 +26,8 @@ __all__ = [
     "reachable",
 ]
 
-
-def explore(
-    program: Program,
-    max_states: int = 500_000,
-    collect_edges: bool = False,
-    canonicalise: bool = True,
-    check_invariants: bool = False,
-    on_config: Optional[Callable[[Config], Optional[bool]]] = None,
-    reduction: str = "off",
-    track_parents: bool = False,
-) -> ExploreResult:
-    """Enumerate every reachable configuration of ``program``.
-
-    Parameters
-    ----------
-    max_states:
-        Safety cap; exceeding it marks the result ``truncated`` and the
-        loop bails out promptly, so ``edge_count``, ``terminals`` and
-        ``stuck`` are *lower bounds* on a truncated result.
-    collect_edges:
-        Record the labelled transition graph (needed by the refinement
-        and Owicki–Gries checkers).
-    canonicalise:
-        Identify configurations up to timestamp relabelling.  Disabling
-        this exists for the ablation benchmark — raw configurations with
-        distinct rationals are then distinct states.
-    check_invariants:
-        Assert component-state coherence at every configuration
-        (diagnostic mode used by the test-suite).
-    on_config:
-        Callback invoked on every configuration as it is expanded.
-        Returning a truthy value halts exploration immediately (the
-        result is then marked ``stopped``) — used by :func:`reachable`
-        to stop at the first witness.
-    reduction:
-        ``"off"`` (default), ``"closure"`` — the ε-closure +
-        covering-read reduction (:mod:`repro.semantics.reduce`) — or
-        ``"dpor"``, closure plus sleep and persistent sets
-        (:mod:`repro.semantics.dpor`).  Both preserve terminal
-        outcomes, stuck-ness and register-level verdicts but fuse
-        intermediate silent configurations away: they are not stored,
-        counted, or passed to ``on_config``/``check_invariants``.
-    track_parents:
-        Record each state's first-discovery edge (parent key +
-        ``(tid, component, action)`` label) in ``result.parents``, from
-        which :func:`repro.semantics.witness.reconstruct_witness`
-        rebuilds a shortest counterexample without re-exploring.
-    """
-    return explore_sequential(
-        program,
-        max_states=max_states,
-        collect_edges=collect_edges,
-        canonicalise=canonicalise,
-        check_invariants=check_invariants,
-        on_config=on_config,
-        reduction=reduction,
-        track_parents=track_parents,
-    )
+#: Enumerate every reachable configuration of a program.
+explore = explore_sequential
 
 
 def reachable(

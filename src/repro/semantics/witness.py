@@ -109,9 +109,9 @@ def find_path(
 
     This is the config-storing reference implementation; prefer
     :meth:`repro.engine.ExplorationEngine.find_witness` for anything
-    large — it rides the engine (frontier strategy, ε-closure
-    reduction) and tracks predecessors by key + edge label instead of storing a
-    configuration per state.
+    large — it rides the engine (ε-closure reduction) and tracks
+    predecessors by key + edge label instead of storing a configuration
+    per state.
     """
     init = initial_config(program)
     if predicate(init):

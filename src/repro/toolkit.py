@@ -127,8 +127,8 @@ def verify_lock_implementation(
         :func:`default_lock_battery`.
     engine:
         Optional :class:`repro.engine.ExplorationEngine` through which
-        every state-space exploration of the battery is routed (pick a
-        frontier strategy, or count explorations); None keeps the
+        every state-space exploration of the battery is routed (to
+        count explorations, or attach telemetry); None keeps the
         default engine.
     """
     if object_factory is None:

@@ -51,9 +51,6 @@ class TestMain:
         assert main(["repro", command, "--profile", str(profile)]) == 2
         assert not profile.exists()
 
-    def test_malformed_strategy_is_usage_error(self, capsys):
-        assert main(["repro", "litmus", "--strategy", "bfs:7"]) == 2
-        assert "unknown exploration strategy" in capsys.readouterr().out
 
 
 class TestFigureChecks:
@@ -125,7 +122,7 @@ class TestJsonReport:
         data = self._report(tmp_path, "all")
         out = capsys.readouterr().out
         assert "ALL CHECKS PASS" in out
-        assert data["ok"] is True and data["schema"] == 6
+        assert data["ok"] is True and data["schema"] == 7
         assert len(data["litmus"]) == 30
         assert len(data["figures"]) == 6
         assert len(data["refine"]) == 3
@@ -141,6 +138,9 @@ class TestJsonReport:
         data = self._report(tmp_path, "litmus")
         assert set(data) == {"schema", "ok", "meta", "metrics", "litmus"}
         meta = data["meta"]
+        assert set(meta) == {
+            "python", "platform", "cpu_count", "reduction", "analysis",
+        }
         assert meta["python"] and meta["platform"]
         assert meta["cpu_count"] >= 1
         assert meta["reduction"] == "closure"
@@ -199,17 +199,6 @@ class TestJsonReport:
             ["repro", "witness", "MP-relaxed", "--json", str(path)]
         ) == 2
         assert not path.exists()
-
-    def test_strategy_is_recorded_and_leaves_rows_unchanged(
-        self, capsys, tmp_path
-    ):
-        bfs = self._report(tmp_path, "litmus", "-q")
-        dfs = self._report(tmp_path, "litmus", "-q", "--strategy", "dfs")
-        assert bfs["meta"]["strategy"] == "bfs"
-        assert dfs["meta"]["strategy"] == "dfs"
-        # Exhaustive exploration: the order of the frontier changes no
-        # state count and no verdict.
-        assert dfs["litmus"] == bfs["litmus"]
 
     def test_analysis_warn_counts_findings_into_the_metrics(
         self, capsys, tmp_path
@@ -298,12 +287,18 @@ class TestJsonRowsMatchTheLibrary:
 
 
 class TestRemovedFlags:
-    """The batch runner's flags are gone with it: each is now unknown."""
+    """The batch runner's flags are gone with it, and ``--strategy``
+    with the single exploration order: each is now unknown."""
 
     @pytest.mark.parametrize(
         "name, value",
-        [("workers", ["2"]), ("jobs", ["litmus"]), ("no-cache", [])],
-        ids=["workers", "jobs", "no-cache"],
+        [
+            ("workers", ["2"]),
+            ("jobs", ["litmus"]),
+            ("no-cache", []),
+            ("strategy", ["dfs"]),
+        ],
+        ids=["workers", "jobs", "no-cache", "strategy"],
     )
     @pytest.mark.parametrize("command", ["litmus", "refine", "all"])
     def test_is_usage_error(self, capsys, command, name, value):

@@ -1,5 +1,5 @@
-"""Engine wiring of the reduction policy: strategies, the summary path
-and the CLI's litmus rows."""
+"""Engine wiring of the reduction policy: engine configuration, the
+summary path and the CLI's litmus rows."""
 
 import pytest
 
@@ -11,29 +11,6 @@ _BY_NAME = {t.name: t for t in LITMUS_TESTS}
 
 def _program():
     return _BY_NAME["MP-await-RA"].build()
-
-
-class TestStrategies:
-    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "swarm:7"])
-    def test_every_strategy_honours_reduction(self, strategy):
-        """Visit order never changes the reduced state space."""
-        program = _program()
-        reference = explore_sequential(program, reduction="closure")
-        result = explore_sequential(
-            program, strategy=strategy, reduction="closure"
-        )
-        assert result.state_count == reference.state_count
-        assert result.edge_count == reference.edge_count
-        assert result.terminal_locals(("2", "r2")) == {(5,)}
-
-    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "swarm:7"])
-    def test_reduction_shrinks_under_every_strategy(self, strategy):
-        program = _program()
-        off = explore_sequential(program, strategy=strategy)
-        red = explore_sequential(
-            program, strategy=strategy, reduction="closure"
-        )
-        assert red.state_count < off.state_count
 
 
 class TestEngineConfiguration:

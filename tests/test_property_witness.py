@@ -9,7 +9,7 @@ catalog, with the reduction off and on:
 * **replayability** — every step of a reconstructed witness is an
   element of the raw (unreduced) ``successors`` relation at its point,
   and the replay ends in a terminal configuration exhibiting the weak
-  valuation searched for — on the BFS, DFS and swarm frontiers alike;
+  valuation searched for;
 * **minimality** — with the reduction off, the BFS witness length
   equals the naive config-storing :func:`find_path` reference; under
   closure the *visible*-step count never exceeds the reference's
@@ -31,20 +31,6 @@ from repro.util.errors import VerificationError
 WEAK_ALLOWED = [t for t in LITMUS_TESTS if t.weak_allowed]
 #: Tests whose weak outcome is forbidden — exhaustively unreachable.
 WEAK_FORBIDDEN = [t for t in LITMUS_TESTS if not t.weak_allowed]
-#: Subset searched on the non-BFS frontiers.
-STRATEGY_SUBSET = [
-    t
-    for t in LITMUS_TESTS
-    if t.name
-    in {
-        "MP-relaxed",
-        "SB-relaxed",
-        "IRIW-RA",
-        "MP-await-relaxed",
-        "MP-ring-2-relaxed",
-        "SB-computed",
-    }
-]
 
 
 def _weak_predicate(test):
@@ -115,37 +101,6 @@ class TestSequentialWitnessParity:
         assert w is None
 
 
-class TestStrategyWitnessParity:
-    """DFS and swarm engines record *a* discovery path per state, not a
-    shortest one: their witnesses must still be real executions that
-    exhibit the weak valuation, under every reduction policy."""
-
-    @pytest.mark.parametrize(
-        "test", STRATEGY_SUBSET, ids=lambda t: t.name
-    )
-    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
-    @pytest.mark.parametrize("strategy", ["dfs", "swarm:7"])
-    def test_witness_replays(self, strategy, reduction, test):
-        reference = _naive_reference(test)
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
-        w = engine.find_witness(
-            test.build(), _weak_predicate(test), terminal_only=True
-        )
-        assert w is not None
-        _check_witness(test, w, reference, check_minimal=False)
-
-    @pytest.mark.parametrize("strategy", ["dfs", "swarm:7"])
-    def test_forbidden_is_none(self, strategy):
-        test = next(t for t in WEAK_FORBIDDEN if t.name == "LB")
-        engine = ExplorationEngine(strategy=strategy, reduction="closure")
-        assert (
-            engine.find_witness(
-                test.build(), _weak_predicate(test), terminal_only=True
-            )
-            is None
-        )
-
-
 class TestEngineWitnessContract:
     def test_truncated_search_raises(self):
         from tests.conftest import mp_relaxed
@@ -160,19 +115,14 @@ class TestEngineWitnessContract:
         from tests.conftest import mp_relaxed
 
         assert ExplorationEngine().explore(mp_relaxed()).parents is None
-
-    def test_dfs_witness_is_valid_but_not_necessarily_shortest(self):
-        test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")
-        w = ExplorationEngine(strategy="dfs").find_witness(
-            test.build(), _weak_predicate(test), terminal_only=True
-        )
-        assert w is not None
-        final = replay_witness(test.build(), w)
-        assert tuple(final.local(t, r) for t, r in test.regs) in test.weak
+        # Tracked, a complete run records a discovery edge per state.
+        tracked = ExplorationEngine().explore(mp_relaxed(), track_parents=True)
+        assert set(tracked.parents) == set(tracked.configs)
 
 
 class TestAssertInvariantWitness:
-    def test_violation_carries_replayable_witness(self):
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    def test_violation_carries_replayable_witness(self, reduction):
         from repro.semantics.explore import assert_invariant
         from tests.conftest import mp_relaxed
 
@@ -182,7 +132,9 @@ class TestAssertInvariantWitness:
             and c.local("2", "r2") == 0
         )
         with pytest.raises(VerificationError) as exc:
-            assert_invariant(mp_relaxed(), bad, witness=True)
+            assert_invariant(
+                mp_relaxed(), bad, witness=True, reduction=reduction
+            )
         err = exc.value
         assert err.witness is not None
         assert replay_witness(mp_relaxed(), err.witness) == err.counterexample
