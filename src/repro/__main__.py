@@ -241,10 +241,10 @@ def run_witness(options: Optional[dict] = None) -> bool:
     verdict (weak allowed ⇒ witness exists, forbidden ⇒ none).
 
     The search rides the configured engine and its reduction, with
-    predecessor tracking instead of stored
-    configurations; under ``--reduction closure`` (the default) the
-    reduced search's macro-steps are re-expanded so the printed
-    schedule replays step-for-step through the unreduced semantics.
+    predecessor tracking instead of stored configurations; under
+    ``--reduction closure`` (the default) the reduced search's
+    macro-steps are re-expanded so the printed schedule replays
+    step-for-step through the unreduced semantics.
     """
     from repro.litmus.catalog import LITMUS_TESTS
     from repro.util.errors import VerificationError
@@ -255,7 +255,7 @@ def run_witness(options: Optional[dict] = None) -> bool:
     if not name:
         raise ValueError(
             "usage: python -m repro witness <litmus-test> "
-            f"[--reduction R]; "
+            "[--reduction R]; "
             f"available tests: {', '.join(sorted(tests))}"
         )
     if name not in tests:

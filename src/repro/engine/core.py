@@ -12,7 +12,8 @@ sequential loop is the breadth-first search that
 
 The visit order cannot change a verdict: the visited set is keyed by
 canonical key, so the reachable set is the same in any order.
-Breadth-first is kept because it makes recorded witnesses shortest.
+Breadth-first is kept because it makes recorded witnesses shortest
+(see ``track_parents`` below).
 
 :class:`ExplorationEngine` bundles a reduction policy with telemetry
 and static-analysis settings; ``engine.explore(program)`` returns the
@@ -159,8 +160,10 @@ def explore_sequential(
     ``track_parents`` records each state's first-discovery edge
     (parent key + ``(tid, component, action)`` label, no extra
     configurations) in ``result.parents`` so a witness can be
-    reconstructed from the explored graph afterwards; the recorded path
-    is shortest.
+    reconstructed from the explored graph afterwards.  Breadth-first
+    discovery makes the recorded path shortest under ``off`` and
+    shortest in visible steps under ``closure``; under ``dpor`` it is a
+    valid path that the persistent sets may lengthen.
 
     ``metrics`` (a :class:`repro.obs.metrics.Metrics`) collects the
     engine counter schema — states, edges, frontier peak, elapsed, and
@@ -591,8 +594,9 @@ class ExplorationEngine:
         stored configurations — and stops at the first hit; the witness
         is then reconstructed from the recorded graph
         (:func:`repro.semantics.witness.reconstruct_witness`) instead
-        of re-exploring.  The search is breadth-first, so the recorded
-        path is shortest.
+        of re-exploring.  The search is breadth-first, so the witness is
+        shortest as :func:`explore_sequential` describes under
+        ``track_parents``.
 
         ``reduction="closure"`` searches the ε-closed macro-step system
         — typically several times fewer states — and the predicate is

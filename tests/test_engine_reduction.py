@@ -1,9 +1,7 @@
 """Engine wiring of the reduction policy: engine configuration, the
 summary path and the CLI's litmus rows."""
 
-import pytest
-
-from repro.engine import REDUCTIONS, ExplorationEngine, explore_sequential
+from repro.engine import REDUCTIONS, ExplorationEngine
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
