@@ -52,7 +52,6 @@ class TestMain:
         assert not profile.exists()
 
 
-
 class TestFigureChecks:
     """The ``figures`` table and the ``--json`` report read one set of
     rows."""
@@ -200,6 +199,14 @@ class TestJsonReport:
         ) == 2
         assert not path.exists()
 
+    def test_rows_are_the_same_on_every_run(self, capsys, tmp_path):
+        # One exploration order: under dpor, where the sleep sets make
+        # state counts order-dependent, two runs still agree row for row.
+        first = self._report(tmp_path, "litmus", "-q", "--reduction", "dpor")
+        second = self._report(tmp_path, "litmus", "-q", "--reduction", "dpor")
+        assert first["litmus"] == second["litmus"]
+        assert first["meta"] == second["meta"]
+
     def test_analysis_warn_counts_findings_into_the_metrics(
         self, capsys, tmp_path
     ):
@@ -337,6 +344,19 @@ class TestWitnessCommand:
         )
         out = capsys.readouterr().out
         assert "ε" in out and "verdict OK" in out
+
+    def test_schedule_is_the_same_on_every_run(self, capsys):
+        def schedule():
+            assert main(["repro", "witness", "MP-relaxed"]) == 0
+            out = capsys.readouterr().out
+            return [
+                line for line in out.splitlines()
+                if not line.startswith("telemetry:")
+            ]
+
+        first = schedule()
+        assert any(line.startswith("schedule:") for line in first)
+        assert schedule() == first
 
     def test_unknown_test_is_usage_error(self, capsys):
         assert main(["repro", "witness", "bogus"]) == 2

@@ -1,16 +1,117 @@
-"""Tests for the exploration engine: the engine API and the loop's GC
-policy."""
+"""Tests for the exploration engine: the observing options, the
+breadth-first order, the engine API and the loop's GC policy.
+
+``collect_edges``, ``track_parents`` and ``check_invariants`` record or
+check what the loop visits and steer nothing, so with any of them on
+the loop must store *exactly* the same state space in the same order —
+same ``state_count``, ``edge_count``, terminal outcomes and litmus
+verdicts — as the plain run.  These parity tests run the full litmus
+catalog with each option.
+"""
 
 import ast
 import gc
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from repro.engine import ExplorationEngine
+from repro.engine import REDUCTIONS, ExplorationEngine
 from repro.engine.core import GC_GEN0_THRESHOLD, explore_sequential
-from repro.litmus.catalog import LITMUS_TESTS
+from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.explore import explore
+
+OPTIONS = ["collect_edges", "track_parents", "check_invariants"]
+
+_BY_NAME = {t.name: t for t in LITMUS_TESTS}
+
+
+def _signature(result, test):
+    return (
+        result.state_count,
+        result.edge_count,
+        len(result.terminals),
+        len(result.stuck),
+        result.terminal_locals(*test.regs),
+    )
+
+
+class TestOptionParity:
+    @pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("option", OPTIONS)
+    def test_full_catalog(self, test, option):
+        # One program object: canonical keys are scoped to it.
+        program = test.build()
+        reference = explore(program)
+        other = ExplorationEngine().explore(program, **{option: True})
+        assert _signature(other, test) == _signature(reference, test)
+        assert list(other.configs) == list(reference.configs)
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_litmus_verdicts(self, reduction):
+        engine = ExplorationEngine(reduction=reduction)
+        for test in LITMUS_TESTS:
+            verdict = run_litmus(test, engine=engine)
+            assert verdict["verdict_ok"], (reduction, test.name)
+
+    def test_order_is_deterministic_across_builds(self):
+        # Two program objects share no canonical keys; the discovery
+        # order of the outcomes must still agree.
+        test = _BY_NAME["MP-ring-2-RA"]
+        a = explore(test.build())
+        b = explore(test.build())
+        assert a.state_count == b.state_count
+        assert [test.outcome_of(c) for c in a.terminals] == [
+            test.outcome_of(c) for c in b.terminals
+        ]
+
+
+def _depths(result):
+    """Discovery depth of every state, read off the recorded parents."""
+    depth = {result.initial_key: 0}
+
+    def of(key):
+        if key not in depth:
+            depth[key] = of(result.parents[key][0]) + 1
+        return depth[key]
+
+    return {key: of(key) for key in result.configs}
+
+
+class TestBreadthFirstOrder:
+    """The loop visits states in breadth-first order, which is what
+    makes the recorded parent paths shortest.  Under ``dpor``
+    re-expansions re-enter the queue late, so only ``off`` and
+    ``closure`` are held to it."""
+
+    @pytest.mark.parametrize("reduction", ["off", "closure"])
+    def test_discovery_depth_never_decreases(self, reduction):
+        for name in ("MP-ring-2-RA", "IRIW-RA", "SB-relaxed"):
+            result = explore_sequential(
+                _BY_NAME[name].build(), reduction=reduction,
+                track_parents=True,
+            )
+            depth = _depths(result)
+            order = [depth[key] for key in result.configs]
+            assert order == sorted(order), name
+
+    @pytest.mark.parametrize("reduction", ["off", "closure"])
+    def test_recorded_depth_is_graph_distance(self, reduction):
+        for name in ("MP-ring-2-RA", "IRIW-RA", "SB-relaxed"):
+            result = explore_sequential(
+                _BY_NAME[name].build(), reduction=reduction,
+                collect_edges=True, track_parents=True,
+            )
+            # Independent distances over the collected graph.
+            dist = {result.initial_key: 0}
+            queue = deque([result.initial_key])
+            while queue:
+                key = queue.popleft()
+                for _tid, _comp, _act, tkey in result.edges[key]:
+                    if tkey not in dist:
+                        dist[tkey] = dist[key] + 1
+                        queue.append(tkey)
+            assert dist == _depths(result), name
 
 
 class TestEngineAPI:

@@ -1,27 +1,27 @@
-"""Parity suite for the engine's frontier strategies under every
-reduction policy.
+"""Parity suite for the exploration loop's observing options under
+every reduction policy.
 
-The visited-set exploration is order-insensitive, so a DFS or swarm
-engine must agree with the reference breadth-first loop on every
-representation-independent observable of a non-truncated run.  Under
-``reduction="off"`` and ``"closure"`` that is the whole graph — state
-and edge counts, terminal valuations, stuck-existence, litmus
-verdicts.  Under ``"dpor"`` the sleep sets ride the frontier, so
-intermediate state/edge counts depend on visit order; what the policy
-preserves — terminal and stuck outcomes — is held to the same bar.
+``collect_edges``, ``track_parents`` and ``check_invariants`` only
+record or check what the breadth-first loop already visits: with any
+of them on, the loop must visit the very same configurations in the
+very same order as the plain loop, under every policy.  So each option
+is held to exact agreement with the plain run — state and edge
+counts, the discovery order of the stored configurations, terminal
+valuations, stuck-existence and litmus verdicts — and the option's own
+record must cover exactly the explored states.
 
 The reduction-``off`` catalog sweep lives in
-``test_engine_core.py::TestStrategyParity``; this file covers the
+``test_engine_core.py::TestOptionParity``; this file covers the
 reduced policies on the catalog, the abstract-object/lock clients
 under every policy, ``reachable``/``assert_invariant``-shaped
-verdicts, the summary path of :func:`repro.engine.summarise` (what
-``run_litmus`` reads), and the search options (caps, early stop, edges, invariants, parents) on
-every strategy.
+verdicts, the ``run_litmus`` rows, and the search behaviours (cap,
+early stop, a raising ``on_config``, edges, invariants, parents) with
+each option on.
 """
 
 import pytest
 
-from repro.engine import ExplorationEngine, summarise
+from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.canon import canonical_key
@@ -36,7 +36,8 @@ from tests.conftest import (
     ticketlock_client,
 )
 
-STRATEGIES = ("dfs", "swarm:7", "swarm:1234")
+#: The loop's observing options: each records or checks, none steers.
+OPTIONS = ("collect_edges", "track_parents", "check_invariants")
 #: The policies that change the explored system (``off`` is swept by
 #: ``test_engine_core.py``).
 REDUCED = tuple(r for r in REDUCTIONS if r != "off")
@@ -61,97 +62,113 @@ def _terminal_valuations(result):
     }
 
 
-def _assert_parity(ref, other, reduction):
-    """``other`` agrees with the BFS reference ``ref`` on everything
-    ``reduction`` preserves across visit orders."""
+def _explore_with(program, option, reduction="off", **kw):
+    """One engine exploration of ``program`` with ``option`` on."""
+    engine = ExplorationEngine(reduction=reduction)
+    return engine.explore(program, **{**kw, option: True})
+
+
+def _assert_records(result, option, reduction):
+    """The option's own record covers exactly the explored states."""
+    if option == "collect_edges":
+        assert set(result.edges) == set(result.configs)
+        recorded = sum(len(out) for out in result.edges.values())
+        if reduction == "dpor":
+            # A re-expanded state keeps its last expansion's edges,
+            # while ``edge_count`` counts every expansion.
+            assert recorded <= result.edge_count
+        else:
+            assert recorded == result.edge_count
+    elif option == "track_parents":
+        assert set(result.parents) == set(result.configs)
+    else:
+        assert result.edges is None and result.parents is None
+
+
+def _assert_parity(ref, other):
+    """``other`` visited exactly what the plain run ``ref`` visited."""
     assert not other.truncated and not other.stopped
-    if reduction != "dpor":
-        assert other.state_count == ref.state_count
-        assert other.edge_count == ref.edge_count
+    assert other.state_count == ref.state_count
+    assert other.edge_count == ref.edge_count
+    assert list(other.configs) == list(ref.configs)
     assert len(other.terminals) == len(ref.terminals)
     assert len(other.stuck) == len(ref.stuck)
     assert _terminal_valuations(other) == _terminal_valuations(ref)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("option", OPTIONS)
 @pytest.mark.parametrize("reduction", REDUCED)
 class TestCatalogParity:
     @pytest.mark.parametrize("test", LITMUS_TESTS, ids=lambda t: t.name)
-    def test_full_litmus_catalog(self, strategy, reduction, test):
+    def test_full_litmus_catalog(self, option, reduction, test):
         # One program object: canonical keys are scoped to it.
         program = test.build()
         ref = explore_sequential(program, reduction=reduction)
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
-        other = engine.explore(program)
-        _assert_parity(ref, other, reduction)
+        other = _explore_with(program, option, reduction)
+        _assert_parity(ref, other)
+        _assert_records(other, option, reduction)
         outcomes = ref.terminal_locals(*test.regs)
         assert other.terminal_locals(*test.regs) == outcomes
         # The reduction is invisible at the register level.
         assert explore(program).terminal_locals(*test.regs) == outcomes
-        # The summary path (what run_litmus reads) carries the same
-        # verdict-level data.
-        summary = summarise(other)
-        assert not summary.truncated
-        assert summary.state_count == other.state_count
-        assert summary.stuck_count == len(other.stuck)
-        assert summary.terminal_locals(*test.regs) == outcomes
 
-    def test_litmus_verdicts_match(self, strategy, reduction):
-        bfs_engine = ExplorationEngine(reduction=reduction)
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
+    def test_litmus_rows_match(self, option, reduction):
+        # run_litmus reads state_count and terminal_locals off the
+        # plain engine run; the optioned run gives the same row data.
+        engine = ExplorationEngine(reduction=reduction)
         for test in LITMUS_TESTS:
-            ref = run_litmus(test, engine=bfs_engine)
-            other = run_litmus(test, engine=engine)
-            assert other["verdict_ok"] and ref["verdict_ok"], test.name
-            assert other["outcomes"] == ref["outcomes"], test.name
-            if reduction != "dpor":
-                assert other["states"] == ref["states"], test.name
+            row = run_litmus(test, engine=engine)
+            other = _explore_with(test.build(), option, reduction)
+            assert row["verdict_ok"], test.name
+            assert other.terminal_locals(*test.regs) == row["outcomes"], (
+                test.name
+            )
+            assert other.state_count == row["states"], test.name
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("option", OPTIONS)
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 @pytest.mark.parametrize(
     "name,build", OBJECT_CLIENTS, ids=[n for n, _ in OBJECT_CLIENTS]
 )
 class TestObjectClientParity:
-    def test_client(self, strategy, reduction, name, build):
+    def test_client(self, option, reduction, name, build):
         program = build()
         ref = explore_sequential(program, reduction=reduction)
-        other = ExplorationEngine(
-            strategy=strategy, reduction=reduction
-        ).explore(program)
-        _assert_parity(ref, other, reduction)
+        other = _explore_with(program, option, reduction)
+        _assert_parity(ref, other)
+        _assert_records(other, option, reduction)
         if reduction != "off":
             off = explore_sequential(program)
             assert _terminal_valuations(other) == _terminal_valuations(off)
             assert bool(other.stuck) == bool(off.stuck)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("option", OPTIONS)
 @pytest.mark.parametrize("reduction", REDUCTIONS)
 class TestVerdictParity:
     """``reachable``/``assert_invariant``-shaped verdicts — a pure
-    predicate passed as ``on_config`` — agree with the BFS wrappers
-    under every strategy and policy."""
+    predicate passed as ``on_config`` — agree with the plain wrappers
+    with every option on, under every policy."""
 
-    def test_weak_outcome_reachability(self, strategy, reduction):
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
+    def test_weak_outcome_reachability(self, option, reduction):
         for name in ("MP-relaxed", "MP-RA", "MP-await-RA", "SB-relaxed"):
             test = _BY_NAME[name]
 
             def weak(cfg, test=test):
                 return cfg.is_terminal() and test.outcome_of(cfg) in test.weak
 
-            bfs_hit = reachable(
+            plain_hit = reachable(
                 test.build(), weak, reduction=reduction
             ) is not None
-            other = engine.explore(test.build(), on_config=weak)
-            assert other.stopped == bfs_hit == test.weak_allowed, name
-            if not bfs_hit:  # exhaustive no-hit run must stay complete
+            other = _explore_with(
+                test.build(), option, reduction, on_config=weak
+            )
+            assert other.stopped == plain_hit == test.weak_allowed, name
+            if not plain_hit:  # exhaustive no-hit run must stay complete
                 assert not other.truncated
 
-    def test_invariant_verdicts(self, strategy, reduction):
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
+    def test_invariant_verdicts(self, option, reduction):
         program = _BY_NAME["MP-ring-2-RA"].build()
 
         def violates_published(cfg):  # never true: the invariant holds
@@ -161,25 +178,28 @@ class TestVerdictParity:
                 cfg.local("1", "r0") == 5 and cfg.local("2", "r1") == 5
             )
 
-        held = engine.explore(program, on_config=violates_published)
+        held = _explore_with(
+            program, option, reduction, on_config=violates_published
+        )
         assert not held.stopped and not held.truncated
 
         def violates_impossible(cfg):  # any non-terminal state violates
             return not cfg.is_terminal()
 
-        broken = engine.explore(program, on_config=violates_impossible)
+        broken = _explore_with(
+            program, option, reduction, on_config=violates_impossible
+        )
         assert broken.stopped
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("option", OPTIONS)
 class TestSearchBehaviour:
-    def test_truncation_respects_cap(self, strategy):
-        engine = ExplorationEngine(strategy=strategy)
-        result = engine.explore(LITMUS_TESTS[0].build(), max_states=3)
+    def test_truncation_respects_cap(self, option):
+        result = _explore_with(LITMUS_TESTS[0].build(), option, max_states=3)
         assert result.truncated
         assert result.state_count <= 3
 
-    def test_early_stop(self, strategy):
+    def test_early_stop(self, option):
         program = _BY_NAME["MP-ring-2-RA"].build()
         full = explore(program)
         initial_ops = len(full.initial.gamma.ops)
@@ -187,29 +207,23 @@ class TestSearchBehaviour:
         def moved(cfg):  # false on the initial configuration only
             return len(cfg.gamma.ops) > initial_ops
 
-        result = ExplorationEngine(strategy=strategy).explore(
-            program, on_config=moved
-        )
+        result = _explore_with(program, option, on_config=moved)
         assert result.stopped
         assert result.state_count < full.state_count
 
-    def test_on_config_failure_surfaces(self, strategy):
+    def test_on_config_failure_surfaces(self, option):
         def boom(cfg):
             raise KeyError("probe exploded")
 
         with pytest.raises(KeyError, match="probe exploded"):
-            ExplorationEngine(strategy=strategy).explore(
-                LITMUS_TESTS[0].build(), on_config=boom
-            )
+            _explore_with(LITMUS_TESTS[0].build(), option, on_config=boom)
 
-    def test_collect_edges_parity(self, strategy):
+    def test_collect_edges_parity(self, option):
         # One program object: both runs share its canonical keys, so
         # the labelled graphs compare node for node.
         program = LITMUS_TESTS[0].build()
         ref = explore(program, collect_edges=True)
-        other = ExplorationEngine(strategy=strategy).explore(
-            program, collect_edges=True
-        )
+        other = _explore_with(program, option, collect_edges=True)
         assert set(other.edges) == set(other.configs)
         for out in other.edges.values():
             for _tid, _comp, _act, tkey in out:
@@ -226,24 +240,22 @@ class TestSearchBehaviour:
 
         assert shape(other) == shape(ref)
 
-    def test_invariant_checking(self, strategy):
+    def test_invariant_checking(self, option):
         # Diagnostic mode re-derives every state's caches and compares.
         program = LITMUS_TESTS[0].build()
         ref = explore_sequential(program)
-        result = ExplorationEngine(strategy=strategy).explore(
-            program, check_invariants=True
-        )
-        _assert_parity(ref, result, "off")
+        result = _explore_with(program, option, check_invariants=True)
+        _assert_parity(ref, result)
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
-    def test_witness_replay_from_parents(self, strategy, reduction):
-        """Parents recorded on any visit order reconstruct into
-        witnesses that replay through the raw semantics — valid
-        discovery paths, even though not necessarily shortest."""
+    def test_witness_replay_from_parents(self, option, reduction):
+        """Parents recorded alongside each option reconstruct into
+        witnesses that replay through the raw semantics."""
         test = _BY_NAME["MP-relaxed"]
         program = test.build()
-        engine = ExplorationEngine(strategy=strategy, reduction=reduction)
-        result = engine.explore(program, track_parents=True)
+        result = _explore_with(
+            program, option, reduction, track_parents=True
+        )
         assert set(result.parents) == set(result.configs)
 
         def key_of(cfg):

@@ -1,7 +1,9 @@
-"""Engine wiring of the reduction policy: engine configuration, the
-summary path and the CLI's litmus rows."""
+"""Engine wiring of the reduction policy: the loop's options, engine
+configuration, the summary path and the CLI's litmus rows."""
 
-from repro.engine import REDUCTIONS, ExplorationEngine
+import pytest
+
+from repro.engine import REDUCTIONS, ExplorationEngine, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
@@ -9,6 +11,33 @@ _BY_NAME = {t.name: t for t in LITMUS_TESTS}
 
 def _program():
     return _BY_NAME["MP-await-RA"].build()
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "option", ["collect_edges", "track_parents", "check_invariants"]
+    )
+    def test_every_option_honours_reduction(self, option):
+        """Recording or checking never changes the reduced state space."""
+        program = _program()
+        reference = explore_sequential(program, reduction="closure")
+        result = explore_sequential(
+            program, reduction="closure", **{option: True}
+        )
+        assert result.state_count == reference.state_count
+        assert result.edge_count == reference.edge_count
+        assert result.terminal_locals(("2", "r2")) == {(5,)}
+
+    @pytest.mark.parametrize(
+        "option", ["collect_edges", "track_parents", "check_invariants"]
+    )
+    def test_reduction_shrinks_with_every_option(self, option):
+        program = _program()
+        off = explore_sequential(program, **{option: True})
+        red = explore_sequential(
+            program, reduction="closure", **{option: True}
+        )
+        assert red.state_count < off.state_count
 
 
 class TestEngineConfiguration:

@@ -9,7 +9,8 @@ catalog, with the reduction off and on:
 * **replayability** — every step of a reconstructed witness is an
   element of the raw (unreduced) ``successors`` relation at its point,
   and the replay ends in a terminal configuration exhibiting the weak
-  valuation searched for;
+  valuation searched for — whether found by ``find_witness``, by an
+  ``assert_invariant`` violation or in the parents of a complete run;
 * **minimality** — with the reduction off, the BFS witness length
   equals the naive config-storing :func:`find_path` reference; under
   closure the *visible*-step count never exceeds the reference's
@@ -24,13 +25,33 @@ import pytest
 
 from repro.engine import ExplorationEngine
 from repro.litmus.catalog import LITMUS_TESTS
-from repro.semantics.witness import find_path, replay_witness
+from repro.semantics.canon import canonical_key
+from repro.semantics.explore import assert_invariant
+from repro.semantics.witness import (
+    find_path,
+    reconstruct_witness,
+    replay_witness,
+)
 from repro.util.errors import VerificationError
 
 #: Tests whose weak outcome RC11 RAR allows — these have a witness.
 WEAK_ALLOWED = [t for t in LITMUS_TESTS if t.weak_allowed]
 #: Tests whose weak outcome is forbidden — exhaustively unreachable.
 WEAK_FORBIDDEN = [t for t in LITMUS_TESTS if not t.weak_allowed]
+#: Subset searched along the other witness routes.
+ROUTE_SUBSET = [
+    t
+    for t in LITMUS_TESTS
+    if t.name
+    in {
+        "MP-relaxed",
+        "SB-relaxed",
+        "IRIW-RA",
+        "MP-await-relaxed",
+        "MP-ring-2-relaxed",
+        "SB-computed",
+    }
+]
 
 
 def _weak_predicate(test):
@@ -101,6 +122,68 @@ class TestSequentialWitnessParity:
         assert w is None
 
 
+def _route_witness(route, test, reduction):
+    """A weak-terminal witness for ``test`` along ``route``, or None.
+
+    ``assert_invariant``: the error of the invariant "no terminal shows
+    a weak valuation" carries it.  ``full_graph``: it is reconstructed
+    from the parents of a complete, never stopped exploration."""
+    program = test.build()
+    pred = _weak_predicate(test)
+    if route == "assert_invariant":
+        try:
+            assert_invariant(
+                program,
+                lambda c: not (c.is_terminal() and pred(c)),
+                reduction=reduction,
+                witness=True,
+            )
+        except VerificationError as err:
+            assert replay_witness(program, err.witness) == err.counterexample
+            return err.witness
+        return None
+    result = ExplorationEngine(reduction=reduction).explore(
+        program, track_parents=True
+    )
+    assert not result.stopped and not result.truncated
+    target = next((c for c in result.terminals if pred(c)), None)
+    if target is None:
+        return None
+
+    def key_of(cfg):
+        return canonical_key(program, cfg)
+
+    return reconstruct_witness(
+        program, result.parents, key_of(target), key_of,
+        reduction=reduction,
+    )
+
+
+class TestRouteWitnessParity:
+    """Witnesses read off an ``assert_invariant`` violation or off the
+    parents of a complete run are real executions with the weak
+    valuation, under every policy; breadth-first discovery keeps them
+    as short as ``find_witness``'s under ``off`` and ``closure``."""
+
+    @pytest.mark.parametrize("test", ROUTE_SUBSET, ids=lambda t: t.name)
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    @pytest.mark.parametrize("route", ["assert_invariant", "full_graph"])
+    def test_witness_replays(self, route, reduction, test):
+        reference = _naive_reference(test)
+        w = _route_witness(route, test, reduction)
+        assert w is not None
+        _check_witness(
+            test, w, reference, check_minimal=reduction != "dpor"
+        )
+        if reduction == "off":
+            assert len(w) == len(reference)
+
+    @pytest.mark.parametrize("route", ["assert_invariant", "full_graph"])
+    def test_forbidden_is_none(self, route):
+        test = next(t for t in WEAK_FORBIDDEN if t.name == "LB")
+        assert _route_witness(route, test, "closure") is None
+
+
 class TestEngineWitnessContract:
     def test_truncated_search_raises(self):
         from tests.conftest import mp_relaxed
@@ -118,6 +201,18 @@ class TestEngineWitnessContract:
         # Tracked, a complete run records a discovery edge per state.
         tracked = ExplorationEngine().explore(mp_relaxed(), track_parents=True)
         assert set(tracked.parents) == set(tracked.configs)
+
+
+    def test_witness_is_the_same_on_every_run(self):
+        # One exploration order: fresh builds yield one schedule.
+        test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")
+        first, second = (
+            ExplorationEngine(reduction="closure").find_witness(
+                test.build(), _weak_predicate(test), terminal_only=True
+            )
+            for _ in range(2)
+        )
+        assert first.describe() == second.describe()
 
 
 class TestAssertInvariantWitness:
