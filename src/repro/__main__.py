@@ -16,7 +16,8 @@ Commands:
   litmus catalog, the figure programs and the ``examples/`` builders)
   with the :mod:`repro.analysis` passes and print every finding; the
   command fails only on *error*-severity findings (expected warnings —
-  the relaxed litmus races — are informational);
+  the relaxed litmus races — are informational).  It is the CLI's one
+  static-analysis command: the exploring commands run no static pass;
 * ``all``      — litmus + figures + refine (default).
 
 Options:
@@ -27,10 +28,6 @@ Options:
   fewer stored states) | ``dpor`` (sleep-set + persistent-set partial
   order reduction layered on ``closure``) | ``off`` (the unreduced
   semantics) for ``litmus``/``witness``/``all``;
-* ``--analysis P``  — static-analysis policy the engine applies before
-  exploring: ``off`` (default) | ``warn`` (log findings, count them in
-  the metrics) | ``strict`` (refuse to explore a program with
-  error-severity findings);
 * ``--json PATH``   — write a JSON report of the rows the command
   printed to PATH (``litmus``/``figures``/``refine``/``all``; layout
   in :func:`_write_report`);
@@ -72,7 +69,6 @@ def _make_engine(options: Optional[dict] = None):
         metrics=Metrics(),
         trace=TraceWriter(trace) if trace else None,
         progress=None if quiet else Progress(),
-        analysis=options.get("analysis", "off"),
     )
 
 
@@ -403,16 +399,12 @@ def run_lint(options: Optional[dict] = None) -> bool:
 #: Flags each command actually reads; anything else is a usage error
 #: rather than a silent no-op.
 _COMMAND_FLAGS = {
-    "litmus": {
-        "reduction", "trace", "quiet", "verbose", "analysis", "json",
-    },
+    "litmus": {"reduction", "trace", "quiet", "verbose", "json"},
     "figures": {"json"},
     "refine": {"quiet", "verbose", "json"},
-    "witness": {"reduction", "trace", "quiet", "verbose", "analysis"},
+    "witness": {"reduction", "trace", "quiet", "verbose"},
     "lint": {"quiet", "verbose"},
-    "all": {
-        "reduction", "trace", "quiet", "verbose", "analysis", "json",
-    },
+    "all": {"reduction", "trace", "quiet", "verbose", "json"},
 }
 
 
@@ -424,7 +416,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
         "json": None,
         "quiet": False,
         "verbose": False,
-        "analysis": "off",
     }
     given = set()
     i = 0
@@ -436,7 +427,7 @@ def _parse_options(args, command: str) -> Optional[dict]:
         elif flag in ("--verbose", "-v"):
             options["verbose"] = True
             given.add("verbose")
-        elif flag in ("--json", "--reduction", "--trace", "--analysis"):
+        elif flag in ("--json", "--reduction", "--trace"):
             if i + 1 >= len(args):
                 return None
             value = args[i + 1]
@@ -450,15 +441,6 @@ def _parse_options(args, command: str) -> Optional[dict]:
                     print(
                         f"error: unknown reduction {value!r}; expected "
                         + " or ".join(REDUCTIONS)
-                    )
-                    return None
-            elif flag == "--analysis":
-                from repro.analysis import ANALYSIS_POLICIES
-
-                if value not in ANALYSIS_POLICIES:
-                    print(
-                        f"error: unknown analysis policy {value!r}; expected "
-                        + " or ".join(ANALYSIS_POLICIES)
                     )
                     return None
             options[name] = value
@@ -476,8 +458,9 @@ def _parse_options(args, command: str) -> Optional[dict]:
 #: Version of the ``--json`` report layout.  5 was the layout of the
 #: batch runner's report; 6 is one report per command, with one row
 #: list per section that ran; 7 drops ``meta.strategy`` (there is one
-#: exploration order).
-REPORT_SCHEMA = 7
+#: exploration order); 8 drops ``meta.analysis`` (exploration runs no
+#: static analysis).
+REPORT_SCHEMA = 8
 
 
 def _write_report(path: str, ok: bool, options: dict) -> None:
@@ -499,7 +482,6 @@ def _write_report(path: str, ok: bool, options: dict) -> None:
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
             "reduction": options["reduction"],
-            "analysis": options["analysis"],
         },
         "metrics": None,
     }

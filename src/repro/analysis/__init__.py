@@ -1,6 +1,6 @@
 """Static program analysis over the :mod:`repro.lang` AST.
 
-Three passes run before (or instead of) exploration:
+Three passes over the program text:
 
 * :mod:`repro.analysis.lint` — structural and flow-sensitive
   well-formedness checks (unbound registers, silent loops, dead writes,
@@ -11,14 +11,12 @@ Three passes run before (or instead of) exploration:
   summaries feeding the DPOR reduction's conflict partitioning.
 
 :func:`analyse_program` bundles lint and race findings into one
-:class:`~repro.analysis.diagnostics.AnalysisReport`; the engine's
-``analysis=`` policy (``"strict"`` / ``"warn"`` / ``"off"``) and the
-``repro lint`` CLI both consume it.
+:class:`~repro.analysis.diagnostics.AnalysisReport`, the one way in
+to static analysis: ``repro lint`` runs it over the shipped corpus,
+and library callers call it directly.  Exploration never runs it.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from repro.analysis.diagnostics import (
     ERROR,
@@ -41,27 +39,12 @@ from repro.analysis.lint import lint_program
 from repro.analysis.races import detect_races, operational_races
 from repro.lang.program import Program
 
-#: Engine analysis policies: refuse on errors / log findings / skip.
-ANALYSIS_POLICIES: Tuple[str, ...] = ("strict", "warn", "off")
-
-
-def validate_analysis(policy: str) -> str:
-    """``policy`` itself when recognised; raises ``ValueError`` otherwise."""
-    if policy not in ANALYSIS_POLICIES:
-        raise ValueError(
-            f"unknown analysis policy {policy!r}; "
-            f"expected one of {', '.join(ANALYSIS_POLICIES)}"
-        )
-    return policy
-
-
 def analyse_program(program: Program) -> AnalysisReport:
     """Every static finding of ``program``: lint plus race detection."""
     return merge_reports(lint_program(program), detect_races(program))
 
 
 __all__ = [
-    "ANALYSIS_POLICIES",
     "AnalysisReport",
     "Diagnostic",
     "ERROR",
@@ -79,5 +62,4 @@ __all__ = [
     "merge_reports",
     "operational_races",
     "phase_footprint",
-    "validate_analysis",
 ]

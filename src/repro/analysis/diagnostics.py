@@ -4,19 +4,19 @@ A :class:`Diagnostic` is one finding — a stable code, a severity, a
 human message, and (when the finding anchors to program text) the
 thread id and the node path from that thread's body root (the
 :func:`repro.lang.walk.iter_nodes` path).  An :class:`AnalysisReport`
-bundles the findings of one program and is what the engine policy
-hooks and the ``lint`` CLI consume.
+bundles the findings of one program and is what
+:func:`repro.analysis.analyse_program` returns and the ``lint`` CLI
+prints.
 
 Severities
 ----------
 ``error``
     the program is malformed or certain to misbehave (an unbound
-    register read raises at step time, a silent infinite loop wedges
-    closure reduction); ``analysis="strict"`` refuses to explore and
-    ``repro lint`` exits non-zero.
+    register read raises at step time, a silent loop never
+    terminates); ``repro lint`` exits non-zero.
 ``warning``
-    suspicious but explorable — statically racy pairs, dead writes,
-    unreachable branches.  Never blocks exploration.
+    suspicious but legitimate — statically racy pairs, dead writes,
+    unreachable branches; ``repro lint`` prints them and passes.
 ``info``
     reserved for advisory output.
 """

@@ -16,8 +16,8 @@ Breadth-first is kept because it makes recorded witnesses shortest
 (see ``track_parents`` below).
 
 :class:`ExplorationEngine` bundles a reduction policy with telemetry
-and static-analysis settings; ``engine.explore(program)`` returns the
-full :class:`ExploreResult`, computed in-process by
+sinks; ``engine.explore(program)`` returns the full
+:class:`ExploreResult`, computed in-process by
 :func:`explore_sequential`.
 """
 
@@ -48,14 +48,6 @@ DEFAULT_MAX_STATES = 500_000
 #: CPython's gen-0 collection threshold while :func:`explore_sequential`
 #: runs (the interpreter default is 700); see that function's docstring.
 GC_GEN0_THRESHOLD = 50_000
-
-
-def _check_analysis(policy: str) -> str:
-    # Lazy for symmetry with the reduction registry (and to keep the
-    # engine package import-light).
-    from repro.analysis import validate_analysis
-
-    return validate_analysis(policy)
 
 
 def _check_reduction(reduction: str) -> str:
@@ -121,7 +113,6 @@ def explore_sequential(
     max_states: int = DEFAULT_MAX_STATES,
     collect_edges: bool = False,
     canonicalise: bool = True,
-    check_invariants: bool = False,
     on_config: Optional[Callable[["Config"], Optional[bool]]] = None,
     reduction: str = "off",
     track_parents: bool = False,
@@ -138,8 +129,6 @@ def explore_sequential(
     refinement and Owicki–Gries checkers read it).
     ``canonicalise=False`` identifies raw configurations instead (the
     ablation benchmark: distinct rationals are then distinct states).
-    ``check_invariants`` asserts component-state coherence at every
-    configuration (a diagnostic mode of the test-suite).
 
     ``on_config`` is invoked on every configuration as it is expanded
     (the initial one included); returning a truthy value halts the
@@ -149,8 +138,8 @@ def explore_sequential(
     (:mod:`repro.semantics.reduce`): terminal outcomes, stuck-ness and
     register-level verdicts are preserved, but intermediate silent
     configurations are fused away — they are not stored, counted, or
-    passed to ``on_config``/``check_invariants`` — and edges are
-    macro-edges labelled with their visible action.
+    passed to ``on_config`` — and edges are macro-edges labelled with
+    their visible action.
     ``reduction="dpor"`` additionally prunes interleavings of
     independent visible steps (:mod:`repro.semantics.dpor`): sleep sets
     ride the frontier entries, states may be re-expanded when a
@@ -265,9 +254,6 @@ def explore_sequential(
                     frontier_peak = depth
                 if progress is not None:
                     progress.update(len(configs))
-            if check_invariants:
-                cfg.gamma.check_invariants(program.tids)
-                cfg.beta.check_invariants(program.tids)
             if on_config is not None and on_config(cfg):
                 stopped = True
                 break
@@ -382,7 +368,7 @@ def _raw_state(state) -> Tuple:
 
 class ExplorationEngine:
     """A configured exploration engine: a reduction policy plus
-    telemetry and static-analysis settings.
+    telemetry sinks.
 
     Every exploration runs in-process on the sequential loop
     (:func:`explore_sequential`); results are keyed by canonical keys.
@@ -414,16 +400,6 @@ class ExplorationEngine:
     progress:
         Optional :class:`repro.obs.progress.Progress` heartbeat,
         updated while explorations run and erased when they finish.
-    analysis:
-        Static-analysis policy applied to every program before it is
-        explored, one of :data:`repro.analysis.ANALYSIS_POLICIES` —
-        ``"off"`` (default: skip the passes entirely), ``"warn"`` (log
-        findings on the ``repro.analysis`` logger and count them in the
-        run metrics) or ``"strict"`` (additionally refuse to explore a
-        program with error-severity findings, raising
-        :class:`~repro.util.errors.VerificationError`).  Overridable
-        per :meth:`explore` call; when a trace writer is attached an
-        ``analysis.report`` event is emitted per analysed program.
     """
 
     def __init__(
@@ -433,11 +409,9 @@ class ExplorationEngine:
         metrics: Optional[Metrics] = None,
         trace=None,
         progress=None,
-        analysis: str = "off",
     ) -> None:
         self.max_states = max_states
         self.reduction = _check_reduction(reduction)
-        self.analysis = _check_analysis(analysis)
         self.metrics = metrics
         self.trace = trace
         self.progress = progress
@@ -454,20 +428,16 @@ class ExplorationEngine:
         max_states: Optional[int] = None,
         collect_edges: bool = False,
         canonicalise: bool = True,
-        check_invariants: bool = False,
         on_config: Optional[Callable[[Config], Optional[bool]]] = None,
         reduction: Optional[str] = None,
         keep_configs: bool = True,
         track_parents: bool = False,
-        analysis: Optional[str] = None,
     ) -> ExploreResult:
         """Run one exploration, honouring this engine's configuration.
 
         ``reduction`` overrides the engine's policy for this call —
         checkers that consume the un-fused transition graph (refinement,
         Owicki–Gries) pass ``reduction="off"`` explicitly.
-        ``analysis`` likewise overrides the engine's static-analysis
-        policy for this call.
         ``keep_configs`` has no effect on the in-process loop, which
         keys its visited set by configuration and always returns the
         full map; it is accepted so existing callers keep working.
@@ -487,17 +457,6 @@ class ExplorationEngine:
             if (self.metrics is not None or self.trace is not None)
             else None
         )
-        policy = (
-            self.analysis if analysis is None else _check_analysis(analysis)
-        )
-        if policy != "off":
-            try:
-                self._run_analysis(program, policy, run_metrics)
-            except Exception:
-                # A strict refusal still leaves its counters behind.
-                if self.metrics is not None and run_metrics is not None:
-                    self.metrics.merge(run_metrics)
-                raise
         if self.trace is not None:
             self.trace.emit("explore.start", reduction=mode, max_states=cap)
         result = explore_sequential(
@@ -505,7 +464,6 @@ class ExplorationEngine:
             max_states=cap,
             collect_edges=collect_edges,
             canonicalise=canonicalise,
-            check_invariants=check_invariants,
             on_config=on_config,
             reduction=mode,
             track_parents=track_parents,
@@ -530,51 +488,6 @@ class ExplorationEngine:
         if self.metrics is not None and run_metrics is not None:
             self.metrics.merge(run_metrics)
         return result
-
-    # -- static analysis ----------------------------------------------------
-    def _run_analysis(
-        self, program: Program, policy: str, run_metrics: Optional[Metrics]
-    ):
-        """Run the static passes under ``policy`` (``"warn"`` or
-        ``"strict"``); returns the report, raising under ``"strict"``
-        when it contains error-severity findings."""
-        import logging
-
-        from repro.analysis import analyse_program
-
-        report = analyse_program(program)
-        errors, warnings = report.errors, report.warnings
-        if run_metrics is not None:
-            run_metrics.inc("analysis.runs")
-            if errors:
-                run_metrics.inc("analysis.errors", len(errors))
-            if warnings:
-                run_metrics.inc("analysis.warnings", len(warnings))
-        if self.trace is not None:
-            self.trace.emit(
-                "analysis.report",
-                policy=policy,
-                errors=len(errors),
-                warnings=len(warnings),
-            )
-        if report.diagnostics:
-            logger = logging.getLogger("repro.analysis")
-            for diag in report.diagnostics:
-                level = (
-                    logging.ERROR
-                    if diag.severity == "error"
-                    else logging.WARNING
-                )
-                logger.log(level, "%s", diag.format())
-        if policy == "strict" and errors:
-            from repro.util.errors import VerificationError
-
-            raise VerificationError(
-                "static analysis found "
-                f"{len(errors)} error(s) under analysis='strict':\n"
-                + "\n".join(d.format() for d in errors)
-            )
-        return report
 
     # -- counterexample witnesses -------------------------------------------
     def find_witness(
@@ -612,7 +525,6 @@ class ExplorationEngine:
         :class:`VerificationError` when the search was truncated by
         ``max_states`` without a hit — inconclusive, not unreachable.
         """
-        from repro.semantics.canon import canonical_key
         from repro.semantics.witness import reconstruct_witness
 
         mode = (
@@ -634,16 +546,8 @@ class ExplorationEngine:
             track_parents=True,
         )
         if hits:
-
-            def key_of(cfg: "Config"):
-                return canonical_key(program, cfg)
-
             return reconstruct_witness(
-                program,
-                result.parents,
-                key_of(hits[0]),
-                key_of,
-                reduction=mode,
+                program, result.parents, hits[0], reduction=mode
             )
         if result.truncated:
             from repro.util.errors import VerificationError

@@ -41,13 +41,6 @@ block:
 ``reduce.dpor.static_disjoint``      thread-pair conflict tests skipped
                                      by the static-disjointness fast
                                      path (dpor)
-``analysis.runs``                    programs statically analysed by the
-                                     engine (``analysis=`` policies
-                                     other than ``"off"``)
-``analysis.errors``                  error-severity findings across
-                                     those runs
-``analysis.warnings``                warning-severity findings across
-                                     those runs
 ===================================  ======================================
 
 Timers (seconds, additive): ``explore.elapsed`` — exploration

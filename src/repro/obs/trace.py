@@ -2,15 +2,13 @@
 
 A :class:`TraceWriter` appends one JSON object per line to a file (or
 any writable stream).  The stream is the machine-readable counterpart
-of the CLI's progress line — and the substrate the planned
-``repro serve`` mode will stream to clients — so its schema is stable
-and versioned.
+of the CLI's progress line, so its schema is stable and versioned.
 
-Wire format (schema version 3)
+Wire format (schema version 4)
 ------------------------------
 Every line is one JSON object with three envelope fields::
 
-    {"v": 3, "ts": 1717171717.123, "ev": "explore.start", ...}
+    {"v": 4, "ts": 1717171717.123, "ev": "explore.start", ...}
 
 ``v``
     schema version (integer, currently :data:`SCHEMA_VERSION`);
@@ -31,10 +29,6 @@ consumers must ignore unknown fields; the fields below are guaranteed):
     a metrics snapshot — ``metrics`` (the
     :meth:`repro.obs.metrics.Metrics.snapshot` dict); emitted by the
     engine after each exploration's ``explore.finish``;
-``analysis.report``
-    the engine's pre-exploration static analysis ran (``analysis=``
-    policies other than ``"off"``) — ``policy``, ``errors``,
-    ``warnings`` (finding counts by severity);
 ``litmus.start`` / ``litmus.finish``
     CLI litmus battery span — ``tests`` / ``ok``.
 
@@ -54,8 +48,9 @@ from typing import Dict
 #: ``explore.start``'s ``backend``/``workers`` fields and the
 #: ``explore.drain`` event (the engine explores in-process only); 3
 #: dropped ``explore.cached`` and the ``batch.*`` events with the
-#: result cache and the batch runner.
-SCHEMA_VERSION = 3
+#: result cache and the batch runner; 4 dropped the static-analysis
+#: report event with the engine's pre-exploration analysis policy.
+SCHEMA_VERSION = 4
 
 #: The event schema: event name -> required payload fields and their
 #: JSON types.  ``float`` accepts ints (JSON has one number type);
@@ -67,7 +62,6 @@ EVENTS: Dict[str, Dict[str, type]] = {
         "truncated": bool, "stopped": bool, "states_per_sec": float,
     },
     "metrics.sample": {"metrics": dict},
-    "analysis.report": {"policy": str, "errors": int, "warnings": int},
     "litmus.start": {"tests": int},
     "litmus.finish": {"ok": bool},
 }

@@ -123,18 +123,10 @@ def assert_invariant(
     if violation:
         trace = None
         if witness:
-            from repro.semantics.canon import canonical_key
             from repro.semantics.witness import reconstruct_witness
 
-            def key_of(cfg: Config):
-                return canonical_key(program, cfg)
-
             trace = reconstruct_witness(
-                program,
-                result.parents,
-                key_of(violation[0]),
-                key_of,
-                reduction=reduction,
+                program, result.parents, violation[0], reduction=reduction
             )
         raise VerificationError(
             "invariant violated", counterexample=violation[0], witness=trace

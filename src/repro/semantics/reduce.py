@@ -42,7 +42,7 @@ are closed and preserved bit-for-bit, with their register valuations),
 stuck configurations (stuck ⇒ no silent step pending ⇒ closed) and all
 invariant verdicts over them are identical.  What changes is which
 *intermediate* configurations exist to be stored, counted, or observed
-by ``on_config``/``check_invariants`` callbacks.
+by ``on_config`` callbacks.
 
 A silent chain that revisits a ``(continuation, locals)`` pair — a
 purely-local infinite loop — is cut off at the revisit: the offending

@@ -191,28 +191,29 @@ def find_terminal_witness(
 # ---------------------------------------------------------------------------
 
 #: A predecessor entry: ``(parent_key, tid, component, action)``; the
-#: initial key maps to None.  Keys are whatever the exploration used for
-#: state identity (canonical keys, or raw keys under ``canonicalise=False``).
+#: initial key maps to None.  Keys are the exploration's canonical keys.
 ParentGraph = Dict[object, Optional[Tuple]]
 
 
 def reconstruct_witness(
     program: Program,
     parents: ParentGraph,
-    target_key,
-    key_of: Callable[[Config], object],
+    target: Config,
     reduction: str = "off",
 ) -> Witness:
-    """Rebuild the concrete execution reaching ``target_key`` from the
-    predecessor graph of an engine exploration.
+    """Rebuild the concrete execution reaching the explored
+    configuration ``target`` from the predecessor graph of an engine
+    exploration.
 
-    ``parents`` maps each explored state key to ``(parent_key, tid,
-    component, action)`` — the edge that first discovered it — and the
-    initial key to ``None``; ``key_of`` must be the exploration's own
-    state-identity function (the canonical key, as
-    :meth:`~repro.engine.ExplorationEngine.find_witness` passes).  Under
-    a breadth-first exploration the first-discovery edge is a shortest
-    edge, so the reconstructed path is shortest in (macro-)steps.
+    ``parents`` maps each explored state's canonical key to
+    ``(parent_key, tid, component, action)`` — the edge that first
+    discovered it — and the initial key to ``None``: the graph a
+    canonically keyed exploration records under ``track_parents=True``.
+    A graph that does not start at the initial configuration's key,
+    such as a raw-keyed (``canonicalise=False``) one, is refused with
+    :class:`VerificationError`.  Under a breadth-first exploration the
+    first-discovery edge is a shortest edge, so the reconstructed path
+    is shortest in (macro-)steps.
 
     The parent chain stores no configurations: the path is re-derived
     by replaying forward from the initial configuration through the raw
@@ -232,22 +233,8 @@ def reconstruct_witness(
     # that must be re-expanded through the ε-closure replay below.
     closure = get_strategy(reduction).closure_expansion
 
-    # Walk the predecessor chain back to the exploration's initial key.
-    edges: List[Tuple] = []
-    key = target_key
-    while True:
-        entry = parents.get(key)
-        if entry is None:
-            if key in parents:
-                break  # the initial key
-            raise VerificationError(
-                "witness reconstruction failed: target key is not in the "
-                "exploration's predecessor graph"
-            )
-        parent_key, tid, component, action = entry
-        edges.append((tid, component, action, key))
-        key = parent_key
-    edges.reverse()
+    def key_of(cfg: Config):
+        return canonical_key(program, cfg)
 
     init = initial_config(program)
     cfg = init
@@ -258,12 +245,30 @@ def reconstruct_witness(
         for tid in program.tids:
             sub, cfg = _close_tid_steps(program, cfg, tid)
             steps += sub
-    if key_of(cfg) != key:
+    init_key = key_of(cfg)
+    if init_key not in parents or parents[init_key] is not None:
         raise VerificationError(
-            "witness reconstruction failed: the predecessor chain does "
-            "not start at the initial configuration (key function or "
-            "reduction policy mismatch with the exploration)"
+            "witness reconstruction failed: the predecessor graph does "
+            "not start at the initial configuration (raw state keys or "
+            "a reduction policy other than the exploration's)"
         )
+
+    # Walk the predecessor chain back to the initial key.
+    edges: List[Tuple] = []
+    key = key_of(target)
+    while key != init_key:
+        entry = parents.get(key)
+        if entry is None:
+            raise VerificationError(
+                "witness reconstruction failed: the target's key does not "
+                "lead back to the initial one in the exploration's "
+                "predecessor graph"
+            )
+        parent_key, tid, component, action = entry
+        edges.append((tid, component, action, key))
+        key = parent_key
+    edges.reverse()
+
     for tid, component, action, node_key in edges:
         sub, cfg = _expand_edge(
             program, cfg, tid, component, action, node_key, key_of, closure

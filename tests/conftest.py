@@ -35,6 +35,31 @@ def _gc_settings_unchanged():
     ]
 
 
+def checking_invariants(program: Program, on_config=None):
+    """An ``on_config`` hook asserting component-state coherence
+    (``gamma``/``beta.check_invariants``) at every configuration the
+    loop expands, then deferring to ``on_config`` when one is given."""
+    tids = program.tids
+
+    def check(cfg):
+        cfg.gamma.check_invariants(tids)
+        cfg.beta.check_invariants(tids)
+        return on_config(cfg) if on_config is not None else None
+
+    return check
+
+
+def observing(program: Program, option: str, **kw) -> dict:
+    """Exploration keyword arguments ``kw`` with one observing option
+    on: ``collect_edges`` or ``track_parents``, or ``check_invariants``
+    for the :func:`checking_invariants` hook (around ``kw``'s own
+    ``on_config``, if any)."""
+    if option == "check_invariants":
+        hook = checking_invariants(program, kw.get("on_config"))
+        return {**kw, "on_config": hook}
+    return {**kw, option: True}
+
+
 def mp_relaxed() -> Program:
     t1 = A.seq(A.Write("d", Lit(5)), A.Write("f", Lit(1)))
     t2 = A.seq(A.Read("r1", "f"), A.Read("r2", "d"))

@@ -121,7 +121,7 @@ class TestJsonReport:
         data = self._report(tmp_path, "all")
         out = capsys.readouterr().out
         assert "ALL CHECKS PASS" in out
-        assert data["ok"] is True and data["schema"] == 7
+        assert data["ok"] is True and data["schema"] == 8
         assert len(data["litmus"]) == 30
         assert len(data["figures"]) == 6
         assert len(data["refine"]) == 3
@@ -137,9 +137,7 @@ class TestJsonReport:
         data = self._report(tmp_path, "litmus")
         assert set(data) == {"schema", "ok", "meta", "metrics", "litmus"}
         meta = data["meta"]
-        assert set(meta) == {
-            "python", "platform", "cpu_count", "reduction", "analysis",
-        }
+        assert set(meta) == {"python", "platform", "cpu_count", "reduction"}
         assert meta["python"] and meta["platform"]
         assert meta["cpu_count"] >= 1
         assert meta["reduction"] == "closure"
@@ -206,18 +204,6 @@ class TestJsonReport:
         second = self._report(tmp_path, "litmus", "-q", "--reduction", "dpor")
         assert first["litmus"] == second["litmus"]
         assert first["meta"] == second["meta"]
-
-    def test_analysis_warn_counts_findings_into_the_metrics(
-        self, capsys, tmp_path
-    ):
-        data = self._report(tmp_path, "litmus", "-q", "--analysis", "warn")
-        assert data["ok"] and data["meta"]["analysis"] == "warn"
-        counters = data["metrics"]["counters"]
-        assert counters["analysis.runs"] == len(data["litmus"]) == 30
-        assert counters["analysis.warnings"] > 0
-        quiet = self._report(tmp_path, "litmus", "-q")
-        assert quiet["meta"]["analysis"] == "off"
-        assert "analysis.runs" not in quiet["metrics"]["counters"]
 
     def test_figures_report_has_one_row_per_check(self, capsys, tmp_path):
         from repro.__main__ import _FIGURE_LINES
@@ -294,8 +280,9 @@ class TestJsonRowsMatchTheLibrary:
 
 
 class TestRemovedFlags:
-    """The batch runner's flags are gone with it, and ``--strategy``
-    with the single exploration order: each is now unknown."""
+    """The batch runner's flags are gone with it, ``--strategy`` with
+    the single exploration order and ``--analysis`` with the engine's
+    pre-exploration static analysis: each is now unknown."""
 
     @pytest.mark.parametrize(
         "name, value",
@@ -304,12 +291,14 @@ class TestRemovedFlags:
             ("jobs", ["litmus"]),
             ("no-cache", []),
             ("strategy", ["dfs"]),
+            ("analysis", ["warn"]),
         ],
-        ids=["workers", "jobs", "no-cache", "strategy"],
+        ids=["workers", "jobs", "no-cache", "strategy", "analysis"],
     )
-    @pytest.mark.parametrize("command", ["litmus", "refine", "all"])
+    @pytest.mark.parametrize("command", ["litmus", "refine", "witness", "all"])
     def test_is_usage_error(self, capsys, command, name, value):
-        assert main(["repro", command, "--" + name, *value]) == 2
+        test = ["MP-relaxed"] if command == "witness" else []
+        assert main(["repro", command, *test, "--" + name, *value]) == 2
         assert "Commands" in capsys.readouterr().out
 
     def test_batch_is_not_a_command(self, capsys):
@@ -481,17 +470,27 @@ class TestLintCommand:
         assert main(["repro", "lint", "--reduction", "off"]) == 2
         assert "not supported" in capsys.readouterr().out
 
+    def test_fails_on_an_error_severity_finding(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+        from repro.lang import ast as A
+        from repro.lang.expr import Lit, Reg
+        from repro.lang.program import Program
 
-class TestAnalysisFlag:
-    def test_litmus_accepts_warn(self, capsys):
-        assert main(["repro", "litmus", "--analysis", "warn", "--quiet"]) == 0
-        assert "ALL CHECKS PASS" in capsys.readouterr().out
-
-    def test_unknown_policy_rejected(self, capsys):
-        assert main(["repro", "litmus", "--analysis", "bogus"]) == 2
+        unbound = Program(
+            threads={"1": A.Write("x", Reg("q"))}, client_vars={"x": 0}
+        )
+        # Warnings alone (a dead write) pass.
+        warned = Program(
+            threads={"1": A.Write("x", Lit(1))}, client_vars={"x": 0}
+        )
+        monkeypatch.setattr(cli, "lint_targets", lambda: [("ok", warned)])
+        assert main(["repro", "lint"]) == 0
+        monkeypatch.setattr(
+            cli, "lint_targets", lambda: [("bad", unbound), ("ok", warned)]
+        )
+        capsys.readouterr()
+        assert main(["repro", "lint"]) == 1
         out = capsys.readouterr().out
-        assert "analysis" in out
-
-    def test_figures_reject_analysis(self, capsys):
-        assert main(["repro", "figures", "--analysis", "warn"]) == 2
-        assert "not supported" in capsys.readouterr().out
+        assert "error[unbound-register]" in out
+        assert "lint: 2 programs analysed, 0 clean, 1 error(s)" in out
+        assert "SOME CHECKS FAILED" in out

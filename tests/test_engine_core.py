@@ -1,9 +1,10 @@
 """Tests for the exploration engine: the observing options, the
 breadth-first order, the engine API and the loop's GC policy.
 
-``collect_edges``, ``track_parents`` and ``check_invariants`` record or
-check what the loop visits and steer nothing, so with any of them on
-the loop must store *exactly* the same state space in the same order —
+``collect_edges`` and ``track_parents`` record what the loop visits,
+and the ``checking_invariants`` hook (``tests/conftest.py``) checks
+it; none of them steers, so with any of them on the loop must store
+*exactly* the same state space in the same order —
 same ``state_count``, ``edge_count``, terminal outcomes and litmus
 verdicts — as the plain run.  These parity tests run the full litmus
 catalog with each option.
@@ -20,7 +21,10 @@ from repro.engine import REDUCTIONS, ExplorationEngine
 from repro.engine.core import GC_GEN0_THRESHOLD, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.explore import explore
+from tests.conftest import observing
 
+#: The loop's observing options; ``check_invariants`` is the
+#: ``checking_invariants`` hook.
 OPTIONS = ["collect_edges", "track_parents", "check_invariants"]
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
@@ -43,7 +47,9 @@ class TestOptionParity:
         # One program object: canonical keys are scoped to it.
         program = test.build()
         reference = explore(program)
-        other = ExplorationEngine().explore(program, **{option: True})
+        other = ExplorationEngine().explore(
+            program, **observing(program, option)
+        )
         assert _signature(other, test) == _signature(reference, test)
         assert list(other.configs) == list(reference.configs)
 
@@ -116,7 +122,11 @@ class TestBreadthFirstOrder:
 
 class TestEngineAPI:
     @pytest.mark.parametrize(
-        "option", ["workers", "backend", "transport", "codec", "strategy"]
+        "option",
+        [
+            "workers", "backend", "transport", "codec", "strategy",
+            "analysis", "check_invariants",
+        ],
     )
     def test_removed_options_are_type_errors(self, option):
         with pytest.raises(TypeError):

@@ -1,8 +1,10 @@
 """Parity suite for the exploration loop's observing options under
 every reduction policy.
 
-``collect_edges``, ``track_parents`` and ``check_invariants`` only
-record or check what the breadth-first loop already visits: with any
+``collect_edges`` and ``track_parents`` only record what the
+breadth-first loop already visits, and the ``on_config`` hook
+``checking_invariants`` (``tests/conftest.py``) only asserts
+component-state coherence at each expanded configuration: with any
 of them on, the loop must visit the very same configurations in the
 very same order as the plain loop, under every policy.  So each option
 is held to exact agreement with the plain run — state and edge
@@ -24,12 +26,13 @@ import pytest
 from repro.engine import ExplorationEngine
 from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
-from repro.semantics.canon import canonical_key
 from repro.semantics.explore import explore, reachable
 from repro.semantics.reduce import REDUCTIONS
 from repro.semantics.witness import reconstruct_witness, replay_witness
 from tests.conftest import (
     abstract_lock_client,
+    checking_invariants,
+    observing,
     seqlock_client,
     spinlock_client,
     stack_program,
@@ -37,6 +40,7 @@ from tests.conftest import (
 )
 
 #: The loop's observing options: each records or checks, none steers.
+#: ``check_invariants`` is the ``checking_invariants`` hook.
 OPTIONS = ("collect_edges", "track_parents", "check_invariants")
 #: The policies that change the explored system (``off`` is swept by
 #: ``test_engine_core.py``).
@@ -65,7 +69,7 @@ def _terminal_valuations(result):
 def _explore_with(program, option, reduction="off", **kw):
     """One engine exploration of ``program`` with ``option`` on."""
     engine = ExplorationEngine(reduction=reduction)
-    return engine.explore(program, **{**kw, option: True})
+    return engine.explore(program, **observing(program, option, **kw))
 
 
 def _assert_records(result, option, reduction):
@@ -241,11 +245,14 @@ class TestSearchBehaviour:
         assert shape(other) == shape(ref)
 
     def test_invariant_checking(self, option):
-        # Diagnostic mode re-derives every state's caches and compares.
+        # The hook re-derives every state's caches and compares.
         program = LITMUS_TESTS[0].build()
         ref = explore_sequential(program)
-        result = _explore_with(program, option, check_invariants=True)
+        seen = []
+        hook = checking_invariants(program, seen.append)
+        result = _explore_with(program, option, on_config=hook)
         _assert_parity(ref, result)
+        assert len(seen) == result.state_count
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     def test_witness_replay_from_parents(self, option, reduction):
@@ -257,18 +264,13 @@ class TestSearchBehaviour:
             program, option, reduction, track_parents=True
         )
         assert set(result.parents) == set(result.configs)
-
-        def key_of(cfg):
-            return canonical_key(program, cfg)
-
         target = next(
             cfg
             for cfg in result.terminals
             if test.outcome_of(cfg) in test.weak
         )
         witness = reconstruct_witness(
-            program, result.parents, key_of(target), key_of,
-            reduction=reduction,
+            program, result.parents, target, reduction=reduction
         )
         final = replay_witness(program, witness)
         assert test.outcome_of(final) in test.weak

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import REDUCTIONS, ExplorationEngine, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
+from tests.conftest import observing
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
 
@@ -22,7 +23,7 @@ class TestOptions:
         program = _program()
         reference = explore_sequential(program, reduction="closure")
         result = explore_sequential(
-            program, reduction="closure", **{option: True}
+            program, **observing(program, option, reduction="closure")
         )
         assert result.state_count == reference.state_count
         assert result.edge_count == reference.edge_count
@@ -33,9 +34,9 @@ class TestOptions:
     )
     def test_reduction_shrinks_with_every_option(self, option):
         program = _program()
-        off = explore_sequential(program, **{option: True})
+        off = explore_sequential(program, **observing(program, option))
         red = explore_sequential(
-            program, reduction="closure", **{option: True}
+            program, **observing(program, option, reduction="closure")
         )
         assert red.state_count < off.state_count
 

@@ -88,6 +88,16 @@ class TestValidateEvent:
         with pytest.raises(ValueError, match="unknown event"):
             validate_event(self._ok(ev="explore.bogus"))
 
+    def test_rejects_the_removed_analysis_report(self):
+        # Version 4 dropped the engine's static-analysis report event:
+        # a line carrying it, even a well-formed one, is refused.
+        line = {"v": SCHEMA_VERSION, "ts": 1.0, "ev": "analysis.report",
+                "policy": "warn", "errors": 0, "warnings": 2}
+        with pytest.raises(ValueError, match="unknown event"):
+            validate_event(line)
+        with pytest.raises(ValueError, match="version"):
+            validate_event({**line, "v": 3})
+
     def test_rejects_missing_field(self):
         bad = self._ok()
         del bad["max_states"]
@@ -113,8 +123,7 @@ class TestValidateEvent:
 
     def test_every_documented_event_has_a_spec(self):
         assert set(EVENTS) == {
-            "explore.start", "explore.finish",
-            "metrics.sample", "analysis.report",
+            "explore.start", "explore.finish", "metrics.sample",
             "litmus.start", "litmus.finish",
         }
 

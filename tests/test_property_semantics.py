@@ -17,6 +17,7 @@ from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
+from tests.conftest import checking_invariants
 
 VARS = ("x", "y")
 
@@ -61,7 +62,7 @@ def programs(draw):
 def test_all_reachable_states_coherent(p):
     """tview points into ops, cvd ⊆ ops, per-variable timestamps unique —
     at every reachable configuration."""
-    explore(p, check_invariants=True, max_states=20_000)
+    explore(p, on_config=checking_invariants(p), max_states=20_000)
 
 
 @settings(max_examples=40, deadline=None)

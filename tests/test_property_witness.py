@@ -25,7 +25,6 @@ import pytest
 
 from repro.engine import ExplorationEngine
 from repro.litmus.catalog import LITMUS_TESTS
-from repro.semantics.canon import canonical_key
 from repro.semantics.explore import assert_invariant
 from repro.semantics.witness import (
     find_path,
@@ -149,13 +148,8 @@ def _route_witness(route, test, reduction):
     target = next((c for c in result.terminals if pred(c)), None)
     if target is None:
         return None
-
-    def key_of(cfg):
-        return canonical_key(program, cfg)
-
     return reconstruct_witness(
-        program, result.parents, key_of(target), key_of,
-        reduction=reduction,
+        program, result.parents, target, reduction=reduction
     )
 
 
@@ -201,6 +195,40 @@ class TestEngineWitnessContract:
         # Tracked, a complete run records a discovery edge per state.
         tracked = ExplorationEngine().explore(mp_relaxed(), track_parents=True)
         assert set(tracked.parents) == set(tracked.configs)
+
+    def test_raw_keyed_graph_is_refused(self):
+        # Reconstruction keys states canonically; a graph recorded over
+        # raw keys has no canonical initial key to start from.
+        test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")
+        program = test.build()
+        result = ExplorationEngine().explore(
+            program, canonicalise=False, track_parents=True
+        )
+        target = next(
+            c for c in result.terminals if _weak_predicate(test)(c)
+        )
+        with pytest.raises(
+            VerificationError,
+            match="does not start at the initial configuration",
+        ):
+            reconstruct_witness(program, result.parents, target)
+
+    def test_target_outside_the_graph_is_refused(self):
+        test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")
+        program = test.build()
+        target = next(
+            c
+            for c in ExplorationEngine().explore(program).terminals
+            if _weak_predicate(test)(c)
+        )
+        # A run stopped at its first configuration records only the
+        # initial key.
+        stopped = ExplorationEngine().explore(
+            program, on_config=lambda c: True, track_parents=True
+        )
+        assert stopped.stopped and len(stopped.parents) == 1
+        with pytest.raises(VerificationError, match="does not lead back"):
+            reconstruct_witness(program, stopped.parents, target)
 
 
     def test_witness_is_the_same_on_every_run(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyse_program
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
 from repro.lang.program import Program, Thread
@@ -13,8 +14,9 @@ from repro.semantics.explore import (
     reachable,
 )
 from repro.semantics.random_exec import random_run, sample_outcomes
-from repro.util.errors import VerificationError
-from tests.conftest import mp_ra, mp_relaxed
+from repro.semantics.reduce import REDUCTIONS
+from repro.util.errors import SemanticsError, VerificationError
+from tests.conftest import checking_invariants, mp_ra, mp_relaxed
 
 
 class TestExplore:
@@ -46,7 +48,10 @@ class TestExplore:
 
     def test_invariant_checking_mode(self):
         # Diagnostic mode: component coherence at every configuration.
-        explore(mp_ra(), check_invariants=True)
+        p = mp_ra()
+        seen = []
+        result = explore(p, on_config=checking_invariants(p, seen.append))
+        assert len(seen) == result.state_count and result.terminals
 
     def test_on_config_callback(self):
         seen = []
@@ -76,6 +81,49 @@ class TestExplore:
         assert r.truncated
         assert r.state_count <= 3
         assert r.edge_count < full.edge_count
+
+
+def _silent_loop_program():
+    # A silent ε-divergent loop: the locals stop changing after one
+    # iteration, so the unfolded loop revisits its states.
+    return Program(
+        threads={
+            "1": A.seq(
+                A.LocalAssign("m", Lit(0)),
+                A.While(Reg("m").eq(0), A.LocalAssign("t", Lit(1))),
+            )
+        },
+    )
+
+
+def _unbound_register_program():
+    return Program(
+        threads={
+            "1": Thread(A.seq(A.Write("x", Lit(1)), A.Write("y", Reg("q"))))
+        },
+        client_vars={"x": 0, "y": 0},
+    )
+
+
+@pytest.mark.parametrize("reduction", REDUCTIONS)
+class TestLintErrorsExploreSafely:
+    """Programs ``repro lint`` reports as errors still explore safely
+    without it: finitely, or failing with a typed error."""
+
+    def test_silent_loop_explores_untruncated(self, reduction):
+        program = _silent_loop_program()
+        assert "silent-loop" in analyse_program(program).codes()
+        result = explore(program, reduction=reduction)
+        assert not result.truncated and not result.stopped
+        # The loop never ends: no state is terminal or stuck.
+        assert result.state_count > 0
+        assert not result.terminals and not result.stuck
+
+    def test_unbound_register_raises_at_step_time(self, reduction):
+        program = _unbound_register_program()
+        assert "unbound-register" in analyse_program(program).codes()
+        with pytest.raises(SemanticsError, match="register 'q' is unbound"):
+            explore(program, reduction=reduction)
 
 
 class TestDeadlockDetection:
