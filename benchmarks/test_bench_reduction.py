@@ -12,16 +12,18 @@ the reduction.
   ``benchmarks/BENCH_reduction.json``, which doubles as the baseline
   the CLI reads to report "states explored vs. states a full
   exploration would store" without re-running the full exploration.
-  The wall-clock ratio is recorded next to the committed baseline and,
-  with ``REPRO_PERF_SMOKE=1`` (the CI perf job), a >2x regression of
-  that *ratio* fails the run.  Regenerate the baseline with
-  ``REPRO_BENCH_WRITE_BASELINE=1``.
+  The wall-clock ratio — each leg timed as the median of
+  :data:`PASSES` catalog passes — is recorded next to the committed
+  baseline and, with ``REPRO_PERF_SMOKE=1`` (the CI perf job), a >2x
+  regression of that *ratio* fails the run.  Regenerate the baseline
+  with ``REPRO_BENCH_WRITE_BASELINE=1``.
 * **large** (``REPRO_BENCH_LARGE=1``): a ≥50k-state polling-ring space,
   where the reduction must deliver **≥1.5x wall-clock** end to end.
 """
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -43,29 +45,42 @@ REGRESSION_FACTOR = 2.0
 STATE_RATIO_FLOOR = 2.0
 
 
+#: Catalog passes per leg: each leg's time is the median of its passes.
+#: One pass takes about 200 ms, so a single gen-2 collection landing in
+#: one leg of one pass moves the ratio by up to 0.3x.
+PASSES = 5
+
+
 def _measure_catalog():
-    per_test = {}
-    tot_off = tot_red = 0
-    t_off = t_red = 0.0
-    for test in LITMUS_TESTS:
-        program = test.build()
-        t0 = time.perf_counter()
-        off = explore_sequential(program)
-        t_off += time.perf_counter() - t0
-        program = test.build()
-        t0 = time.perf_counter()
-        red = explore_sequential(program, reduction="closure")
-        t_red += time.perf_counter() - t0
-        assert off.terminal_locals(*test.regs) == red.terminal_locals(
-            *test.regs
-        ), f"outcome parity broken on {test.name}"
-        per_test[test.name] = {
-            "off": off.state_count,
-            "closure": red.state_count,
-        }
-        tot_off += off.state_count
-        tot_red += red.state_count
-    return per_test, tot_off, tot_red, t_off, t_red
+    times_off, times_red = [], []
+    for _ in range(PASSES):
+        per_test = {}
+        tot_off = tot_red = 0
+        t_off = t_red = 0.0
+        for test in LITMUS_TESTS:
+            program = test.build()
+            t0 = time.perf_counter()
+            off = explore_sequential(program)
+            t_off += time.perf_counter() - t0
+            program = test.build()
+            t0 = time.perf_counter()
+            red = explore_sequential(program, reduction="closure")
+            t_red += time.perf_counter() - t0
+            assert off.terminal_locals(*test.regs) == red.terminal_locals(
+                *test.regs
+            ), f"outcome parity broken on {test.name}"
+            per_test[test.name] = {
+                "off": off.state_count,
+                "closure": red.state_count,
+            }
+            tot_off += off.state_count
+            tot_red += red.state_count
+        times_off.append(t_off)
+        times_red.append(t_red)
+    return (
+        per_test, tot_off, tot_red,
+        statistics.median(times_off), statistics.median(times_red),
+    )
 
 
 def test_reduction_catalog_smoke(record_row):

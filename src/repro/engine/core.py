@@ -236,12 +236,16 @@ def explore_sequential(
 
         # The visible-step memo (repro.semantics.step.StepMemo): one per
         # exploration, keyed by the interned component ids of the
-        # canonical keys this loop computes anyway, so every policy
-        # runs it whenever states are canonically keyed.  It picks one
-        # representative memory pair per component ids from the keys
-        # of admitted targets (``adopt``), and once an expansion's
-        # targets are keyed it swaps the states of the steps that
-        # expansion stored for those representatives (``settle``).
+        # expanded configuration's canonical key, so every policy runs
+        # it whenever states are canonically keyed.  Its entries carry
+        # their successors' ids, so each transition arrives with its
+        # target's key (``tr.key``) and a target is built only once
+        # its key is admitted, on one representative memory pair per
+        # component ids (``adopt``).  After each expansion the memo
+        # swaps the states of the steps it stored for those
+        # representatives (``settle``).  Without the memo
+        # (``canonicalise=False``) ``tr.key`` is None and the loop keys
+        # the built target.
         memo = StepMemo(program, init) if canonicalise else None
 
         frontier: deque = deque([(init_key, init)])
@@ -281,16 +285,16 @@ def explore_sequential(
                 continue
             for i, tr in enumerate(succs):
                 edge_count += 1
-                tkey = keyf(tr.target)
+                tkey = tr.key
+                if tkey is None:
+                    tkey = keyf(tr.target)
                 if collect_edges:
                     edges[key].append((tr.tid, tr.component, tr.action, tkey))
                 if tkey not in configs:
                     if len(configs) >= max_states:
                         truncated = True
                         continue
-                    target = tr.target
-                    if memo is not None:
-                        target = memo.adopt(target, tkey)
+                    target = tr.target if memo is None else memo.adopt(tr)
                     configs[tkey] = target
                     if child_sleeps is not None:
                         sleep_of[tkey] = child_sleeps[i]

@@ -62,19 +62,22 @@ The ids double as cache keys for successor generation
 (:func:`repro.semantics.step.successors`).  The component ids
 (:func:`component_ids`) key the sequential explorer's visible-step
 memo (:class:`repro.semantics.step.StepMemo`), which every reduction
-policy runs whenever states are canonically keyed: a memo hit returns
-successor component states built from an earlier configuration with
-the same ids, whose ``_mem_ident``/``_component_id`` caches are
-already filled.  The explorer's keys of admitted configurations also
+policy runs whenever states are canonically keyed.  A memo entry
+stores its successor component states together with their ids,
+interned once on the miss that stores it, so a hit returns both and
+derives no id.  The explorer's keys of admitted configurations also
 pick the memo's one representative ``(γ, β)`` pair per
 ``(γ-id, β-id)``, so configurations equal in memory up to relabelling
 share state objects.  The thread ids
 (:func:`thread_ids`) key each thread's step plan and its successor
-thread states, so a successor inherits its parent's thread ids with
-one slot replaced and keying it costs little more than its two
-component ids.  They also key every other fact that is a function of
-a thread state — its proof-outline pc and its DPOR footprint — so the
-program's intern tables are the one home of every such cache.
+thread states, so a successor's key is its parent's thread ids with
+one slot replaced plus the memo's stored component ids: under the
+memo, :func:`canonical_key` runs only on the initial configuration,
+and a target configuration is built, with its key preset, only once
+the explorer admits that key.  The thread ids also key every other
+fact that is a function of a thread state — its proof-outline pc and
+its DPOR footprint — so the program's intern tables are the one home
+of every such cache.
 
 Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
 object and die with it.  Every key leads with the program's
@@ -98,7 +101,6 @@ the indexed encoding against a retained naive reference implementation
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
-from weakref import WeakValueDictionary
 
 from repro.lang.program import Program
 from repro.memory.actions import Op
@@ -224,17 +226,14 @@ class _Interner:
     ``footprints`` maps ``(footprint mode, thread id)`` to the thread's
     DPOR footprint and ``disjoint`` holds the program's statically
     disjoint thread pairs (both :mod:`repro.semantics.dpor`).  These
-    grow with the thread states, not with the configurations.
-    ``frames`` maps a thread-id tuple to the first configuration built
-    with it, whose ``(cmds, locals)`` maps every later one shares; it
-    holds the configurations weakly, so an entry dies with the
-    configurations that use its maps.  Like the intern tables all of
-    them live and die with the program object and are never pickled.
+    grow with the thread states, not with the configurations.  Like the
+    intern tables all of them live and die with the program object and
+    are never pickled.
     """
 
     __slots__ = (
         "scope", "ops", "mems", "comps", "threads", "plans", "pcs",
-        "footprints", "disjoint", "frames",
+        "footprints", "disjoint",
     )
 
     def __init__(self) -> None:
@@ -247,7 +246,6 @@ class _Interner:
         self.pcs: Dict[int, object] = {}
         self.footprints: Dict[Tuple[str, int], Tuple] = {}
         self.disjoint: Optional[FrozenSet] = None
-        self.frames: WeakValueDictionary = WeakValueDictionary()
 
 
 def _interner(program: Program) -> _Interner:

@@ -313,7 +313,7 @@ def _select_persistent(
         if not genabled:
             continue
         progress = any(
-            tr.target.gamma is not cfg.gamma or tr.target.beta is not cfg.beta
+            tr.gamma is not cfg.gamma or tr.beta is not cfg.beta
             for t in genabled
             for tr in by_tid[t]
         )
@@ -343,8 +343,10 @@ def dpor_successors(
     taken, inherited from the parent sleep plus the already-expanded
     earlier siblings.  ``memo`` is the exploration's visible-step memo
     (:func:`~repro.semantics.reduce.reduced_successors`).  It serves the
-    threads left outside the persistent set too; the explorer never
-    keys their targets, so their stored steps keep the rule's own
+    threads left outside the persistent set too.  Their transitions are
+    keyed but never built: the persistent-set choice reads their
+    successor pairs, and the explorer never tests their keys, so a
+    stored step whose ids are never admitted keeps the rule's own
     states (:meth:`~repro.semantics.step.StepMemo.settle`).
     """
     succs = reduced_successors(program, cfg, memo)

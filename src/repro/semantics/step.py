@@ -45,10 +45,15 @@ equal up to per-variable timestamp relabelling, and the rules commute
 with such relabellings ("Verifying C11 Programs Operationally", the
 argument the canonical key rests on), so the first-seen
 configuration's successor states serve every later one with the same
-key — with their interned ids already cached on them.  Once the
-explorer has keyed a miss's targets, the memo swaps their states for
-one representative pair per ``(γ-id, β-id)``, so it holds the visited
-configurations' own component states and no duplicates of them.
+key.  The memo stores each successor pair's ``(γ'-id, β'-id)`` next to
+it, interned once on the miss, so under a memo every transition
+carries its target's canonical key — the parent's thread ids with the
+stepping slot replaced, plus the stored ids — and the target
+configuration is built only if the explorer admits that key.  Once the
+explorer has admitted an expansion's targets, the memo swaps the
+states of the steps it stored for one representative pair per
+``(γ-id, β-id)``, so it holds the visited configurations' own
+component states and no duplicates of them.
 Raw-keyed exploration and witness replay run the
 rule without a memo, and :func:`thread_successors` and the proof-rule
 checkers (:mod:`repro.logic.triples`) step a thread through
@@ -72,7 +77,12 @@ from repro.memory.transitions import (
     write_steps,
 )
 from repro.obs import metrics as _metrics
-from repro.semantics.canon import _interner, component_ids, thread_ids
+from repro.semantics.canon import (
+    _component_id,
+    _interner,
+    component_ids,
+    thread_ids,
+)
 from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
@@ -81,24 +91,78 @@ from repro.util.fmap import FMap
 class Transition:
     """One step of the combined semantics.
 
+    ``tid`` steps, in component ``component`` ('C' for client steps,
+    'L' for library steps), with ``action`` (None for a silent ε step),
+    to ``target``; ``gamma`` and ``beta`` are the target's memory pair
+    ``(γ', β')``.
+
+    A transition built by :func:`successors` under a visible-step memo
+    carries its target's canonical key as ``key`` (None otherwise) and
+    builds ``target`` only when it is first asked for, from the parent
+    configuration ``source`` and the stepping thread's successor state
+    ``outcome`` = ``(cmd', ls', …)``, with the key and its thread ids
+    preset.  The explorer tests ``key`` against its visited set and asks
+    for the targets it admits only.
+
     A slotted value class (matching the :class:`~repro.memory.actions.Op`
     treatment): transitions are created once per edge on the explorer's
-    hottest allocation path and never mutated.
+    hottest allocation path, and only the lazily built target is ever
+    filled in after construction.
     """
 
-    __slots__ = ("tid", "component", "action", "target")
+    __slots__ = (
+        "tid", "component", "action", "gamma", "beta", "key",
+        "_target", "_source", "_outcome",
+    )
 
     def __init__(
         self,
         tid: str,
-        component: str,  # 'C' for client steps, 'L' for library steps
-        action: Optional[Action],  # None for silent (ε) steps
-        target: Config,
+        component: str,
+        action: Optional[Action],
+        target: Optional[Config] = None,
+        gamma: Optional[ComponentState] = None,
+        beta: Optional[ComponentState] = None,
+        key: Optional[Tuple] = None,
+        source: Optional[Config] = None,
+        outcome: Optional[Tuple] = None,
     ) -> None:
         self.tid = tid
         self.component = component
         self.action = action
-        self.target = target
+        if target is not None:
+            gamma, beta = target.gamma, target.beta
+        self.gamma = gamma
+        self.beta = beta
+        self.key = key
+        self._target = target
+        self._source = source
+        self._outcome = outcome
+
+    @property
+    def target(self) -> Config:
+        target = self._target
+        if target is None:
+            target = self.build(self.gamma, self.beta)
+        return target
+
+    def build(self, gamma: ComponentState, beta: ComponentState) -> Config:
+        """Build and keep the target of a keyed transition on the memory
+        pair ``(gamma, beta)``: its own ``(γ', β')`` or a pair with the
+        same component ids, so that the preset key holds."""
+        key = self.key
+        tid = self.tid
+        source = self._source
+        outcome = self._outcome
+        target = Config(
+            source.cmds.set(tid, outcome[0]),
+            source.locals.set(tid, outcome[1]),
+            gamma, beta,
+        )
+        object.__setattr__(target, "_thread_ids", (key[0], key[1]))
+        object.__setattr__(target, "_canonical_key", key)
+        self._target = target
+        return target
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Transition):
@@ -128,6 +192,10 @@ _ThreadStep = Tuple[
 #: Internal: one visible step as a rule returns it —
 #: (action, register value, γ', β').
 _VisibleStep = Tuple[Action, Value, ComponentState, ComponentState]
+
+#: Internal: one visible step as the memo stores it —
+#: (action, register value, γ', β', γ'-id, β'-id).
+_MemoStep = Tuple[Action, Value, ComponentState, ComponentState, int, int]
 
 #: Continuation summary for the covering-read prune: the set of global
 #: variables the continuation may still access, and whether it may still
@@ -198,71 +266,63 @@ class StepMemo:
     """One exploration's visible-step memo (:func:`successors`).
 
     ``steps`` maps a rule application's key ``(γ-id, β-id, tid,
-    orientation, rule, operands)`` to the ``(action, register value,
-    γ', β')`` steps the rule returned, and ``pruned`` the keys whose
-    rule skipped covering-equivalent read candidates to how many it
-    skipped (replayed into ``reduce.covering_pruned`` on a hit).
+    orientation, rule, operands)`` to its entry: the ``(action, register
+    value, γ', β', γ'-id, β'-id)`` of every step the rule returned, the
+    successor pair's component ids interned once, on the miss that
+    stores the entry, so a hit derives no id at all.  ``pruned`` maps the
+    keys whose rule skipped covering-equivalent read candidates to how
+    many it skipped (replayed into ``reduce.covering_pruned`` on a hit).
     ``pairs`` maps each ``(γ-id, β-id)`` of an admitted configuration
     to one representative ``(γ, β)`` pair, seeded with ``initial``'s.
 
-    The memo works out no ids of its own: the explorer keys every
-    target it admits, and hands each admitted configuration to
-    :meth:`adopt`, which swaps its memory for the representative pair
-    of its ids (its own pair becomes the representative when the ids
-    are new).  The visited set then holds one pair per ids.  A miss
-    stores the rule's steps as they are and files them, with the
-    transitions built from them, in ``fresh``; :meth:`settle`, run once
-    the explorer has keyed those transitions' targets, swaps each keyed
-    target's states in the stored steps for the representative of the
-    target's ids.  Under ``off`` and the ε-closure every target is
-    keyed, so the memo references the visited set's own states and
-    holds no duplicate of them; under dpor the targets of threads left
-    outside a persistent set are never keyed, and their steps keep the
-    rule's states.
+    The explorer admits a transition by its key and builds the admitted
+    target through :meth:`adopt`, on the representative pair of its ids
+    (its own pair becomes the representative when the ids are new).  The
+    visited set then holds one pair per ids.  A miss stores the rule's
+    states as they are and files its entry in ``fresh``; :meth:`settle`,
+    run once the explorer has admitted an expansion's targets, swaps
+    each filed step's states for the representative of its ids.  Under
+    ``off`` and the ε-closure every target is tested against the visited
+    set, so every step's ids have a representative and the memo holds
+    the visited set's own states and no duplicate of them; under dpor a
+    step of a thread left outside every persistent set may lead to ids
+    that are never admitted, and keeps the rule's states.
 
     A step that leaves a component unchanged returns its input state
     object, and every configuration the explorer expands holds
     representative states, so a memoised step keeps its source's
     ``(γ, β)`` objects exactly when it keeps their ids: dpor's
     memory-progress test (:func:`repro.semantics.dpor._select_persistent`),
-    which compares states by identity, reads as it would without the
-    memo.
+    which compares a transition's ``(γ', β')`` with its source's by
+    identity, reads as it would without the memo.
     """
 
     __slots__ = ("steps", "pruned", "pairs", "fresh")
 
     def __init__(self, program: Program, initial: Config) -> None:
-        self.steps: Dict[Tuple, List[_VisibleStep]] = {}
+        self.steps: Dict[Tuple, List[_MemoStep]] = {}
         self.pruned: Dict[Tuple, int] = {}
         self.pairs: Dict[
             Tuple[int, int], Tuple[ComponentState, ComponentState]
         ] = {component_ids(program, initial): (initial.gamma, initial.beta)}
-        self.fresh: List[Tuple[List[_VisibleStep], List[Transition]]] = []
+        self.fresh: List[List[_MemoStep]] = []
 
-    def adopt(self, cfg: Config, key: Tuple) -> Config:
-        """``cfg``, admitted under canonical key ``key``, holding the
+    def adopt(self, tr: Transition) -> Config:
+        """The target of keyed transition ``tr``, admitted, built on the
         representative pair of its component ids."""
-        pair = self.pairs.setdefault((key[2], key[3]), (cfg.gamma, cfg.beta))
-        if pair[0] is cfg.gamma and pair[1] is cfg.beta:
-            return cfg
-        shared = Config(cfg.cmds, cfg.locals, pair[0], pair[1])
-        object.__setattr__(shared, "_thread_ids", cfg.__dict__["_thread_ids"])
-        object.__setattr__(shared, "_canonical_key", key)
-        return shared
+        key = tr.key
+        pair = self.pairs.setdefault((key[2], key[3]), (tr.gamma, tr.beta))
+        return tr.build(pair[0], pair[1])
 
     def settle(self) -> None:
         """Swap the states of the steps stored since the last call for
-        the representatives of their keyed targets' ids."""
+        the representatives of their ids."""
         pairs = self.pairs
-        for steps, trs in self.fresh:
-            for i, tr in enumerate(trs):
-                key = tr.target.__dict__.get("_canonical_key")
-                if key is None:
-                    continue
-                pair = pairs.get((key[2], key[3]))
+        for steps in self.fresh:
+            for i, step in enumerate(steps):
+                pair = pairs.get((step[4], step[5]))
                 if pair is not None:
-                    action, value, _g2, _b2 = steps[i]
-                    steps[i] = (action, value, pair[0], pair[1])
+                    steps[i] = (step[0], step[1], *pair, step[4], step[5])
         self.fresh.clear()
 
 
@@ -293,8 +353,7 @@ def successors(
     (ε-closed under ``close``) and its id.  A repeated outcome replays
     the silent steps its closure fused into ``reduce.epsilon_fused``.
     A target inherits ``cfg``'s thread ids with the stepping thread's
-    slot replaced, and targets with equal thread ids share one
-    ``(cmds, locals)`` map pair.
+    slot replaced.
 
     ``memo``, when given, is the exploration's visible-step memo: a
     :class:`StepMemo` the caller owns for one exploration of ``program``
@@ -302,21 +361,24 @@ def successors(
     Each visible rule application is keyed by the interned
     ``(γ-id, β-id)`` of ``cfg``'s canonical key plus the thread, the
     component orientation, the rule and its evaluated operands, and a
-    repeated key returns the stored successor component states instead
-    of re-running the rule.  Ids are exact value identity, so the stored
-    states are equal, up to per-variable timestamp relabelling, to the
-    ones the rule would build; the rules commute with such relabellings,
-    so every successor has the same label and the same canonical key as
-    without the memo.  A hit also replays the read candidates the
-    covering-read prune skipped into ``reduce.covering_pruned``.  A miss
-    files its steps and transitions for :meth:`StepMemo.settle`.  The
-    memo is only meaningful where states are identified by
+    repeated key returns the stored successor component states and
+    their ids instead of re-running the rule.  Ids are exact value
+    identity, so the stored states are equal, up to per-variable
+    timestamp relabelling, to the ones the rule would build; the rules
+    commute with such relabellings, so every successor has the same
+    label and the same canonical key as without the memo.  A hit also
+    replays the read candidates the covering-read prune skipped into
+    ``reduce.covering_pruned``.  A miss files its entry for
+    :meth:`StepMemo.settle`.  Under a memo each transition carries its
+    target's canonical key ``(scope, thread ids, γ'-id, β'-id)`` and
+    builds the target only when asked (:class:`Transition`); without
+    one, targets are built at once and carry no key.  The memo is only
+    meaningful where states are identified by
     :func:`~repro.semantics.canon.canonical_key`.
     """
     tables = _interner(program)
     scope = tables.scope
     threads = tables.threads
-    frames = tables.frames
     mode = (prune, close)
     plans = tables.plans.get(mode)
     if plans is None:
@@ -330,7 +392,6 @@ def successors(
     active = _metrics._ACTIVE
     out: List[Transition] = []
     append = out.append
-    fresh = None
     for i, tid in enumerate(program.tids):
         plan = plans.get(ids[i])
         if plan is None:
@@ -349,19 +410,32 @@ def successors(
         if plan is _DONE:
             continue
         rule = plan.rule
-        if rule is None:
-            steps = ((None, None, gamma, beta),)
-        elif memo is None:
-            steps = rule(program, gamma, beta, tid, plan.in_lib, *plan.operands)
+        if memo is None:
+            if rule is None:
+                steps = ((None, None, gamma, beta),)
+            else:
+                steps = rule(
+                    program, gamma, beta, tid, plan.in_lib, *plan.operands
+                )
+        elif rule is None:
+            steps = ((None, None, gamma, beta, gid, bid),)
         else:
             key = (gid, bid, *plan.memo_tail)
             steps = memo_steps.get(key)
             if steps is None:
                 if prune and active is not None:
                     pruned = active.counters.get(_PRUNED, 0)
-                steps = memo_steps[key] = rule(
-                    program, gamma, beta, tid, plan.in_lib, *plan.operands
-                )
+                steps = memo_steps[key] = [
+                    (
+                        action, value, g2, b2,
+                        _component_id(tables, g2, b2),
+                        _component_id(tables, b2, g2),
+                    )
+                    for action, value, g2, b2 in rule(
+                        program, gamma, beta, tid, plan.in_lib,
+                        *plan.operands,
+                    )
+                ]
                 if active is not None:
                     if prune:
                         pruned = active.counters.get(_PRUNED, 0) - pruned
@@ -369,7 +443,7 @@ def successors(
                             memo.pruned[key] = pruned
                     active.inc("explore.memo.entries")
                 if steps:
-                    fresh = len(out)
+                    memo.fresh.append(steps)
             elif prune and active is not None:
                 pruned = memo.pruned.get(key)
                 if pruned:
@@ -380,28 +454,26 @@ def successors(
         outcomes = plan.outcomes
         head = ids[:i]
         tail = ids[i + 1:]
-        for action, value, g2, b2 in steps:
-            outcome = outcomes.get(value)
+        for step in steps:
+            outcome = outcomes.get(step[1])
             if outcome is None:
-                outcome = plan.settle(value, close, threads)
+                outcome = plan.settle(step[1], close, threads)
             elif outcome[3] and active is not None:
                 active.inc("reduce.epsilon_fused", outcome[3])
             ids2 = head + (outcome[2],) + tail
-            frame = frames.get(ids2)
-            if frame is None:
+            if memo is None:
                 target = Config(
                     cfg.cmds.set(tid, outcome[0]),
                     cfg.locals.set(tid, outcome[1]),
-                    g2, b2,
+                    step[2], step[3],
                 )
-                frames[ids2] = target
+                object.__setattr__(target, "_thread_ids", (scope, ids2))
+                append(Transition(tid, comp, step[0], target))
             else:
-                target = Config(frame.cmds, frame.locals, g2, b2)
-            object.__setattr__(target, "_thread_ids", (scope, ids2))
-            append(Transition(tid, comp, action, target))
-        if fresh is not None:
-            memo.fresh.append((steps, out[fresh:]))
-            fresh = None
+                append(Transition(
+                    tid, comp, step[0], None, step[2], step[3],
+                    (scope, ids2, step[4], step[5]), cfg, outcome,
+                ))
     return out
 
 

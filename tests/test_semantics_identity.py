@@ -5,6 +5,9 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
   of every reachable state, so each canonical state shows up under
   several distinct configuration objects — two keys are equal exactly
   when the two encodings are: the quotient is unchanged.
+* **Transition keys.**  Under the visible-step memo every transition
+  carries its target's key, read off the memo; it equals the key of a
+  cache-free copy of the target on every edge.
 * **Scope.**  Ids are drawn from per-program tables: keys of two
   program objects never compare equal, a configuration keyed under one
   program is re-keyed under another, nothing of the tables or of a
@@ -16,16 +19,19 @@ import gc
 import pickle
 import weakref
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
+from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS
+from repro.semantics import step as step_mod
 from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
 from repro.semantics.reduce import close_config, get_strategy, reduced_successors
-from repro.semantics.step import StepMemo, successors
+from repro.semantics.step import StepMemo, Transition, successors
 from tests.conftest import (
     abstract_lock_client,
     mp_relaxed,
@@ -171,6 +177,45 @@ class TestInheritedKeys:
             assert "_thread_ids" in vars(t)
             fresh = Config(t.cmds, t.locals, t.gamma, t.beta)
             assert canonical_key(program, t) == canonical_key(program, fresh)
+
+
+class TestTransitionKeys:
+    """The key a transition carries is its target's key: equal to the
+    key of a cache-free copy of the target.  Checked on every transition
+    ``successors`` builds during an exploration — edges to new and to
+    visited states alike and, under dpor, the transitions of threads
+    the persistent sets leave out, whose targets the loop never asks
+    for."""
+
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    @pytest.mark.parametrize(
+        "build",
+        [t.build for t in LITMUS_TESTS] + [b for _, b in OBJECT_CLIENTS],
+        ids=[t.name for t in LITMUS_TESTS] + [n for n, _ in OBJECT_CLIENTS],
+    )
+    def test_key_of_every_transition(self, build, reduction):
+        program = build()
+        made = []
+
+        class Recorded(Transition):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with mock.patch.object(step_mod, "Transition", Recorded):
+            result = explore_sequential(program, 20_000, reduction=reduction)
+        assert not result.truncated
+        keys = {tr.key for tr in made}
+        assert set(result.configs) - {result.initial_key} <= keys
+        if reduction != "dpor":
+            assert len(made) == result.edge_count
+            assert keys <= set(result.configs)
+        for tr in made:
+            t = tr.target
+            fresh = Config(t.cmds, t.locals, t.gamma, t.beta)
+            assert tr.key == canonical_key(program, fresh)
 
 
 class TestScope:

@@ -307,7 +307,10 @@ class TestTransitionClass:
         program = _mp_await()
         tr = successors(program, initial_config(program))[0]
         assert not hasattr(tr, "__dict__")
-        assert tr.__slots__ == ("tid", "component", "action", "target")
+        assert tr.__slots__ == (
+            "tid", "component", "action", "gamma", "beta", "key",
+            "_target", "_source", "_outcome",
+        )
 
     def test_value_semantics(self):
         program = _mp_await()

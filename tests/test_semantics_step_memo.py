@@ -27,7 +27,9 @@ programs:
 * **the bound** — after a complete ``off`` or ``closure`` exploration
   every component state the memo references is, by identity, the ``γ``
   or ``β`` of a stored configuration; under ``dpor`` only the threads
-  left outside a persistent set leave a few unstored ones.
+  left outside a persistent set leave a few unstored ones;
+* **target builds** — a complete exploration builds one target
+  configuration per admitted state, none per other edge.
 
 The ``explore.memo.*`` counters are pinned on small ``wide_program``
 spaces, and ``reduce.covering_pruned`` on a space where pruned reads
@@ -218,7 +220,7 @@ def unstored_references(program, reduction):
     refs = [
         state
         for steps in memo.steps.values()
-        for _action, _value, g2, b2 in steps
+        for _action, _value, g2, b2, _gid, _bid in steps
         for state in (g2, b2)
     ]
     refs += [state for pair in memo.pairs.values() for state in pair]
@@ -304,9 +306,10 @@ class TestBound:
 
     def test_dpor_leaves_few_unstored(self):
         # dpor memoises the threads outside each persistent set, whose
-        # targets it never keys, so their steps keep the rule's states:
-        # 141 of 2,926 references (4.8%) over wide_program(2, reads=1)
-        # and the catalog, 99 of them never keyed.  Bound them at 10%.
+        # targets it never admits, so a step whose ids are never
+        # admitted keeps the rule's states: 48 of 2,926 references
+        # (1.6%) over wide_program(2, reads=1) and the catalog.  Bound
+        # them at 10%.
         refs = unstored = 0
         for _name, build in self.BOUND_PROGRAMS:
             r, u = unstored_references(build(), "dpor")
@@ -328,8 +331,33 @@ class TestBound:
         assert all(
             (id(g2), id(b2)) in pairs
             for steps in memo.steps.values()
-            for _action, _value, g2, b2 in steps
+            for _action, _value, g2, b2, _gid, _bid in steps
         )
+
+
+class TestTargetBuilds:
+    """A transition is admitted by the key it carries, so a complete
+    exploration builds one target configuration per admitted state and
+    none for an edge to a visited state or, under dpor, for a thread the
+    persistent set leaves out."""
+
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    def test_one_build_per_admitted_state(self, reduction):
+        built = [0]
+
+        class Counted(step_mod.Config):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built[0] += 1
+
+        with mock.patch.object(step_mod, "Config", Counted):
+            result = explore_sequential(
+                wide_program(3, reads=2), reduction=reduction
+            )
+        assert not result.truncated
+        if reduction != "dpor":
+            assert (result.state_count, result.edge_count) == (413, 1_062)
+        assert built[0] == result.state_count - 1
 
 
 class TestCounters:
