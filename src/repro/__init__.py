@@ -57,12 +57,9 @@ from repro.refinement.tracecheck import check_program_refinement
 from repro.refinement.traces import client_graph
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore, final_outcomes, reachable
-from repro.semantics.random_exec import random_run, replay_run, sample_outcomes
 from repro.semantics.witness import (
     Witness,
     WitnessStep,
-    find_path,
-    find_terminal_witness,
     reconstruct_witness,
     replay_witness,
 )
@@ -98,17 +95,12 @@ __all__ = [
     "explore",
     "final_outcomes",
     "find_forward_simulation",
-    "find_path",
-    "find_terminal_witness",
     "format_config",
     "initial_config",
     "lit",
-    "random_run",
     "reachable",
     "reconstruct_witness",
     "reg",
-    "replay_run",
     "replay_witness",
-    "sample_outcomes",
     "verify_lock_implementation",
 ]

@@ -23,7 +23,7 @@ Commands:
 Options:
 
 * ``--reduction R`` — state-space reduction policy (any name in the
-  registry :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
+  policy table :data:`repro.semantics.reduce.REDUCTIONS`): ``closure``
   (default: ε-closure + covering-read prune, same verdicts from far
   fewer stored states) | ``dpor`` (sleep-set + persistent-set partial
   order reduction layered on ``closure``) | ``off`` (the unreduced
@@ -435,7 +435,7 @@ def _parse_options(args, command: str) -> Optional[dict]:
             name = flag.lstrip("-")
             given.add(name)
             if flag == "--reduction":
-                from repro.engine import REDUCTIONS
+                from repro.semantics.reduce import REDUCTIONS
 
                 if value not in REDUCTIONS:
                     print(

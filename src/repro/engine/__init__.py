@@ -5,7 +5,8 @@ Exploration as a first-class subsystem, decoupled from the semantics:
 * :class:`~repro.engine.core.ExplorationEngine` — one API over the
   in-process breadth-first loop
   (:func:`~repro.engine.core.explore_sequential`) and the reduction
-  policies (:mod:`repro.semantics.reduce`);
+  policies, whose names and lookup live in :mod:`repro.semantics.reduce`
+  only (``REDUCTIONS``, ``get_strategy``);
 * :class:`~repro.engine.result.ExploreResult` — the full product of one
   exploration.
 
@@ -28,18 +29,6 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "ExplorationEngine",
     "ExploreResult",
-    "REDUCTIONS",
     "explore_sequential",
 ]
-
-
-def __getattr__(name: str):
-    # The policy tuple lives in the reduction registry; resolving it
-    # lazily keeps the engine package import-time independent of
-    # repro.semantics (see the NOTE in repro.engine.core).
-    if name == "REDUCTIONS":
-        from repro.semantics.reduce import REDUCTIONS
-
-        return REDUCTIONS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -51,12 +51,12 @@ GC_GEN0_THRESHOLD = 50_000
 
 
 def _check_reduction(reduction: str) -> str:
-    """Validate a policy spec via the registry's own validator, so the
-    accepted set cannot drift from the semantics side (the error
-    message lists the registered policies)."""
-    from repro.semantics.reduce import validate_reduction
+    """Validate a policy spec through the policy table's one lookup,
+    so the accepted set cannot drift from the semantics side (the error
+    message lists the policies)."""
+    from repro.semantics.reduce import get_strategy
 
-    return validate_reduction(reduction)
+    return get_strategy(reduction).name
 
 
 def key_function(

@@ -8,18 +8,20 @@ against ``γ`` and library steps against ``β``.
 ``explore`` performs exhaustive breadth-first enumeration of the
 reachable configuration space with canonical state hashing (``canon``),
 which is the engine behind every verification result in this repository.
-``reduce`` is the reduction-policy registry
-(:class:`~repro.semantics.reduce.ReductionStrategy`) and the sound
+``reduce`` holds the fixed reduction-policy table
+(:class:`~repro.semantics.reduce.ReductionStrategy`,
+:func:`~repro.semantics.reduce.get_strategy`) and the sound
 ε-closure + covering-read-prune layer behind ``reduction="closure"``;
 ``dpor`` builds the sleep-set + persistent-set partial-order reduction
-(``reduction="dpor"``) on top of it.  ``random_exec`` provides a
-statistical sampling mode for programs too large to enumerate.
+(``reduction="dpor"``) on top of it.  Every result comes from
+exhaustive enumeration: there is no sampling mode, since a sample
+cannot show that a behaviour is absent.  ``witness`` turns an
+exploration's predecessor graph into a replayable schedule.
 """
 
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import ExploreResult, explore, final_outcomes, reachable
-from repro.semantics.random_exec import random_run
 from repro.semantics.reduce import (
     REDUCTIONS,
     ReductionStrategy,
@@ -46,7 +48,6 @@ __all__ = [
     "final_outcomes",
     "get_strategy",
     "initial_config",
-    "random_run",
     "reachable",
     "reduced_successors",
     "silent_step",

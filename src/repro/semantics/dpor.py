@@ -402,16 +402,9 @@ def dpor_successors(
     return out
 
 
-def _dpor_plain_successors(program: Program, cfg: Config) -> List[Transition]:
-    """``successors``-signature wrapper: the empty-sleep expansion —
-    persistent selection only, used by consumers that don't thread
-    sleep sets (witness re-derivation)."""
-    return [tr for tr, _sleep in dpor_successors(program, cfg, frozenset())]
-
-
 DPOR_STRATEGY = ReductionStrategy(
     name="dpor",
-    successors=_dpor_plain_successors,
+    successors=None,
     normalise_initial=close_config,
     closure_expansion=True,
     requires_canonical=True,

@@ -43,9 +43,10 @@ def reachable(
     unreachability: when the search exhausts ``max_states`` without a
     witness the answer is unknown, and pretending otherwise would let a
     truncated search masquerade as one — that case raises
-    :class:`VerificationError` instead (``find_path`` and
-    ``ExplorationEngine.find_witness`` honour the same contract).  To
-    additionally get the *execution* reaching the configuration, use
+    :class:`VerificationError` instead (``ExplorationEngine.find_witness``
+    and the test oracle :func:`repro.semantics.witness.find_path` honour
+    the same contract).  To additionally get the *execution* reaching
+    the configuration, use
     :meth:`repro.engine.ExplorationEngine.find_witness`, which runs this
     same early-stopping search with predecessor tracking and
     reconstructs the schedule from the explored graph.

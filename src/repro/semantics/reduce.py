@@ -66,22 +66,23 @@ the successor component state is even constructed).  The gate is
 computed per read site, once per step plan, from continuation
 summaries (:func:`repro.semantics.step._node_summary`).
 
-Policy registry
----------------
+Policy table
+------------
 This module is the *single* source of truth for reduction policies.
-Each policy is a :class:`ReductionStrategy` — successor function,
-initial-configuration normalisation and composability flags —
-registered under its name.
-Every consumer (``validate_reduction``, the engine's loop and
-``_check_reduction``, the CLI ``--reduction`` choices) reads the
-registry; nothing else enumerates policies.
+Each policy is a :class:`ReductionStrategy` — successor relation,
+initial-configuration normalisation and composability flags — and the
+fixed table at the bottom of this file maps each name to its strategy.
+Every consumer (the engine's loop and ``_check_reduction``, witness
+reconstruction, the CLI ``--reduction`` choices) reads that table
+through :func:`get_strategy` or :data:`REDUCTIONS`; nothing else
+enumerates policies.
 
 * ``"off"`` — the historical plain ``=⇒`` relation (the engine default).
 * ``"closure"`` — ε-closure + covering-read prune (this module).
 * ``"dpor"`` — sleep-set + covering-persistent-set partial-order
   reduction over the closed macro-step system
-  (:mod:`repro.semantics.dpor`), registered from its own module via the
-  import at the bottom of this file.
+  (:mod:`repro.semantics.dpor`), whose strategy is imported at the
+  bottom of this file.
 
 The reduction changes which configurations are stored, so consumers
 that need the un-fused transition graph (the refinement checkers and
@@ -116,16 +117,17 @@ class ReductionStrategy:
 
     ``successors`` is the policy's macro-step relation and
     ``normalise_initial`` its initial-configuration normalisation (both
-    with the ``(program, cfg)`` signature).
-    ``sleep_expand`` — set only for sleep-set policies — replaces
-    ``successors`` inside exploration loops that thread sleep sets: it
-    maps ``(program, cfg, sleep, memo=)`` to ``[(transition,
-    child_sleep)]`` pairs and returns an empty list exactly when ``cfg``
-    has no successors at all (sleep sets prune edges, never sink
-    states).  The engine loop passes the exploration's visible-step
-    memo (a :class:`~repro.semantics.step.StepMemo` whenever states are
-    canonically keyed, None otherwise) as ``memo=`` to ``sleep_expand``
-    where the policy has one and to ``successors`` where it has not.
+    with the ``(program, cfg)`` signature; ``successors`` also takes the
+    ``memo=`` keyword).
+    ``sleep_expand`` — set only for sleep-set policies — takes the
+    place of ``successors``, which is then None: it maps ``(program,
+    cfg, sleep, memo=)`` to ``[(transition, child_sleep)]`` pairs and
+    returns an empty list exactly when ``cfg`` has no successors at all
+    (sleep sets prune edges, never sink states).  The engine loop
+    passes the exploration's visible-step memo (a
+    :class:`~repro.semantics.step.StepMemo` whenever states are
+    canonically keyed, None otherwise) as ``memo=`` to whichever of the
+    two the policy has.
 
     The flags drive composition:
 
@@ -140,43 +142,28 @@ class ReductionStrategy:
     """
 
     name: str
-    successors: Callable[..., List[Transition]]
+    successors: Optional[Callable[..., List[Transition]]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
     requires_canonical: bool = False
     sleep_expand: Optional[Callable[..., List[Tuple]]] = None
 
 
-#: The policy registry: name -> strategy.  Populated below ("off",
-#: "closure") and by :mod:`repro.semantics.dpor` via the import at the
-#: bottom of this module; insertion order is presentation order.
-_REGISTRY: Dict[str, ReductionStrategy] = {}
+def get_strategy(reduction: str) -> ReductionStrategy:
+    """The strategy named ``reduction``: the one policy lookup.
 
-
-def register_strategy(strategy: ReductionStrategy) -> ReductionStrategy:
-    """Add ``strategy`` to the registry (a duplicate name is a bug)."""
-    if strategy.name in _REGISTRY:
-        raise ValueError(
-            f"reduction policy {strategy.name!r} is already registered"
-        )
-    _REGISTRY[strategy.name] = strategy
-    return strategy
-
-
-def validate_reduction(reduction: str) -> str:
-    """Check a reduction policy spec, returning it unchanged.  The
-    error message lists the recognised policies."""
-    if reduction not in _REGISTRY:
+    Anything that is not a policy name — an unknown string or a
+    non-string such as ``["dpor"]`` — raises :class:`ValueError`
+    listing the policies.  The table is read at call time, so a
+    consumer that swaps its entries in place (the span tracer) is seen
+    by every later lookup.
+    """
+    if not isinstance(reduction, str) or reduction not in _REGISTRY:
         raise ValueError(
             f"unknown reduction policy {reduction!r}; "
             f"expected one of {', '.join(_REGISTRY)}"
         )
-    return reduction
-
-
-def get_strategy(reduction: str) -> ReductionStrategy:
-    """The registered strategy for ``reduction`` (validating it)."""
-    return _REGISTRY[validate_reduction(reduction)]
+    return _REGISTRY[reduction]
 
 
 def _close_chain(cmd, ls) -> Tuple:
@@ -281,35 +268,32 @@ def reduced_successors(
 
 
 # ---------------------------------------------------------------------------
-# registration
+# the policy table
 # ---------------------------------------------------------------------------
 
-register_strategy(
-    ReductionStrategy(
+# The dpor strategy lives in its own module.  The import is
+# intentionally last: repro.semantics.dpor imports the strategy
+# machinery defined above, so placing it at the bottom keeps the
+# (reduce -> dpor -> reduce) cycle well-founded regardless of which
+# module is imported first.
+from repro.semantics.dpor import DPOR_STRATEGY  # noqa: E402
+
+#: The policy table: name -> strategy, in presentation order.
+_REGISTRY: Dict[str, ReductionStrategy] = {
+    "off": ReductionStrategy(
         name="off",
         successors=successors,
         normalise_initial=lambda program, cfg: cfg,
-    )
-)
-
-register_strategy(
-    ReductionStrategy(
+    ),
+    "closure": ReductionStrategy(
         name="closure",
         successors=reduced_successors,
         normalise_initial=close_config,
         closure_expansion=True,
-    )
-)
+    ),
+    "dpor": DPOR_STRATEGY,
+}
 
-# The DPOR strategy lives in its own module and registers itself here.
-# The import is intentionally last: repro.semantics.dpor imports the
-# strategy machinery defined above, so placing it at the bottom keeps
-# the (reduce -> dpor -> reduce) cycle well-founded regardless of which
-# module is imported first.
-from repro.semantics.dpor import DPOR_STRATEGY  # noqa: E402
-
-register_strategy(DPOR_STRATEGY)
-
-#: Recognised reduction policies — derived from the registry, never
+#: Recognised reduction policies — derived from the table, never
 #: restated anywhere else.
 REDUCTIONS = tuple(_REGISTRY)

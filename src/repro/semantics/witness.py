@@ -8,11 +8,11 @@ exact interleaving through which a client observes stale data.
 
 Two producers live here:
 
-* :func:`find_path` — the naive reference: a sequential, unreduced BFS
+* :func:`find_path` — the test oracle: a sequential, unreduced BFS
   that stores a full configuration per state.  It is deliberately
   simple (the property suite checks engine witnesses against its
   shortest lengths) and expensive (the witness benchmark measures how
-  much).
+  much), and it is not part of the public ``repro`` API.
 * :func:`reconstruct_witness` — rebuilds a concrete execution from the
   predecessor graph an engine exploration records when asked
   (``track_parents=True``): per state only the *parent key* and the
@@ -107,11 +107,10 @@ def find_path(
     witness sitting exactly at the ``max_states`` boundary (or later in
     the same successor list) is still found and returned.
 
-    This is the config-storing reference implementation; prefer
-    :meth:`repro.engine.ExplorationEngine.find_witness` for anything
-    large — it rides the engine (ε-closure reduction) and tracks
-    predecessors by key + edge label instead of storing a configuration
-    per state.
+    This is the config-storing test oracle, not public API.  The public
+    way is :meth:`repro.engine.ExplorationEngine.find_witness`: it rides
+    the engine (under any reduction policy) and tracks predecessors by
+    key + edge label instead of storing a configuration per state.
     """
     init = initial_config(program)
     if predicate(init):
@@ -167,23 +166,6 @@ def _rebuild(init: Config, parents, target_key) -> Witness:
         key = parent_key
     steps.reverse()
     return Witness(initial=init, steps=steps)
-
-
-def find_terminal_witness(
-    program: Program,
-    predicate: Callable[[Config], bool],
-    max_states: int = 500_000,
-) -> Optional[Witness]:
-    """Shortest execution to a *terminal* configuration satisfying
-    ``predicate`` — the usual shape for weak-behaviour witnesses.
-
-    Shares :func:`find_path`'s truncation contract: raises on a capped
-    inconclusive search rather than returning ``None``."""
-    return find_path(
-        program,
-        lambda cfg: cfg.is_terminal() and predicate(cfg),
-        max_states=max_states,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ class TestJsonRowsMatchTheLibrary:
     def reports(self, tmp_path_factory):
         import json
 
-        from repro.engine import REDUCTIONS
+        from repro.semantics.reduce import REDUCTIONS
 
         out = {}
         for reduction in REDUCTIONS:

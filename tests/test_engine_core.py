@@ -17,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import REDUCTIONS, ExplorationEngine
+from repro.engine import ExplorationEngine
 from repro.engine.core import GC_GEN0_THRESHOLD, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
 from repro.semantics.explore import explore
+from repro.semantics.reduce import REDUCTIONS
 from tests.conftest import observing
 
 #: The loop's observing options; ``check_invariants`` is the

@@ -3,8 +3,9 @@ configuration, the summary path and the CLI's litmus rows."""
 
 import pytest
 
-from repro.engine import REDUCTIONS, ExplorationEngine, explore_sequential
+from repro.engine import ExplorationEngine, explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS, run_litmus
+from repro.semantics.reduce import REDUCTIONS
 from tests.conftest import observing
 
 _BY_NAME = {t.name: t for t in LITMUS_TESTS}
@@ -79,11 +80,6 @@ class TestSummaryPath:
 class TestPolicyNames:
     def test_reductions_export(self):
         assert REDUCTIONS == ("off", "closure", "dpor")
-
-    def test_engine_and_semantics_tuples_agree(self):
-        from repro.semantics.reduce import REDUCTIONS as SEMANTICS_REDUCTIONS
-
-        assert REDUCTIONS == SEMANTICS_REDUCTIONS
 
     def test_cli_litmus_explores_under_its_reduction(self, capsys, tmp_path):
         """``repro litmus --json`` explores every test under the

@@ -149,19 +149,3 @@ class TestClientBattery:
         for conc, abst in self._battery(fill, lib_vars, afill, aobjs):
             sim = find_forward_simulation(conc, abst)
             assert sim.found, f"{name} failed on a battery client"
-
-
-class TestExhaustiveVsRandom:
-    def test_random_sampling_agrees_with_exhaustive(self):
-        from repro.semantics.explore import explore
-        from repro.semantics.random_exec import sample_outcomes
-        from tests.conftest import mp_relaxed
-
-        p = mp_relaxed()
-        exhaustive = explore(p).terminal_locals(("2", "r1"), ("2", "r2"))
-        sampled = sample_outcomes(
-            p, (("2", "r1"), ("2", "r2")), runs=300, seed=1
-        )
-        assert set(sampled) <= exhaustive
-        # With 300 runs the common outcomes should all appear.
-        assert len(sampled) >= 3

@@ -304,25 +304,17 @@ class TestTracecheckWitness:
         assert result.refines and result.witness is None
 
 
-class TestRandomRunSchedule:
-    def test_random_run_exposes_replayable_schedule(self):
-        from repro.semantics.random_exec import random_run, replay_run
-        from tests.conftest import mp_relaxed
+class TestDeadlockWitness:
+    """A stuck configuration has a replayable schedule: the engine's
+    witness search reaches it under every policy."""
 
-        import random
-
-        r = random_run(mp_relaxed(), rng=random.Random(5))
-        assert r.terminated
-        assert len(r.schedule) == r.steps == len(r.choices)
-        replayed = replay_run(mp_relaxed(), r.choices)
-        assert replayed.final == r.final
-        assert replayed.schedule == r.schedule
-
-    def test_deadlock_error_is_replayable(self):
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    def test_deadlock_witness_is_replayable(self, reduction):
         from repro.lang import ast as A
         from repro.lang.program import Program, Thread
         from repro.objects.lock import AbstractLock
-        from repro.semantics.random_exec import replay_run, sample_outcomes
+        from repro.semantics.explore import explore
+        from repro.semantics.step import successors
 
         body = A.seq(
             A.MethodCall("l", "acquire"), A.MethodCall("l", "acquire")
@@ -330,18 +322,9 @@ class TestRandomRunSchedule:
         p = Program(
             threads={"1": Thread(body)}, objects=(AbstractLock("l"),)
         )
-        with pytest.raises(VerificationError) as exc:
-            sample_outcomes(p, (), runs=2, seed=7)
-        err = exc.value
-        assert err.details["seed"] == 7
-        assert len(err.details["schedule"]) == len(err.details["choices"])
-        replayed = replay_run(p, err.details["choices"])
-        assert replayed.deadlocked
-        assert replayed.final == err.counterexample
-
-    def test_replay_rejects_foreign_schedule(self):
-        from repro.semantics.random_exec import replay_run
-        from tests.conftest import mp_relaxed
-
-        with pytest.raises(VerificationError, match="does not belong"):
-            replay_run(mp_relaxed(), (99,))
+        w = ExplorationEngine(reduction=reduction).find_witness(
+            p, lambda c: not c.is_terminal() and not successors(p, c)
+        )
+        assert w is not None and len(w) == 1
+        assert w.final == explore(p).stuck[0]
+        assert replay_witness(p, w) == w.final

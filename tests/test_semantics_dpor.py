@@ -177,6 +177,8 @@ class TestStrategy:
         assert strat.closure_expansion
         assert strat.requires_canonical
         assert strat.sleep_expand is dpor_successors
+        # The sleep-set expansion replaces the plain successor relation.
+        assert strat.successors is None
 
     def test_requires_canonical_enforced(self):
         from repro.engine.core import explore_sequential

@@ -1,4 +1,4 @@
-"""Tests for the exhaustive explorer and random executor."""
+"""Tests for the exhaustive explorer."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.semantics.explore import (
     final_outcomes,
     reachable,
 )
-from repro.semantics.random_exec import random_run, sample_outcomes
 from repro.semantics.reduce import REDUCTIONS
 from repro.util.errors import SemanticsError, VerificationError
 from tests.conftest import checking_invariants, mp_ra, mp_relaxed
@@ -177,36 +176,3 @@ class TestAssertInvariant:
                 mp_relaxed(), lambda c: c.local("2", "r1") != 1
             )
         assert exc.value.counterexample is not None
-
-
-class TestRandomExecution:
-    def test_run_terminates(self):
-        r = random_run(mp_relaxed())
-        assert r.terminated
-        assert r.final.is_terminal()
-
-    def test_outcomes_subset_of_exhaustive(self, mp_relaxed_result):
-        exhaustive = mp_relaxed_result.terminal_locals(("2", "r1"), ("2", "r2"))
-        hist = sample_outcomes(
-            mp_relaxed(), (("2", "r1"), ("2", "r2")), runs=50, seed=42
-        )
-        assert set(hist) <= exhaustive
-
-    def test_seeded_reproducibility(self):
-        h1 = sample_outcomes(mp_relaxed(), (("2", "r1"),), runs=20, seed=7)
-        h2 = sample_outcomes(mp_relaxed(), (("2", "r1"),), runs=20, seed=7)
-        assert h1 == h2
-
-    def test_step_cap_reported(self):
-        # An infinite spin: pop-empty loop that can never succeed.
-        from repro.objects.stack import AbstractStack
-
-        body = A.do_until(
-            A.MethodCall("s", "pop", dest="r"), Reg("r").eq(1)
-        )
-        p = Program(
-            threads={"1": Thread(body)}, objects=(AbstractStack("s"),)
-        )
-        r = random_run(p, max_steps=50)
-        assert not r.terminated and not r.deadlocked
-        assert r.steps == 50

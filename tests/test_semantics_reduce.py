@@ -14,8 +14,8 @@ from repro.semantics.reduce import (
     REDUCTIONS,
     close_config,
     close_thread,
+    get_strategy,
     reduced_successors,
-    validate_reduction,
 )
 from repro.semantics.step import (
     Transition,
@@ -43,17 +43,22 @@ class TestPolicy:
     def test_known_policies(self):
         assert set(REDUCTIONS) == {"off", "closure", "dpor"}
         for r in REDUCTIONS:
-            assert validate_reduction(r) == r
+            assert get_strategy(r).name == r
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown reduction"):
-            validate_reduction("bogus")
+        # A non-string spec gets the same typed error, not the table's
+        # TypeError (a list is unhashable).
+        for spec in ("bogus", ["dpor"]):
+            with pytest.raises(ValueError, match="unknown reduction.*off"):
+                get_strategy(spec)
 
     def test_engine_checks_policy(self):
         from repro.engine.core import ExplorationEngine
 
         with pytest.raises(ValueError, match="unknown reduction"):
             ExplorationEngine(reduction="bogus")
+        with pytest.raises(ValueError, match="unknown reduction"):
+            ExplorationEngine(reduction=["dpor"])
         with pytest.raises(ValueError, match="unknown reduction"):
             explore_sequential(_mp_await(), reduction="bogus")
 

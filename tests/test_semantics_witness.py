@@ -8,7 +8,7 @@ from repro.lang.program import Program, Thread
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
-from repro.semantics.witness import find_path, find_terminal_witness
+from repro.semantics.witness import Witness, find_path, replay_witness
 from repro.util.errors import VerificationError
 from tests.conftest import mp_ra, mp_relaxed, single_writer
 
@@ -22,17 +22,21 @@ class TestFindPath:
 
     def test_unreachable_returns_none(self):
         p = mp_ra()
-        w = find_terminal_witness(
+        w = find_path(
             p,
-            lambda c: c.local("2", "r1") == 1 and c.local("2", "r2") == 0,
+            lambda c: c.is_terminal()
+            and c.local("2", "r1") == 1
+            and c.local("2", "r2") == 0,
         )
         assert w is None
 
     def test_weak_behaviour_witness(self):
         p = mp_relaxed()
-        w = find_terminal_witness(
+        w = find_path(
             p,
-            lambda c: c.local("2", "r1") == 1 and c.local("2", "r2") == 0,
+            lambda c: c.is_terminal()
+            and c.local("2", "r1") == 1
+            and c.local("2", "r2") == 0,
         )
         assert w is not None
         assert w.final.is_terminal()
@@ -41,7 +45,9 @@ class TestFindPath:
     def test_witness_is_replayable(self):
         """Each step of the witness is an actual successor along the way."""
         p = mp_relaxed()
-        w = find_terminal_witness(p, lambda c: c.local("2", "r1") == 1)
+        w = find_path(
+            p, lambda c: c.is_terminal() and c.local("2", "r1") == 1
+        )
         cfg = w.initial
         for step in w.steps:
             targets = [tr.target for tr in successors(p, cfg)]
@@ -63,9 +69,18 @@ class TestFindPath:
                 tr.target for c in frontier for tr in successors(p, c)
             ]
 
+    def test_replay_rejects_foreign_step(self):
+        """A schedule step that is not a successor where it is scheduled
+        is refused, not replayed."""
+        p = mp_relaxed()
+        w = find_path(p, lambda c: c.is_terminal())
+        forged = Witness(initial=w.initial, steps=[w.steps[-1]])
+        with pytest.raises(VerificationError, match="step 1 .*not a"):
+            replay_witness(p, forged)
+
     def test_schedule_and_describe(self):
         p = mp_relaxed()
-        w = find_terminal_witness(p, lambda c: True)
+        w = find_path(p, lambda c: c.is_terminal())
         assert len(w.schedule()) == len(w)
         text = w.describe()
         assert "witness execution" in text
@@ -79,7 +94,7 @@ class TestFindPath:
                                        A.Write("x", Lit(1))))},
             client_vars={"x": 0},
         )
-        w = find_terminal_witness(prog, lambda c: True)
+        w = find_path(prog, lambda c: c.is_terminal())
         silent = [s for s in w.steps if s.action is None]
         assert silent
         assert all("ε" in s.describe() for s in silent)
