@@ -2,9 +2,11 @@
 
 Canonicalisation identifies configurations up to order-isomorphic
 timestamp relabelling.  The ablation explores the same programs with and
-without it: the canonical space must be no larger, and on loop-heavy
-implementations dramatically smaller — it is what makes the refinement
-checks tractable.
+without it — the raw space through the reference search
+``tests.conftest.raw_explore``, which keys states by ``Config`` itself:
+the canonical space must be no larger, and on loop-heavy implementations
+dramatically smaller — it is what makes the refinement checks
+tractable.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.semantics.explore import explore
 from tests.conftest import (
     abstract_lock_client,
     mp_relaxed,
+    raw_explore,
     seqlock_client,
     spinlock_client,
 )
@@ -55,16 +58,16 @@ WORKLOADS = [
 def test_canonical_exploration(benchmark, record_row, name, build):
     program = build()
     result = benchmark.pedantic(
-        explore, args=(program,), kwargs={"canonicalise": True},
-        iterations=1, rounds=3,
+        explore, args=(program,), iterations=1, rounds=3
     )
-    raw = explore(program, canonicalise=False, max_states=100_000)
-    reduction = raw.state_count / result.state_count
-    ok = result.state_count <= raw.state_count and not raw.truncated
+    raw = raw_explore(program, max_states=100_000)
+    raw_count = len(raw.configs)
+    reduction = raw_count / result.state_count
+    ok = result.state_count <= raw_count and not raw.truncated
     record_row(
         f"A1 canon {name}",
         "canonical ≤ raw; shrinks multi-variable spaces",
-        f"{result.state_count} canonical vs {raw.state_count} raw "
+        f"{result.state_count} canonical vs {raw_count} raw "
         f"({reduction:.2f}x)",
         ok,
     )
@@ -80,7 +83,7 @@ def test_reduction_materialises_on_multivar_workloads(benchmark, record_row):
             program = build()
             out[name] = (
                 explore(program).state_count,
-                explore(program, canonicalise=False).state_count,
+                len(raw_explore(program).configs),
             )
         return out
 
@@ -103,7 +106,6 @@ def test_raw_exploration_baseline(benchmark, name, build):
     """Timing baseline for the ablation table: raw hashing."""
     program = build()
     result = benchmark.pedantic(
-        explore, args=(program,), kwargs={"canonicalise": False},
-        iterations=1, rounds=3,
+        raw_explore, args=(program,), iterations=1, rounds=3
     )
     assert not result.truncated

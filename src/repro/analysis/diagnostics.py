@@ -23,7 +23,7 @@ Severities
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.lang.walk import format_path

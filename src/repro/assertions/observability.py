@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.assertions.core import Assertion, Env
 from repro.lang.expr import Value
-from repro.memory.actions import METH, Action, Op, is_write, wrval
+from repro.memory.actions import METH, Action, is_write, wrval
 from repro.memory.state import ComponentState
 from repro.memory.views import View
 from repro.objects.stack import AbstractStack

@@ -59,19 +59,6 @@ def _check_reduction(reduction: str) -> str:
     return get_strategy(reduction).name
 
 
-def key_function(
-    program: "Program", canonicalise: bool
-) -> Callable[["Config"], Tuple]:
-    """The sequential loop's state-identification function.  Canonical
-    keys are process-local (interned ids); compare across processes
-    with :func:`~repro.semantics.canon.canonical_encoding` instead."""
-    if canonicalise:
-        from repro.semantics.canon import canonical_key
-
-        return lambda cfg: canonical_key(program, cfg)
-    return _raw_key
-
-
 @contextmanager
 def _gc_policy(metrics: Optional[Metrics]):
     """Raise the gen-0 threshold (never lowering it, never re-enabling
@@ -112,7 +99,6 @@ def explore_sequential(
     program: "Program",
     max_states: int = DEFAULT_MAX_STATES,
     collect_edges: bool = False,
-    canonicalise: bool = True,
     on_config: Optional[Callable[["Config"], Optional[bool]]] = None,
     reduction: str = "off",
     track_parents: bool = False,
@@ -127,8 +113,6 @@ def explore_sequential(
     ``terminals`` and ``stuck`` are lower bounds on a truncated result.
     ``collect_edges`` records the labelled transition graph (the
     refinement and Owicki–Gries checkers read it).
-    ``canonicalise=False`` identifies raw configurations instead (the
-    ablation benchmark: distinct rationals are then distinct states).
 
     ``on_config`` is invoked on every configuration as it is expanded
     (the initial one included); returning a truthy value halts the
@@ -187,25 +171,19 @@ def explore_sequential(
     several threads of one process could restore it out of order (the
     package starts no such threads).
     """
+    from repro.semantics.canon import canonical_key
     from repro.semantics.config import initial_config
     from repro.semantics.reduce import get_strategy
     from repro.semantics.step import StepMemo
 
     strat = get_strategy(reduction)
-    if strat.requires_canonical and not canonicalise:
-        raise ValueError(
-            f"reduction {reduction!r} is only sound under canonical state "
-            "keys; canonicalise=False is not supported"
-        )
     successors = strat.successors
     sleep_expand = strat.sleep_expand
     start = time.perf_counter()
     with _collecting(metrics), _gc_policy(metrics):
         init = initial_config(program)
         init = strat.normalise_initial(program, init)
-        keyf = key_function(program, canonicalise)
-
-        init_key = keyf(init)
+        init_key = canonical_key(program, init)
         configs: Dict[Tuple, Config] = {init_key: init}
         parents: Optional[Dict[Tuple, Optional[Tuple]]] = (
             {init_key: None} if track_parents else None
@@ -235,18 +213,15 @@ def explore_sequential(
         sunk: set = set()
 
         # The visible-step memo (repro.semantics.step.StepMemo): one per
-        # exploration, keyed by the interned component ids of the
-        # expanded configuration's canonical key, so every policy runs
-        # it whenever states are canonically keyed.  Its entries carry
-        # their successors' ids, so each transition arrives with its
-        # target's key (``tr.key``) and a target is built only once
-        # its key is admitted, on one representative memory pair per
-        # component ids (``adopt``).  After each expansion the memo
-        # swaps the states of the steps it stored for those
-        # representatives (``settle``).  Without the memo
-        # (``canonicalise=False``) ``tr.key`` is None and the loop keys
-        # the built target.
-        memo = StepMemo(program, init) if canonicalise else None
+        # exploration under every policy, keyed by the interned
+        # component ids of the expanded configuration's canonical key.
+        # Its entries carry their successors' ids, so each transition
+        # arrives with its target's key (``tr.key``) and a target is
+        # built only once its key is admitted, on one representative
+        # memory pair per component ids (``adopt``).  After each
+        # expansion the memo swaps the states of the steps it stored
+        # for those representatives (``settle``).
+        memo = StepMemo(program, init)
 
         frontier: deque = deque([(init_key, init)])
         push, pop = frontier.append, frontier.popleft
@@ -286,15 +261,13 @@ def explore_sequential(
             for i, tr in enumerate(succs):
                 edge_count += 1
                 tkey = tr.key
-                if tkey is None:
-                    tkey = keyf(tr.target)
                 if collect_edges:
                     edges[key].append((tr.tid, tr.component, tr.action, tkey))
                 if tkey not in configs:
                     if len(configs) >= max_states:
                         truncated = True
                         continue
-                    target = tr.target if memo is None else memo.adopt(tr)
+                    target = memo.adopt(tr)
                     configs[tkey] = target
                     if child_sleeps is not None:
                         sleep_of[tkey] = child_sleeps[i]
@@ -315,8 +288,7 @@ def explore_sequential(
                             if tkey not in queued and tkey not in sunk:
                                 queued.add(tkey)
                                 push((tkey, configs[tkey]))
-            if memo is not None:
-                memo.settle()
+            memo.settle()
             if truncated:
                 # Bail out promptly: the cap bounds work done, not just
                 # states recorded.  Counts are lower bounds from here on.
@@ -351,25 +323,6 @@ def explore_sequential(
     )
 
 
-def _raw_key(cfg: Config) -> Tuple:
-    """Structural identity without timestamp normalisation (ablation)."""
-    return (
-        tuple(sorted(cfg.cmds.items(), key=lambda kv: kv[0])),
-        tuple(sorted((t, ls.items_sorted()) for t, ls in cfg.locals.items())),
-        _raw_state(cfg.gamma),
-        _raw_state(cfg.beta),
-    )
-
-
-def _raw_state(state) -> Tuple:
-    return (
-        state.ops,
-        tuple(sorted(state.tview.items(), key=lambda kv: repr(kv[0]))),
-        tuple(sorted(state.mview.items(), key=lambda kv: repr(kv[0]))),
-        state.cvd,
-    )
-
-
 class ExplorationEngine:
     """A configured exploration engine: a reduction policy plus
     telemetry sinks.
@@ -387,8 +340,8 @@ class ExplorationEngine:
         the historical semantics), ``"closure"`` (ε-closure +
         covering-read prune, :mod:`repro.semantics.reduce`) or
         ``"dpor"`` (sleep-set + persistent-set partial-order reduction
-        on top of the closure, :mod:`repro.semantics.dpor`; requires
-        canonical keys) — overridable per call.
+        on top of the closure, :mod:`repro.semantics.dpor`) —
+        overridable per call.
     metrics:
         Optional :class:`repro.obs.metrics.Metrics` sink.  When set (or
         when ``trace`` is), every exploration collects the engine
@@ -431,7 +384,6 @@ class ExplorationEngine:
         program: Program,
         max_states: Optional[int] = None,
         collect_edges: bool = False,
-        canonicalise: bool = True,
         on_config: Optional[Callable[[Config], Optional[bool]]] = None,
         reduction: Optional[str] = None,
         keep_configs: bool = True,
@@ -467,7 +419,6 @@ class ExplorationEngine:
             program,
             max_states=cap,
             collect_edges=collect_edges,
-            canonicalise=canonicalise,
             on_config=on_config,
             reduction=mode,
             track_parents=track_parents,

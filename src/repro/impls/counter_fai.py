@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.lang import ast as A
-from repro.lang.expr import Reg
 
 #: Library-local scratch register used by the implementation bodies.
 SCRATCH = "_ctr_r"

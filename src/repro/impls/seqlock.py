@@ -22,10 +22,10 @@ Acquire and Release, exactly as in the paper's listing.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.lang import ast as A
-from repro.lang.expr import Lit, Reg
+from repro.lang.expr import Reg
 
 #: Library-local registers (``LVar_L``); per-thread, so no clashes
 #: between threads using the same names.

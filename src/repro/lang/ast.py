@@ -20,7 +20,7 @@ semantics directly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.lang.expr import Expr, Lit, UnOp
 

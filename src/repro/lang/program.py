@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from repro.lang.ast import Com, library_registers
 from repro.lang.expr import Value

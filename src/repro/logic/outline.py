@@ -8,7 +8,7 @@ conjoined everywhere — the shape of the paper's Figures 3 and 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from repro.assertions.core import TRUE, Assertion

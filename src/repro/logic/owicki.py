@@ -24,13 +24,12 @@ that directly as a sanity cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.assertions.core import Env, make_env
+from repro.assertions.core import make_env
 from repro.logic.outline import ProofOutline
 from repro.semantics.config import Config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,13 @@ def check_proof_outline(
     # pair at intermediate program points — silent steps (the guard
     # evaluations and local assignments the assertions annotate) are
     # exactly what is being checked, so the enumeration explicitly
-    # requests the unreduced configuration graph.
-    result = explore(program, max_states=max_states, reduction="off")
+    # requests the unreduced configuration graph.  Its recorded edges
+    # are the transitions the obligations range over; each target is
+    # the stored configuration of the edge's target key.
+    result = explore(
+        program, max_states=max_states, collect_edges=True, reduction="off"
+    )
+    configs = result.configs
     failures: List[OGFailure] = []
     obligations = 0
     transitions = 0
@@ -103,7 +107,7 @@ def check_proof_outline(
                 return _final(result, obligations, transitions, failures)
 
     # (2)+(3) per-transition obligations --------------------------------------
-    for cfg in result.configs.values():
+    for key, cfg in configs.items():
         env = make_env(program, cfg)
         # Annotation validity cross-check (semantic reading of the outline).
         for tid in program.tids:
@@ -124,27 +128,33 @@ def check_proof_outline(
         pres = {
             tid: outline.assertion_at(tid, pcs[tid]) for tid in program.tids
         }
-        for tr in successors(program, cfg):
+        # A truncated search leaves states unexpanded (no edge list) and
+        # edges to states it never admitted; both are skipped, and the
+        # result is invalid anyway.
+        for tid, _comp, _action, tkey in result.edges.get(key, ()):
+            target = configs.get(tkey)
+            if target is None:
+                continue
             transitions += 1
-            pre = pres[tr.tid]
+            pre = pres[tid]
             if pre is not None and not pre.holds(env):
                 # The executing statement's precondition does not hold here;
                 # under OG the obligation is vacuous for this state.  (Cannot
                 # occur once annotation validity holds — kept for fidelity.)
                 continue
-            tenv = make_env(program, tr.target)
+            tenv = make_env(program, target)
             # Local correctness: the executing thread's next assertion.
-            new_label = tr.target.pc(tr.tid, program)
-            post = outline.assertion_at(tr.tid, new_label)
+            new_label = target.pc(tid, program)
+            post = outline.assertion_at(tid, new_label)
             obligations += 1
             if post is not None and not post.holds(tenv):
                 if record(
-                    OGFailure("local", tr.tid, new_label, tr.tid, cfg, tr.target)
+                    OGFailure("local", tid, new_label, tid, cfg, target)
                 ):
                     return _final(result, obligations, transitions, failures)
             # Interference freedom: other threads' current assertions.
             for other in program.tids:
-                if other == tr.tid:
+                if other == tid:
                     continue
                 other_assert = pres[other]
                 if other_assert is None:
@@ -156,11 +166,11 @@ def check_proof_outline(
                     if record(
                         OGFailure(
                             "interference",
-                            tr.tid,
+                            tid,
                             pcs[other],
                             other,
                             cfg,
-                            tr.target,
+                            target,
                         )
                     ):
                         return _final(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.assertions.core import Assertion, Env, make_env
+from repro.assertions.core import Assertion, make_env
 from repro.lang.ast import Node
 from repro.lang.program import Program
 from repro.semantics.config import Config, initial_config

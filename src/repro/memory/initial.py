@@ -10,9 +10,8 @@ library component.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Tuple
+from typing import Tuple
 
-from repro.lang.expr import Value
 from repro.lang.program import Program
 from repro.memory.actions import Op, mk_write
 from repro.memory.state import ComponentState

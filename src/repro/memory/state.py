@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.memory.actions import Action, Op
+from repro.memory.actions import Op
 from repro.memory.views import View
 from repro.util.fmap import FMap
 from repro.util.rationals import between, next_after

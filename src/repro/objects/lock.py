@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from repro.lang.expr import Value
-from repro.memory.actions import Action, Op, mk_method
+from repro.memory.actions import Op, mk_method
 from repro.memory.state import ComponentState
 from repro.memory.views import merge_views, view_union
 from repro.objects.base import AbstractObject, ObjStep

@@ -21,7 +21,7 @@ related pair violating client observation (condition 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from repro.assertions.core import Env, make_env
 from repro.refinement.traces import ClientSource, as_client_graph

@@ -62,7 +62,7 @@ The ids double as cache keys for successor generation
 (:func:`repro.semantics.step.successors`).  The component ids
 (:func:`component_ids`) key the sequential explorer's visible-step
 memo (:class:`repro.semantics.step.StepMemo`), which every reduction
-policy runs whenever states are canonically keyed.  A memo entry
+policy runs.  A memo entry
 stores its successor component states together with their ids,
 interned once on the miss that stores it, so a hit returns both and
 derives no id.  The explorer's keys of admitted configurations also

@@ -10,7 +10,6 @@ the explorer identifies them up to canonical timestamp relabelling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
 
 from repro.lang.ast import Com
 from repro.lang.expr import Value

@@ -88,8 +88,8 @@ as the paper's synchronisation edges demand):
 * two modifying operations on *different* variables of the *same*
   component: ``canonical`` — they commute up to timestamp placement
   (``fresh_ts`` draws from a component-wide pool), which the canonical
-  rank-encoding collapses; sound only under canonical state keys,
-  hence ``requires_canonical`` on the strategy;
+  rank-encoding collapses; sound because the explorer identifies
+  states by canonical key only;
 * anything else (disjoint locations, at most sharing a component with
   a non-modifying op): ``strong``.
 
@@ -132,9 +132,6 @@ DEPENDENT = "dependent"
 STRONG = "strong"
 CANONICAL = "canonical"
 
-#: The footprint algebra lives in :mod:`repro.analysis.footprints`;
-#: ``footprints_conflict`` keeps its historical name here.
-footprints_conflict = fp_conflict
 
 def _fp_fold(node: Optional[A.Node], in_lib: bool, child_values) -> _Footprint:
     if node is None:
@@ -209,7 +206,7 @@ def _static_disjoint_pairs(program: Program) -> FrozenSet:
             (t, u)
             for i, t in enumerate(tids)
             for u in tids[i + 1:]
-            if not footprints_conflict(fps[t], fps[u])
+            if not fp_conflict(fps[t], fps[u])
         )
     return tables.disjoint
 
@@ -274,7 +271,7 @@ def _partition(program: Program, cfg: Config) -> List[List[str]]:
             if (t, u) in disjoint:
                 skipped += 1
                 continue
-            if footprints_conflict(fp_of(t), fp_of(u)):
+            if fp_conflict(fp_of(t), fp_of(u)):
                 rt, ru = find(t), find(u)
                 if rt != ru:
                     parent[ru] = rt
@@ -407,6 +404,5 @@ DPOR_STRATEGY = ReductionStrategy(
     successors=None,
     normalise_initial=close_config,
     closure_expansion=True,
-    requires_canonical=True,
     sleep_expand=dpor_successors,
 )

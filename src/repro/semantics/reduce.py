@@ -125,17 +125,12 @@ class ReductionStrategy:
     returns an empty list exactly when ``cfg`` has no successors at all
     (sleep sets prune edges, never sink states).  The engine loop
     passes the exploration's visible-step memo (a
-    :class:`~repro.semantics.step.StepMemo` whenever states are
-    canonically keyed, None otherwise) as ``memo=`` to whichever of the
-    two the policy has.
+    :class:`~repro.semantics.step.StepMemo`) as ``memo=`` to whichever
+    of the two the policy has.
 
-    The flags drive composition:
-
-    * ``closure_expansion`` — witness reconstruction must re-expand
-      recorded macro-edges through the ε-closure replay (true for every
-      policy built on the closed macro-step system);
-    * ``requires_canonical`` — sound only under canonical state keys
-      (the engine rejects ``canonicalise=False``).
+    ``closure_expansion`` drives composition: witness reconstruction
+    must re-expand recorded macro-edges through the ε-closure replay
+    (true for every policy built on the closed macro-step system).
 
     A policy's own counters are listed in the :mod:`repro.obs.metrics`
     counter schema.
@@ -145,7 +140,6 @@ class ReductionStrategy:
     successors: Optional[Callable[..., List[Transition]]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
-    requires_canonical: bool = False
     sleep_expand: Optional[Callable[..., List[Tuple]]] = None
 
 

@@ -36,9 +36,8 @@ on its own.  What varies per configuration is the memory,
 so the rule runs per configuration — except where the caller passes a
 visible-step memo: the sequential explorer passes a per-exploration
 :class:`StepMemo` as ``successors(..., memo=)`` under every policy
-whose states are canonically keyed (``off``, and through
-:func:`~repro.semantics.reduce.reduced_successors` the ε-closure and
-dpor).  A rule application is keyed by the configuration's interned
+(``off``, and through :func:`~repro.semantics.reduce.reduced_successors`
+the ε-closure and dpor).  A rule application is keyed by the configuration's interned
 ``(γ-id, β-id)`` (:func:`repro.semantics.canon.component_ids`) plus
 the thread, orientation, rule and operands.  Equal ids mean memories
 equal up to per-variable timestamp relabelling, and the rules commute
@@ -54,9 +53,10 @@ explorer has admitted an expansion's targets, the memo swaps the
 states of the steps it stored for one representative pair per
 ``(γ-id, β-id)``, so it holds the visited configurations' own
 component states and no duplicates of them.
-Raw-keyed exploration and witness replay run the
-rule without a memo, and :func:`thread_successors` and the proof-rule
-checkers (:mod:`repro.logic.triples`) step a thread through
+Witness search, reconstruction and replay
+(:mod:`repro.semantics.witness`) and the naive-representation explorer
+run the rule without a memo, and :func:`thread_successors` and the
+proof-rule checkers (:mod:`repro.logic.triples`) step a thread through
 :func:`_run_step`, which runs :func:`_thread_step` and the rule with no
 cache at all.
 """
@@ -372,9 +372,7 @@ def successors(
     :meth:`StepMemo.settle`.  Under a memo each transition carries its
     target's canonical key ``(scope, thread ids, γ'-id, β'-id)`` and
     builds the target only when asked (:class:`Transition`); without
-    one, targets are built at once and carry no key.  The memo is only
-    meaningful where states are identified by
-    :func:`~repro.semantics.canon.canonical_key`.
+    one, targets are built at once and carry no key.
     """
     tables = _interner(program)
     scope = tables.scope

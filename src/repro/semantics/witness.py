@@ -189,13 +189,15 @@ def reconstruct_witness(
 
     ``parents`` maps each explored state's canonical key to
     ``(parent_key, tid, component, action)`` — the edge that first
-    discovered it — and the initial key to ``None``: the graph a
-    canonically keyed exploration records under ``track_parents=True``.
-    A graph that does not start at the initial configuration's key,
-    such as a raw-keyed (``canonicalise=False``) one, is refused with
-    :class:`VerificationError`.  Under a breadth-first exploration the
-    first-discovery edge is a shortest edge, so the reconstructed path
-    is shortest in (macro-)steps.
+    discovered it — and the initial key to ``None``: the graph an
+    exploration records under ``track_parents=True``.
+    A graph that does not start at the initial configuration's key
+    under ``reduction`` is refused with :class:`VerificationError`:
+    for instance one recorded under ``off`` and read back with
+    ``reduction="closure"`` when some thread starts with a silent step.
+    Under a breadth-first exploration the first-discovery edge is a
+    shortest edge, so the reconstructed path is shortest in
+    (macro-)steps.
 
     The parent chain stores no configurations: the path is re-derived
     by replaying forward from the initial configuration through the raw
@@ -231,8 +233,8 @@ def reconstruct_witness(
     if init_key not in parents or parents[init_key] is not None:
         raise VerificationError(
             "witness reconstruction failed: the predecessor graph does "
-            "not start at the initial configuration (raw state keys or "
-            "a reduction policy other than the exploration's)"
+            "not start at the initial configuration (a reduction "
+            "policy other than the exploration's)"
         )
 
     # Walk the predecessor chain back to the initial key.

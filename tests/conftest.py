@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+from collections import deque
+from typing import List, NamedTuple, Set
 
 import pytest
 
@@ -15,8 +17,9 @@ from repro.lang.program import Program, Thread
 from repro.litmus.clients import abstract_fill, lock_client
 from repro.objects.lock import AbstractLock
 from repro.objects.stack import AbstractStack
-from repro.semantics.config import initial_config
+from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
+from repro.semantics.step import successors
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +61,38 @@ def observing(program: Program, option: str, **kw) -> dict:
         hook = checking_invariants(program, kw.get("on_config"))
         return {**kw, "on_config": hook}
     return {**kw, option: True}
+
+
+class RawExploration(NamedTuple):
+    configs: Set[Config]
+    terminals: List[Config]
+    stuck: List[Config]
+    truncated: bool
+
+
+def raw_explore(program: Program, max_states: int = 100_000) -> RawExploration:
+    """The reference search the canonical explorer is checked against:
+    breadth-first over the unreduced ``successors`` relation, keyed by
+    the ``Config`` itself (a frozen dataclass, compared field by field),
+    so configurations equal up to timestamp relabelling stay distinct.
+    Past ``max_states`` states it stops and reports ``truncated``."""
+    init = initial_config(program)
+    seen = {init}
+    terminals: List[Config] = []
+    stuck: List[Config] = []
+    queue = deque([init])
+    while queue:
+        cfg = queue.popleft()
+        succs = successors(program, cfg)
+        if not succs:
+            (terminals if cfg.is_terminal() else stuck).append(cfg)
+        for tr in succs:
+            if tr.target not in seen:
+                if len(seen) >= max_states:
+                    return RawExploration(seen, terminals, stuck, True)
+                seen.add(tr.target)
+                queue.append(tr.target)
+    return RawExploration(seen, terminals, stuck, False)
 
 
 def mp_relaxed() -> Program:

@@ -126,7 +126,7 @@ class TestEngineAPI:
         "option",
         [
             "workers", "backend", "transport", "codec", "strategy",
-            "analysis", "check_invariants",
+            "analysis", "check_invariants", "canonicalise",
         ],
     )
     def test_removed_options_are_type_errors(self, option):

@@ -6,6 +6,7 @@ structural invariants of the paper's state model, and the explorer's
 canonicalisation must be stable.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
-from tests.conftest import checking_invariants
+from tests.conftest import checking_invariants, raw_explore
 
 VARS = ("x", "y")
 
@@ -111,21 +112,26 @@ def test_canonical_key_deterministic_and_injective_on_graph(p):
         assert canonical_key(p, cfg) == key
 
 
+@pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
 @settings(max_examples=30, deadline=None)
 @given(p=programs())
-def test_canonicalisation_never_splits_raw_states(p):
-    """Canonical exploration finds at most as many states as raw
-    exploration (it is a quotient), and both find the same terminal
-    register outcomes."""
-    canon = explore(p, max_states=50_000)
-    raw = explore(p, canonicalise=False, max_states=50_000)
+def test_canonicalisation_never_splits_raw_states(p, reduction):
+    """Canonical exploration under every policy finds at most as many
+    states as the Config-keyed reference search (it explores a quotient
+    of a subset), the same terminal register outcomes, and a stuck
+    configuration exactly when the reference does."""
+    canon = explore(p, max_states=50_000, reduction=reduction)
+    raw = raw_explore(p, max_states=50_000)
     if canon.truncated or raw.truncated:
         return
-    assert canon.state_count <= raw.state_count
+    assert canon.state_count <= len(raw.configs)
     regs = tuple(("1", r) for r in ("r1", "r2")) + tuple(
         ("2", r) for r in ("r1", "r2")
     )
-    assert canon.terminal_locals(*regs) == raw.terminal_locals(*regs)
+    assert canon.terminal_locals(*regs) == {
+        tuple(cfg.local(t, r) for t, r in regs) for cfg in raw.terminals
+    }
+    assert bool(canon.stuck) == bool(raw.stuck)
 
 
 @settings(max_examples=30, deadline=None)

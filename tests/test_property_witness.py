@@ -196,22 +196,26 @@ class TestEngineWitnessContract:
         tracked = ExplorationEngine().explore(mp_relaxed(), track_parents=True)
         assert set(tracked.parents) == set(tracked.configs)
 
-    def test_raw_keyed_graph_is_refused(self):
-        # Reconstruction keys states canonically; a graph recorded over
-        # raw keys has no canonical initial key to start from.
-        test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")
+    def test_graph_of_another_policy_is_refused(self):
+        # SB-computed's threads start with a silent step, so a graph
+        # recorded under ``off`` reaches the ε-closed initial
+        # configuration by an edge: read back under ``closure``, it
+        # does not start where that policy's exploration starts.
+        test = next(t for t in WEAK_ALLOWED if t.name == "SB-computed")
         program = test.build()
-        result = ExplorationEngine().explore(
-            program, canonicalise=False, track_parents=True
-        )
+        result = ExplorationEngine().explore(program, track_parents=True)
         target = next(
             c for c in result.terminals if _weak_predicate(test)(c)
         )
+        witness = reconstruct_witness(program, result.parents, target)
+        assert _weak_predicate(test)(replay_witness(program, witness))
         with pytest.raises(
             VerificationError,
             match="does not start at the initial configuration",
         ):
-            reconstruct_witness(program, result.parents, target)
+            reconstruct_witness(
+                program, result.parents, target, reduction="closure"
+            )
 
     def test_target_outside_the_graph_is_refused(self):
         test = next(t for t in WEAK_ALLOWED if t.name == "MP-relaxed")

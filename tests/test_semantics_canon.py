@@ -10,7 +10,7 @@ from repro.semantics.canon import canonical_key, client_state_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
-from tests.conftest import mp_relaxed, seqlock_client
+from tests.conftest import mp_relaxed, raw_explore, seqlock_client
 
 
 def rescale_gamma(cfg: Config, scale: int, shift: int) -> Config:
@@ -82,11 +82,12 @@ class TestCanonicalKey:
 
     def test_reduces_state_count_vs_raw(self):
         # The ablation: canonicalisation must merge at least as many
-        # states as raw hashing on a lock client with loops.
+        # states as the Config-keyed reference search on a lock client
+        # with loops.
         p = seqlock_client()
-        canon = explore(p, canonicalise=True)
-        raw = explore(p, canonicalise=False, max_states=20000)
-        assert canon.state_count <= raw.state_count
+        canon = explore(p)
+        raw = raw_explore(p, max_states=20000)
+        assert canon.state_count <= len(raw.configs)
 
 
 class TestClientStateKey:

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.analysis.footprints import fp_conflict
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
 from repro.lang.program import Program, Thread
@@ -32,7 +33,6 @@ from repro.semantics.dpor import (
     STRONG,
     _partition,
     dpor_successors,
-    footprints_conflict,
     independence,
     thread_footprint,
 )
@@ -75,22 +75,22 @@ class TestFootprints:
     def test_method_call_is_top(self):
         fp = thread_footprint(A.MethodCall("r1", "s", "push", Lit(1)))
         assert fp[2]  # ⊤
-        assert footprints_conflict(fp, thread_footprint(A.Read("r1", "x")))
+        assert fp_conflict(fp, thread_footprint(A.Read("r1", "x")))
 
     def test_local_assign_is_empty(self):
         fp = thread_footprint(A.LocalAssign("r1", Lit(0)))
         assert fp == (frozenset(), frozenset(), False)
-        assert not footprints_conflict(fp, fp)
+        assert not fp_conflict(fp, fp)
 
     def test_conflict_requires_a_write(self):
         rx = thread_footprint(A.Read("r1", "x"))
         wx = thread_footprint(A.Write("x", Lit(1)))
         wy = thread_footprint(A.Write("y", Lit(1)))
-        assert not footprints_conflict(rx, rx)  # read/read never conflicts
-        assert footprints_conflict(rx, wx)
-        assert footprints_conflict(wx, wx)
-        assert not footprints_conflict(rx, wy)
-        assert not footprints_conflict(wx, wy)
+        assert not fp_conflict(rx, rx)  # read/read never conflicts
+        assert fp_conflict(rx, wx)
+        assert fp_conflict(wx, wx)
+        assert not fp_conflict(rx, wy)
+        assert not fp_conflict(wx, wy)
 
 
 # -- conflict partition and persistent selection -----------------------------
@@ -175,18 +175,9 @@ class TestStrategy:
         strat = get_strategy("dpor")
         assert strat.name == "dpor"
         assert strat.closure_expansion
-        assert strat.requires_canonical
         assert strat.sleep_expand is dpor_successors
         # The sleep-set expansion replaces the plain successor relation.
         assert strat.successors is None
-
-    def test_requires_canonical_enforced(self):
-        from repro.engine.core import explore_sequential
-
-        with pytest.raises(ValueError, match="canonical"):
-            explore_sequential(
-                _two_disjoint_pairs(), reduction="dpor", canonicalise=False
-            )
 
     def test_counters_fire(self):
         from repro.engine.core import explore_sequential
@@ -558,7 +549,7 @@ def _fresh_groups(program, cfg, mode):
     groups = {t: frozenset((t,)) for t in live}
     for i, t in enumerate(live):
         for u in live[i + 1:]:
-            if groups[t] is not groups[u] and footprints_conflict(
+            if groups[t] is not groups[u] and fp_conflict(
                 fps[t], fps[u]
             ):
                 merged = groups[t] | groups[u]

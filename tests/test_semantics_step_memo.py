@@ -20,7 +20,7 @@ programs:
   :func:`~repro.semantics.witness.find_path` loop), and those of the
   naive-representation explorer (:func:`repro.memory.naive.explore_naive`);
   under ``closure`` and ``dpor`` they equal an unmemoised run of the
-  same policy through the same loop;
+  same policy through the same loop, whose memo stores nothing;
 * **witnesses** — engine witnesses of the catalog's weak outcomes, under
   ``off`` and ``closure``, replay step by step through the unmemoised
   relation;
@@ -147,10 +147,36 @@ def _summary(program, result):
     )
 
 
+class _Unstored(dict):
+    """A memo table that keeps no entry: every lookup misses."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class StoreNothing(StepMemo):
+    """A :class:`StepMemo` that stores no step, so every rule runs
+    afresh, and builds each admitted target on its own memory pair."""
+
+    __slots__ = ()
+
+    def __init__(self, program, init):
+        super().__init__(program, init)
+        self.steps = _Unstored()
+
+    def adopt(self, tr):
+        return tr.target
+
+    def settle(self):
+        self.fresh.clear()
+
+
 def unmemoised(program, reduction, **kwargs):
-    """``explore_sequential`` under ``reduction`` with the memo left
-    out: the same loop and policy, every rule run afresh."""
-    with mock.patch.object(step_mod, "StepMemo", lambda program, init: None):
+    """``explore_sequential`` under ``reduction`` with a memo that
+    stores nothing: the same loop and policy, every rule run afresh."""
+    with mock.patch.object(step_mod, "StepMemo", StoreNothing):
         return explore_sequential(
             program, MAX_STATES, reduction=reduction, **kwargs
         )
@@ -410,14 +436,3 @@ class TestCounters:
         ]
         assert counters["reduce.covering_pruned"] == pruned
         assert plain.counters["reduce.covering_pruned"] == pruned
-
-    def test_off_the_memo_path_no_counts(self):
-        # Only an exploration over raw keys runs without the memo.
-        metrics = Metrics()
-        explore_sequential(
-            wide_program(2, reads=1), metrics=metrics, canonicalise=False
-        )
-        assert not any(
-            name.startswith("explore.memo.")
-            for name in metrics.snapshot()["counters"]
-        )
