@@ -50,7 +50,10 @@ class SimulationResult:
     product_pairs: int
     iterations: int
     #: A concrete configuration key whose steps cannot be matched (when
-    #: the game is lost) — the root of the counterexample.
+    #: the game is lost) — the root of the counterexample: the concrete
+    #: side of the first-discovered product pair with a concrete step
+    #: no abstract stutter or step can match, or the initial key when
+    #: the initial pair itself disagrees on the client projection.
     failure: Optional[Tuple] = None
 
     def __bool__(self) -> bool:
@@ -82,16 +85,32 @@ def find_forward_simulation(
     # machine ints instead of configuration keys.
     c_keys, c_succ, c_init = _indexed(conc)
     a_keys, a_succ, a_init = _indexed(abst)
-    c_pcs = [conc.pcs[k] for k in c_keys]
-    a_pcs = [abst.pcs[k] for k in a_keys]
-    c_proj = [conc.projections[k] for k in c_keys]
-    a_proj = [abst.projections[k] for k in a_keys]
     n = len(c_keys)
+    # Program counters and projections are ints too: pcs by a table
+    # shared by both sides (they are compared across them), projections
+    # by each graph's own projection ids.  ``refines`` depends on the
+    # two projections alone, so it runs once per distinct projection
+    # pair, keyed ``concrete id * |abstract projections| + abstract id``.
+    pc_ids: Dict[Tuple, int] = {}
+    conc_pcs, abst_pcs = conc.pcs, abst.pcs
+    c_pcs = [pc_ids.setdefault(conc_pcs[k], len(pc_ids)) for k in c_keys]
+    a_pcs = [pc_ids.setdefault(abst_pcs[k], len(pc_ids)) for k in a_keys]
+    c_states, a_states = conc.client_states, abst.client_states
+    c_ids, a_ids = conc.projection_ids, abst.projection_ids
+    c_proj = [c_ids[k] for k in c_keys]
+    a_proj = [a_ids[k] for k in a_keys]
+    m = len(a_states)
+    refines: Dict[int, bool] = {}
 
     def good(a: int, c: int) -> bool:
         if c_pcs[c] != a_pcs[a]:
             return False
-        return c_proj[c].refines(a_proj[a])
+        cp, ap = c_proj[c], a_proj[a]
+        pp = cp * m + ap
+        verdict = refines.get(pp)
+        if verdict is None:
+            verdict = refines[pp] = c_states[cp].refines(a_states[ap])
+        return verdict
 
     init_pair = a_init * n + c_init
     if not good(a_init, c_init):
@@ -106,8 +125,9 @@ def find_forward_simulation(
         )
 
     # Forward-reachable good pairs, with candidate matches per concrete
-    # edge: stutter (same abstract state) or one abstract move.
-    pairs: Set[int] = {init_pair}
+    # edge: stutter (same abstract state) or one abstract move.  The
+    # pair dict keeps discovery order.
+    pairs: Dict[int, None] = {init_pair: None}
     queue: List[int] = [init_pair]
     # pair -> per concrete edge, the candidate successor pairs
     candidates: Dict[int, List[List[int]]] = {}
@@ -127,7 +147,7 @@ def find_forward_simulation(
             per_edge.append(cands)
             for succ_pair in cands:
                 if succ_pair not in pairs:
-                    pairs.add(succ_pair)
+                    pairs[succ_pair] = None
                     queue.append(succ_pair)
         candidates[pair] = per_edge
 
@@ -150,6 +170,14 @@ def find_forward_simulation(
             alive.difference_update(dead)
 
     found = init_pair in alive
+    failure = None
+    if not found:
+        # The fixpoint's first round removes exactly the pairs with a
+        # concrete edge that has no candidate at all, and a lost game
+        # removed something in it: the first-discovered such pair's
+        # concrete configuration is where the counterexample starts.
+        stuck = next(pair for pair in pairs if not all(candidates[pair]))
+        failure = c_keys[stuck % n]
     return SimulationResult(
         found=found,
         relation_size=len(alive) if found else 0,
@@ -157,7 +185,7 @@ def find_forward_simulation(
         concrete_states=conc.result.state_count,
         product_pairs=len(pairs),
         iterations=iterations,
-        failure=None if found else conc.result.initial_key,
+        failure=failure,
     )
 
 

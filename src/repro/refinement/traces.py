@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 
 from repro.engine.result import ExploreResult
 from repro.lang.program import Program
@@ -67,6 +67,13 @@ class ClientState:
         return True
 
 
+def _thread_client_locals(tid: str, ls, lib_regs) -> Tuple:
+    """``(tid, ((reg, val), ...))``: one thread's part of ``ls|C``, its
+    local state without library registers, sorted."""
+    regs = sorted((r, v) for r, v in ls.items() if r not in lib_regs)
+    return (tid, tuple(regs))
+
+
 def client_projection(program: Program, cfg: Config) -> ClientState:
     """Project a configuration to its client-observable state."""
     from repro.semantics.canon import _enc_table
@@ -78,17 +85,6 @@ def client_projection(program: Program, cfg: Config) -> ClientState:
     def enc(op: Op) -> Tuple:
         return table[op]
 
-    locals_ = tuple(
-        sorted(
-            (
-                tid,
-                tuple(
-                    sorted((r, v) for r, v in ls.items() if r not in lib_regs)
-                ),
-            )
-            for tid, ls in cfg.locals.items()
-        )
-    )
     obs = tuple(
         sorted(
             (
@@ -100,7 +96,12 @@ def client_projection(program: Program, cfg: Config) -> ClientState:
         )
     )
     return ClientState(
-        locals=locals_,
+        locals=tuple(
+            sorted(
+                _thread_client_locals(tid, ls, lib_regs)
+                for tid, ls in cfg.locals.items()
+            )
+        ),
         ops=frozenset(enc(op) for op in gamma.ops),
         obs=obs,
         cvd=frozenset(enc(op) for op in gamma.cvd),
@@ -112,11 +113,33 @@ class ClientGraph:
     """A client program's unreduced transition graph, explored once and
     shared by the refinement checkers.
 
-    ``projections`` (configuration key -> :class:`ClientState`) and
-    ``pcs`` (key -> per-thread program counters, in ``program.tids``
-    order) are filled on first use, so their cost lands in whichever
+    Every per-configuration fact the checkers read is a function of a
+    few interned ids of the configuration's canonical key
+    ``(scope, thread ids, γ-id, β-id)`` (:mod:`repro.semantics.canon`),
+    so it is worked out once per distinct id value, not once per
+    configuration:
+
+    * a client projection reads the client registers of each thread's
+      local state and the client component γ up to timestamp
+      relabelling.  A thread id interns the thread's ``(tid, cmd, ls)``
+      and the γ-id interns γ's ``(action, rank)`` encoding, so the
+      projection is a function of ``(thread ids, γ-id)``, and of
+      coarser ``(client locals of the thread ids, γ-id)`` — the memo
+      key.  ``projection_ids`` (key -> projection id) and
+      ``client_states`` (the distinct :class:`ClientState` values, by
+      projection id) are built with one :func:`client_projection` call
+      per distinct memo key, and equal projections are one object
+      (distinct γ-ids can project alike: the projection leaves out
+      modification views).  ``projections`` is the same map as key ->
+      :class:`ClientState`;
+    * a program counter is a function of one thread state, so ``pcs``
+      (key -> per-thread program counters, in ``program.tids`` order)
+      calls :meth:`Config.pc <repro.semantics.config.Config.pc>` once
+      per distinct thread id; equal pc tuples are one object.
+
+    All are filled on first use, so their cost lands in whichever
     checker reads them first and a checker that never reads ``pcs``
-    never pays for it.
+    (trace inclusion) never pays for it.
     """
 
     result: ExploreResult
@@ -126,27 +149,61 @@ class ClientGraph:
         return self.result.program
 
     @cached_property
-    def projections(self) -> Dict[Tuple, ClientState]:
+    def _projected(self) -> Tuple[Dict[Tuple, int], List[ClientState]]:
         program = self.program
-        return {
-            key: client_projection(program, cfg)
-            for key, cfg in self.result.configs.items()
-        }
+        tids = program.tids
+        lib_regs = program.lib_registers()
+        thread_locals: Dict[int, int] = {}  # thread id -> client-locals id
+        locals_ids: Dict[Tuple, int] = {}  # a thread's client locals -> id
+        by_ident: Dict[Tuple, int] = {}  # (client-locals ids, γ-id) -> pid
+        by_value: Dict[ClientState, int] = {}
+        states: List[ClientState] = []
+        ids: Dict[Tuple, int] = {}
+        for key, cfg in self.result.configs.items():
+            tsids = key[1]
+            for tid, tsid in zip(tids, tsids):
+                if tsid not in thread_locals:
+                    thread_locals[tsid] = locals_ids.setdefault(
+                        _thread_client_locals(tid, cfg.locals[tid], lib_regs),
+                        len(locals_ids),
+                    )
+            ident = (tuple([thread_locals[t] for t in tsids]), key[2])
+            pid = by_ident.get(ident)
+            if pid is None:
+                state = client_projection(program, cfg)
+                pid = by_ident[ident] = by_value.setdefault(state, len(states))
+                if pid == len(states):
+                    states.append(state)
+            ids[key] = pid
+        return ids, states
+
+    @property
+    def projection_ids(self) -> Dict[Tuple, int]:
+        return self._projected[0]
+
+    @property
+    def client_states(self) -> List[ClientState]:
+        return self._projected[1]
+
+    @cached_property
+    def projections(self) -> Dict[Tuple, ClientState]:
+        ids, states = self._projected
+        return {key: states[pid] for key, pid in ids.items()}
 
     @cached_property
     def pcs(self) -> Dict[Tuple, Tuple]:
         program = self.program
         tids = program.tids
-        # Program counters read the continuations alone, and far fewer
-        # distinct continuation maps than configurations are reachable
-        # (the map's hash is cached on it).
-        by_cmds: Dict = {}
+        thread_pcs: Dict[int, object] = {}  # thread id -> pc
+        shared: Dict[Tuple, Tuple] = {}  # one tuple object per pc value
         pcs: Dict[Tuple, Tuple] = {}
         for key, cfg in self.result.configs.items():
-            pc = by_cmds.get(cfg.cmds)
-            if pc is None:
-                pc = by_cmds[cfg.cmds] = tuple(cfg.pc(t, program) for t in tids)
-            pcs[key] = pc
+            tsids = key[1]
+            for tid, tsid in zip(tids, tsids):
+                if tsid not in thread_pcs:
+                    thread_pcs[tsid] = cfg.pc(tid, program)
+            pc = tuple([thread_pcs[t] for t in tsids])
+            pcs[key] = shared.setdefault(pc, pc)
         return pcs
 
 

@@ -6,6 +6,7 @@ from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
 from repro.litmus.clients import lock_client
 from repro.refinement.simulation import find_forward_simulation
+from repro.refinement.traces import client_graph
 from repro.util.errors import VerificationError
 from tests.conftest import (
     abstract_lock_client,
@@ -82,6 +83,20 @@ class TestNegativeCases:
             self._broken_no_mutex(), abstract_lock_client()
         )
         assert not result.found
+
+    @pytest.mark.parametrize(
+        "broken", ["_broken_relaxed_release", "_broken_no_mutex"]
+    )
+    def test_failure_is_an_unmatched_concrete_step(self, broken):
+        # The failure is where the game first meets a concrete step that
+        # no abstract stutter or step matches: past the initial
+        # configuration on both controls, whose initial pairs agree.
+        conc = client_graph(getattr(self, broken)())
+        result = find_forward_simulation(conc, abstract_lock_client())
+        assert not result.found
+        assert result.failure in conc.result.configs
+        assert result.failure != conc.result.initial_key
+        assert conc.result.edges.get(result.failure)
 
     def test_truncation_raises(self):
         with pytest.raises(VerificationError):
