@@ -217,8 +217,11 @@ def explore_sequential(
         # component ids of the expanded configuration's canonical key.
         # Its entries carry their successors' ids, so each transition
         # arrives with its target's key (``tr.key``) and a target is
-        # built only once its key is admitted, on one representative
-        # memory pair per component ids (``adopt``).  After each
+        # built only once its key is admitted, from the key, on one
+        # representative memory pair per component ids (``adopt``).
+        # Nothing in the loop reads a target's cmds/locals maps (the
+        # terminal test reads the thread rows), so they are built only
+        # for a caller that reads them.  After each
         # expansion the memo swaps the states of the steps it stored
         # for those representatives (``settle``).
         memo = StepMemo(program, init)

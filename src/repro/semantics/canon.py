@@ -74,10 +74,13 @@ thread states, so a successor's key is its parent's thread ids with
 one slot replaced plus the memo's stored component ids: under the
 memo, :func:`canonical_key` runs only on the initial configuration,
 and a target configuration is built, with its key preset, only once
-the explorer admits that key.  The thread ids also key every other
-fact that is a function of a thread state — its proof-outline pc and
-its DPOR footprint — so the program's intern tables are the one home
-of every such cache.
+the explorer admits that key.  The thread table is kept both ways
+(``rows[thread id] = (tid, cmd, ls)``), so that target is built from
+the key alone and derives its ``cmds``/``locals`` maps only when read
+(:func:`~repro.semantics.config.keyed_config`).  The thread ids also
+key every other fact that is a function of a thread state — its
+proof-outline pc and its DPOR footprint — so the program's intern
+tables are the one home of every such cache.
 
 Scope: the intern tables belong to the :class:`~repro.lang.program.Program`
 object and die with it.  Every key leads with the program's
@@ -100,7 +103,7 @@ the indexed encoding against a retained naive reference implementation
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.lang.program import Program
 from repro.memory.actions import Op
@@ -214,7 +217,10 @@ class _Interner:
     operation encodings ``(action, rank)``, memory parts, component
     states and thread states ``(tid, cmd, ls)``.  Ids are dense
     insertion indices, so equal ids mean equal interned values — exact,
-    unlike a hashed digest.
+    unlike a hashed digest.  ``rows`` is the thread table read the
+    other way: ``rows[thread id]`` is the ``(tid, cmd, ls)`` the id
+    stands for, so a configuration can be rebuilt from its thread ids
+    (:func:`_thread_id` writes both).
 
     The rest hang facts off the thread ids, so every fact that is a
     function of a thread state is worked out once per thread state of
@@ -232,7 +238,7 @@ class _Interner:
     """
 
     __slots__ = (
-        "scope", "ops", "mems", "comps", "threads", "plans", "pcs",
+        "scope", "ops", "mems", "comps", "threads", "rows", "plans", "pcs",
         "footprints", "disjoint",
     )
 
@@ -242,6 +248,7 @@ class _Interner:
         self.mems: Dict[Tuple, int] = {}
         self.comps: Dict[Tuple, int] = {}
         self.threads: Dict[Tuple, int] = {}
+        self.rows: List[Tuple] = []
         self.plans: Dict[Tuple, Dict[int, object]] = {}
         self.pcs: Dict[int, object] = {}
         self.footprints: Dict[Tuple[str, int], Tuple] = {}
@@ -381,6 +388,17 @@ def _component_id(
     return cid
 
 
+def _thread_id(tables: _Interner, row: Tuple) -> int:
+    """The id of thread state ``row = (tid, cmd, ls)``; a new id gets
+    its row in ``tables.rows``.  The one writer of the thread table."""
+    threads = tables.threads
+    tsid = threads.get(row)
+    if tsid is None:
+        tsid = threads[row] = len(threads)
+        tables.rows.append(row)
+    return tsid
+
+
 def _thread_ids(
     tables: _Interner, program: Program, cfg: Config
 ) -> Tuple[int, ...]:
@@ -390,11 +408,10 @@ def _thread_ids(
     cached = cfg.__dict__.get("_thread_ids")
     if cached is not None and cached[0] is scope:
         return cached[1]
-    threads = tables.threads
     cmds = cfg.cmds
     locals_ = cfg.locals
     ids = tuple([
-        threads.setdefault((tid, cmds[tid], locals_[tid]), len(threads))
+        _thread_id(tables, (tid, cmds[tid], locals_[tid]))
         for tid in program.tids
     ])
     object.__setattr__(cfg, "_thread_ids", (scope, ids))

@@ -239,21 +239,27 @@ def _partition(program: Program, cfg: Config) -> List[List[str]]:
     ``footprints`` table and worked out on first use: a pair on the
     static-disjointness fast path never evaluates them at all, and
     phase mode only interprets the continuations actually compared.
+    Liveness and footprints read each thread's ``(cmd, ls)`` off the
+    program's thread rows by id, so ``cfg``'s ``cmds``/``locals`` maps
+    are never built here.
     """
     disjoint = _static_disjoint_pairs(program)
-    footprints = _interner(program).footprints
+    tables = _interner(program)
+    footprints = tables.footprints
+    rows = tables.rows
     mode = _FOOTPRINT_MODE
     tsids = dict(zip(program.tids, thread_ids(program, cfg)))
-    live = [t for t in program.tids if cfg.cmds[t] is not None]
+    live = [t for t in program.tids if rows[tsids[t]][1] is not None]
 
     def fp_of(t: str) -> _Footprint:
         key = (mode, tsids[t])
         fp = footprints.get(key)
         if fp is None:
+            _tid, cmd, ls = rows[tsids[t]]
             if mode == "phase":
-                fp = phase_footprint(cfg.cmds[t], cfg.locals[t])
+                fp = phase_footprint(cmd, ls)
             else:
-                fp = thread_footprint(cfg.cmds[t])
+                fp = thread_footprint(cmd)
             footprints[key] = fp
         return fp
 

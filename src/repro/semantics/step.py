@@ -29,7 +29,9 @@ thread id (:func:`repro.semantics.canon.thread_ids`), so it is worked
 out once per thread id and prune mode, and so is the successor thread
 state of each register value: its locals, its continuation (ε-closed
 for the reduction layer) and its id.  The tables live with the
-program's intern tables.  What a plan needs besides — the continuation
+program's intern tables, whose thread rows give back the ``(tid, cmd,
+ls)`` of each thread id: a missing plan reads its thread state there,
+not off the configuration.  What a plan needs besides — the continuation
 summaries of the covering-read prune (:func:`_node_summary`) and the
 ε-closure of each outcome — is worked out with the plan and not cached
 on its own.  What varies per configuration is the memory,
@@ -48,7 +50,11 @@ key.  The memo stores each successor pair's ``(γ'-id, β'-id)`` next to
 it, interned once on the miss, so under a memo every transition
 carries its target's canonical key — the parent's thread ids with the
 stepping slot replaced, plus the stored ids — and the target
-configuration is built only if the explorer admits that key.  Once the
+configuration is built only if the explorer admits that key, and then
+from the key alone (:func:`~repro.semantics.config.keyed_config`): its
+``cmds``/``locals`` maps are derived from the thread rows when
+something first reads them, which the explorer itself never does.
+Once the
 explorer has admitted an expansion's targets, the memo swaps the
 states of the steps it stored for one representative pair per
 ``(γ-id, β-id)``, so it holds the visited configurations' own
@@ -78,12 +84,14 @@ from repro.memory.transitions import (
 )
 from repro.obs import metrics as _metrics
 from repro.semantics.canon import (
+    _Interner,
     _component_id,
     _interner,
+    _thread_id,
     component_ids,
     thread_ids,
 )
-from repro.semantics.config import Config
+from repro.semantics.config import Config, keyed_config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
 
@@ -98,11 +106,12 @@ class Transition:
 
     A transition built by :func:`successors` under a visible-step memo
     carries its target's canonical key as ``key`` (None otherwise) and
-    builds ``target`` only when it is first asked for, from the parent
-    configuration ``source`` and the stepping thread's successor state
-    ``outcome`` = ``(cmd', ls', …)``, with the key and its thread ids
-    preset.  The explorer tests ``key`` against its visited set and asks
-    for the targets it admits only.
+    builds ``target`` only when it is first asked for, from the key
+    alone: :func:`~repro.semantics.config.keyed_config` on the memory
+    pair and the program's thread rows ``rows``, with the key and its
+    thread ids preset and ``cmds``/``locals`` derived on first read.
+    The explorer tests ``key`` against its visited set and asks for the
+    targets it admits only.
 
     A slotted value class (matching the :class:`~repro.memory.actions.Op`
     treatment): transitions are created once per edge on the explorer's
@@ -112,7 +121,7 @@ class Transition:
 
     __slots__ = (
         "tid", "component", "action", "gamma", "beta", "key",
-        "_target", "_source", "_outcome",
+        "_target", "_rows",
     )
 
     def __init__(
@@ -124,8 +133,7 @@ class Transition:
         gamma: Optional[ComponentState] = None,
         beta: Optional[ComponentState] = None,
         key: Optional[Tuple] = None,
-        source: Optional[Config] = None,
-        outcome: Optional[Tuple] = None,
+        rows: Optional[List[Tuple]] = None,
     ) -> None:
         self.tid = tid
         self.component = component
@@ -136,8 +144,7 @@ class Transition:
         self.beta = beta
         self.key = key
         self._target = target
-        self._source = source
-        self._outcome = outcome
+        self._rows = rows
 
     @property
     def target(self) -> Config:
@@ -150,18 +157,7 @@ class Transition:
         """Build and keep the target of a keyed transition on the memory
         pair ``(gamma, beta)``: its own ``(γ', β')`` or a pair with the
         same component ids, so that the preset key holds."""
-        key = self.key
-        tid = self.tid
-        source = self._source
-        outcome = self._outcome
-        target = Config(
-            source.cmds.set(tid, outcome[0]),
-            source.locals.set(tid, outcome[1]),
-            gamma, beta,
-        )
-        object.__setattr__(target, "_thread_ids", (key[0], key[1]))
-        object.__setattr__(target, "_canonical_key", key)
-        self._target = target
+        target = self._target = keyed_config(self.key, self._rows, gamma, beta)
         return target
 
     def __eq__(self, other: object) -> bool:
@@ -243,14 +239,14 @@ class _Plan:
         self.cont = cont
         self.ls = ls
 
-    def settle(self, value: Value, close, threads: Dict[Tuple, int]) -> Tuple:
+    def settle(self, value: Value, close, tables: _Interner) -> Tuple:
         """Work out and cache the outcome of register value ``value``."""
         ls2 = self.ls.set(self.reg, value) if self.reg else self.ls
         cmd2 = self.cont
         fused = 0
         if close is not None and cmd2 is not None:
             cmd2, ls2, fused = close(cmd2, ls2)
-        tsid = threads.setdefault((self.tid, cmd2, ls2), len(threads))
+        tsid = _thread_id(tables, (self.tid, cmd2, ls2))
         outcome = self.outcomes[value] = (cmd2, ls2, tsid, fused)
         return outcome
 
@@ -277,7 +273,10 @@ class StepMemo:
 
     The explorer admits a transition by its key and builds the admitted
     target through :meth:`adopt`, on the representative pair of its ids
-    (its own pair becomes the representative when the ids are new).  The
+    (its own pair becomes the representative when the ids are new).
+    The target is built from the key (:meth:`Transition.build`): it
+    holds the pair, the key and the program's thread rows, and no
+    ``cmds``/``locals`` map until one is read.  The
     visited set then holds one pair per ids.  A miss stores the rule's
     states as they are and files its entry in ``fresh``; :meth:`settle`,
     run once the explorer has admitted an expansion's targets, swaps
@@ -376,7 +375,7 @@ def successors(
     """
     tables = _interner(program)
     scope = tables.scope
-    threads = tables.threads
+    rows = tables.rows
     mode = (prune, close)
     plans = tables.plans.get(mode)
     if plans is None:
@@ -393,11 +392,10 @@ def successors(
     for i, tid in enumerate(program.tids):
         plan = plans.get(ids[i])
         if plan is None:
-            cmd = cfg.cmds[tid]
+            _tid, cmd, ls = rows[ids[i]]
             if cmd is None:
                 plan = _DONE
             else:
-                ls = cfg.locals[tid]
                 plan = _Plan(
                     tid, ls,
                     _thread_step(
@@ -455,7 +453,7 @@ def successors(
         for step in steps:
             outcome = outcomes.get(step[1])
             if outcome is None:
-                outcome = plan.settle(step[1], close, threads)
+                outcome = plan.settle(step[1], close, tables)
             elif outcome[3] and active is not None:
                 active.inc("reduce.epsilon_fused", outcome[3])
             ids2 = head + (outcome[2],) + tail
@@ -470,7 +468,7 @@ def successors(
             else:
                 append(Transition(
                     tid, comp, step[0], None, step[2], step[3],
-                    (scope, ids2, step[4], step[5]), cfg, outcome,
+                    (scope, ids2, step[4], step[5]), rows,
                 ))
     return out
 

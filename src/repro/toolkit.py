@@ -33,6 +33,10 @@ class ClientVerdict:
     client: str
     simulation: SimulationResult
     traces: Optional[RefinementResult]
+    #: ``((tid, pc), ...)`` of the lost game's failing concrete
+    #: configuration (:attr:`SimulationResult.failure`), in thread
+    #: order; None when the game is won.
+    failure_pcs: Optional[Tuple[Tuple[str, object], ...]] = None
 
     @property
     def ok(self) -> bool:
@@ -58,11 +62,14 @@ class RefinementReport:
             f"{'PASS' if self.ok else 'FAIL'}"
         ]
         for v in self.verdicts:
-            sim = (
-                f"simulation |R|={v.simulation.relation_size}"
-                if v.simulation.found
-                else "simulation NOT FOUND"
-            )
+            if v.simulation.found:
+                sim = f"simulation |R|={v.simulation.relation_size}"
+            else:
+                sim = "simulation NOT FOUND"
+                if v.failure_pcs is not None:
+                    sim += ", fails at pcs " + " ".join(
+                        f"{tid}:{pc}" for tid, pc in v.failure_pcs
+                    )
             tr = ""
             if v.traces is not None:
                 tr = f", traces {'ok' if v.traces.refines else 'FAIL'}"
@@ -146,10 +153,18 @@ def verify_lock_implementation(
         conc = client_graph(concrete, max_states=max_states, engine=engine)
         abst = client_graph(abstract, max_states=max_states, engine=engine)
         sim = find_forward_simulation(conc, abst)
+        failure_pcs = None
+        if not sim.found:
+            failure_pcs = tuple(zip(concrete.tids, conc.pcs[sim.failure]))
         traces = None
         if check_traces:
             traces = check_program_refinement(conc, abst)
         report.verdicts.append(
-            ClientVerdict(client=client_name, simulation=sim, traces=traces)
+            ClientVerdict(
+                client=client_name,
+                simulation=sim,
+                traces=traces,
+                failure_pcs=failure_pcs,
+            )
         )
     return report

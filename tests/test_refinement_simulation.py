@@ -7,6 +7,7 @@ from repro.lang.expr import Lit, Reg
 from repro.litmus.clients import lock_client
 from repro.refinement.simulation import find_forward_simulation
 from repro.refinement.traces import client_graph
+from repro.toolkit import verify_lock_implementation
 from repro.util.errors import VerificationError
 from tests.conftest import (
     abstract_lock_client,
@@ -51,25 +52,27 @@ class TestPropositions:
         assert result.found
 
 
+def relaxed_release_fill(obj, method, dest=None):
+    if method == "acquire":
+        return A.LibBlock(
+            A.do_until(A.Cas("_b", "lk", Lit(0), Lit(1)), Reg("_b"))
+        )
+    return A.LibBlock(A.Write("lk", Lit(0)))  # BUG: relaxed write
+
+
+def no_mutex_fill(obj, method, dest=None):
+    if method == "acquire":
+        # BUG: reads the lock instead of CASing it — no exclusion.
+        return A.LibBlock(A.Read("_b", "lk", acquire=True))
+    return A.LibBlock(A.Write("lk", Lit(0), release=True))
+
+
 class TestNegativeCases:
     def _broken_relaxed_release(self):
-        def fill(obj, method, dest=None):
-            if method == "acquire":
-                return A.LibBlock(
-                    A.do_until(A.Cas("_b", "lk", Lit(0), Lit(1)), Reg("_b"))
-                )
-            return A.LibBlock(A.Write("lk", Lit(0)))  # BUG: relaxed write
-
-        return lock_client(fill, lib_vars={"lk": 0})
+        return lock_client(relaxed_release_fill, lib_vars={"lk": 0})
 
     def _broken_no_mutex(self):
-        def fill(obj, method, dest=None):
-            if method == "acquire":
-                # BUG: reads the lock instead of CASing it — no exclusion.
-                return A.LibBlock(A.Read("_b", "lk", acquire=True))
-            return A.LibBlock(A.Write("lk", Lit(0), release=True))
-
-        return lock_client(fill, lib_vars={"lk": 0})
+        return lock_client(no_mutex_fill, lib_vars={"lk": 0})
 
     def test_relaxed_release_rejected(self):
         result = find_forward_simulation(
@@ -97,6 +100,34 @@ class TestNegativeCases:
         assert result.failure in conc.result.configs
         assert result.failure != conc.result.initial_key
         assert conc.result.edges.get(result.failure)
+
+    @pytest.mark.parametrize(
+        "fill, line",
+        [
+            (
+                relaxed_release_fill,
+                "  reader-client: simulation NOT FOUND, fails at pcs "
+                "1:done 2:1",
+            ),
+            (
+                no_mutex_fill,
+                "  reader-client: simulation NOT FOUND, fails at pcs 1:2 2:1",
+            ),
+        ],
+        ids=["relaxed_release", "no_mutex"],
+    )
+    def test_report_names_the_failing_pcs(self, fill, line):
+        # The report prints the per-thread pcs of the failing concrete
+        # configuration, read from the concrete client graph.
+        report = verify_lock_implementation(
+            fill,
+            {"lk": 0},
+            battery=[("reader-client", lock_client, {})],
+            check_traces=False,
+        )
+        assert report.describe() == (
+            f"refinement report for {fill.__name__}: FAIL\n{line}"
+        )
 
     def test_truncation_raises(self):
         with pytest.raises(VerificationError):

@@ -8,6 +8,10 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
 * **Transition keys.**  Under the visible-step memo every transition
   carries its target's key, read off the memo; it equals the key of a
   cache-free copy of the target on every edge.
+* **Key-built configurations.**  An admitted configuration built from
+  its key derives ``cmds``/``locals`` equal to an eager rebuild from its
+  parent, compares equal to and hashes like that rebuild, survives a
+  pickle round trip, and a cache-free copy keys back to its key.
 * **Scope.**  Ids are drawn from per-program tables: keys of two
   program objects never compare equal, a configuration keyed under one
   program is re-keyed under another, nothing of the tables or of a
@@ -216,6 +220,55 @@ class TestTransitionKeys:
             t = tr.target
             fresh = Config(t.cmds, t.locals, t.gamma, t.beta)
             assert tr.key == canonical_key(program, fresh)
+
+
+class TestKeyBuiltConfigs:
+    """An admitted configuration is built from its canonical key, its
+    ``cmds``/``locals`` derived from the thread rows on first read.
+    Checked on every admitted configuration of complete explorations
+    against an eager rebuild: its first-discovery parent's maps with
+    the stepping thread's slot replaced by its successor thread state,
+    the thread state its key's thread id stands for."""
+
+    @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
+    @pytest.mark.parametrize(
+        "build",
+        [t.build for t in LITMUS_TESTS] + [b for _, b in OBJECT_CLIENTS],
+        ids=[t.name for t in LITMUS_TESTS] + [n for n, _ in OBJECT_CLIENTS],
+    )
+    def test_matches_eager_rebuild(self, build, reduction):
+        program = build()
+        result = explore_sequential(
+            program, 20_000, reduction=reduction, track_parents=True
+        )
+        assert not result.truncated
+        rows = program._interner.rows
+        slot = {tid: i for i, tid in enumerate(program.tids)}
+        for key, cfg in result.configs.items():
+            parent = result.parents[key]
+            if parent is None:
+                continue
+            parent_key, tid, _component, _action = parent
+            source = result.configs[parent_key]
+            i = slot[tid]
+            assert key[1][:i] + key[1][i + 1:] == (
+                parent_key[1][:i] + parent_key[1][i + 1:]
+            )
+            row_tid, cmd, ls = rows[key[1][i]]
+            assert row_tid == tid
+            eager = Config(
+                source.cmds.set(tid, cmd),
+                source.locals.set(tid, ls),
+                cfg.gamma,
+                cfg.beta,
+            )
+            assert (cfg.cmds, cfg.locals) == (eager.cmds, eager.locals)
+            assert cfg == eager and hash(cfg) == hash(eager)
+            assert repr(cfg) == repr(eager)
+            copy = pickle.loads(pickle.dumps(cfg))
+            assert copy == cfg and hash(copy) == hash(cfg)
+            fresh = Config(cfg.cmds, cfg.locals, cfg.gamma, cfg.beta)
+            assert canonical_key(program, fresh) == key
 
 
 class TestScope:

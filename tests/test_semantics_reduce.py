@@ -314,7 +314,7 @@ class TestTransitionClass:
         assert not hasattr(tr, "__dict__")
         assert tr.__slots__ == (
             "tid", "component", "action", "gamma", "beta", "key",
-            "_target", "_source", "_outcome",
+            "_target", "_rows",
         )
 
     def test_value_semantics(self):

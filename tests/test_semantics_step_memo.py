@@ -365,18 +365,19 @@ class TestTargetBuilds:
     """A transition is admitted by the key it carries, so a complete
     exploration builds one target configuration per admitted state and
     none for an edge to a visited state or, under dpor, for a thread the
-    persistent set leaves out."""
+    persistent set leaves out.  A target is built from its key alone,
+    so its ``cmds``/``locals`` maps wait for a reader."""
 
     @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     def test_one_build_per_admitted_state(self, reduction):
         built = [0]
+        build = step_mod.Transition.build
 
-        class Counted(step_mod.Config):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built[0] += 1
+        def counted(tr, gamma, beta):
+            built[0] += 1
+            return build(tr, gamma, beta)
 
-        with mock.patch.object(step_mod, "Config", Counted):
+        with mock.patch.object(step_mod.Transition, "build", counted):
             result = explore_sequential(
                 wide_program(3, reads=2), reduction=reduction
             )
@@ -384,6 +385,19 @@ class TestTargetBuilds:
         if reduction != "dpor":
             assert (result.state_count, result.edge_count) == (413, 1_062)
         assert built[0] == result.state_count - 1
+
+    def test_unread_result_builds_no_thread_map(self):
+        # Plans, memo keys, dedup and the terminal test read thread ids:
+        # no admitted configuration gets a cmds or locals map until
+        # something reads one.  Only the initial one is built field by
+        # field.
+        result = explore_sequential(wide_program(3, reads=2))
+        assert (result.state_count, len(result.terminals)) == (413, 64)
+        mapped = [
+            key for key, cfg in result.configs.items()
+            if {"cmds", "locals"} & vars(cfg).keys()
+        ]
+        assert mapped == [result.initial_key]
 
 
 class TestCounters:
