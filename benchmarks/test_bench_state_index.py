@@ -36,7 +36,7 @@ from repro.litmus.peterson import peterson_program
 from repro.memory.naive import explore_naive
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_state_index.json"
 
@@ -53,7 +53,7 @@ def _bfs_indexed(program: Program):
     states, edges = 1, 0
     while queue:
         cfg = queue.popleft()
-        for tr in successors(program, cfg):
+        for tr in transitions(program, cfg):
             edges += 1
             key = canonical_key(program, tr.target)
             if key not in seen:

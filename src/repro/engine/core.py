@@ -108,6 +108,17 @@ def explore_sequential(
     """Enumerate the reachable configurations of ``program`` in-process,
     breadth-first, identifying configurations by canonical key.
 
+    The loop runs on keys: its frontier and visited set hold canonical
+    keys, every policy's successor relation takes a key and returns
+    plain edge tuples ``(tid, component, action, target key, γ', β')``
+    (:func:`repro.semantics.step.successors`), and no configuration is
+    built unless something reads one.  ``result.configs`` is a
+    read-only key → configuration mapping in breadth-first admission
+    order that builds each entry from its key on first access and
+    keeps it (:class:`repro.semantics.config.KeyedConfigs`); the
+    initial configuration is the one built field by field, and the
+    terminal and stuck configurations are built when the loop ends.
+
     ``max_states`` is a safety cap: exceeding it marks the result
     ``truncated`` and the loop bails out promptly, so ``edge_count``,
     ``terminals`` and ``stuck`` are lower bounds on a truncated result.
@@ -153,7 +164,8 @@ def explore_sequential(
 
     The loop raises CPython's gen-0 collection threshold to
     :data:`GC_GEN0_THRESHOLD` while it runs.  The visited set keeps
-    every ``Config`` and key it admits for the whole exploration, so
+    every key it admits, and the memo its states, for the whole
+    exploration, so
     at the default threshold (700) the cyclic collector mostly
     re-scans young objects that can never be garbage: on
     ``wide_program(4, reads=3)`` (54k states, a 2-CPU host) it took
@@ -171,8 +183,12 @@ def explore_sequential(
     several threads of one process could restore it out of order (the
     package starts no such threads).
     """
-    from repro.semantics.canon import canonical_key
-    from repro.semantics.config import initial_config
+    from repro.semantics.canon import _interner, canonical_key
+    from repro.semantics.config import (
+        KeyedConfigs,
+        initial_config,
+        key_is_terminal,
+    )
     from repro.semantics.reduce import get_strategy
     from repro.semantics.step import StepMemo
 
@@ -184,13 +200,33 @@ def explore_sequential(
         init = initial_config(program)
         init = strat.normalise_initial(program, init)
         init_key = canonical_key(program, init)
-        configs: Dict[Tuple, Config] = {init_key: init}
+        rows = _interner(program).rows
+        # The visible-step memo (repro.semantics.step.StepMemo): one per
+        # exploration under every policy, keyed by the interned
+        # component ids of the expanded key.  Its entries carry their
+        # successors' ids, so every edge arrives as a plain tuple
+        # ``(tid, component, action, target key, γ', β')``.  The loop
+        # runs on keys alone: the frontier holds keys, an expansion
+        # reads its thread ids off the key and its memory pair off
+        # ``memo.pairs`` (one representative pair per component ids,
+        # filed when a key with new ids is admitted), and no
+        # configuration is built unless something reads one — an
+        # ``on_config`` hook, the terminal/stuck lists or an entry of
+        # ``result.configs`` (KeyedConfigs builds on first access).
+        # After each expansion the memo swaps the states of the steps
+        # it stored for those representatives (``settle``).
+        memo = StepMemo(program, init)
+        pairs = memo.pairs
+        # Admitted keys in breadth-first order, each with its built
+        # configuration or None; ``configs`` is the read-only view.
+        seen: Dict[Tuple, Optional[Config]] = {init_key: init}
+        configs = KeyedConfigs(seen, rows, pairs)
         parents: Optional[Dict[Tuple, Optional[Tuple]]] = (
             {init_key: None} if track_parents else None
         )
         edges: Optional[Dict[Tuple, List]] = {} if collect_edges else None
-        terminals: List[Config] = []
-        stuck: List[Config] = []
+        terminal_keys: List[Tuple] = []
+        stuck_keys: List[Tuple] = []
         edge_count = 0
         truncated = False
         stopped = False
@@ -212,72 +248,59 @@ def explore_sequential(
         queued: set = set()
         sunk: set = set()
 
-        # The visible-step memo (repro.semantics.step.StepMemo): one per
-        # exploration under every policy, keyed by the interned
-        # component ids of the expanded configuration's canonical key.
-        # Its entries carry their successors' ids, so each transition
-        # arrives with its target's key (``tr.key``) and a target is
-        # built only once its key is admitted, from the key, on one
-        # representative memory pair per component ids (``adopt``).
-        # Nothing in the loop reads a target's cmds/locals maps (the
-        # terminal test reads the thread rows), so they are built only
-        # for a caller that reads them.  After each
-        # expansion the memo swaps the states of the steps it stored
-        # for those representatives (``settle``).
-        memo = StepMemo(program, init)
-
-        frontier: deque = deque([(init_key, init)])
+        frontier: deque = deque([init_key])
         push, pop = frontier.append, frontier.popleft
         while frontier:
-            key, cfg = pop()
+            key = pop()
             if instrumented:
                 depth = len(frontier)
                 if depth > frontier_peak:
                     frontier_peak = depth
                 if progress is not None:
-                    progress.update(len(configs))
-            if on_config is not None and on_config(cfg):
+                    progress.update(len(seen))
+            if on_config is not None and on_config(configs[key]):
                 stopped = True
                 break
             if sleep_expand is None:
-                succs = successors(program, cfg, memo=memo)
+                succs = successors(program, key, memo=memo)
                 child_sleeps = None
             else:
                 queued.discard(key)
                 expansion = sleep_expand(
-                    program, cfg, sleep_of.get(key, _EMPTY_SLEEP), memo=memo
+                    program, key, sleep_of.get(key, _EMPTY_SLEEP), memo=memo
                 )
-                succs = [tr for tr, _child in expansion]
-                child_sleeps = [child for _tr, child in expansion]
+                succs = [edge for edge, _child in expansion]
+                child_sleeps = [child for _edge, child in expansion]
             if collect_edges:
-                edges[key] = []
+                recorded = edges[key] = []
             if not succs:
                 if sleep_expand is not None:
                     if key in sunk:
                         continue
                     sunk.add(key)
-                if cfg.is_terminal():
-                    terminals.append(cfg)
+                if key_is_terminal(rows, key):
+                    terminal_keys.append(key)
                 else:
-                    stuck.append(cfg)
+                    stuck_keys.append(key)
                 continue
-            for i, tr in enumerate(succs):
-                edge_count += 1
-                tkey = tr.key
+            edge_count += len(succs)
+            for i, (tid, comp, action, tkey, gamma, beta) in enumerate(succs):
                 if collect_edges:
-                    edges[key].append((tr.tid, tr.component, tr.action, tkey))
-                if tkey not in configs:
-                    if len(configs) >= max_states:
+                    recorded.append((tid, comp, action, tkey))
+                if tkey not in seen:
+                    if len(seen) >= max_states:
                         truncated = True
                         continue
-                    target = memo.adopt(tr)
-                    configs[tkey] = target
+                    seen[tkey] = None
+                    ids = (tkey[2], tkey[3])
+                    if ids not in pairs:
+                        pairs[ids] = (gamma, beta)
                     if child_sleeps is not None:
                         sleep_of[tkey] = child_sleeps[i]
                         queued.add(tkey)
                     if track_parents:
-                        parents[tkey] = (key, tr.tid, tr.component, tr.action)
-                    push((tkey, target))
+                        parents[tkey] = (key, tid, comp, action)
+                    push(tkey)
                 elif child_sleeps is not None:
                     # Rediscovery: the state is only safely prunable by
                     # what *every* discovery path has already covered —
@@ -290,20 +313,23 @@ def explore_sequential(
                             sleep_of[tkey] = inter
                             if tkey not in queued and tkey not in sunk:
                                 queued.add(tkey)
-                                push((tkey, configs[tkey]))
+                                push(tkey)
             memo.settle()
             if truncated:
                 # Bail out promptly: the cap bounds work done, not just
                 # states recorded.  Counts are lower bounds from here on.
                 break
-        # The memo is garbage once the loop ends: free it while the
-        # raised threshold holds, so the first collection at the
+        # The memo's step table is garbage once the loop ends (its
+        # representative pairs live on in ``configs``): free it while
+        # the raised threshold holds, so the first collection at the
         # caller's threshold neither counts nor traverses its entries.
         memo = None
+        terminals = [configs[k] for k in terminal_keys]
+        stuck = [configs[k] for k in stuck_keys]
 
     elapsed = time.perf_counter() - start
     if metrics is not None:
-        metrics.inc("explore.states", len(configs))
+        metrics.inc("explore.states", len(seen))
         metrics.inc("explore.edges", edge_count)
         metrics.add_time("explore.elapsed", elapsed)
         metrics.gauge_max("explore.frontier_peak", frontier_peak)
@@ -397,9 +423,10 @@ class ExplorationEngine:
         ``reduction`` overrides the engine's policy for this call —
         checkers that consume the un-fused transition graph (refinement,
         Owicki–Gries) pass ``reduction="off"`` explicitly.
-        ``keep_configs`` has no effect on the in-process loop, which
-        keys its visited set by configuration and always returns the
-        full map; it is accepted so existing callers keep working.
+        ``keep_configs`` has no effect: the loop keeps keys, and
+        ``result.configs`` builds a configuration only when one is read
+        (:func:`explore_sequential`); it is accepted so existing
+        callers keep working.
         ``track_parents`` records each state's first-discovery edge in
         ``result.parents`` (see :meth:`find_witness`).
         """

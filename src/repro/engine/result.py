@@ -10,7 +10,7 @@ returns (that module re-exports the class).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # imported for annotations only — keeps this module a
     # leaf of the import graph (semantics.explore imports the engine).
@@ -25,7 +25,13 @@ class ExploreResult:
     program: "Program"
     initial: "Config"
     initial_key: Tuple
-    configs: Dict[Tuple, "Config"]
+    #: Every admitted configuration by canonical key, in breadth-first
+    #: admission order: a read-only mapping
+    #: (:class:`repro.semantics.config.KeyedConfigs`) that builds each
+    #: configuration from its key on first access and keeps it, so
+    #: ``configs[k] is configs[k]``.  ``len``, ``in`` and iterating the
+    #: keys build nothing.
+    configs: Mapping[Tuple, "Config"]
     terminals: List["Config"]
     stuck: List["Config"]
     edge_count: int

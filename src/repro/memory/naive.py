@@ -190,7 +190,7 @@ def explore_naive(
     indexed explorer.  Deliberately mirrors the engine's sequential loop
     so timing differences isolate the state representation.
     """
-    from repro.semantics.step import successors
+    from repro.semantics.step import transitions
 
     init = naive_initial_config(program)
     init_key = naive_canonical_key(program, init)
@@ -201,7 +201,7 @@ def explore_naive(
     terminals = set()
     while frontier:
         cfg = frontier.popleft()
-        succs = successors(program, cfg)
+        succs = transitions(program, cfg)
         if not succs:
             if cfg.is_terminal():
                 terminals.add(

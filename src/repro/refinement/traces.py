@@ -30,7 +30,8 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple, Union
 from repro.engine.result import ExploreResult
 from repro.lang.program import Program
 from repro.memory.actions import Op
-from repro.semantics.config import Config
+from repro.semantics.canon import _enc_table, _interner
+from repro.semantics.config import Config, thread_pc
 from repro.semantics.explore import explore
 from repro.util.errors import VerificationError
 
@@ -76,8 +77,6 @@ def _thread_client_locals(tid: str, ls, lib_regs) -> Tuple:
 
 def client_projection(program: Program, cfg: Config) -> ClientState:
     """Project a configuration to its client-observable state."""
-    from repro.semantics.canon import _enc_table
-
     gamma = cfg.gamma
     table = _enc_table(gamma)
     lib_regs = program.lib_registers()
@@ -128,14 +127,18 @@ class ClientGraph:
       key.  ``projection_ids`` (key -> projection id) and
       ``client_states`` (the distinct :class:`ClientState` values, by
       projection id) are built with one :func:`client_projection` call
-      per distinct memo key, and equal projections are one object
+      per distinct memo key — each thread's client locals are read off
+      the program's thread rows by id, so ``result.configs`` builds a
+      configuration only for a new memo key — and equal projections
+      are one object
       (distinct γ-ids can project alike: the projection leaves out
       modification views).  ``projections`` is the same map as key ->
       :class:`ClientState`;
     * a program counter is a function of one thread state, so ``pcs``
       (key -> per-thread program counters, in ``program.tids`` order)
-      calls :meth:`Config.pc <repro.semantics.config.Config.pc>` once
-      per distinct thread id; equal pc tuples are one object.
+      reads :func:`~repro.semantics.config.thread_pc` once per distinct
+      thread id and builds no configuration; equal pc tuples are one
+      object.
 
     All are filled on first use, so their cost lands in whichever
     checker reads them first and a checker that never reads ``pcs``
@@ -151,7 +154,6 @@ class ClientGraph:
     @cached_property
     def _projected(self) -> Tuple[Dict[Tuple, int], List[ClientState]]:
         program = self.program
-        tids = program.tids
         lib_regs = program.lib_registers()
         thread_locals: Dict[int, int] = {}  # thread id -> client-locals id
         locals_ids: Dict[Tuple, int] = {}  # a thread's client locals -> id
@@ -159,18 +161,21 @@ class ClientGraph:
         by_value: Dict[ClientState, int] = {}
         states: List[ClientState] = []
         ids: Dict[Tuple, int] = {}
-        for key, cfg in self.result.configs.items():
+        rows = _interner(program).rows
+        configs = self.result.configs
+        for key in configs:
             tsids = key[1]
-            for tid, tsid in zip(tids, tsids):
+            for tsid in tsids:
                 if tsid not in thread_locals:
+                    tid, _cmd, ls = rows[tsid]
                     thread_locals[tsid] = locals_ids.setdefault(
-                        _thread_client_locals(tid, cfg.locals[tid], lib_regs),
+                        _thread_client_locals(tid, ls, lib_regs),
                         len(locals_ids),
                     )
             ident = (tuple([thread_locals[t] for t in tsids]), key[2])
             pid = by_ident.get(ident)
             if pid is None:
-                state = client_projection(program, cfg)
+                state = client_projection(program, configs[key])
                 pid = by_ident[ident] = by_value.setdefault(state, len(states))
                 if pid == len(states):
                     states.append(state)
@@ -193,15 +198,14 @@ class ClientGraph:
     @cached_property
     def pcs(self) -> Dict[Tuple, Tuple]:
         program = self.program
-        tids = program.tids
         thread_pcs: Dict[int, object] = {}  # thread id -> pc
         shared: Dict[Tuple, Tuple] = {}  # one tuple object per pc value
         pcs: Dict[Tuple, Tuple] = {}
-        for key, cfg in self.result.configs.items():
+        for key in self.result.configs:
             tsids = key[1]
-            for tid, tsid in zip(tids, tsids):
+            for tsid in tsids:
                 if tsid not in thread_pcs:
-                    thread_pcs[tsid] = cfg.pc(tid, program)
+                    thread_pcs[tsid] = thread_pc(program, tsid)
             pc = tuple([thread_pcs[t] for t in tsids])
             pcs[key] = shared.setdefault(pc, pc)
         return pcs

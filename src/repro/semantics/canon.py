@@ -59,24 +59,25 @@ too, so its id is cached only against the partner table it was
 resolved with, never on the state alone.
 
 The ids double as cache keys for successor generation
-(:func:`repro.semantics.step.successors`).  The component ids
-(:func:`component_ids`) key the sequential explorer's visible-step
-memo (:class:`repro.semantics.step.StepMemo`), which every reduction
-policy runs.  A memo entry
-stores its successor component states together with their ids,
-interned once on the miss that stores it, so a hit returns both and
-derives no id.  The explorer's keys of admitted configurations also
-pick the memo's one representative ``(γ, β)`` pair per
-``(γ-id, β-id)``, so configurations equal in memory up to relabelling
-share state objects.  The thread ids
+(:func:`repro.semantics.step.successors`) and are the explorer's whole
+view of a state.  The component ids (:func:`component_ids`) key the
+visible-step memo (:class:`repro.semantics.step.StepMemo`), which every
+reduction policy runs.  A memo entry stores its successor component
+states together with their ids, interned once on the miss that stores
+it, so a hit returns both and derives no id.  The explorer's keys of
+admitted configurations also pick the memo's one representative
+``(γ, β)`` pair per ``(γ-id, β-id)``, so configurations equal in memory
+up to relabelling share state objects.  The thread ids
 (:func:`thread_ids`) key each thread's step plan and its successor
 thread states, so a successor's key is its parent's thread ids with
 one slot replaced plus the memo's stored component ids: under the
-memo, :func:`canonical_key` runs only on the initial configuration,
-and a target configuration is built, with its key preset, only once
-the explorer admits that key.  The thread table is kept both ways
-(``rows[thread id] = (tid, cmd, ls)``), so that target is built from
-the key alone and derives its ``cmds``/``locals`` maps only when read
+memo, :func:`canonical_key` runs only on the initial configuration.
+The explorer's frontier and visited set hold keys, each expansion
+reads its thread ids off the key and its memory off the representative
+pair, and edges are plain tuples carrying their target's key.  The
+thread table is kept both ways (``rows[thread id] = (tid, cmd, ls)``),
+so a configuration is built from its key alone, only when something
+reads one, and derives its ``cmds``/``locals`` maps only when read
 (:func:`~repro.semantics.config.keyed_config`).  The thread ids also
 key every other fact that is a function of a thread state — its
 proof-outline pc and its DPOR footprint — so the program's intern
@@ -405,7 +406,7 @@ def _thread_ids(
     """The interned ids of ``cfg``'s thread states ``(tid, cmd, ls)``
     in ``program.tids`` order, cached on ``cfg`` next to their scope."""
     scope = tables.scope
-    cached = cfg.__dict__.get("_thread_ids")
+    cached = cfg._thread_ids
     if cached is not None and cached[0] is scope:
         return cached[1]
     cmds = cfg.cmds
@@ -437,17 +438,18 @@ def canonical_key(program: Program, cfg: Config) -> Tuple:
     rule out.  Keys are process-local; anything that leaves the process
     uses :func:`canonical_encoding`.
 
-    Cached on ``cfg``, as are its thread ids (a configuration built by
-    :func:`~repro.semantics.step.successors` arrives with them); a key
+    Cached on ``cfg``, as are its thread ids (a target built by
+    :func:`~repro.semantics.step.transitions` arrives with them, one
+    built from its key with both); a key
     or ids cached under another program's scope are recognised by their
     tag and replaced.
     """
     tables = _interner(program)
     scope = tables.scope
-    cached = cfg.__dict__.get("_canonical_key")
+    cached = cfg._canonical_key
     if cached is not None and cached[0] is scope:
         return cached
-    ids = cfg.__dict__.get("_thread_ids")
+    ids = cfg._thread_ids
     gamma = cfg.gamma
     beta = cfg.beta
     key = (
@@ -466,9 +468,9 @@ def component_ids(program: Program, cfg: Config) -> Tuple[int, int]:
     canonical key — the identity of its memory up to per-variable
     timestamp relabelling, the key of the visible-step memo
     (:func:`repro.semantics.step.successors`).  Read off the key cached
-    on ``cfg`` (an explorer has keyed every configuration it expands),
-    derived only when it is missing or of another scope."""
-    cached = cfg.__dict__.get("_canonical_key")
+    on ``cfg`` (a key-built configuration carries its key), derived
+    only when it is missing or of another scope."""
+    cached = cfg._canonical_key
     if cached is None or cached[0] is not _interner(program).scope:
         cached = canonical_key(program, cfg)
     return cached[2], cached[3]
@@ -492,7 +494,7 @@ def canonical_encoding(program: Program, cfg: Config) -> Tuple:
     A pure function of the configuration, cached on ``cfg``;
     ``program`` is unused.
     """
-    cached = cfg.__dict__.get("_canonical_encoding")
+    cached = cfg._canonical_encoding
     if cached is not None:
         return cached
     genc = _enc_table(cfg.gamma)
@@ -521,7 +523,7 @@ def client_state_key(program: Program, cfg: Config) -> Tuple:
     configuration (the library-register set is a fixture of the program
     the configuration belongs to).
     """
-    cached = cfg.__dict__.get("_client_state_key")
+    cached = cfg._client_state_key
     if cached is not None:
         return cached
     enc = _enc_table(cfg.gamma)

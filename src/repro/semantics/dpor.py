@@ -47,10 +47,11 @@ front (induction on trace length).  Selective search over a persistent
 set per state therefore preserves every terminal configuration
 bit-for-bit and every stuck verdict; no cycle proviso is needed for
 those properties under the engine's stateful BFS, because canonical-key
-cycles consist solely of transitions that leave both component states'
-object identity unchanged (operation sets and view ranks are monotone).
+cycles consist solely of transitions that leave both component ids
+unchanged (operation sets and view ranks are monotone).
 The selection nevertheless *prefers* components with a memory-progress
-transition (one that produces a new ``γ`` or ``β``) and falls back to
+transition (one whose target's ``(γ-id, β-id)`` differ from the
+source's) and falls back to
 full expansion when none has one, which keeps the reduction effective
 on await/polling loops instead of repeatedly selecting a spinning
 reader.
@@ -116,13 +117,12 @@ from repro.lang.walk import fold
 from repro.memory import actions as ACT
 from repro.obs import metrics as _metrics
 from repro.semantics.canon import _interner, thread_ids
-from repro.semantics.config import Config
 from repro.semantics.reduce import (
     ReductionStrategy,
     close_config,
     reduced_successors,
 )
-from repro.semantics.step import StepMemo, Transition
+from repro.semantics.step import Edge, StepMemo
 
 #: Independence verdicts.  ``STRONG`` — the two transitions commute to
 #: bit-identical configurations; ``CANONICAL`` — they commute up to the
@@ -211,11 +211,12 @@ def _static_disjoint_pairs(program: Program) -> FrozenSet:
     return tables.disjoint
 
 
-def independence(a: Transition, b: Transition) -> str:
-    """Classify an enabled-transition pair (module docstring table)."""
-    if a.tid == b.tid:
+def independence(a: Edge, b: Edge) -> str:
+    """Classify an enabled pair of :data:`~repro.semantics.step.Edge`
+    tuples (module docstring table)."""
+    if a[0] == b[0]:
         return DEPENDENT
-    act_a, act_b = a.action, b.action
+    act_a, act_b = a[2], b[2]
     if act_a is None or act_b is None:
         return DEPENDENT  # cut-off ε macro-edge: no commutation claimed
     if ACT.is_method(act_a) or ACT.is_method(act_b):
@@ -224,15 +225,16 @@ def independence(a: Transition, b: Transition) -> str:
     mod_b = ACT.is_modifying(act_b)
     if not mod_a and not mod_b:
         return STRONG
-    if (a.component, act_a.var) == (b.component, act_b.var):
+    if (a[1], act_a.var) == (b[1], act_b.var):
         return DEPENDENT  # one location, ≥1 write/update: sync edges live here
-    if mod_a and mod_b and a.component == b.component:
+    if mod_a and mod_b and a[1] == b[1]:
         return CANONICAL  # disjoint vars, shared timestamp pool
     return STRONG
 
 
-def _partition(program: Program, cfg: Config) -> List[List[str]]:
-    """Conflict-graph connected components over the live threads.
+def _partition(program: Program, state) -> List[List[str]]:
+    """Conflict-graph connected components over the live threads of
+    ``state``, a configuration or its canonical key.
 
     A thread's footprint is a function of its thread state, so it is
     kept per ``(footprint mode, thread id)`` in the program's
@@ -240,15 +242,16 @@ def _partition(program: Program, cfg: Config) -> List[List[str]]:
     static-disjointness fast path never evaluates them at all, and
     phase mode only interprets the continuations actually compared.
     Liveness and footprints read each thread's ``(cmd, ls)`` off the
-    program's thread rows by id, so ``cfg``'s ``cmds``/``locals`` maps
-    are never built here.
+    program's thread rows by id, so no ``cmds``/``locals`` map is read
+    here.
     """
     disjoint = _static_disjoint_pairs(program)
     tables = _interner(program)
     footprints = tables.footprints
     rows = tables.rows
     mode = _FOOTPRINT_MODE
-    tsids = dict(zip(program.tids, thread_ids(program, cfg)))
+    ids = state[1] if type(state) is tuple else thread_ids(program, state)
+    tsids = dict(zip(program.tids, ids))
     live = [t for t in program.tids if rows[tsids[t]][1] is not None]
 
     def fp_of(t: str) -> _Footprint:
@@ -291,22 +294,36 @@ def _partition(program: Program, cfg: Config) -> List[List[str]]:
 
 def _select_persistent(
     program: Program,
-    cfg: Config,
-    by_tid: Dict[str, List[Transition]],
+    state,
+    pair: Tuple,
+    by_tid: Dict[str, List[Edge]],
 ) -> Tuple[FrozenSet, bool]:
-    """Choose the persistent set to expand: ``(tids, proper)``.
+    """Choose the persistent set to expand at ``state`` (a configuration
+    or its key), whose memory pair is ``pair``: ``(tids, proper)``.
 
     Candidates are conflict components with at least one enabled
-    transition; among those with a memory-progress transition (a new
-    ``γ`` or ``β`` — skipping pure spin-reads keeps the reduction
-    useful on await loops) the one with the fewest enabled transitions
+    transition; among those with a memory-progress transition (one
+    whose ``(γ', β')`` is not ``pair`` itself, compared by identity —
+    skipping pure spin-reads keeps the reduction useful on await loops)
+    the one with the fewest enabled transitions
     wins, tie-broken by smallest thread id.  Falls back to full
     expansion (``proper=False``) when the threads don't split, no
     candidate makes memory progress, or the winner already covers every
     enabled transition.
+
+    Identity is not the same test as comparing the target's component
+    ids with the source's.  A step served from the memo carries the
+    representative pair of its ids (:meth:`StepMemo.settle
+    <repro.semantics.step.StepMemo.settle>`), which is ``pair`` exactly
+    when the ids are unchanged; but a step first worked out during this
+    expansion carries the rule's own new states, which read as progress
+    even when their ids equal the source's.  Comparing ids instead
+    expands fewer states on the BENCH_dpor family (2+2W-x-ring2 237 →
+    123, iriw-await-x-ring2 41 → 31), so it waits for a change that
+    re-pins those counts.
     """
     enabled = frozenset(by_tid)
-    groups = _partition(program, cfg)
+    groups = _partition(program, state)
     if len(groups) <= 1:
         return enabled, False
     best_key = None
@@ -315,10 +332,11 @@ def _select_persistent(
         genabled = [t for t in group if t in by_tid]
         if not genabled:
             continue
+        gamma, beta = pair
         progress = any(
-            tr.gamma is not cfg.gamma or tr.beta is not cfg.beta
+            edge[4] is not gamma or edge[5] is not beta
             for t in genabled
-            for tr in by_tid[t]
+            for edge in by_tid[t]
         )
         if not progress:
             continue
@@ -333,37 +351,41 @@ def _select_persistent(
 
 def dpor_successors(
     program: Program,
-    cfg: Config,
+    state,
     sleep: FrozenSet,
     memo: Optional[StepMemo] = None,
-) -> List[Tuple[Transition, FrozenSet]]:
-    """The DPOR expansion of a closed configuration under ``sleep``.
+) -> List[Tuple[Edge, FrozenSet]]:
+    """The DPOR expansion of a closed configuration, or of its canonical
+    key, under ``sleep``.
 
-    Returns ``[(transition, child_sleep)]`` — empty exactly when the
+    Returns ``[(edge, child_sleep)]`` — empty exactly when the
     configuration has no successors at all.  ``sleep`` holds thread
     ids; a thread sleeps at a child when *all* of its enabled
     transitions here are independent (strong or canonical) of the edge
     taken, inherited from the parent sleep plus the already-expanded
     earlier siblings.  ``memo`` is the exploration's visible-step memo
     (:func:`~repro.semantics.reduce.reduced_successors`).  It serves the
-    threads left outside the persistent set too.  Their transitions are
-    keyed but never built: the persistent-set choice reads their
-    successor pairs, and the explorer never tests their keys, so a
-    stored step whose ids are never admitted keeps the rule's own
-    states (:meth:`~repro.semantics.step.StepMemo.settle`).
+    threads left outside the persistent set too: the persistent-set
+    choice reads their target ids, and the explorer never tests their
+    keys, so a stored step whose ids are never admitted keeps the rule's
+    own states (:meth:`~repro.semantics.step.StepMemo.settle`).
     """
-    succs = reduced_successors(program, cfg, memo)
+    succs = reduced_successors(program, state, memo)
     if not succs:
         return []
-    by_tid: Dict[str, List[Transition]] = {}
-    for tr in succs:
-        by_tid.setdefault(tr.tid, []).append(tr)
-    if any(tr.action is None for tr in succs):
+    by_tid: Dict[str, List[Edge]] = {}
+    for edge in succs:
+        by_tid.setdefault(edge[0], []).append(edge)
+    if any(edge[2] is None for edge in succs):
         # A cut-off ε macro-edge defeats the footprint analysis (the
         # silent chain may re-enter any code): full expansion.
         selected, proper = frozenset(by_tid), False
     else:
-        selected, proper = _select_persistent(program, cfg, by_tid)
+        if type(state) is tuple:
+            pair = memo.pairs[state[2], state[3]]
+        else:
+            pair = (state.gamma, state.beta)
+        selected, proper = _select_persistent(program, state, pair, by_tid)
 
     expand = sorted(t for t in selected if t not in sleep)
     if expand:
@@ -380,7 +402,7 @@ def dpor_successors(
             # Every enabled thread is asleep yet successors exist —
             # re-expand in full with empty child sleeps rather than
             # manufacture an artificial sink.
-            return [(tr, frozenset()) for tr in succs]
+            return [(edge, frozenset()) for edge in succs]
     if blocked and _metrics._ACTIVE is not None:
         _metrics._ACTIVE.inc(
             "reduce.dpor.sleep_blocked",
@@ -391,17 +413,17 @@ def dpor_successors(
     # defined on enabled transitions, and a disabled thread may wake
     # into different behaviour.
     inherited = [u for u in sorted(sleep) if u in by_tid]
-    out: List[Tuple[Transition, FrozenSet]] = []
+    out: List[Tuple[Edge, FrozenSet]] = []
     for i, t in enumerate(expand):
         candidates = inherited + expand[:i]
-        for tr in by_tid[t]:
+        for edge in by_tid[t]:
             child = frozenset(
                 u
                 for u in candidates
                 if u != t
-                and all(independence(utr, tr) != DEPENDENT for utr in by_tid[u])
+                and all(independence(ue, edge) != DEPENDENT for ue in by_tid[u])
             )
-            out.append((tr, child))
+            out.append((edge, child))
     return out
 
 

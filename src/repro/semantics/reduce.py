@@ -99,7 +99,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.lang.program import Program
 from repro.obs import metrics as _metrics
 from repro.semantics.config import Config
-from repro.semantics.step import StepMemo, Transition, silent_step, successors
+from repro.semantics.step import Edge, StepMemo, silent_step, successors
 
 #: Cut-off for one fused silent chain.  Past this many fused steps (or
 #: on an exact ``(continuation, locals)`` revisit) the remaining silent
@@ -115,14 +115,15 @@ MAX_SILENT_CHAIN = 4096
 class ReductionStrategy:
     """One reduction policy, as every consumer sees it.
 
-    ``successors`` is the policy's macro-step relation and
-    ``normalise_initial`` its initial-configuration normalisation (both
-    with the ``(program, cfg)`` signature; ``successors`` also takes the
-    ``memo=`` keyword).
+    ``successors`` is the policy's macro-step relation, mapping
+    ``(program, state, memo=)`` — ``state`` a configuration or a
+    canonical key — to :data:`~repro.semantics.step.Edge` tuples, and
+    ``normalise_initial`` its initial-configuration normalisation
+    (``(program, cfg)``).
     ``sleep_expand`` — set only for sleep-set policies — takes the
     place of ``successors``, which is then None: it maps ``(program,
-    cfg, sleep, memo=)`` to ``[(transition, child_sleep)]`` pairs and
-    returns an empty list exactly when ``cfg`` has no successors at all
+    state, sleep, memo=)`` to ``[(edge, child_sleep)]`` pairs and
+    returns an empty list exactly when ``state`` has no successors at all
     (sleep sets prune edges, never sink states).  The engine loop
     passes the exploration's visible-step memo (a
     :class:`~repro.semantics.step.StepMemo`) as ``memo=`` to whichever
@@ -137,7 +138,7 @@ class ReductionStrategy:
     """
 
     name: str
-    successors: Optional[Callable[..., List[Transition]]]
+    successors: Optional[Callable[..., List[Edge]]]
     normalise_initial: Callable[[Program, Config], Config]
     closure_expansion: bool = False
     sleep_expand: Optional[Callable[..., List[Tuple]]] = None
@@ -236,29 +237,30 @@ def close_config(program: Program, cfg: Config) -> Config:
 
 
 def reduced_successors(
-    program: Program, cfg: Config, memo: Optional[StepMemo] = None
-) -> List[Transition]:
-    """The macro-step successors of a closed configuration.
+    program: Program, state, memo: Optional[StepMemo] = None
+) -> List[Edge]:
+    """The macro-step edges out of a closed configuration or its key.
 
-    Each underlying transition (with the covering-read prune enabled)
-    is fused with the stepping thread's silent suffix; the macro-edge
+    Each underlying edge (with the covering-read prune enabled) is
+    fused with the stepping thread's silent suffix; the macro-edge
     keeps the visible action and thread/component tags.  Callers must
-    hand in closed configurations (the engine closes the initial one) —
-    every target returned is then closed as well.  ``memo`` is the
+    hand in closed states (the engine closes the initial one) — every
+    target is then closed as well.  ``memo`` is the
     exploration's visible-step memo, passed through to
     :func:`~repro.semantics.step.successors`: the closure fuses only
     silent steps, which leave ``γ``/``β`` untouched, so a memoised
     visible step serves the macro-step relation unchanged.
     """
     # The silent suffix is fused *inside* successor generation (the
-    # ``close`` hook), before each Transition/Config is built — no
-    # throwaway intermediate pair per closed successor — and cached
+    # ``close`` hook), before the successor thread state is interned —
+    # no throwaway intermediate state per closed successor — and cached
     # there with the successor thread state, whose repeats replay the
     # fused count.  The closure contract (component states untouched)
     # holds by construction: ``_close_chain`` maps only ``(cmd, ls)``,
-    # and the target Config is assembled once from the visible step's
-    # ``γ``/``β``.
-    return successors(program, cfg, prune=True, close=_close_chain, memo=memo)
+    # and the macro-edge carries the visible step's ``γ'``/``β'``.
+    return successors(
+        program, state, prune=True, close=_close_chain, memo=memo
+    )
 
 
 # ---------------------------------------------------------------------------

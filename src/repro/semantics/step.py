@@ -34,37 +34,45 @@ ls)`` of each thread id: a missing plan reads its thread state there,
 not off the configuration.  What a plan needs besides — the continuation
 summaries of the covering-read prune (:func:`_node_summary`) and the
 ε-closure of each outcome — is worked out with the plan and not cached
-on its own.  What varies per configuration is the memory,
-so the rule runs per configuration — except where the caller passes a
-visible-step memo: the sequential explorer passes a per-exploration
-:class:`StepMemo` as ``successors(..., memo=)`` under every policy
-(``off``, and through :func:`~repro.semantics.reduce.reduced_successors`
-the ε-closure and dpor).  A rule application is keyed by the configuration's interned
-``(γ-id, β-id)`` (:func:`repro.semantics.canon.component_ids`) plus
-the thread, orientation, rule and operands.  Equal ids mean memories
-equal up to per-variable timestamp relabelling, and the rules commute
-with such relabellings ("Verifying C11 Programs Operationally", the
-argument the canonical key rests on), so the first-seen
-configuration's successor states serve every later one with the same
-key.  The memo stores each successor pair's ``(γ'-id, β'-id)`` next to
-it, interned once on the miss, so under a memo every transition
-carries its target's canonical key — the parent's thread ids with the
-stepping slot replaced, plus the stored ids — and the target
-configuration is built only if the explorer admits that key, and then
-from the key alone (:func:`~repro.semantics.config.keyed_config`): its
-``cmds``/``locals`` maps are derived from the thread rows when
-something first reads them, which the explorer itself never does.
-Once the
-explorer has admitted an expansion's targets, the memo swaps the
-states of the steps it stored for one representative pair per
-``(γ-id, β-id)``, so it holds the visited configurations' own
-component states and no duplicates of them.
-Witness search, reconstruction and replay
-(:mod:`repro.semantics.witness`) and the naive-representation explorer
-run the rule without a memo, and :func:`thread_successors` and the
-proof-rule checkers (:mod:`repro.logic.triples`) step a thread through
-:func:`_run_step`, which runs :func:`_thread_step` and the rule with no
-cache at all.
+on its own.
+
+What varies per configuration is the memory, and that goes through a
+visible-step memo, :class:`StepMemo`: the explorer owns one per
+exploration under every policy (``off``, and through
+:func:`~repro.semantics.reduce.reduced_successors` the ε-closure and
+dpor), and a call without one gets a memo of its own.  A rule
+application is keyed by the source's interned ``(γ-id, β-id)``
+(:func:`repro.semantics.canon.component_ids`) plus the thread,
+orientation, rule and operands.  Equal ids mean memories equal up to
+per-variable timestamp relabelling, and the rules commute with such
+relabellings ("Verifying C11 Programs Operationally", the argument the
+canonical key rests on), so the first-seen memory's successor states
+serve every later one with the same ids.  The memo stores each
+successor pair's ``(γ'-id, β'-id)`` next to it, interned once on the
+miss, so every edge :func:`successors` returns is a plain tuple
+``(tid, component, action, target key, γ', β')`` whose key — the
+source's thread ids with the stepping slot replaced, plus the stored
+ids — is read off the memo entry, not derived from a target.
+
+The explorer runs on keys alone: its frontier holds canonical keys, an
+expansion reads its thread ids from the key and its memory pair from
+the memo's one representative pair per ``(γ-id, β-id)``, and no target
+configuration is built.  A configuration is built from its key
+(:func:`~repro.semantics.config.keyed_config`) only when something
+reads one.  Once the explorer has admitted an expansion's targets, the
+memo swaps the states of the steps it stored for the representative
+pairs, so it holds the visited states' own component states and no
+duplicates of them.
+
+Callers that want each target as a configuration and run no memo —
+the naive-representation explorer, witness search, reconstruction and
+replay (:mod:`repro.semantics.witness`) — call :func:`transitions`,
+which builds every target eagerly, field by field, as a
+:class:`Transition`, and interns no memory id: the naive explorer's
+states are the unindexed reference, which the id tables must not
+touch.  :func:`thread_successors` and the proof-rule checkers
+(:mod:`repro.logic.triples`) step a thread through :func:`_run_step`,
+which runs :func:`_thread_step` and the rule with no cache at all.
 """
 
 from __future__ import annotations
@@ -88,77 +96,49 @@ from repro.semantics.canon import (
     _component_id,
     _interner,
     _thread_id,
+    canonical_key,
     component_ids,
     thread_ids,
 )
-from repro.semantics.config import Config, keyed_config
+from repro.semantics.config import Config
 from repro.util.errors import SemanticsError
 from repro.util.fmap import FMap
 
 
+#: One edge as :func:`successors` returns it: ``(tid, component, action,
+#: target key, γ', β')`` — ``tid`` steps, in component ``component``
+#: ('C' for client steps, 'L' for library steps), with ``action`` (None
+#: for a silent ε step), to the configuration of canonical key ``target
+#: key`` on the memory pair ``(γ', β')``.
+Edge = Tuple[
+    str, str, Optional[Action], Tuple, ComponentState, ComponentState
+]
+
+
 class Transition:
-    """One step of the combined semantics.
+    """One step of the combined semantics with its target built:
+    ``tid`` steps, in component ``component``, with ``action`` (None
+    for a silent ε step), to the configuration ``target``.
 
-    ``tid`` steps, in component ``component`` ('C' for client steps,
-    'L' for library steps), with ``action`` (None for a silent ε step),
-    to ``target``; ``gamma`` and ``beta`` are the target's memory pair
-    ``(γ', β')``.
-
-    A transition built by :func:`successors` under a visible-step memo
-    carries its target's canonical key as ``key`` (None otherwise) and
-    builds ``target`` only when it is first asked for, from the key
-    alone: :func:`~repro.semantics.config.keyed_config` on the memory
-    pair and the program's thread rows ``rows``, with the key and its
-    thread ids preset and ``cmds``/``locals`` derived on first read.
-    The explorer tests ``key`` against its visited set and asks for the
-    targets it admits only.
-
-    A slotted value class (matching the :class:`~repro.memory.actions.Op`
-    treatment): transitions are created once per edge on the explorer's
-    hottest allocation path, and only the lazily built target is ever
-    filled in after construction.
+    What :func:`transitions` and :func:`thread_successors` return to
+    callers that read targets; the explorer reads :data:`Edge` tuples
+    and never builds one.  A slotted value class (matching the
+    :class:`~repro.memory.actions.Op` treatment).
     """
 
-    __slots__ = (
-        "tid", "component", "action", "gamma", "beta", "key",
-        "_target", "_rows",
-    )
+    __slots__ = ("tid", "component", "action", "target")
 
     def __init__(
         self,
         tid: str,
         component: str,
         action: Optional[Action],
-        target: Optional[Config] = None,
-        gamma: Optional[ComponentState] = None,
-        beta: Optional[ComponentState] = None,
-        key: Optional[Tuple] = None,
-        rows: Optional[List[Tuple]] = None,
+        target: Config,
     ) -> None:
         self.tid = tid
         self.component = component
         self.action = action
-        if target is not None:
-            gamma, beta = target.gamma, target.beta
-        self.gamma = gamma
-        self.beta = beta
-        self.key = key
-        self._target = target
-        self._rows = rows
-
-    @property
-    def target(self) -> Config:
-        target = self._target
-        if target is None:
-            target = self.build(self.gamma, self.beta)
-        return target
-
-    def build(self, gamma: ComponentState, beta: ComponentState) -> Config:
-        """Build and keep the target of a keyed transition on the memory
-        pair ``(gamma, beta)``: its own ``(γ', β')`` or a pair with the
-        same component ids, so that the preset key holds."""
-        target = self._target = keyed_config(self.key, self._rows, gamma, beta)
-        return target
+        self.target = target
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Transition):
@@ -268,32 +248,21 @@ class StepMemo:
     stores the entry, so a hit derives no id at all.  ``pruned`` maps the
     keys whose rule skipped covering-equivalent read candidates to how
     many it skipped (replayed into ``reduce.covering_pruned`` on a hit).
+
     ``pairs`` maps each ``(γ-id, β-id)`` of an admitted configuration
-    to one representative ``(γ, β)`` pair, seeded with ``initial``'s.
-
-    The explorer admits a transition by its key and builds the admitted
-    target through :meth:`adopt`, on the representative pair of its ids
-    (its own pair becomes the representative when the ids are new).
-    The target is built from the key (:meth:`Transition.build`): it
-    holds the pair, the key and the program's thread rows, and no
-    ``cmds``/``locals`` map until one is read.  The
-    visited set then holds one pair per ids.  A miss stores the rule's
-    states as they are and files its entry in ``fresh``; :meth:`settle`,
-    run once the explorer has admitted an expansion's targets, swaps
-    each filed step's states for the representative of its ids.  Under
-    ``off`` and the ε-closure every target is tested against the visited
-    set, so every step's ids have a representative and the memo holds
-    the visited set's own states and no duplicate of them; under dpor a
-    step of a thread left outside every persistent set may lead to ids
-    that are never admitted, and keeps the rule's states.
-
-    A step that leaves a component unchanged returns its input state
-    object, and every configuration the explorer expands holds
-    representative states, so a memoised step keeps its source's
-    ``(γ, β)`` objects exactly when it keeps their ids: dpor's
-    memory-progress test (:func:`repro.semantics.dpor._select_persistent`),
-    which compares a transition's ``(γ', β')`` with its source's by
-    identity, reads as it would without the memo.
+    to one representative ``(γ, β)`` pair, seeded with ``initial``'s:
+    the explorer files an edge's ``(γ', β')`` there when it admits a
+    new key whose ids have none, expands a key on the pair of its ids,
+    and builds a configuration a caller reads on that pair.  A miss
+    stores the rule's states as they are and files its entry in
+    ``fresh``; :meth:`settle`, run once the explorer has admitted an
+    expansion's targets, swaps each filed step's states for the
+    representative of its ids.  Under ``off`` and the ε-closure every
+    target is tested against the visited set, so every step's ids have
+    a representative and the memo holds the visited set's own states
+    and no duplicate of them; under dpor a step of a thread left
+    outside every persistent set may lead to ids that are never
+    admitted, and keeps the rule's states.
     """
 
     __slots__ = ("steps", "pruned", "pairs", "fresh")
@@ -305,13 +274,6 @@ class StepMemo:
             Tuple[int, int], Tuple[ComponentState, ComponentState]
         ] = {component_ids(program, initial): (initial.gamma, initial.beta)}
         self.fresh: List[List[_MemoStep]] = []
-
-    def adopt(self, tr: Transition) -> Config:
-        """The target of keyed transition ``tr``, admitted, built on the
-        representative pair of its component ids."""
-        key = tr.key
-        pair = self.pairs.setdefault((key[2], key[3]), (tr.gamma, tr.beta))
-        return tr.build(pair[0], pair[1])
 
     def settle(self) -> None:
         """Swap the states of the steps stored since the last call for
@@ -325,23 +287,54 @@ class StepMemo:
         self.fresh.clear()
 
 
+def _plan(plans: Dict, rows: List[Tuple], tsid: int, prune: bool):
+    """The plan of thread id ``tsid`` in ``plans`` (one prune/closure
+    mode's table), worked out from its thread row on first use."""
+    plan = plans.get(tsid)
+    if plan is None:
+        tid, cmd, ls = rows[tsid]
+        if cmd is None:
+            plan = _DONE
+        else:
+            plan = _Plan(
+                tid, ls,
+                _thread_step(cmd, ls, False, _REST_EMPTY if prune else None),
+            )
+        plans[tsid] = plan
+    return plan
+
+
+def _plans(tables: _Interner, prune: bool, close) -> Dict:
+    """The plan table of one ``(prune, close)`` mode."""
+    mode = (prune, close)
+    plans = tables.plans.get(mode)
+    if plans is None:
+        plans = tables.plans[mode] = {}
+    return plans
+
+
 def successors(
     program: Program,
-    cfg: Config,
+    state,
     prune: bool = False,
     close=None,
     memo: Optional[StepMemo] = None,
-) -> List[Transition]:
-    """All ``=⇒`` successors of ``cfg`` across every thread.
+) -> List[Edge]:
+    """All ``=⇒`` edges out of ``state`` across every thread, as
+    :data:`Edge` tuples ``(tid, component, action, target key, γ', β')``.
+
+    ``state`` is a configuration, or — what the explorer passes — a
+    canonical key ``(scope, thread ids, γ-id, β-id)`` whose memory pair
+    ``memo.pairs`` holds.
 
     ``prune=True`` enables the covering-read prune (sound only as part
     of the reduction layer; see :mod:`repro.semantics.reduce`).
 
     ``close``, when given, is the reduction layer's ε-closure
     ``(cmd, ls) -> (cmd', ls', fused)`` applied to each successor's
-    stepping thread *before* the transition is constructed: silent
-    chains touch only the continuation and locals by construction, so
-    fusing them here builds each macro-step target exactly once.
+    stepping thread *before* its thread id is interned: silent chains
+    touch only the continuation and locals by construction, so fusing
+    them here yields each macro-step target's key directly.
 
     A thread's step depends only on its thread state ``(tid, cmd, ls)``
     and on the memory, so it is worked out once per thread id
@@ -351,69 +344,49 @@ def successors(
     value, the successor thread state — its locals, its continuation
     (ε-closed under ``close``) and its id.  A repeated outcome replays
     the silent steps its closure fused into ``reduce.epsilon_fused``.
-    A target inherits ``cfg``'s thread ids with the stepping thread's
+    A target key is ``state``'s thread ids with the stepping thread's
     slot replaced.
 
-    ``memo``, when given, is the exploration's visible-step memo: a
+    ``memo`` is the exploration's visible-step memo: a
     :class:`StepMemo` the caller owns for one exploration of ``program``
-    and passes to every call, with or without ``prune``/``close``.
-    Each visible rule application is keyed by the interned
-    ``(γ-id, β-id)`` of ``cfg``'s canonical key plus the thread, the
-    component orientation, the rule and its evaluated operands, and a
-    repeated key returns the stored successor component states and
-    their ids instead of re-running the rule.  Ids are exact value
-    identity, so the stored states are equal, up to per-variable
+    and passes to every call, with or without ``prune``/``close``; a
+    call without one runs on a memo of its own.  Each visible rule
+    application is keyed by the source's interned ``(γ-id, β-id)`` plus
+    the thread, the component orientation, the rule and its evaluated
+    operands, and a repeated key returns the stored successor component
+    states and their ids instead of re-running the rule.  Ids are exact
+    value identity, so the stored states are equal, up to per-variable
     timestamp relabelling, to the ones the rule would build; the rules
-    commute with such relabellings, so every successor has the same
-    label and the same canonical key as without the memo.  A hit also
-    replays the read candidates the covering-read prune skipped into
+    commute with such relabellings, so every edge has the same label and
+    the same target key as without the memo.  A hit also replays the
+    read candidates the covering-read prune skipped into
     ``reduce.covering_pruned``.  A miss files its entry for
-    :meth:`StepMemo.settle`.  Under a memo each transition carries its
-    target's canonical key ``(scope, thread ids, γ'-id, β'-id)`` and
-    builds the target only when asked (:class:`Transition`); without
-    one, targets are built at once and carry no key.
+    :meth:`StepMemo.settle`.  No configuration is built.
     """
     tables = _interner(program)
-    scope = tables.scope
+    if type(state) is tuple:
+        scope, ids, gid, bid = state
+        gamma, beta = memo.pairs[(gid, bid)]
+    else:
+        scope, ids, gid, bid = canonical_key(program, state)
+        gamma = state.gamma
+        beta = state.beta
+        if memo is None:
+            memo = StepMemo(program, state)
     rows = tables.rows
-    mode = (prune, close)
-    plans = tables.plans.get(mode)
-    if plans is None:
-        plans = tables.plans[mode] = {}
-    ids = thread_ids(program, cfg)
-    if memo is not None:
-        gid, bid = component_ids(program, cfg)
-        memo_steps = memo.steps
-    gamma = cfg.gamma
-    beta = cfg.beta
+    plans = _plans(tables, prune, close)
+    memo_steps = memo.steps
     active = _metrics._ACTIVE
-    out: List[Transition] = []
+    out: List[Edge] = []
     append = out.append
     for i, tid in enumerate(program.tids):
         plan = plans.get(ids[i])
         if plan is None:
-            _tid, cmd, ls = rows[ids[i]]
-            if cmd is None:
-                plan = _DONE
-            else:
-                plan = _Plan(
-                    tid, ls,
-                    _thread_step(
-                        cmd, ls, False, _REST_EMPTY if prune else None
-                    ),
-                )
-            plans[ids[i]] = plan
+            plan = _plan(plans, rows, ids[i], prune)
         if plan is _DONE:
             continue
         rule = plan.rule
-        if memo is None:
-            if rule is None:
-                steps = ((None, None, gamma, beta),)
-            else:
-                steps = rule(
-                    program, gamma, beta, tid, plan.in_lib, *plan.operands
-                )
-        elif rule is None:
+        if rule is None:
             steps = ((None, None, gamma, beta, gid, bid),)
         else:
             key = (gid, bid, *plan.memo_tail)
@@ -450,26 +423,64 @@ def successors(
         outcomes = plan.outcomes
         head = ids[:i]
         tail = ids[i + 1:]
-        for step in steps:
-            outcome = outcomes.get(step[1])
+        for action, value, g2, b2, gid2, bid2 in steps:
+            outcome = outcomes.get(value)
             if outcome is None:
-                outcome = plan.settle(step[1], close, tables)
+                outcome = plan.settle(value, close, tables)
             elif outcome[3] and active is not None:
                 active.inc("reduce.epsilon_fused", outcome[3])
-            ids2 = head + (outcome[2],) + tail
-            if memo is None:
-                target = Config(
-                    cfg.cmds.set(tid, outcome[0]),
-                    cfg.locals.set(tid, outcome[1]),
-                    step[2], step[3],
-                )
-                object.__setattr__(target, "_thread_ids", (scope, ids2))
-                append(Transition(tid, comp, step[0], target))
-            else:
-                append(Transition(
-                    tid, comp, step[0], None, step[2], step[3],
-                    (scope, ids2, step[4], step[5]), rows,
-                ))
+            append((
+                tid, comp, action,
+                (scope, head + (outcome[2],) + tail, gid2, bid2), g2, b2,
+            ))
+    return out
+
+
+def transitions(
+    program: Program, cfg: Config, prune: bool = False, close=None
+) -> List[Transition]:
+    """The edges of :func:`successors` out of configuration ``cfg``
+    (same order, same ``prune``/``close`` modes) as :class:`Transition`
+    objects whose targets are built at once, field by field, for callers
+    that read every target: witness search and replay, the
+    naive-representation explorer.  Runs no memo and interns no memory
+    id; each target arrives with its thread ids."""
+    tables = _interner(program)
+    scope = tables.scope
+    rows = tables.rows
+    plans = _plans(tables, prune, close)
+    ids = thread_ids(program, cfg)
+    gamma = cfg.gamma
+    beta = cfg.beta
+    active = _metrics._ACTIVE
+    out: List[Transition] = []
+    for i, tid in enumerate(program.tids):
+        plan = _plan(plans, rows, ids[i], prune)
+        if plan is _DONE:
+            continue
+        if plan.rule is None:
+            steps = ((None, None, gamma, beta),)
+        else:
+            steps = plan.rule(
+                program, gamma, beta, tid, plan.in_lib, *plan.operands
+            )
+        head = ids[:i]
+        tail = ids[i + 1:]
+        for action, value, g2, b2 in steps:
+            outcome = plan.outcomes.get(value)
+            if outcome is None:
+                outcome = plan.settle(value, close, tables)
+            elif outcome[3] and active is not None:
+                active.inc("reduce.epsilon_fused", outcome[3])
+            target = Config(
+                cfg.cmds.set(tid, outcome[0]),
+                cfg.locals.set(tid, outcome[1]),
+                g2, b2,
+            )
+            object.__setattr__(
+                target, "_thread_ids", (scope, head + (outcome[2],) + tail)
+            )
+            out.append(Transition(tid, plan.comp, action, target))
     return out
 
 

@@ -18,7 +18,8 @@ Two producers live here:
   (``track_parents=True``): per state only the *parent key* and the
   ``(tid, component, action)`` edge label, no stored configurations.
   The path is re-derived by replaying forward through the raw
-  :func:`~repro.semantics.step.successors` relation, so every returned
+  ``successors`` relation (:func:`~repro.semantics.step.transitions`,
+  which builds each target), so every returned
   step is a real transition by construction; under
   ``reduction="closure"`` each fused macro-step is re-expanded into its
   concrete visible-step-plus-silent-suffix schedule.
@@ -43,7 +44,7 @@ from repro.lang.program import Program
 from repro.memory.actions import Action
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import Config, initial_config
-from repro.semantics.step import successors, thread_successors
+from repro.semantics.step import thread_successors, transitions
 from repro.util.errors import VerificationError
 
 
@@ -124,7 +125,7 @@ def find_path(
     truncated = False
     while queue:
         key, cfg = queue.popleft()
-        for tr in successors(program, cfg):
+        for tr in transitions(program, cfg):
             tkey = canonical_key(program, tr.target)
             if tkey in parents:
                 continue
@@ -201,7 +202,7 @@ def reconstruct_witness(
 
     The parent chain stores no configurations: the path is re-derived
     by replaying forward from the initial configuration through the raw
-    :func:`~repro.semantics.step.successors` relation, matching each
+    :func:`~repro.semantics.step.transitions` relation, matching each
     recorded edge by thread, action and target key.  Under
     ``reduction="closure"`` each recorded macro-edge is re-expanded
     into its concrete schedule — the visible transition followed by the
@@ -269,7 +270,7 @@ def replay_witness(program: Program, witness: Witness) -> Config:
     property suite runs on every engine-reconstructed witness."""
     cfg = witness.initial
     for i, step in enumerate(witness.steps):
-        for tr in successors(program, cfg):
+        for tr in transitions(program, cfg):
             if (
                 tr.tid == step.tid
                 and tr.component == step.component
@@ -337,7 +338,7 @@ def _expand_edge(
     right one is identified by its (closed) target key — action labels
     alone are ambiguous under placement nondeterminism, keys are not.
     """
-    for tr in successors(program, cfg):
+    for tr in transitions(program, cfg):
         if (
             tr.tid != tid
             or tr.component != component

@@ -17,9 +17,9 @@ from repro.lang.program import Program, Thread
 from repro.litmus.clients import abstract_fill, lock_client
 from repro.objects.lock import AbstractLock
 from repro.objects.stack import AbstractStack
-from repro.semantics.config import Config, initial_config
+from repro.semantics.config import Config, initial_config, keyed_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 
 
 @pytest.fixture(autouse=True)
@@ -72,7 +72,8 @@ class RawExploration(NamedTuple):
 
 def raw_explore(program: Program, max_states: int = 100_000) -> RawExploration:
     """The reference search the canonical explorer is checked against:
-    breadth-first over the unreduced ``successors`` relation, keyed by
+    breadth-first over the unreduced ``successors`` relation (built by
+    :func:`~repro.semantics.step.transitions`), keyed by
     the ``Config`` itself (a frozen dataclass, compared field by field),
     so configurations equal up to timestamp relabelling stay distinct.
     Past ``max_states`` states it stops and reports ``truncated``."""
@@ -83,7 +84,7 @@ def raw_explore(program: Program, max_states: int = 100_000) -> RawExploration:
     queue = deque([init])
     while queue:
         cfg = queue.popleft()
-        succs = successors(program, cfg)
+        succs = transitions(program, cfg)
         if not succs:
             (terminals if cfg.is_terminal() else stuck).append(cfg)
         for tr in succs:
@@ -93,6 +94,14 @@ def raw_explore(program: Program, max_states: int = 100_000) -> RawExploration:
                 seen.add(tr.target)
                 queue.append(tr.target)
     return RawExploration(seen, terminals, stuck, False)
+
+
+def edge_target(program: Program, edge) -> Config:
+    """The target of a :func:`~repro.semantics.step.successors` edge
+    ``(tid, component, action, target key, γ', β')``, built from its
+    key on its memory pair."""
+    _tid, _comp, _action, key, gamma, beta = edge
+    return keyed_config(key, program._interner.rows, gamma, beta)
 
 
 def mp_relaxed() -> Program:

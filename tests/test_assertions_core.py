@@ -17,7 +17,7 @@ from repro.lang import ast as A
 from repro.lang.expr import Lit
 from repro.lang.program import Program, Thread
 from repro.semantics.config import initial_config
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 
 
 @pytest.fixture()
@@ -101,10 +101,10 @@ class TestAtoms:
     def test_at_pc_tracks_execution(self, env):
         assert AtPc("1", (1,)).holds(env)
         p = env.program
-        cfg2 = successors(p, env.config)[0].target
+        cfg2 = transitions(p, env.config)[0].target
         env2 = make_env(p, cfg2)
         assert AtPc("1", (2,)).holds(env2)
-        cfg3 = successors(p, cfg2)[0].target
+        cfg3 = transitions(p, cfg2)[0].target
         env3 = make_env(p, cfg3)
         assert AtPc("1", (3,)).holds(env3)  # done label
 

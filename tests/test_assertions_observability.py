@@ -28,7 +28,7 @@ from repro.objects.lock import AbstractLock
 from repro.objects.stack import AbstractStack
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore, reachable
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from tests.conftest import mp_ra, mp_relaxed
 
 
@@ -36,7 +36,7 @@ def env_after(program, *step_indices):
     """Walk a deterministic path: at each config take the i-th successor."""
     cfg = initial_config(program)
     for i in step_indices:
-        cfg = successors(program, cfg)[i].target
+        cfg = transitions(program, cfg)[i].target
     return make_env(program, cfg)
 
 

@@ -17,7 +17,7 @@ from repro.memory.actions import rdval, wrval
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from tests.conftest import checking_invariants, raw_explore
 
 VARS = ("x", "y")
@@ -94,7 +94,7 @@ def test_view_monotonicity(p):
     """
     result = explore(p, max_states=20_000)
     for cfg in result.configs.values():
-        for tr in successors(p, cfg):
+        for tr in transitions(p, cfg):
             for (t, v), op in cfg.gamma.tview.items():
                 new = tr.target.gamma.thread_view(t, v)
                 assert new is not None and new.ts >= op.ts
@@ -140,7 +140,7 @@ def test_random_runs_stay_inside_reachable_set(p, seed):
     """Random execution only visits canonically-reachable configurations."""
     import random
 
-    from repro.semantics.step import successors as succ
+    from repro.semantics.step import transitions as succ
 
     result = explore(p, max_states=20_000)
     if result.truncated:
@@ -162,7 +162,7 @@ def test_updates_cover_exactly_their_anchors(p):
     becomes covered, and it is the operation the update read from."""
     result = explore(p, max_states=20_000)
     for cfg in result.configs.values():
-        for tr in successors(p, cfg):
+        for tr in transitions(p, cfg):
             action = tr.action
             if action is None or action.kind != "updRA":
                 continue

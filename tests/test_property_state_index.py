@@ -36,7 +36,7 @@ from repro.memory.naive import (
 )
 from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import initial_config
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from tests.conftest import abstract_lock_client, stack_program
 
 #: Safety cap: every space below is explored exhaustively well within it.
@@ -96,8 +96,8 @@ def assert_differential(program: Program, max_pairs: int = MAX_PAIRS):
         _assert_component_match(
             cfg_i.beta, cfg_n.beta, [(t, x) for (t, x) in cfg_i.beta.tview]
         )
-        targets_i = [tr.target for tr in successors(program, cfg_i)]
-        targets_n = [tr.target for tr in successors(program, cfg_n)]
+        targets_i = [tr.target for tr in transitions(program, cfg_i)]
+        targets_n = [tr.target for tr in transitions(program, cfg_n)]
         succ_i = {canonical_key(program, t): t for t in targets_i}
         succ_n = {canonical_key(program, t): t for t in targets_n}
         assert set(succ_i) == set(succ_n)

@@ -11,7 +11,7 @@ from repro.refinement.traces import (
 )
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from tests.conftest import (
     abstract_lock_client,
     mp_relaxed,
@@ -25,7 +25,7 @@ class TestProjection:
         cfg = initial_config(p)
         proj0 = client_projection(p, cfg)
         # Take a library step (thread 1's acquire read of glb).
-        lib_steps = [t for t in successors(p, cfg) if t.component == "L"]
+        lib_steps = [t for t in transitions(p, cfg) if t.component == "L"]
         assert lib_steps
         proj1 = client_projection(p, lib_steps[0].target)
         assert proj0 == proj1
@@ -34,7 +34,7 @@ class TestProjection:
         p = mp_relaxed()
         cfg = initial_config(p)
         proj0 = client_projection(p, cfg)
-        client_steps = [t for t in successors(p, cfg) if t.component == "C"]
+        client_steps = [t for t in transitions(p, cfg) if t.component == "C"]
         for tr in client_steps:
             assert client_projection(p, tr.target) != proj0
 

@@ -9,7 +9,7 @@ from repro.memory.actions import Op, mk_write
 from repro.semantics.canon import canonical_key, client_state_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from tests.conftest import mp_relaxed, raw_explore, seqlock_client
 
 
@@ -56,16 +56,16 @@ class TestCanonicalKey:
     def test_differs_for_different_configs(self):
         p = mp_relaxed()
         cfg = initial_config(p)
-        keys = {canonical_key(p, tr.target) for tr in successors(p, cfg)}
+        keys = {canonical_key(p, tr.target) for tr in transitions(p, cfg)}
         assert canonical_key(p, cfg) not in keys
-        assert len(keys) == len(successors(p, cfg))
+        assert len(keys) == len(transitions(p, cfg))
 
     def test_invariant_under_timestamp_rescaling(self):
         p = mp_relaxed()
         cfg = initial_config(p)
         # Take a few steps to accumulate non-trivial timestamps.
         for _ in range(3):
-            cfg = successors(p, cfg)[0].target
+            cfg = transitions(p, cfg)[0].target
         rescaled = rescale_gamma(cfg, scale=7, shift=3)
         assert canonical_key(p, cfg) == canonical_key(p, rescaled)
 
@@ -73,11 +73,11 @@ class TestCanonicalKey:
         p1 = Program(
             threads={"1": Thread(A.Write("x", Lit(1)))}, client_vars={"x": 0}
         )
-        cfg1 = successors(p1, initial_config(p1))[0].target
+        cfg1 = transitions(p1, initial_config(p1))[0].target
         p2 = Program(
             threads={"1": Thread(A.Write("x", Lit(2)))}, client_vars={"x": 0}
         )
-        cfg2 = successors(p2, initial_config(p2))[0].target
+        cfg2 = transitions(p2, initial_config(p2))[0].target
         assert canonical_key(p1, cfg1) != canonical_key(p2, cfg2)
 
     def test_reduces_state_count_vs_raw(self):

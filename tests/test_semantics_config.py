@@ -7,7 +7,7 @@ from repro.lang.expr import Lit
 from repro.lang.program import Program, Thread
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 
 
 @pytest.fixture()
@@ -48,7 +48,7 @@ class TestProgress:
     def test_pc_advances(self, program):
         cfg = initial_config(program)
         tr1 = next(
-            t for t in successors(program, cfg) if t.tid == "1"
+            t for t in transitions(program, cfg) if t.tid == "1"
         )
         assert tr1.target.pc("1", program) == 2
         assert tr1.target.pc("2", program) == 1
@@ -78,5 +78,5 @@ class TestIdentity:
 
     def test_distinct_after_step(self, program):
         cfg = initial_config(program)
-        for tr in successors(program, cfg):
+        for tr in transitions(program, cfg):
             assert tr.target != cfg

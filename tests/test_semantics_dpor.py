@@ -41,6 +41,7 @@ from repro.semantics.reduce import (
     get_strategy,
     reduced_successors,
 )
+from tests.conftest import edge_target
 
 
 # -- footprints --------------------------------------------------------------
@@ -147,7 +148,7 @@ class TestPartition:
         program = _two_disjoint_pairs()
         cfg = close_config(program, initial_config(program))
         pairs = dpor_successors(program, cfg, frozenset())
-        tids = {tr.tid for tr, _sleep in pairs}
+        tids = {edge[0] for edge, _sleep in pairs}
         assert tids <= {"1", "2"} or tids <= {"3", "4"}
         full = reduced_successors(program, cfg)
         assert len(pairs) < len(full)
@@ -235,8 +236,8 @@ def programs(draw):
     )
 
 
-def _label(tr):
-    return (tr.tid, tr.component, tr.action)
+def _label(edge):
+    return edge[:3]  # (tid, component, action)
 
 
 def _after(program, succs, first_label, second_label):
@@ -250,10 +251,10 @@ def _after(program, succs, first_label, second_label):
     label-grouped outcome sets, not between single placements.
     """
     return [
-        t2.target
+        edge_target(program, t2)
         for t1 in succs
         if _label(t1) == first_label
-        for t2 in reduced_successors(program, t1.target)
+        for t2 in reduced_successors(program, edge_target(program, t1))
         if _label(t2) == second_label
     ]
 
@@ -284,7 +285,7 @@ def _scan_diamonds(program, max_configs=150):
         done = set()
         for i, a in enumerate(succs):
             for b in succs[i + 1:]:
-                if a.tid == b.tid:
+                if a[0] == b[0]:
                     continue
                 verdict = independence(a, b)
                 assert verdict == independence(b, a)  # symmetric
@@ -295,11 +296,11 @@ def _scan_diamonds(program, max_configs=150):
                         program, succs, _label(a), _label(b), verdict
                     )
                     checked += 1
-        for tr in succs:
-            key = canonical_key(program, tr.target)
+        for edge in succs:
+            key = edge[3]
             if key not in seen:
                 seen.add(key)
-                frontier.append(tr.target)
+                frontier.append(edge_target(program, edge))
     return checked
 
 
@@ -331,8 +332,8 @@ class TestOracleTable:
             client_vars={"x": 0},
         )
         _cfg, succs = self._succs(program)
-        a = next(tr for tr in succs if tr.tid == "1")
-        b = next(tr for tr in succs if tr.tid == "2")
+        a = next(edge for edge in succs if edge[0] == "1")
+        b = next(edge for edge in succs if edge[0] == "2")
         assert independence(a, b) == DEPENDENT
 
     def test_read_read_strong(self):
@@ -345,8 +346,8 @@ class TestOracleTable:
             init_locals={"1": {"r1": 0}, "2": {"r1": 0}},
         )
         _cfg, succs = self._succs(program)
-        a = next(tr for tr in succs if tr.tid == "1")
-        b = next(tr for tr in succs if tr.tid == "2")
+        a = next(edge for edge in succs if edge[0] == "1")
+        b = next(edge for edge in succs if edge[0] == "2")
         assert independence(a, b) == STRONG
 
     def test_disjoint_writes_same_component_canonical(self):
@@ -358,8 +359,8 @@ class TestOracleTable:
             client_vars={"x": 0, "y": 0},
         )
         _cfg, succs = self._succs(program)
-        a = next(tr for tr in succs if tr.tid == "1")
-        b = next(tr for tr in succs if tr.tid == "2")
+        a = next(edge for edge in succs if edge[0] == "1")
+        b = next(edge for edge in succs if edge[0] == "2")
         assert independence(a, b) == CANONICAL
 
     def test_write_and_disjoint_read_strong(self):
@@ -372,8 +373,8 @@ class TestOracleTable:
             init_locals={"2": {"r1": 0}},
         )
         _cfg, succs = self._succs(program)
-        a = next(tr for tr in succs if tr.tid == "1")
-        b = next(tr for tr in succs if tr.tid == "2")
+        a = next(edge for edge in succs if edge[0] == "1")
+        b = next(edge for edge in succs if edge[0] == "2")
         assert independence(a, b) == STRONG
 
     def test_method_operations_dependent(self):
@@ -390,15 +391,15 @@ class TestOracleTable:
         cfg = close_config(program, initial_config(program))
         succs = reduced_successors(program, cfg)
         meth = [
-            tr
-            for tr in succs
-            if tr.action is not None and tr.action.kind == "meth"
+            edge
+            for edge in succs
+            if edge[2] is not None and edge[2].kind == "meth"
         ]
         pairs = [
             (a, b)
             for i, a in enumerate(meth)
             for b in meth[i + 1:]
-            if a.tid != b.tid
+            if a[0] != b[0]
         ]
         assert pairs
         for a, b in pairs:

@@ -5,13 +5,17 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
   of every reachable state, so each canonical state shows up under
   several distinct configuration objects — two keys are equal exactly
   when the two encodings are: the quotient is unchanged.
-* **Transition keys.**  Under the visible-step memo every transition
-  carries its target's key, read off the memo; it equals the key of a
-  cache-free copy of the target on every edge.
+* **Edge keys.**  Every edge tuple the explorer receives carries its
+  target's key, read off the visible-step memo; it equals the key of a
+  cache-free rebuild of the target from the edge's ``γ'``, ``β'`` and
+  the thread rows on every edge.
 * **Key-built configurations.**  An admitted configuration built from
   its key derives ``cmds``/``locals`` equal to an eager rebuild from its
   parent, compares equal to and hashes like that rebuild, survives a
   pickle round trip, and a cache-free copy keys back to its key.
+* **The configurations mapping.**  ``result.configs`` keeps breadth-first
+  admission order, serves the mapping interface, returns the same
+  object on every lookup and builds entries equal to eager rebuilds.
 * **Scope.**  Ids are drawn from per-program tables: keys of two
   program objects never compare equal, a configuration keyed under one
   program is re-keyed under another, nothing of the tables or of a
@@ -19,6 +23,7 @@ form :func:`canonical_encoding`, and the scope of the intern tables.
   outlives the program.
 """
 
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -28,16 +33,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+from benchmarks.spaces import wide_program
 from repro.engine.core import explore_sequential
 from repro.litmus.catalog import LITMUS_TESTS
+from repro.semantics import reduce as reduce_mod
 from repro.semantics import step as step_mod
 from repro.semantics.canon import canonical_encoding, canonical_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
-from repro.semantics.reduce import close_config, get_strategy, reduced_successors
-from repro.semantics.step import StepMemo, Transition, successors
+from repro.semantics.reduce import _close_chain, close_config, get_strategy
+from repro.semantics.step import StepMemo, Transition, transitions
+from repro.util.fmap import FMap
 from tests.conftest import (
     abstract_lock_client,
+    edge_target,
     mp_relaxed,
     seqlock_client,
     spinlock_client,
@@ -93,11 +102,13 @@ def successor_targets(program, max_states=20_000):
     configuration."""
     init = initial_config(program)
     return _bfs_targets(
-        program, init, lambda cfg: successors(program, cfg), max_states
+        program, init, lambda cfg: transitions(program, cfg), max_states
     ) + _bfs_targets(
         program,
         close_config(program, init),
-        lambda cfg: reduced_successors(program, cfg),
+        lambda cfg: transitions(
+            program, cfg, prune=True, close=_close_chain
+        ),
         max_states,
     )
 
@@ -152,8 +163,8 @@ class TestParity:
 
 class TestInheritedKeys:
     """A successor arrives with its parent's thread ids, one slot
-    replaced: the key it is then given equals the key of a cache-free
-    copy of it."""
+    replaced: the key of a target built from its edge equals the key of
+    a cache-free copy of it."""
 
     @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     @pytest.mark.parametrize(
@@ -167,14 +178,21 @@ class TestInheritedKeys:
         init = strategy.normalise_initial(program, initial_config(program))
         memo = StepMemo(program, init)
         if strategy.sleep_expand is None:
-            expand = lambda cfg: strategy.successors(program, cfg, memo=memo)
+            edges = lambda cfg: strategy.successors(program, cfg, memo=memo)
         else:
-            expand = lambda cfg: [
-                tr
-                for tr, _sleep in strategy.sleep_expand(
+            edges = lambda cfg: [
+                edge
+                for edge, _sleep in strategy.sleep_expand(
                     program, cfg, frozenset(), memo=memo
                 )
             ]
+
+        def expand(cfg):
+            return [
+                Transition(e[0], e[1], e[2], edge_target(program, e))
+                for e in edges(cfg)
+            ]
+
         targets = _bfs_targets(program, init, expand, 20_000)[1:]
         assert targets
         for t in targets:
@@ -184,12 +202,13 @@ class TestInheritedKeys:
 
 
 class TestTransitionKeys:
-    """The key a transition carries is its target's key: equal to the
-    key of a cache-free copy of the target.  Checked on every transition
-    ``successors`` builds during an exploration — edges to new and to
-    visited states alike and, under dpor, the transitions of threads
-    the persistent sets leave out, whose targets the loop never asks
-    for."""
+    """The key an edge tuple carries is its target's key: equal to the
+    key of a cache-free rebuild of the target from the edge's ``γ'`` and
+    ``β'`` and the thread rows its key's thread ids stand for.  Checked
+    on every edge ``successors`` returns during an exploration — edges
+    to new and to visited states alike and, under dpor, the edges of
+    threads the persistent sets leave out, which the loop never
+    tests."""
 
     @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
     @pytest.mark.parametrize(
@@ -200,26 +219,36 @@ class TestTransitionKeys:
     def test_key_of_every_transition(self, build, reduction):
         program = build()
         made = []
+        successors = step_mod.successors
 
-        class Recorded(Transition):
-            __slots__ = ()
+        def recorded(*args, **kwargs):
+            edges = successors(*args, **kwargs)
+            made.extend(edges)
+            return edges
 
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        with mock.patch.object(step_mod, "Transition", Recorded):
+        off = dataclasses.replace(
+            reduce_mod._REGISTRY["off"], successors=recorded
+        )
+        with mock.patch.object(reduce_mod, "successors", recorded), \
+                mock.patch.dict(reduce_mod._REGISTRY, {"off": off}):
             result = explore_sequential(program, 20_000, reduction=reduction)
         assert not result.truncated
-        keys = {tr.key for tr in made}
+        assert all(type(edge) is tuple and len(edge) == 6 for edge in made)
+        keys = {edge[3] for edge in made}
         assert set(result.configs) - {result.initial_key} <= keys
         if reduction != "dpor":
             assert len(made) == result.edge_count
             assert keys <= set(result.configs)
-        for tr in made:
-            t = tr.target
-            fresh = Config(t.cmds, t.locals, t.gamma, t.beta)
-            assert tr.key == canonical_key(program, fresh)
+        rows = program._interner.rows
+        for _tid, _comp, _action, key, gamma, beta in made:
+            threads = [rows[i] for i in key[1]]
+            fresh = Config(
+                FMap({tid: cmd for tid, cmd, _ls in threads}),
+                FMap({tid: ls for tid, _cmd, ls in threads}),
+                gamma,
+                beta,
+            )
+            assert key == canonical_key(program, fresh)
 
 
 class TestKeyBuiltConfigs:
@@ -271,6 +300,80 @@ class TestKeyBuiltConfigs:
             assert canonical_key(program, fresh) == key
 
 
+def bfs_order(program):
+    """The canonical keys of ``program``'s states in breadth-first
+    admission order, from a search over eagerly built transitions that
+    dedups on keys and keeps every configuration."""
+    init = initial_config(program)
+    order = [canonical_key(program, init)]
+    seen = set(order)
+    queue = deque([init])
+    while queue:
+        for tr in transitions(program, queue.popleft()):
+            key = canonical_key(program, tr.target)
+            if key not in seen:
+                seen.add(key)
+                order.append(key)
+                queue.append(tr.target)
+    return order
+
+
+class TestConfigsMapping:
+    """``result.configs`` is a read-only key → configuration mapping in
+    breadth-first admission order, built on first access and kept: the
+    mapping interface works, lookups are identity-stable, and every
+    entry equals, hashes like and pickles like an eager rebuild from its
+    first-discovery parent (as in :class:`TestKeyBuiltConfigs`)."""
+
+    PROGRAMS = [
+        ("wide-3x2", lambda: wide_program(3, reads=2)),
+        ("MP-await-RA", {t.name: t for t in LITMUS_TESTS}["MP-await-RA"].build),
+        ("seqlock", seqlock_client),
+    ]
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in PROGRAMS], ids=[n for n, _ in PROGRAMS]
+    )
+    def test_mapping(self, build):
+        program = build()
+        result = explore_sequential(program, 20_000, track_parents=True)
+        assert not result.truncated
+        configs = result.configs
+        order = bfs_order(program)
+        assert list(configs) == list(configs.keys()) == order
+        assert len(configs) == result.state_count == len(order)
+        assert order[0] == result.initial_key
+        assert configs[result.initial_key] is result.initial
+        assert all(key in configs for key in order)
+        assert canonical_key(program, initial_config(program)) in configs
+        assert ("not", "a", "key") not in configs
+        with pytest.raises(KeyError):
+            configs[("not", "a", "key")]
+        items = list(configs.items())
+        assert [key for key, _cfg in items] == order
+        slot = {tid: i for i, tid in enumerate(program.tids)}
+        rows = program._interner.rows
+        for key, cfg in items:
+            assert configs[key] is cfg and configs.get(key) is cfg
+            assert canonical_key(program, cfg) == key
+            parent = result.parents[key]
+            if parent is None:
+                continue
+            parent_key, tid, _component, _action = parent
+            source = configs[parent_key]
+            _tid, cmd, ls = rows[key[1][slot[tid]]]
+            eager = Config(
+                source.cmds.set(tid, cmd),
+                source.locals.set(tid, ls),
+                cfg.gamma,
+                cfg.beta,
+            )
+            assert cfg == eager and hash(cfg) == hash(eager)
+            copy = pickle.loads(pickle.dumps(cfg))
+            assert copy == eager and hash(copy) == hash(eager)
+        assert [cfg for _key, cfg in items] == list(configs.values())
+
+
 class TestScope:
     def test_keys_of_two_programs_never_equal(self):
         p1, p2 = mp_relaxed(), mp_relaxed()
@@ -286,7 +389,7 @@ class TestScope:
         p1, p2 = mp_relaxed(), mp_relaxed()
         cfg = initial_config(p1)
         for _ in range(3):
-            cfg = successors(p1, cfg)[-1].target
+            cfg = transitions(p1, cfg)[-1].target
         k1 = canonical_key(p1, cfg)
         k2 = canonical_key(p2, cfg)
         assert k1[0] is not k2[0]
@@ -295,7 +398,7 @@ class TestScope:
         # configuration that was never keyed under p1.
         fresh = initial_config(p2)
         for _ in range(3):
-            fresh = successors(p2, fresh)[-1].target
+            fresh = transitions(p2, fresh)[-1].target
         assert canonical_key(p2, fresh) == k2
         # And p1 still recognises its own.
         assert canonical_key(p1, cfg) == k1

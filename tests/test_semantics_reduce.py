@@ -21,9 +21,10 @@ from repro.semantics.step import (
     Transition,
     _node_summary,
     silent_step,
-    successors,
     thread_successors,
+    transitions,
 )
+from tests.conftest import edge_target
 
 
 def _mp_await(ra: bool = True) -> Program:
@@ -134,7 +135,7 @@ class TestSilentStep:
                     assert tr.target.locals[tid] == ls2
                     assert tr.target.gamma is cfg.gamma
                     assert tr.target.beta is cfg.beta
-            for tr in successors(program, cfg):
+            for tr in transitions(program, cfg):
                 key = canonical_key(program, tr.target)
                 if key not in seen:
                     seen.add(key)
@@ -173,14 +174,15 @@ class TestClosure:
         seen = {canonical_key(program, init)}
         while frontier:
             cfg = frontier.pop()
-            for tr in reduced_successors(program, cfg):
-                assert tr.action is not None, "silent macro-edge"
-                closed_again = close_thread(tr.target, tr.tid)
-                assert closed_again is tr.target, "unclosed macro-target"
-                key = canonical_key(program, tr.target)
+            for edge in reduced_successors(program, cfg):
+                tid, _component, action, key = edge[:4]
+                assert action is not None, "silent macro-edge"
+                target = edge_target(program, edge)
+                closed_again = close_thread(target, tid)
+                assert closed_again is target, "unclosed macro-target"
                 if key not in seen:
                     seen.add(key)
-                    frontier.append(tr.target)
+                    frontier.append(target)
 
     def test_divergent_silent_loop_cut_off(self):
         """A purely-local infinite loop must not hang the closure; the
@@ -195,7 +197,8 @@ class TestClosure:
         )
         init = close_config(program, initial_config(program))
         silent_edges = [
-            tr for tr in reduced_successors(program, init) if tr.action is None
+            edge for edge in reduced_successors(program, init)
+            if edge[2] is None
         ]
         assert silent_edges, "cut-off must fall back to the plain ε-edge"
         result = explore_sequential(program, reduction="closure")
@@ -247,7 +250,7 @@ class TestCoveringReadPrune:
             cfg = tr.target
         return [
             tr
-            for tr in successors(program, cfg, prune=prune)
+            for tr in transitions(program, cfg, prune=prune)
             if tr.tid == "3" and tr.action is not None
         ]
 
@@ -290,7 +293,7 @@ class TestCoveringReadPrune:
             tr = next(iter(thread_successors(program, cfg, tid)))
             cfg = tr.target
         pruned = [
-            tr for tr in successors(program, cfg, prune=True) if tr.tid == "3"
+            tr for tr in transitions(program, cfg, prune=True) if tr.tid == "3"
         ]
         # Both releasing writes synchronise with the acquiring read:
         # their modification views differ, so both choices survive.
@@ -310,18 +313,15 @@ class TestCoveringReadPrune:
 class TestTransitionClass:
     def test_slotted(self):
         program = _mp_await()
-        tr = successors(program, initial_config(program))[0]
+        tr = transitions(program, initial_config(program))[0]
         assert not hasattr(tr, "__dict__")
-        assert tr.__slots__ == (
-            "tid", "component", "action", "gamma", "beta", "key",
-            "_target", "_rows",
-        )
+        assert tr.__slots__ == ("tid", "component", "action", "target")
 
     def test_value_semantics(self):
         program = _mp_await()
         cfg = initial_config(program)
-        a = successors(program, cfg)
-        b = successors(program, cfg)
+        a = transitions(program, cfg)
+        b = transitions(program, cfg)
         assert a == b
         assert len({hash(Transition(t.tid, t.component, t.action, t.target))
                     for t in a}) == len({hash(t) for t in a})

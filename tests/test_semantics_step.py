@@ -8,7 +8,7 @@ from repro.lang.program import Program, Thread
 from repro.objects.lock import AbstractLock
 from repro.objects.stack import AbstractStack
 from repro.semantics.config import initial_config
-from repro.semantics.step import successors, thread_successors
+from repro.semantics.step import thread_successors, transitions
 from repro.util.errors import SemanticsError
 
 
@@ -17,7 +17,7 @@ def prog(body, tid="1", **kw):
 
 
 def all_steps(program):
-    return successors(program, initial_config(program))
+    return transitions(program, initial_config(program))
 
 
 class TestLocalSteps:
@@ -156,7 +156,7 @@ class TestLibrarySteps:
         )
         cfg = initial_config(p)
         # Both can acquire initially.
-        assert len(successors(p, cfg)) == 2
+        assert len(transitions(p, cfg)) == 2
         # After thread 1 acquires, thread 2 is blocked.
         (tr1,) = list(thread_successors(p, cfg, "1"))
         assert list(thread_successors(p, tr1.target, "2")) == []
@@ -188,7 +188,7 @@ class TestStructural:
         (tr,) = all_steps(p)
         assert isinstance(tr.target.cmd("1"), A.Labeled)
         assert tr.target.pc("1", p) == 1
-        (tr2,) = successors(p, tr.target)
+        (tr2,) = transitions(p, tr.target)
         assert tr2.target.cmd("1") is None
 
     def test_terminated_thread_offers_nothing(self):

@@ -9,11 +9,12 @@ timestamps.  The explorer runs the memo under every canonically keyed
 policy.  Over the litmus catalog, the abstract-object clients and random
 programs:
 
-* **step parity** — at every reachable configuration the memoised and
-  unmemoised successor lists agree label for label
-  ``(tid, component, action)``, with equal canonical keys, for the plain
-  relation and for the ε-closed, covering-pruned one
-  (``successors(prune=True, close=_close_chain)``);
+* **step parity** — at every reachable configuration the memoised edges
+  and the unmemoised, eagerly built transitions
+  (:func:`~repro.semantics.step.transitions`) agree label for label
+  ``(tid, component, action)``, each edge's key equal to the canonical
+  key of the eager target, for the plain relation and for the ε-closed,
+  covering-pruned one (``successors(prune=True, close=_close_chain)``);
 * **exploration parity** — under ``off`` the engine's state count, edge
   count, terminal valuations and stuck set equal those of a raw BFS over
   the unmemoised ``successors`` (the
@@ -28,8 +29,9 @@ programs:
   every component state the memo references is, by identity, the ``γ``
   or ``β`` of a stored configuration; under ``dpor`` only the threads
   left outside a persistent set leave a few unstored ones;
-* **target builds** — a complete exploration builds one target
-  configuration per admitted state, none per other edge.
+* **configuration builds** — a complete exploration whose result
+  nobody reads builds only its terminal and stuck configurations, and
+  reading ``result.configs`` builds one per other admitted state.
 
 The ``explore.memo.*`` counters are pinned on small ``wide_program``
 spaces, and ``reduce.covering_pruned`` on a space where pruned reads
@@ -51,11 +53,12 @@ from repro.lang.program import Program, Thread
 from repro.litmus.catalog import LITMUS_TESTS
 from repro.memory.naive import explore_naive
 from repro.obs.metrics import Metrics
+from repro.semantics import config as config_mod
 from repro.semantics import step as step_mod
 from repro.semantics.canon import canonical_key
 from repro.semantics.config import initial_config
 from repro.semantics.reduce import _close_chain, close_config
-from repro.semantics.step import StepMemo, successors
+from repro.semantics.step import StepMemo, successors, transitions
 from repro.semantics.witness import replay_witness
 from tests.test_property_state_index import programs
 from tests.test_semantics_identity import OBJECT_CLIENTS
@@ -81,7 +84,7 @@ def _locals_of(cfg):
 
 def assert_step_parity(program, relation="plain"):
     """BFS over canonical states sharing one memo; at every expanded
-    configuration the memoised successors match the unmemoised ones.
+    configuration the memoised edges match the unmemoised transitions.
     The queue holds the *unmemoised* targets, so memo hits meet states
     whose timestamps differ numerically from the stored representative.
     Returns the memo."""
@@ -92,17 +95,15 @@ def assert_step_parity(program, relation="plain"):
     queue = deque([init])
     while queue:
         cfg = queue.popleft()
-        plain = successors(program, cfg, **mode)
+        plain = transitions(program, cfg, **mode)
         memoised = successors(program, cfg, memo=memo, **mode)
         assert len(plain) == len(memoised)
-        for p, m in zip(plain, memoised):
-            assert (p.tid, p.component, p.action) == (
-                m.tid,
-                m.component,
-                m.action,
-            )
+        for p, (tid, component, action, mkey, _g, _b) in zip(
+            plain, memoised
+        ):
+            assert (p.tid, p.component, p.action) == (tid, component, action)
             key = canonical_key(program, p.target)
-            assert key == canonical_key(program, m.target)
+            assert key == mkey
             if key not in seen:
                 assert len(seen) < MAX_STATES, "space unexpectedly large"
                 seen.add(key)
@@ -112,7 +113,7 @@ def assert_step_parity(program, relation="plain"):
 
 def raw_bfs(program):
     """``(states, edges, terminal valuations, stuck keys)`` of a BFS
-    over unmemoised ``successors``, deduplicated by canonical key."""
+    over unmemoised transitions, deduplicated by canonical key."""
     init = initial_config(program)
     seen = {canonical_key(program, init)}
     queue = deque([init])
@@ -120,7 +121,7 @@ def raw_bfs(program):
     terminals, stuck = set(), set()
     while queue:
         cfg = queue.popleft()
-        succs = successors(program, cfg)
+        succs = transitions(program, cfg)
         if not succs:
             if cfg.is_terminal():
                 terminals.add(_locals_of(cfg))
@@ -158,16 +159,13 @@ class _Unstored(dict):
 
 class StoreNothing(StepMemo):
     """A :class:`StepMemo` that stores no step, so every rule runs
-    afresh, and builds each admitted target on its own memory pair."""
+    afresh."""
 
     __slots__ = ()
 
     def __init__(self, program, init):
         super().__init__(program, init)
         self.steps = _Unstored()
-
-    def adopt(self, tr):
-        return tr.target
 
     def settle(self):
         self.fresh.clear()
@@ -362,29 +360,37 @@ class TestBound:
 
 
 class TestTargetBuilds:
-    """A transition is admitted by the key it carries, so a complete
-    exploration builds one target configuration per admitted state and
-    none for an edge to a visited state or, under dpor, for a thread the
-    persistent set leaves out.  A target is built from its key alone,
-    so its ``cmds``/``locals`` maps wait for a reader."""
+    """The loop runs on keys and builds no configuration of its own: a
+    complete exploration whose result nobody reads builds only its
+    terminal and stuck configurations (the initial one is built field
+    by field), under every policy, and reading every ``result.configs``
+    entry builds one per other admitted state.  A configuration is
+    built from its key alone, so its ``cmds``/``locals`` maps wait for
+    a reader."""
 
     @pytest.mark.parametrize("reduction", ["off", "closure", "dpor"])
-    def test_one_build_per_admitted_state(self, reduction):
+    def test_builds_only_what_is_read(self, reduction):
         built = [0]
-        build = step_mod.Transition.build
+        keyed_config = config_mod.keyed_config
 
-        def counted(tr, gamma, beta):
+        def counted(*args):
             built[0] += 1
-            return build(tr, gamma, beta)
+            return keyed_config(*args)
 
-        with mock.patch.object(step_mod.Transition, "build", counted):
+        with mock.patch.object(config_mod, "keyed_config", counted):
             result = explore_sequential(
                 wide_program(3, reads=2), reduction=reduction
             )
-        assert not result.truncated
-        if reduction != "dpor":
-            assert (result.state_count, result.edge_count) == (413, 1_062)
-        assert built[0] == result.state_count - 1
+            assert not result.truncated
+            if reduction != "dpor":
+                assert (result.state_count, result.edge_count) == (
+                    413, 1_062
+                )
+            sinks = len(result.terminals) + len(result.stuck)
+            assert sinks and built[0] == sinks
+            for key in result.configs:
+                result.configs[key]
+            assert built[0] == result.state_count - 1
 
     def test_unread_result_builds_no_thread_map(self):
         # Plans, memo keys, dedup and the terminal test read thread ids:

@@ -7,7 +7,7 @@ from repro.lang.expr import Lit
 from repro.lang.program import Program, Thread
 from repro.semantics.config import initial_config
 from repro.semantics.explore import explore
-from repro.semantics.step import successors
+from repro.semantics.step import transitions
 from repro.semantics.witness import Witness, find_path, replay_witness
 from repro.util.errors import VerificationError
 from tests.conftest import mp_ra, mp_relaxed, single_writer
@@ -50,7 +50,7 @@ class TestFindPath:
         )
         cfg = w.initial
         for step in w.steps:
-            targets = [tr.target for tr in successors(p, cfg)]
+            targets = [tr.target for tr in transitions(p, cfg)]
             assert step.config in targets
             cfg = step.config
         assert cfg.is_terminal()
@@ -66,7 +66,7 @@ class TestFindPath:
         for _ in range(len(w) - 1):
             assert not any(pred(c) for c in frontier)
             frontier = [
-                tr.target for c in frontier for tr in successors(p, c)
+                tr.target for c in frontier for tr in transitions(p, c)
             ]
 
     def test_replay_rejects_foreign_step(self):
