@@ -5,7 +5,7 @@ family of *modal* composed programs — disjoint-variable thread products
 where every thread ends in a branch on a mode register preset by
 ``init_locals``, whose statically-dead arm touches one variable ``z``
 shared by all threads.  Whole-continuation footprints
-(:func:`repro.semantics.dpor.thread_footprint`) union both branch arms,
+(:func:`repro.analysis.footprints.thread_footprint`) union both branch arms,
 so ``z`` connects every thread in the conflict graph and the persistent
 sets degenerate to full expansion while the threads are mid-work.  The
 phase-sensitive summaries (:func:`repro.analysis.phase_footprint`)

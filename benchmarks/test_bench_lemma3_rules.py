@@ -3,7 +3,8 @@
 Each rule schema is instantiated (version indices, values, variables,
 thread pairs) and checked over every canonical configuration reachable
 from a family of lock clients.  Paper claim: all six rules are valid.
-The ``u = 0`` sharpening (see EXPERIMENTS.md) is reported separately.
+The degenerate ``u = 0`` instance of rule 5 is checked separately
+(``test_rule5_side_condition``): it must be reported invalid.
 """
 
 import pytest

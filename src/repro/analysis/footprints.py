@@ -1,41 +1,49 @@
-"""Phase-sensitive footprint summaries feeding DPOR's conflict graph.
+"""The footprint algebra and the flow walk the analysis passes share.
 
-The footprint algebra (``(reads, writes, top)`` over ``(component,
-variable)`` locations) lives here together with a small abstract
-interpreter that refines :func:`repro.semantics.dpor.thread_footprint`
-in two ways the whole-continuation recursion cannot express:
+The algebra is ``(reads, writes, top)`` over ``(component, variable)``
+locations.  :func:`thread_footprint` folds it over every execution of a
+continuation: branches union and loops summarise their bodies.  DPOR's
+conflict graph (:mod:`repro.semantics.dpor`) and the covering-read
+prune (:mod:`repro.semantics.step`) read it.
 
-* **flow sensitivity** — the interpreter threads an environment of
-  *exactly-known* register values (seeded from the thread's concrete
-  local state, so every entry is exact, not abstract) and uses it to
-  constant-fold branch conditions: an ``If`` whose condition evaluates
-  under the environment contributes only the taken branch, so locations
-  touched exclusively by statically-dead code drop out of the summary;
-* **phase sensitivity** — because DPOR calls it per thread state, on
-  the *remaining* continuation with the *current* locals, the
-  summary shrinks as execution advances: a mode register read in an
-  earlier phase resolves the conditionals of later phases.
+:func:`walk_flow` is the one walk over the nodes an execution can
+reach.  It threads an environment of *exactly-known* register values
+(seeded from a concrete local state, so every entry is exact, not
+abstract) and constant-folds branch conditions under it: an ``If``
+whose condition evaluates walks only the taken branch, and a ``While``
+whose condition is false is not entered.  Each pass is a visitor on it:
+
+* :func:`phase_footprint` refines :func:`thread_footprint` in two ways
+  the whole-continuation fold cannot express.  It is *flow sensitive*:
+  locations touched only by statically-dead code drop out.  It is
+  *phase sensitive*: DPOR calls it per thread state, on the remaining
+  continuation with the current locals, so the summary shrinks as
+  execution advances (a mode register read in an earlier phase
+  resolves the conditionals of later phases);
+* lint's flow pass (:mod:`repro.analysis.lint`) reports the
+  unreachable branches and silent loops it meets;
+* the race detector (:mod:`repro.analysis.races`) records the accesses
+  and forced awaits it reaches, in program order.
 
 Soundness: environment entries are exact values of the thread's local
 state, so a folded condition evaluates exactly as ``silent_step``
 would — an eliminated branch is truly unreachable from this
 configuration.  Registers whose value is not certain (assigned from a
 read, an update, a method, or inside a loop body) are dropped from the
-environment, falling back to the whole-continuation union.  Hence the
-result always over-approximates the locations any execution of the
-continuation may still touch — the contract DPOR's persistent-set
-argument needs — while staying a subset of the whole-continuation
-footprint.
+environment.  Hence a phase footprint always over-approximates the
+locations any execution of the continuation may still touch — the
+contract DPOR's persistent-set argument needs — while staying a subset
+of the whole-continuation footprint.
 
-Nothing here is memoised.  A thread's phase footprint is a function of
-its thread state ``(tid, cmd, ls)``, so DPOR keeps one per thread id in
-the program's intern tables (:mod:`repro.semantics.canon`) and the
-interpreter runs once per thread state, not once per configuration.
+Nothing here is memoised.  A thread's footprints are functions of its
+thread state ``(tid, cmd, ls)``, so DPOR keeps one per thread id in the
+program's intern tables (:mod:`repro.semantics.canon`) and the walk
+runs once per thread state, not once per configuration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang.expr import (
@@ -48,13 +56,12 @@ from repro.lang.expr import (
     UnOp,
     Value,
 )
-from repro.lang.walk import assigned_register, fold
+from repro.lang.walk import assigned_register, children, fold, iter_nodes
 
 # -- footprint algebra -------------------------------------------------------
 
 #: ``(reads, writes, top)`` over ``(component, variable)`` locations;
-#: ``top`` is the ⊤ element (may touch anything — ``MethodCall`` and
-#: unknown nodes).
+#: ``top`` is the ⊤ element (may touch anything — ``MethodCall``).
 Footprint = Tuple[FrozenSet, FrozenSet, bool]
 
 FP_EMPTY: Footprint = (frozenset(), frozenset(), False)
@@ -138,89 +145,156 @@ def assigned_registers(cmd: A.Com) -> frozenset:
     return fold(cmd, _assigned_regs_fold)
 
 
-# -- the phase-sensitive interpreter -----------------------------------------
-
-_Env = Dict[str, Value]
-
-
-def _without(env: _Env, reg: Optional[str]) -> _Env:
-    if reg is None or reg not in env:
-        return env
-    out = dict(env)
-    del out[reg]
-    return out
+#: Nodes whose execution is a visible (non-ε) transition.
+_VISIBLE = (A.Read, A.Write, A.Cas, A.Fai, A.MethodCall)
 
 
-def _without_many(env: _Env, regs: frozenset) -> _Env:
-    if not regs:
-        return env
-    return {r: v for r, v in env.items() if r not in regs}
+def visible_nodes(cmd: A.Com) -> List[A.Node]:
+    """The nodes of ``cmd`` whose execution is a visible transition, in
+    pre-order."""
+    return [v.node for v in iter_nodes(cmd) if isinstance(v.node, _VISIBLE)]
 
 
-def _analyse(
-    node: A.Com, env: _Env, in_lib: bool
-) -> Tuple[Footprint, _Env]:
+# -- whole-continuation footprints -------------------------------------------
+
+
+def _fp_fold(node: Optional[A.Node], in_lib: bool, child_values) -> Footprint:
     if node is None:
-        return FP_EMPTY, env
+        return FP_EMPTY
     comp = "L" if in_lib else "C"
     if isinstance(node, A.LocalAssign):
-        known, value = try_eval(node.expr, env)
-        if known:
-            out = dict(env)
-            out[node.reg] = value
-            return FP_EMPTY, out
-        return FP_EMPTY, _without(env, node.reg)
+        return FP_EMPTY
     if isinstance(node, A.Read):
-        fp = (frozenset(((comp, node.var),)), frozenset(), False)
-        return fp, _without(env, node.reg)
+        return (frozenset(((comp, node.var),)), frozenset(), False)
     if isinstance(node, A.Write):
-        return (frozenset(), frozenset(((comp, node.var),)), False), env
+        return (frozenset(), frozenset(((comp, node.var),)), False)
     if isinstance(node, (A.Cas, A.Fai)):
         loc = frozenset(((comp, node.var),))
-        return (loc, loc, False), _without(env, node.reg)
+        return (loc, loc, False)
     if isinstance(node, A.MethodCall):
-        return FP_TOP, _without(env, node.dest)
-    if isinstance(node, A.Seq):
-        fp1, env1 = _analyse(node.first, env, in_lib)
-        fp2, env2 = _analyse(node.second, env1, in_lib)
-        return fp_union(fp1, fp2), env2
-    if isinstance(node, A.If):
+        return FP_TOP  # abstract methods have arbitrary footprints
+    # Seq/If/While/Labeled/LibBlock: union over children (a LibBlock's
+    # body was already folded with the library component flag).
+    acc: Footprint = FP_EMPTY
+    for value in child_values:
+        acc = fp_union(acc, value)
+    return acc
+
+
+def thread_footprint(
+    cmd: Optional[A.Node], in_lib: bool = False
+) -> Footprint:
+    """The footprint of every possible execution of ``cmd``.
+
+    Conservative over all executions: branches union, loops summarise
+    their bodies; ``Cas``/``Fai`` both read and write their location;
+    commands inside a ``LibBlock`` touch ``'L'`` locations.
+    """
+    return fold(cmd, _fp_fold, in_lib=in_lib)
+
+
+# -- the flow walk -----------------------------------------------------------
+
+#: ``visit(node, env, in_lib, path, depth)``: called on each reached
+#: node, before its children, with the environment on entry to it.  A
+#: callable it returns is called once the node's subtree is walked.
+FlowVisit = Callable[..., Optional[Callable[[], None]]]
+
+
+def walk_flow(
+    node: A.Com,
+    env: Mapping[str, Value],
+    visit: FlowVisit,
+    in_lib: bool = False,
+    path: Tuple[str, ...] = (),
+    depth: int = 0,
+) -> Mapping[str, Value]:
+    """Walk the nodes of ``node`` that an execution from a local state
+    agreeing with ``env`` may reach, threading the environment of
+    exactly-known register values; returns the post-state environment.
+
+    ``If``/``While`` conditions that evaluate under the environment are
+    folded: only the taken branch is walked, and a loop whose condition
+    is false is not entered.  An undecided ``If`` walks both arms and
+    keeps the registers they agree on; a loop body is walked once under
+    the entry environment minus every register the body assigns, which
+    over-approximates every iteration and is the post-loop environment.
+    ``path`` is the field path from the root (as in
+    :func:`repro.lang.walk.iter_nodes`); ``depth`` counts the undecided
+    ``If`` arms and loop bodies around a node (0 = top level).  The
+    ``env`` mappings handed to ``visit`` are never mutated.  Raises
+    :class:`TypeError` on objects outside the AST.
+    """
+    if node is None:
+        return env
+    after = visit(node, env, in_lib, path, depth)
+    if isinstance(node, (A.Seq, A.Labeled, A.LibBlock)):
+        child_lib = in_lib or isinstance(node, A.LibBlock)
+        for field, child in children(node):
+            env = walk_flow(
+                child, env, visit, child_lib, path + (field,), depth
+            )
+    elif isinstance(node, A.If):
         known, value = try_eval(node.cond, env)
         if known:
-            branch = node.then_branch if value else node.else_branch
-            return _analyse(branch, env, in_lib)
-        fp_t, env_t = _analyse(node.then_branch, env, in_lib)
-        fp_e, env_e = _analyse(node.else_branch, env, in_lib)
-        joined = {
-            r: v for r, v in env_t.items() if r in env_e and env_e[r] == v
-        }
-        return fp_union(fp_t, fp_e), joined
-    if isinstance(node, A.While):
+            field = "then_branch" if value else "else_branch"
+            env = walk_flow(
+                getattr(node, field), env, visit, in_lib, path + (field,),
+                depth,
+            )
+        else:
+            env_t = walk_flow(
+                node.then_branch, env, visit, in_lib,
+                path + ("then_branch",), depth + 1,
+            )
+            env_e = walk_flow(
+                node.else_branch, env, visit, in_lib,
+                path + ("else_branch",), depth + 1,
+            )
+            env = {
+                r: v for r, v in env_t.items()
+                if r in env_e and env_e[r] == v
+            }
+    elif isinstance(node, A.While):
         known, value = try_eval(node.cond, env)
-        if known and not value:
-            return FP_EMPTY, env
-        # Iterations beyond the first see body-assigned registers with
-        # unknown values: weaken the environment before summarising,
-        # which both over-approximates every iteration and is the
-        # post-loop environment.
-        env_w = _without_many(env, assigned_registers(node.body))
-        fp, _ignored = _analyse(node.body, env_w, in_lib)
-        return fp, env_w
-    if isinstance(node, A.Labeled):
-        return _analyse(node.body, env, in_lib)
-    if isinstance(node, A.LibBlock):
-        return _analyse(node.body, env, True)
-    return FP_TOP, {}
+        if value or not known:
+            body_assigns = assigned_registers(node.body)
+            env = {r: v for r, v in env.items() if r not in body_assigns}
+            walk_flow(
+                node.body, env, visit, in_lib, path + ("body",), depth + 1
+            )
+    elif isinstance(node, A.LocalAssign):
+        known, value = try_eval(node.expr, env)
+        env = dict(env)
+        if known:
+            env[node.reg] = value
+        else:
+            env.pop(node.reg, None)
+    else:
+        children(node)  # a leaf; raises TypeError for unknown nodes
+        reg = assigned_register(node)
+        if reg in env:
+            env = dict(env)
+            del env[reg]
+    if after is not None:
+        after()
+    return env
+
+
+# -- phase footprints --------------------------------------------------------
 
 
 def phase_footprint(
     cmd: A.Com, ls: Mapping[str, Value], in_lib: bool = False
 ) -> Footprint:
     """The footprint of every execution of ``cmd`` starting from the
-    concrete local state ``ls`` — a subset of
-    :func:`repro.semantics.dpor.thread_footprint` with statically-dead
-    branches removed."""
-    if cmd is None:
-        return FP_EMPTY
-    fp, _env = _analyse(cmd, dict(ls.items()), in_lib)
-    return fp
+    concrete local state ``ls``: the leaves :func:`walk_flow` reaches
+    from ``ls``, a subset of :func:`thread_footprint` with
+    statically-dead branches removed."""
+    acc = [FP_EMPTY]
+
+    def visit(node, env, in_lib, path, depth):
+        acc[0] = fp_union(acc[0], _fp_fold(node, in_lib, ()))
+
+    walk_flow(cmd, dict(ls.items()), visit, in_lib)
+    return acc[0]

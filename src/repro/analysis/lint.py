@@ -39,16 +39,16 @@ from repro.analysis.diagnostics import (
     AnalysisReport,
     Diagnostic,
 )
-from repro.analysis.footprints import assigned_registers, try_eval
+from repro.analysis.footprints import (
+    assigned_registers,
+    try_eval,
+    visible_nodes,
+    walk_flow,
+)
 from repro.lang import ast as A
 from repro.lang.expr import registers_of
 from repro.lang.program import Program
-from repro.lang.walk import (
-    assigned_register,
-    children,
-    iter_nodes,
-    node_exprs,
-)
+from repro.lang.walk import assigned_register, iter_nodes, node_exprs
 
 UNBOUND_REGISTER = "unbound-register"
 SILENT_LOOP = "silent-loop"
@@ -56,14 +56,6 @@ DEAD_WRITE = "dead-write"
 UNREACHABLE_BRANCH = "unreachable-branch"
 DUPLICATE_LABEL = "duplicate-label"
 REGISTER_SHADOW = "register-shadow"
-
-#: Nodes whose execution is a visible (non-ε) transition.
-_VISIBLE = (A.Read, A.Write, A.Cas, A.Fai, A.MethodCall)
-
-
-def _has_visible(cmd: A.Com) -> bool:
-    return any(isinstance(v.node, _VISIBLE) for v in iter_nodes(cmd))
-
 
 def lint_program(program: Program) -> AnalysisReport:
     """All lint findings of ``program`` (race detection is separate —
@@ -78,8 +70,8 @@ def lint_program(program: Program) -> AnalysisReport:
         out.extend(_lint_labels(tid, body))
         out.extend(_lint_shadowing(program, tid, body))
         _collect_global_accesses(body, reads, writes, tid)
-        _lint_flow(
-            body, dict(program.initial_locals_of(tid)), False, tid, out
+        out.extend(
+            _lint_flow(body, dict(program.initial_locals_of(tid)), tid)
         )
 
     for loc in sorted(set(writes) - reads):
@@ -218,125 +210,54 @@ def _collect_global_accesses(
 # -- flow-sensitive pass: constant branches, silent loops --------------------
 
 
-def _lint_flow(
-    node: A.Com,
-    env: Dict,
-    in_lib: bool,
-    tid: str,
-    out: List[Diagnostic],
-    path: Tuple[str, ...] = (),
-) -> Dict:
-    """Walk ``node`` threading the exactly-known register environment
-    (the :mod:`repro.analysis.footprints` discipline), appending
-    ``unreachable-branch`` and ``silent-loop`` findings; returns the
-    post-state environment."""
-    if node is None:
-        return env
-    if isinstance(node, A.LocalAssign):
-        known, value = try_eval(node.expr, env)
-        env = dict(env)
-        if known:
-            env[node.reg] = value
-        else:
-            env.pop(node.reg, None)
-        return env
-    if isinstance(node, (A.Read, A.Cas, A.Fai)):
-        env = dict(env)
-        env.pop(node.reg, None)
-        return env
-    if isinstance(node, A.Write):
-        return env
-    if isinstance(node, A.MethodCall):
-        if node.dest is not None:
-            env = dict(env)
-            env.pop(node.dest, None)
-        return env
-    if isinstance(node, A.Seq):
-        env = _lint_flow(
-            node.first, env, in_lib, tid, out, path + ("first",)
+def _lint_flow(body: A.Com, env: Dict, tid: str) -> List[Diagnostic]:
+    """``unreachable-branch`` and ``silent-loop`` findings of ``body``,
+    a visitor on :func:`~repro.analysis.footprints.walk_flow` from the
+    exactly-known register environment ``env``."""
+    out: List[Diagnostic] = []
+
+    def finding(code, severity, message, path):
+        out.append(
+            Diagnostic(
+                code=code, severity=severity, message=message, tid=tid,
+                path=path,
+            )
         )
-        return _lint_flow(
-            node.second, env, in_lib, tid, out, path + ("second",)
-        )
-    if isinstance(node, A.If):
-        known, value = try_eval(node.cond, env)
-        if not known:
-            env_t = _lint_flow(
-                node.then_branch, env, in_lib, tid, out,
-                path + ("then_branch",),
-            )
-            env_e = _lint_flow(
-                node.else_branch, env, in_lib, tid, out,
-                path + ("else_branch",),
-            )
-            return {
-                r: v
-                for r, v in env_t.items()
-                if r in env_e and env_e[r] == v
-            }
-        live = node.then_branch if value else node.else_branch
-        dead = node.else_branch if value else node.then_branch
-        if dead is not None:
-            which = "else" if value else "then"
-            out.append(
-                Diagnostic(
-                    code=UNREACHABLE_BRANCH,
-                    severity=WARNING,
-                    message=(
-                        f"condition is always {bool(value)}; the {which}"
-                        " branch is unreachable"
-                    ),
-                    tid=tid,
-                    path=path,
+
+    def visit(node, env, in_lib, path, depth):
+        if isinstance(node, A.If):
+            known, value = try_eval(node.cond, env)
+            dead = node.else_branch if value else node.then_branch
+            if known and dead is not None:
+                which = "else" if value else "then"
+                finding(
+                    UNREACHABLE_BRANCH, WARNING,
+                    f"condition is always {bool(value)}; the {which}"
+                    " branch is unreachable",
+                    path,
                 )
-            )
-        return _lint_flow(
-            live, env, in_lib, tid, out,
-            path + ("then_branch" if value else "else_branch",),
-        )
-    if isinstance(node, A.While):
-        known, value = try_eval(node.cond, env)
-        if known and not value:
-            out.append(
-                Diagnostic(
-                    code=UNREACHABLE_BRANCH,
-                    severity=WARNING,
-                    message=(
-                        "loop condition is always False; the body is"
-                        " unreachable"
-                    ),
-                    tid=tid,
-                    path=path,
+        elif isinstance(node, A.While):
+            known, value = try_eval(node.cond, env)
+            if known and not value:
+                finding(
+                    UNREACHABLE_BRANCH, WARNING,
+                    "loop condition is always False; the body is"
+                    " unreachable",
+                    path,
                 )
-            )
-            return env
-        body_assigns = assigned_registers(node.body)
-        if (
-            not _has_visible(node.body)
-            and not (registers_of(node.cond) & body_assigns)
-        ):
-            certainty = (
-                "diverges" if known and value else "diverges once entered"
-            )
-            out.append(
-                Diagnostic(
-                    code=SILENT_LOOP,
-                    severity=ERROR,
-                    message=(
-                        f"silent loop {certainty}: the body performs no"
-                        " global access and never assigns a condition"
-                        " register (ε-divergence)"
-                    ),
-                    tid=tid,
-                    path=path,
+            elif not visible_nodes(node.body) and not (
+                registers_of(node.cond) & assigned_registers(node.body)
+            ):
+                certainty = (
+                    "diverges" if known and value else "diverges once entered"
                 )
-            )
-        env_w = {r: v for r, v in env.items() if r not in body_assigns}
-        _lint_flow(node.body, env_w, in_lib, tid, out, path + ("body",))
-        return env_w
-    if isinstance(node, A.Labeled):
-        return _lint_flow(node.body, env, in_lib, tid, out, path + ("body",))
-    if isinstance(node, A.LibBlock):
-        return _lint_flow(node.body, env, True, tid, out, path + ("body",))
-    children(node)  # raises TypeError for unknown nodes
-    return env
+                finding(
+                    SILENT_LOOP, ERROR,
+                    f"silent loop {certainty}: the body performs no"
+                    " global access and never assigns a condition"
+                    " register (ε-divergence)",
+                    path,
+                )
+
+    walk_flow(body, env, visit)
+    return out

@@ -8,9 +8,10 @@ Each thread's body is summarised into a program-ordered list of
 (read/write/update), acquire/release annotations, and the statically
 known written value where the flow environment determines it.  A
 ``Cas`` contributes *two* records: the acquiring-releasing update of
-its success path and the relaxed read of its failure path.  Statically
-dead branches (conditions that constant-fold, the
-:mod:`repro.analysis.footprints` discipline) contribute nothing.
+its success path and the relaxed read of its failure path.  The
+summary is a visitor on :func:`repro.analysis.footprints.walk_flow`, so
+statically dead branches (conditions that constant-fold) contribute
+nothing.
 
 Two accesses of different threads on one location *conflict* when at
 least one modifies it.  A conflicting pair is reported as a ``race``
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import WARNING, AnalysisReport, Diagnostic
-from repro.analysis.footprints import assigned_registers, try_eval
+from repro.analysis.footprints import try_eval, visible_nodes, walk_flow
 from repro.lang import ast as A
 from repro.lang.expr import Value, registers_of
 from repro.lang.program import Program
@@ -126,131 +127,57 @@ class ThreadSummary:
 
 
 class _Collector:
+    """The :func:`~repro.analysis.footprints.walk_flow` visitor that
+    builds one thread's summary."""
+
     def __init__(self, program: Program, tid: str) -> None:
         self.program = program
         self.summary = ThreadSummary(tid=tid)
         self.pos = 0
 
-    def _next_pos(self) -> int:
-        self.pos += 1
-        return self.pos
+    def _record(self, node, comp, kind, acquire, release, path, depth,
+                value_known=False, value=None) -> None:
+        self.summary.accesses.append(Access(
+            tid=self.summary.tid, comp=comp, var=node.var, kind=kind,
+            acquire=acquire, release=release, pos=self.pos, path=path,
+            in_loop=depth > 0, value_known=value_known, value=value,
+        ))
 
-    def collect(self, node: A.Com, env: Dict, in_lib: bool,
-                depth: int, path: Tuple[str, ...]) -> Dict:
-        """``depth`` counts enclosing If/While regions (0 = top level)."""
-        if node is None:
-            return env
-        tid = self.summary.tid
+    def visit(self, node: A.Node, env: Dict, in_lib: bool,
+              path: Tuple[str, ...], depth: int):
+        """``depth`` counts enclosing undecided If arms and loop bodies
+        (0 = top level)."""
         comp = "L" if in_lib else "C"
-        if isinstance(node, A.LocalAssign):
-            known, value = try_eval(node.expr, env)
-            env = dict(env)
-            if known:
-                env[node.reg] = value
-            else:
-                env.pop(node.reg, None)
-            return env
+        if isinstance(node, A.While):
+            aw = self._forced_await(node, env, in_lib)
+            if aw is None:
+                return None
+            # Recorded once the body is walked, at the access counter
+            # after it.
+            return lambda: self.summary.awaits.append(Await(
+                tid=self.summary.tid, comp=comp, var=aw[0], pos=self.pos,
+                cond=node.cond, reg=aw[1], top_level=depth == 0,
+            ))
+        # A MethodCall is a linearised abstract library update; it never
+        # races with variable accesses by construction.
+        if not isinstance(node, (A.Read, A.Write, A.Cas, A.Fai)):
+            return None
+        self.pos += 1
         if isinstance(node, A.Read):
-            self.summary.accesses.append(Access(
-                tid=tid, comp=comp, var=node.var, kind=READ,
-                acquire=node.acquire, release=False,
-                pos=self._next_pos(), path=path, in_loop=depth > 0,
-            ))
-            env = dict(env)
-            env.pop(node.reg, None)
-            return env
-        if isinstance(node, A.Write):
+            self._record(node, comp, READ, node.acquire, False, path, depth)
+        elif isinstance(node, A.Write):
             known, value = try_eval(node.expr, env)
-            self.summary.accesses.append(Access(
-                tid=tid, comp=comp, var=node.var, kind=WRITE,
-                acquire=False, release=node.release,
-                pos=self._next_pos(), path=path, in_loop=depth > 0,
-                value_known=known, value=value,
-            ))
-            return env
-        if isinstance(node, (A.Cas, A.Fai)):
-            pos = self._next_pos()
-            self.summary.accesses.append(Access(
-                tid=tid, comp=comp, var=node.var, kind=UPDATE,
-                acquire=True, release=True, pos=pos, path=path,
-                in_loop=depth > 0,
-            ))
+            self._record(node, comp, WRITE, False, node.release, path,
+                         depth, known, value)
+        else:
+            self._record(node, comp, UPDATE, True, True, path, depth)
             if isinstance(node, A.Cas):
                 # The failure path is a relaxed read of a value ≠ expect.
-                self.summary.accesses.append(Access(
-                    tid=tid, comp=comp, var=node.var, kind=READ,
-                    acquire=False, release=False, pos=pos, path=path,
-                    in_loop=depth > 0,
-                ))
-            env = dict(env)
-            env.pop(node.reg, None)
-            return env
-        if isinstance(node, A.MethodCall):
-            # Abstract method operations are linearised library updates;
-            # they never race with variable accesses by construction.
-            if node.dest is not None:
-                env = dict(env)
-                env.pop(node.dest, None)
-            return env
-        if isinstance(node, A.Seq):
-            env = self.collect(
-                node.first, env, in_lib, depth, path + ("first",)
-            )
-            return self.collect(
-                node.second, env, in_lib, depth, path + ("second",)
-            )
-        if isinstance(node, A.If):
-            known, value = try_eval(node.cond, env)
-            if known:
-                live = node.then_branch if value else node.else_branch
-                branch = "then_branch" if value else "else_branch"
-                return self.collect(
-                    live, env, in_lib, depth, path + (branch,)
-                )
-            env_t = self.collect(
-                node.then_branch, dict(env), in_lib, depth + 1,
-                path + ("then_branch",),
-            )
-            env_e = self.collect(
-                node.else_branch, dict(env), in_lib, depth + 1,
-                path + ("else_branch",),
-            )
-            return {
-                r: v for r, v in env_t.items()
-                if r in env_e and env_e[r] == v
-            }
-        if isinstance(node, A.While):
-            known, value = try_eval(node.cond, env)
-            if known and not value:
-                return env  # never entered: contributes nothing
-            aw = self._forced_await(node, env, comp, in_lib, depth)
-            env_w = {
-                r: v for r, v in env.items()
-                if r not in assigned_registers(node.body)
-            }
-            self.collect(
-                node.body, env_w, in_lib, depth + 1, path + ("body",)
-            )
-            if aw is not None:
-                self.summary.awaits.append(
-                    Await(
-                        tid=tid, comp=comp, var=aw[0], pos=self.pos,
-                        cond=node.cond, reg=aw[1], top_level=depth == 0,
-                    )
-                )
-            return env_w
-        if isinstance(node, A.Labeled):
-            return self.collect(
-                node.body, env, in_lib, depth, path + ("body",)
-            )
-        if isinstance(node, A.LibBlock):
-            return self.collect(
-                node.body, env, True, depth, path + ("body",)
-            )
-        raise TypeError(f"unknown command node: {node!r}")
+                self._record(node, comp, READ, False, False, path, depth)
+        return None
 
     def _forced_await(
-        self, node: A.While, env: Dict, comp: str, in_lib: bool, depth: int
+        self, node: A.While, env: Dict, in_lib: bool
     ) -> Optional[Tuple[str, str]]:
         """``(var, reg)`` when ``node`` matches the forced-await shape
         under the entry environment ``env``; ``None`` otherwise."""
@@ -262,7 +189,7 @@ class _Collector:
         entered, value = try_eval(node.cond, env)
         if not (entered and value):
             return None
-        visible = _visible_nodes(node.body)
+        visible = visible_nodes(node.body)
         if len(visible) != 1:
             return None
         read = visible[0]
@@ -282,8 +209,6 @@ class _Collector:
             return None
         return read.var, reg
 
-    _MISSING = object()
-
     def _initial_value(self, var: str, in_lib: bool):
         source = self.program.lib_vars if in_lib else self.program.client_vars
         return source.get(var, _MISSING)
@@ -292,27 +217,15 @@ class _Collector:
 _MISSING = object()
 
 
-def _visible_nodes(cmd: A.Com) -> List[A.Node]:
-    from repro.lang.walk import iter_nodes
-
-    return [
-        v.node
-        for v in iter_nodes(cmd)
-        if isinstance(v.node, (A.Read, A.Write, A.Cas, A.Fai, A.MethodCall))
-    ]
-
-
 def summarise_program(program: Program) -> Dict[str, ThreadSummary]:
     """Per-thread flow-sensitive access summaries of ``program``."""
     out: Dict[str, ThreadSummary] = {}
     for tid in program.tids:
         collector = _Collector(program, tid)
-        collector.collect(
+        walk_flow(
             program.body_of(tid),
             dict(program.initial_locals_of(tid)),
-            False,
-            0,
-            (),
+            collector.visit,
         )
         out[tid] = collector.summary
     return out

@@ -2,10 +2,9 @@
 
 Every consumer that used to hand-roll the same structural recursion —
 register collection in ``ast.py``, label search in ``labels.py``,
-footprint summaries in ``semantics/dpor.py``, and the whole static
-analysis layer (:mod:`repro.analysis`) — walks the tree through the two
-primitives here instead, so the node shape table lives in exactly one
-place:
+footprint summaries, and the whole static analysis layer
+(:mod:`repro.analysis`) — walks the tree through three primitives
+instead, so the node shape table lives in exactly one place:
 
 :func:`iter_nodes`
     a pre-order generator yielding ``(node, path, in_lib)`` visits —
@@ -15,9 +14,14 @@ place:
 :func:`fold`
     a bottom-up combinator ``fn(node, in_lib, child_values)`` with full
     control at every node (a ``LibBlock`` can subtract its
-    ``public_regs``, a ``Labeled`` can ignore its children).
+    ``public_regs``, a ``Labeled`` can ignore its children);
+:func:`repro.analysis.footprints.walk_flow`
+    the flow walk: only the nodes an execution from a given local state
+    can reach, each visited with the environment of exactly-known
+    register values on entry to it (it lives with the constant
+    evaluator it folds conditions with).
 
-Both treat ``None`` (the terminated command ``⊥``) as the empty tree.
+All treat ``None`` (the terminated command ``⊥``) as the empty tree.
 """
 
 from __future__ import annotations

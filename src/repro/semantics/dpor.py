@@ -12,8 +12,9 @@ At each closed configuration the live threads are partitioned by the
 conflict graph of their *footprints*: thread ``t``'s footprint is the
 set of ``(component, variable)`` locations any execution of
 ``cmds[t]`` may still read or write (``MethodCall`` is ⊤ — abstract
-methods have arbitrary footprints).  Two refinements sharpen the
-partition beyond the whole-continuation union:
+methods have arbitrary footprints).  The whole-continuation union is
+:func:`repro.analysis.footprints.thread_footprint`, which this module
+imports under the same name.  Two refinements sharpen the partition beyond it:
 
 * **static disjointness** — thread pairs whose *whole-body* footprints
   never conflict are disjoint in every reachable configuration
@@ -104,16 +105,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.footprints import (
-    FP_EMPTY as _FP_EMPTY,
-    FP_TOP as _FP_TOP,
     fp_conflict,
-    fp_union as _fp_union,
     phase_footprint,
+    thread_footprint,
 )
 from repro.analysis.footprints import Footprint as _Footprint
-from repro.lang import ast as A
 from repro.lang.program import Program
-from repro.lang.walk import fold
 from repro.memory import actions as ACT
 from repro.obs import metrics as _metrics
 from repro.semantics.canon import _interner, thread_ids
@@ -132,43 +129,9 @@ DEPENDENT = "dependent"
 STRONG = "strong"
 CANONICAL = "canonical"
 
-
-def _fp_fold(node: Optional[A.Node], in_lib: bool, child_values) -> _Footprint:
-    if node is None:
-        return _FP_EMPTY
-    comp = "L" if in_lib else "C"
-    if isinstance(node, A.LocalAssign):
-        return _FP_EMPTY
-    if isinstance(node, A.Read):
-        return (frozenset(((comp, node.var),)), frozenset(), False)
-    if isinstance(node, A.Write):
-        return (frozenset(), frozenset(((comp, node.var),)), False)
-    if isinstance(node, (A.Cas, A.Fai)):
-        loc = frozenset(((comp, node.var),))
-        return (loc, loc, False)
-    if isinstance(node, A.MethodCall):
-        return _FP_TOP  # abstract methods have arbitrary footprints
-    # Seq/If/While/Labeled/LibBlock: union over children (a LibBlock's
-    # body was already folded with the library component flag).
-    acc: _Footprint = _FP_EMPTY
-    for value in child_values:
-        acc = _fp_union(acc, value)
-    return acc
-
-
-def thread_footprint(cmd: Optional[A.Node], in_lib: bool = False) -> _Footprint:
-    """The footprint of every possible execution of ``cmd``.
-
-    Conservative over all executions: branches union, loops summarise
-    their bodies; ``Cas``/``Fai`` both read and write their location;
-    commands inside a ``LibBlock`` touch ``'L'`` locations.
-    """
-    return fold(cmd, _fp_fold, in_lib=in_lib)
-
-
 #: Which footprint feeds the conflict partition: ``"phase"`` (the
 #: flow-sensitive :func:`repro.analysis.phase_footprint`, the default)
-#: or ``"whole"`` (the continuation union above).
+#: or ``"whole"`` (the continuation union, :func:`thread_footprint`).
 _FOOTPRINT_MODE = "phase"
 FOOTPRINT_MODES = ("phase", "whole")
 

@@ -56,15 +56,16 @@ Among the read-from choices of a single ``Read`` (or failing CAS), two
 non-synchronising candidates with the same written value produce
 successors that differ *only* in where the reader's viewfront of the
 read variable lands.  When the thread's continuation can neither access
-that variable again nor publish its view map (no write/update/method/
-lib step — any of which records the whole map in a new operation's
+that variable again nor publish its view map (no write/update/method
+step — any of which records the whole map in a new operation's
 modification view), that viewfront entry is unobservable: the
 successors are covering-equivalent, and only the mo-earliest candidate
 per value is generated (``collapse_same_value`` in
 :func:`repro.memory.transitions.read_steps` — the skip happens before
 the successor component state is even constructed).  The gate is
 computed per read site, once per step plan, from continuation
-summaries (:func:`repro.semantics.step._node_summary`).
+footprints (:func:`repro.analysis.footprints.thread_footprint`, read by
+:func:`repro.semantics.step._collapse_ok`).
 
 Policy table
 ------------

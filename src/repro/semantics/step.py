@@ -32,7 +32,8 @@ for the reduction layer) and its id.  The tables live with the
 program's intern tables, whose thread rows give back the ``(tid, cmd,
 ls)`` of each thread id: a missing plan reads its thread state there,
 not off the configuration.  What a plan needs besides — the continuation
-summaries of the covering-read prune (:func:`_node_summary`) and the
+footprints of the covering-read prune
+(:func:`~repro.analysis.footprints.thread_footprint`) and the
 ε-closure of each outcome — is worked out with the plan and not cached
 on its own.
 
@@ -77,8 +78,14 @@ which runs :func:`_thread_step` and the rule with no cache at all.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.analysis.footprints import (
+    FP_EMPTY,
+    Footprint,
+    fp_union,
+    thread_footprint,
+)
 from repro.lang import ast as A
 from repro.lang.expr import Value, eval_expr
 from repro.lang.program import Program
@@ -172,16 +179,6 @@ _VisibleStep = Tuple[Action, Value, ComponentState, ComponentState]
 #: Internal: one visible step as the memo stores it —
 #: (action, register value, γ', β', γ'-id, β'-id).
 _MemoStep = Tuple[Action, Value, ComponentState, ComponentState, int, int]
-
-#: Continuation summary for the covering-read prune: the set of global
-#: variables the continuation may still access, and whether it may still
-#: *publish* thread views (write/update/method/lib steps record the
-#: stepping thread's whole view map in new operations' modification
-#: views, so any of them can export an otherwise-dead viewfront entry).
-_Rest = Tuple[FrozenSet, bool]
-
-_REST_EMPTY: _Rest = (frozenset(), False)
-
 
 class _Plan:
     """One thread state's step, as :func:`successors` caches it per
@@ -298,7 +295,7 @@ def _plan(plans: Dict, rows: List[Tuple], tsid: int, prune: bool):
         else:
             plan = _Plan(
                 tid, ls,
-                _thread_step(cmd, ls, False, _REST_EMPTY if prune else None),
+                _thread_step(cmd, ls, False, FP_EMPTY if prune else None),
             )
         plans[tsid] = plan
     return plan
@@ -562,59 +559,28 @@ def silent_step(
     return None
 
 
-def _node_summary(cmd: Optional[A.Node]) -> _Rest:
-    """``(vars possibly accessed, may publish views)`` of a command.
-
-    Conservative over all executions: branches union, loops summarise
-    their bodies.  ``MethodCall`` (and any unknown node) counts as
-    publishing — abstract methods execute against ``β`` with arbitrary
-    variable footprints.  Not memoised: :func:`_thread_step` asks for
-    it once per step plan.
-    """
-    if cmd is None or isinstance(cmd, A.LocalAssign):
-        return _REST_EMPTY
-    if isinstance(cmd, A.Read):
-        return (frozenset((cmd.var,)), False)
-    if isinstance(cmd, (A.Write, A.Cas, A.Fai)):
-        return (frozenset((cmd.var,)), True)
-    if isinstance(cmd, A.Seq):
-        return _combine(_node_summary(cmd.first), _node_summary(cmd.second))
-    if isinstance(cmd, A.If):
-        return _combine(
-            _node_summary(cmd.then_branch), _node_summary(cmd.else_branch)
-        )
-    if isinstance(cmd, (A.While, A.Labeled, A.LibBlock)):
-        return _node_summary(cmd.body)
-    # MethodCall and anything unforeseen: assume everything.
-    return (frozenset(), True)
-
-
-def _combine(a: _Rest, b: _Rest) -> _Rest:
-    if b is _REST_EMPTY:
-        return a
-    if a is _REST_EMPTY:
-        return b
-    return a[0] | b[0], a[1] or b[1]
-
-
-def _collapse_ok(var: str, rest: Optional[_Rest]) -> bool:
+def _collapse_ok(var: str, rest: Optional[Footprint]) -> bool:
     """Whether the covering-read prune applies to a read of ``var``.
 
-    True when the thread's continuation can neither access ``var`` again
-    (so the advanced viewfront is never consulted) nor publish its view
-    map (so the front cannot escape into another operation's
-    modification view).  Under that condition the only successor
-    difference between same-value, non-synchronising read choices is an
-    unobservable viewfront entry — the states are covering-equivalent.
+    ``rest`` is the footprint of the thread's continuation beyond the
+    read (:func:`~repro.analysis.footprints.thread_footprint`).  True
+    when it can neither access ``var`` again (so the advanced viewfront
+    is never consulted) nor publish its view map: it has no write or
+    update and is not ⊤ (write/update/method steps record the stepping
+    thread's whole view map in new operations' modification views, so
+    any of them can export an otherwise-dead viewfront entry).  Under
+    that condition the only successor difference between same-value,
+    non-synchronising read choices is an unobservable viewfront entry —
+    the states are covering-equivalent.
     """
     if rest is None:
         return False
-    vars_, publishes = rest
-    return not publishes and var not in vars_
+    reads, writes, top = rest
+    return not top and not writes and all(v != var for _c, v in reads)
 
 
 def _thread_step(
-    cmd: A.Node, ls: FMap, in_lib: bool, rest: Optional[_Rest]
+    cmd: A.Node, ls: FMap, in_lib: bool, rest: Optional[Footprint]
 ) -> Tuple:
     """The step of one thread whose continuation is ``cmd``: a function
     of ``(cmd, ls)`` and the orientation alone, never of the memory.
@@ -631,8 +597,8 @@ def _thread_step(
 
     ``rest`` is the covering-read prune context: None disables the
     prune (the default, byte-identical to the historical semantics); a
-    summary tuple carries what the *rest of the thread* beyond ``cmd``
-    may still do, extended through the ``Seq`` descent.
+    footprint carries what the *rest of the thread* beyond ``cmd`` may
+    still touch, extended through the ``Seq`` descent.
     """
     silent = silent_step(cmd, ls, in_lib)
     if silent is not None:
@@ -642,7 +608,7 @@ def _thread_step(
     while True:
         if isinstance(cmd, A.Seq):
             if rest is not None:
-                rest = _combine(_node_summary(cmd.second), rest)
+                rest = fp_union(thread_footprint(cmd.second), rest)
             spine.append(cmd)
             cmd = cmd.first
         elif isinstance(cmd, A.LibBlock):

@@ -72,6 +72,38 @@ class TestSummaries:
         assert len(summary.awaits) == 1
         assert summary.awaits[0].var == "f"
 
+    def test_forced_await_position(self):
+        # Recorded after the loop body, at the access counter the body
+        # leaves: the loop read's position, before any later access.
+        p = _program(
+            {
+                "1": A.seq(_await_loop("r", "f"), A.Read("v", "d")),
+                "2": A.Write("f", Lit(1), release=True),
+            },
+            client_vars={"d": 0, "f": 0},
+        )
+        summary = summarise_program(p)["1"]
+        loop_read, later = summary.accesses
+        (aw,) = summary.awaits
+        assert aw.pos == loop_read.pos
+        assert later.pos > aw.pos
+        assert aw.top_level
+
+    def test_forced_await_in_undecided_branch_not_top_level(self):
+        p = _program(
+            {
+                "1": A.seq(
+                    A.Read("m", "g"),
+                    A.If(Reg("m").eq(0), _await_loop("r", "f")),
+                ),
+                "2": A.Write("f", Lit(1), release=True),
+            },
+            client_vars={"f": 0, "g": 0},
+        )
+        (aw,) = summarise_program(p)["1"].awaits
+        assert aw.var == "f"
+        assert not aw.top_level
+
     def test_dead_branch_accesses_dropped(self):
         p = _program(
             {

@@ -1,9 +1,14 @@
-"""Tests for the generic AST walker (:mod:`repro.lang.walk`)."""
+"""Tests for the generic AST walkers (:mod:`repro.lang.walk` and the
+flow walk :func:`repro.analysis.footprints.walk_flow`)."""
 
 import pytest
 
+from repro.analysis.footprints import phase_footprint, walk_flow
+from repro.analysis.lint import lint_program
+from repro.analysis.races import summarise_program
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
+from repro.lang.program import Program, Thread
 from repro.lang.walk import (
     NodeVisit,
     assigned_register,
@@ -162,3 +167,47 @@ class TestFold:
         )
         assert seen["LibBlock"] is False
         assert seen["Write"] is True
+
+
+class TestWalkFlow:
+    """:func:`repro.analysis.footprints.walk_flow`, the walk under lint's
+    flow pass, the race summaries and the phase footprints."""
+
+    def test_unknown_node_raises_in_every_pass(self):
+        body = A.Seq(A.Write("x", Lit(1)), object())
+        with pytest.raises(TypeError):
+            walk_flow(body, {}, lambda *visit: None)
+        with pytest.raises(TypeError):
+            phase_footprint(body, {})
+        program = Program(
+            threads={"1": Thread(body)}, client_vars={"x": 0}
+        )
+        with pytest.raises(TypeError):
+            lint_program(program)
+        with pytest.raises(TypeError):
+            summarise_program(program)
+
+    def test_folded_branches_and_visit_order(self):
+        seen = []
+
+        def visit(node, env, in_lib, path, depth):
+            seen.append((type(node).__name__, path, depth, dict(env)))
+            return lambda: seen.append(("after", path))
+
+        body = A.seq(
+            A.LocalAssign("m", Lit(0)),
+            A.If(Reg("m").eq(0), A.Read("r", "x"), A.Write("z", Lit(1))),
+        )
+        env = walk_flow(body, {}, visit)
+        assert env == {"m": 0}  # ``r`` is read from memory: not known
+        names = [entry[0] for entry in seen]
+        # Pre-order, the dead else arm never visited, and each node's
+        # callback after its subtree.
+        assert names == [
+            "Seq", "LocalAssign", "after", "If", "Read", "after", "after",
+            "after",
+        ]
+        read = seen[4]
+        assert read[1] == ("second", "then_branch")
+        assert read[2] == 0  # a folded If is not a nesting level
+        assert read[3] == {"m": 0}

@@ -585,3 +585,44 @@ class TestFootprintTable:
                 set_footprint_mode(previous)
         modes = {mode for mode, _tsid in program._interner.footprints}
         assert modes == set(FOOTPRINT_MODES)
+
+
+# -- the subset contract of the refined footprints ---------------------------
+
+from repro.litmus.catalog import LITMUS_TESTS  # noqa: E402
+from tests.test_property_reduction import OBJECT_CLIENTS  # noqa: E402
+
+_CONTRACT_PROGRAMS = {
+    **{t.name: t.build for t in LITMUS_TESTS},
+    **dict(OBJECT_CLIENTS),
+    **{
+        name: (lambda name=name: _dpor_family()[name])
+        for name in _dpor_family()
+    },
+}
+
+
+class TestSubsetContract:
+    """The persistent-set argument cites "both refinements yield subsets
+    of the whole-continuation footprint": for every thread state an
+    unreduced exploration interns, the phase footprint is ⊤ only where
+    :func:`thread_footprint` is, and otherwise its reads and writes lie
+    within the whole footprint's.  A ⊤ whole footprint contains every
+    location, so it bounds any phase footprint (stack-mp's consumer,
+    past its ``popA`` loop with ``r1 = 1``, reads only ``d`` while its
+    continuation still holds the dead loop)."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTRACT_PROGRAMS))
+    def test_phase_within_whole(self, name):
+        program = _CONTRACT_PROGRAMS[name]()
+        explore_sequential(program, max_states=500_000)
+        rows = program._interner.rows
+        assert rows
+        for _tid, cmd, ls in rows:
+            p_reads, p_writes, p_top = phase_footprint(cmd, ls)
+            w_reads, w_writes, w_top = thread_footprint(cmd)
+            if w_top:
+                continue
+            assert not p_top
+            assert p_reads <= w_reads
+            assert p_writes <= w_writes

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from repro.analysis.footprints import thread_footprint
 from repro.engine.core import explore_sequential
 from repro.lang import ast as A
 from repro.lang.expr import Lit, Reg
@@ -19,7 +20,7 @@ from repro.semantics.reduce import (
 )
 from repro.semantics.step import (
     Transition,
-    _node_summary,
+    _collapse_ok,
     silent_step,
     thread_successors,
     transitions,
@@ -300,14 +301,22 @@ class TestCoveringReadPrune:
         assert len(pruned) == 3
 
     def test_node_summary(self):
+        # The gate reads the continuation's whole footprint: a read of
+        # ``x`` collapses iff the rest neither touches ``x`` again nor
+        # publishes (writes, updates or is ⊤).
         read = A.Read("r", "x")
         write = A.Write("y", Lit(1))
-        assert _node_summary(read) == (frozenset({"x"}), False)
-        assert _node_summary(write) == (frozenset({"y"}), True)
-        assert _node_summary(A.seq(read, write)) == (frozenset({"x", "y"}), True)
-        assert _node_summary(A.LocalAssign("r", Lit(1))) == (frozenset(), False)
-        assert _node_summary(A.MethodCall("o", "m")) == (frozenset(), True)
-        assert _node_summary(None) == (frozenset(), False)
+
+        def gate(var, cmd):
+            return _collapse_ok(var, thread_footprint(cmd))
+
+        assert not gate("x", read) and gate("y", read)
+        assert not gate("x", write) and not gate("y", write)
+        assert not gate("z", A.seq(read, write))
+        assert gate("x", A.LocalAssign("r", Lit(1)))
+        assert not gate("x", A.MethodCall("o", "m"))
+        assert gate("x", None)
+        assert not _collapse_ok("x", None)  # None disables the prune
 
 
 class TestTransitionClass:
